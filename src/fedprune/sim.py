@@ -5,16 +5,14 @@ selection, then a round loop of client-local masked SGD with weighted
 FedAvg aggregation and (for the progressive algorithms) grow/prune mask
 adjustment. Everything is a deterministic function of the config and its
 seed; clients inside a round are independent work items reduced in fixed
-client order, so serial and parallel schedules produce identical metrics.
+client order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +22,10 @@ from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
     load_csv, make_blobs, split_indices
 from .masking import Mask, apply_mask, density_within, feasible_random_mask, \
     generate_candidate_pool, magnitude_mask
-from .nn import Network, backward, cross_entropy, forward, make_mlp, sgd_step
-from .progressive import PruneSchedule, aggregate_topk, apply_plan, \
-    plan_grow_prune, pruning_number, target_layers, topk_collect
+from .nn import Array, Network, backward, cross_entropy, forward, make_mlp, \
+    sgd_step
+from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
+    apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
     vanilla_select
 
@@ -35,8 +34,6 @@ ALGORITHMS = ("FedTiny", "StaticRandom", "StaticMagnitude", "DenseFedAvg",
 PROGRESSIVE_ALGS = ("FedTiny", "ProgressiveOnly")
 POOL_ALGS = ("FedTiny", "ProgressiveOnly", "AdaptiveBNOnly")
 SPARSE_ALGS = tuple(a for a in ALGORITHMS if a != "DenseFedAvg")
-
-WORKERS_ENV = "FEDPRUNE_MAX_WORKERS"
 
 # seed-namespace tags
 _T_DATA, _T_SPLIT, _T_PART, _T_DEV, _T_MODEL, _T_PRETRAIN, _T_POOL, \
@@ -213,19 +210,11 @@ class ExperimentState:
     selected_candidate: int | None
     param_dense_bytes: float
     act_bytes: float
-    max_workers: int = 1
 
 
 def _subseed(master: int, *tags: int) -> int:
     seq = np.random.SeedSequence((int(master), *[int(t) for t in tags]))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _resolve_workers(max_workers) -> int:
-    if max_workers is not None:
-        return max(1, int(max_workers))
-    env = os.environ.get(WORKERS_ENV, "")
-    return max(1, int(env)) if env.strip() else 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +260,7 @@ def _local_batches(n: int, batch_size: int) -> int:
     return full + (1 if rem >= 2 else 0)
 
 
-def setup_experiment(cfg: ExperimentConfig,
-                     max_workers=None) -> ExperimentState:
+def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     cfg.validate()
     ds = build_dataset(cfg)
 
@@ -342,7 +330,7 @@ def setup_experiment(cfg: ExperimentConfig,
         test_set=test_set, server_set=server_set, selection_scores=scores,
         selected_candidate=selected,
         param_dense_bytes=costs.dense_param_bytes(net, cfg.bits),
-        act_bytes=act, max_workers=_resolve_workers(max_workers))
+        act_bytes=act)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +343,19 @@ def _round_lr(cfg: ExperimentConfig, round_index: int) -> float:
     return cfg.lr
 
 
+@dataclass
+class ClientResult:
+    """One client's upload: trained parameters, BN moving statistics, and
+    (on pruning rounds) the top-K gradient buffers of the targeted layers."""
+    params: dict[str, Array]
+    bn_means: list[Array]
+    bn_vars: list[Array]
+    buffers: dict[str, TopKBuffer]
+    violations: int
+
+
 def _client_update(state: ExperimentState, k: int, round_index: int,
-                   lr: float, plan_sizes: dict[str, int]):
+                   lr: float, plan_sizes: dict[str, int]) -> ClientResult:
     """One client's work item: E local epochs of masked SGD, then (on
     pruning rounds) the top-K gradient collection for the targeted layers."""
     cfg = state.cfg
@@ -378,9 +377,10 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
         take = min(cfg.batch_size, len(client))
         if take >= 2:
             idx = crng.choice(len(client), size=take, replace=False)
-            probe = local.clone()
-            logits, cache = forward(probe, client.features[idx], "train")
-            _, grads = backward(probe, logits, client.labels[idx], cache)
+            # the uploads are already copied; train-mode BN uses batch
+            # statistics, so the gradients do not depend on the moving ones
+            logits, cache = forward(local, client.features[idx], "train")
+            _, grads = backward(local, logits, client.labels[idx], cache)
             for key, a in plan_sizes.items():
                 flat_mask = state.mask.slices[key].reshape(-1)
                 pruned = np.flatnonzero(flat_mask == 0)
@@ -389,7 +389,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
                 if buf.peak_size > a:
                     violations += 1
                 buffers[key] = buf
-    return params, bn_means, bn_vars, buffers, violations
+    return ClientResult(params, bn_means, bn_vars, buffers, violations)
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
@@ -436,14 +436,8 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
         state.act_bytes, cfg.bits, topk_total=sum(plan_sizes.values()))
 
     # client work, reduced in fixed participant order
-    if state.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=state.max_workers) as pool:
-            results = list(pool.map(
-                lambda k: _client_update(state, k, round_index, lr, plan_sizes),
-                participants))
-    else:
-        results = [_client_update(state, k, round_index, lr, plan_sizes)
-                   for k in participants]
+    results = [_client_update(state, k, round_index, lr, plan_sizes)
+               for k in participants]
 
     weights = ([float(len(state.clients[k])) for k in participants]
                if cfg.weighted_aggregation else [1.0] * len(participants))
@@ -451,9 +445,9 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
 
     # FedAvg parameter aggregation
     new_params = {key: np.zeros_like(p) for key, p in state.net.params().items()}
-    for (params, _, _, _, _), w in zip(results, weights):
+    for res, w in zip(results, weights):
         for key in new_params:
-            new_params[key] += (w / total_w) * params[key]
+            new_params[key] += (w / total_w) * res.params[key]
     for key, p in state.net.params().items():
         p[...] = new_params[key]
     if state.mask is not None:
@@ -461,22 +455,22 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
             state.net.params()[key][sl == 0] = 0.0
 
     # BN running statistics aggregated with the same weights
-    reports = [BNReport(0, means, vars_, max(1, int(w)))
-               for (_, means, vars_, _, _), w in zip(results, weights)]
+    reports = [BNReport(0, res.bn_means, res.bn_vars, max(1, int(w)))
+               for res, w in zip(results, weights)]
     if reports and reports[0].means:
         means, variances = aggregate_bn(reports,
                                         average_std=cfg.aggregate_std)
         install_bn(state.net, means, variances)
 
     # grow/prune adjustment on the aggregated model
-    grow_count = drop_count = shortfall = violations = 0
-    for (_, _, _, _, v) in results:
-        violations += v
+    grow_count = drop_count = shortfall = 0
+    violations = sum(res.violations for res in results)
     for key, a in plan_sizes.items():
-        buffers = [res[3][key] for res in results if key in res[3]]
+        buffers = [res.buffers[key] for res in results if key in res.buffers]
         if not buffers:
             continue
-        buf_weights = [w for res, w in zip(results, weights) if key in res[3]]
+        buf_weights = [w for res, w in zip(results, weights)
+                       if key in res.buffers]
         agg = aggregate_topk(buffers, buf_weights)
         plan = plan_grow_prune(agg, state.mask.slices[key],
                                state.net.params()[key], a)
@@ -517,11 +511,11 @@ def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
 # Experiment driver and artifacts
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, max_workers=None):
+def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the full pipeline. With ``out_dir`` set, metrics are appended to
     metrics.jsonl, mirrored to metrics.csv, and the final model is written
     to final.ckpt. Returns (metrics list, final state)."""
-    state = setup_experiment(cfg, max_workers=max_workers)
+    state = setup_experiment(cfg)
     metrics: list[RoundMetrics] = []
     csv_fh = jsonl_fh = None
     if out_dir is not None:
