@@ -1,14 +1,15 @@
-"""Binary masks, density accounting, and coarse-pruning strategies.
+"""Binary masks and coarse-pruning strategies over integer keep counts.
 
-Densities entered as decimals (0.01, 0.05, ...) are honored exactly: keep
-counts and feasibility checks go through ``Decimal(repr(d))`` so that float
-representation error can never round a count the wrong way.
+A target density d over N prune-eligible weights is one global budget of
+``keep_budget(d, N)`` kept weights. ``allocate_counts`` splits that budget
+across layers and ``select_support`` turns each layer's count into a mask,
+so every mask built here keeps exactly its budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,23 +17,60 @@ import numpy as np
 from .nn import Array, Network
 
 MIN_KEPT_PER_LAYER = 10   # floor that keeps every pruned layer connected
-POOL_ATTEMPTS = 100
-RESCALE_STEPS = 600
 
 
-def keep_count(density: float, n: int) -> int:
-    """ceil(density * n) evaluated on the decimal the float was written as."""
-    if density <= 0.0:
-        return 0
-    if density >= 1.0:
-        return n
-    exact = Decimal(repr(float(density))) * n
-    return int(exact.to_integral_value(rounding=ROUND_CEILING))
+def keep_budget(density: float, n: int) -> int:
+    """floor(density * n), evaluated on the decimal the float was written as:
+    ``keep_budget(0.29, 100)`` is 29, where float arithmetic gives 28."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
+    return math.floor(Fraction(repr(float(density))) * n)
 
 
-def density_within(kept: int, total: int, target: float) -> bool:
-    """Exact test of kept/total <= target."""
-    return Fraction(kept, total) <= Fraction(Decimal(repr(float(target))))
+def allocate_counts(shares: dict[str, float], sizes: dict[str, int],
+                    budget: int) -> dict[str, int]:
+    """Split ``budget`` kept weights across layers in proportion to
+    share x size, by largest remainders (ties go to the earlier layer).
+
+    Each layer keeps between min(MIN_KEPT_PER_LAYER, size) and size weights,
+    and the counts sum to exactly ``budget``. share x size is first clipped
+    to those bounds; a layer whose scaled part still crosses one is pinned
+    to it, and the others share what is left. The arithmetic is exact.
+    """
+    low = {k: min(MIN_KEPT_PER_LAYER, n) for k, n in sizes.items()}
+    if not sum(low.values()) <= budget <= sum(sizes.values()):
+        raise ValueError(
+            f"cannot keep {budget} of {sum(sizes.values())} weights with "
+            f"at least {MIN_KEPT_PER_LAYER} kept per layer")
+    weight = {k: min(max(Fraction(shares[k]) * n, low[k]), n)
+              for k, n in sizes.items()}
+    ideal: dict[str, Fraction] = {}
+    free = list(sizes)
+    while free:
+        scale = (Fraction(budget - sum(ideal.values()))
+                 / sum(weight[k] for k in free))
+        part = {k: min(max(scale * weight[k], low[k]), sizes[k]) for k in free}
+        # weights lie within the bounds, so all crossings are on one side
+        # (scale < 1 or scale > 1) and stay pinned in the exact solution
+        pinned = {k: v for k, v in part.items() if v != scale * weight[k]}
+        ideal.update(pinned or part)
+        free = [k for k in free if k not in ideal]
+    counts = {k: math.floor(ideal[k]) for k in sizes}
+    by_remainder = sorted(sizes, key=lambda k: counts[k] - ideal[k])
+    for k in by_remainder[:budget - sum(counts.values())]:
+        counts[k] += 1
+    return counts
+
+
+def select_support(scores: Array, count: int) -> Array:
+    """uint8 mask of the ``count`` highest scores; ties keep the lower flat
+    index."""
+    flat = np.asarray(scores).reshape(-1)
+    if not 0 <= count <= flat.size:
+        raise ValueError(f"cannot keep {count} of {flat.size} entries")
+    mask = np.zeros(flat.size, dtype=np.uint8)
+    mask[np.argsort(-flat, kind="stable")[:count]] = 1
+    return mask.reshape(np.shape(scores))
 
 
 @dataclass
@@ -60,57 +98,18 @@ class Mask:
         kept, total = self.counts()
         return kept / total if total else 1.0
 
-    def layer_density(self, key: str) -> float:
-        m = self.slices[key]
-        return float(m.sum()) / m.size
-
     def copy(self) -> "Mask":
         return Mask({k: m.copy() for k, m in self.slices.items()})
 
 
-def density(mask: Mask) -> float:
-    return mask.density()
-
-
 @dataclass
 class Candidate:
-    """One coarse-pruned model: requested per-layer densities plus the mask
-    they produced."""
+    """One coarse-pruned model: the drawn per-layer densities (shares of the
+    budget) plus the mask they produced."""
 
     id: int
     layer_densities: dict[str, float]
     mask: Mask
-    density: float
-
-
-def magnitude_prune_layer(weights: Array, layer_density: float) -> Array:
-    """Keep the ceil(d * n) largest-magnitude entries; ties keep the lower
-    flat index. Returns a uint8 mask of the same shape."""
-    if not 0.0 <= layer_density <= 1.0:
-        raise ValueError(f"layer density must lie in [0, 1], got {layer_density}")
-    k = keep_count(layer_density, weights.size)
-    mask = np.zeros(weights.size, dtype=np.uint8)
-    if k > 0:
-        order = np.argsort(-np.abs(weights).reshape(-1), kind="stable")
-        mask[order[:k]] = 1
-    return mask.reshape(weights.shape)
-
-
-def random_mask(shapes: dict[str, tuple], mask_density: float,
-                seed: int = 0) -> Mask:
-    """Uniformly random support of exactly ceil(d * n) entries per layer."""
-    if not 0.0 < mask_density <= 1.0:
-        raise ValueError(f"density must lie in (0, 1], got {mask_density}")
-    rng = np.random.default_rng(seed)
-    slices = {}
-    for key in shapes:
-        shape = shapes[key]
-        n = int(np.prod(shape))
-        k = keep_count(mask_density, n)
-        m = np.zeros(n, dtype=np.uint8)
-        m[rng.choice(n, size=k, replace=False)] = 1
-        slices[key] = m.reshape(shape)
-    return Mask(slices)
 
 
 def apply_mask(net: Network, mask: Mask) -> Network:
@@ -122,106 +121,61 @@ def apply_mask(net: Network, mask: Mask) -> Network:
     return out
 
 
-def magnitude_mask(net: Network, d_target: float) -> Mask:
-    """One-shot server-side magnitude mask at uniform per-layer density,
-    rescaled just enough to keep total density <= d_target."""
-    sizes = {k: net.params()[k].size for k in net.prunable_keys()}
-    if not sizes:
-        raise ValueError("network has no prunable tensors")
-    requested = {k: min(1.0, d_target) for k in sizes}
-    densities = _feasible_densities(requested, sizes, d_target)
-    slices = {k: magnitude_prune_layer(net.params()[k], densities[k])
-              for k in sizes}
-    return Mask(slices)
-
-
-def feasible_random_mask(net: Network, d_target: float, seed: int = 0) -> Mask:
-    """Random mask at uniform per-layer density, rescaled to meet d_target."""
-    sizes = {k: net.params()[k].size for k in net.prunable_keys()}
-    if not sizes:
-        raise ValueError("network has no prunable tensors")
-    requested = {k: min(1.0, d_target) for k in sizes}
-    densities = _feasible_densities(requested, sizes, d_target)
-    rng = np.random.default_rng(seed)
-    slices = {}
-    for key, n in sizes.items():
-        k = keep_count(densities[key], n)
-        m = np.zeros(n, dtype=np.uint8)
-        m[rng.choice(n, size=k, replace=False)] = 1
-        slices[key] = m.reshape(net.params()[key].shape)
-    return Mask(slices)
-
-
-def _total_kept(densities: dict[str, float], sizes: dict[str, int]) -> int:
-    return sum(keep_count(densities[k], sizes[k]) for k in sizes)
-
-
-def _feasible_densities(requested: dict[str, float], sizes: dict[str, int],
-                        d_target: float) -> dict[str, float]:
-    """Scale a requested density vector down until the realized keep counts
-    fit the target budget. Raises if even the per-layer floors do not fit."""
-    total = sum(sizes.values())
-    if density_within(_total_kept(requested, sizes), total, d_target):
-        return dict(requested)
-    floors = {k: min(1.0, MIN_KEPT_PER_LAYER / sizes[k]) for k in sizes}
-    scale = 1.0
-    for _ in range(RESCALE_STEPS):
-        scale *= 0.97
-        scaled = {k: min(1.0, max(requested[k] * scale, floors[k]))
-                  for k in sizes}
-        if density_within(_total_kept(scaled, sizes), total, d_target):
-            return scaled
-    raise ValueError(
-        f"cannot reach total density {d_target} with at least "
-        f"{MIN_KEPT_PER_LAYER} kept weights per layer")
-
-
-def generate_candidate_pool(net: Network, d_target: float, count: int,
-                            noise: float = 0.5, seed: int = 0,
-                            max_attempts: int = POOL_ATTEMPTS,
-                            rescale: bool = True) -> list[Candidate]:
-    """Uniform-noise candidate pool: per-layer densities d_target + e with
-    e ~ U[-noise * d_target, +noise * d_target], magnitude-pruned, accepted
-    only when the total density stays within d_target.
-
-    Rejected draws are resampled up to ``max_attempts`` times per candidate;
-    after that the latest draw is rescaled into feasibility (or, with
-    ``rescale=False``, the pool generation fails).
-    """
-    if count < 1:
-        raise ValueError("pool size must be at least 1")
-    if not 0.0 < d_target <= 1.0:
-        raise ValueError(f"target density must lie in (0, 1], got {d_target}")
-    if noise < 0.0:
-        raise ValueError("noise scale must be nonnegative")
+def _prunable(net: Network) -> dict[str, Array]:
+    params = net.params()
     keys = net.prunable_keys()
     if not keys:
         raise ValueError("network has no prunable tensors")
-    params = net.params()
-    sizes = {k: params[k].size for k in keys}
-    total = sum(sizes.values())
-    floors = {k: min(1.0, MIN_KEPT_PER_LAYER / sizes[k]) for k in keys}
+    return {k: params[k] for k in keys}
+
+
+def _uniform_counts(weights: dict[str, Array],
+                    d_target: float) -> dict[str, int]:
+    sizes = {k: w.size for k, w in weights.items()}
+    return allocate_counts({k: d_target for k in sizes}, sizes,
+                           keep_budget(d_target, sum(sizes.values())))
+
+
+def magnitude_mask(net: Network, d_target: float) -> Mask:
+    """One-shot server-side mask at uniform per-layer density that keeps the
+    largest-magnitude weights of each layer."""
+    weights = _prunable(net)
+    counts = _uniform_counts(weights, d_target)
+    return Mask({k: select_support(np.abs(w), counts[k])
+                 for k, w in weights.items()})
+
+
+def random_mask(net: Network, d_target: float, seed: int = 0) -> Mask:
+    """Uniformly random support at uniform per-layer density."""
+    weights = _prunable(net)
+    counts = _uniform_counts(weights, d_target)
+    rng = np.random.default_rng(seed)
+    return Mask({k: select_support(rng.random(w.shape), counts[k])
+                 for k, w in weights.items()})
+
+
+def generate_candidate_pool(net: Network, d_target: float, count: int,
+                            noise: float = 0.5,
+                            seed: int = 0) -> list[Candidate]:
+    """Uniform-noise candidate pool: per-layer densities d_target + e with
+    e ~ U[-noise * d_target, +noise * d_target], one draw per candidate, as
+    shares of the global keep budget; each layer keeps its largest-magnitude
+    weights."""
+    if count < 1:
+        raise ValueError("pool size must be at least 1")
+    if noise < 0.0:
+        raise ValueError("noise scale must be nonnegative")
+    magnitudes = {k: np.abs(w) for k, w in _prunable(net).items()}
+    sizes = {k: m.size for k, m in magnitudes.items()}
+    budget = keep_budget(d_target, sum(sizes.values()))
 
     pool = []
     for cid in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, cid)))
-        densities = None
-        draw = {}
-        for _ in range(max_attempts):
-            e = rng.uniform(-noise * d_target, noise * d_target, size=len(keys))
-            draw = {k: min(1.0, max(d_target + e[i], floors[k]))
-                    for i, k in enumerate(keys)}
-            if density_within(_total_kept(draw, sizes), total, d_target):
-                densities = draw
-                break
-        if densities is None:
-            if not rescale:
-                raise ValueError(
-                    f"candidate {cid}: no feasible draw in {max_attempts} "
-                    "attempts and rescaling is disabled")
-            densities = _feasible_densities(draw, sizes, d_target)
-        slices = {k: magnitude_prune_layer(params[k], densities[k])
-                  for k in keys}
-        mask = Mask(slices)
-        pool.append(Candidate(cid, densities, mask, mask.density()))
+        e = rng.uniform(-noise * d_target, noise * d_target, size=len(sizes))
+        shares = {k: float(d_target + e[i]) for i, k in enumerate(sizes)}
+        counts = allocate_counts(shares, sizes, budget)
+        mask = Mask({k: select_support(m, counts[k])
+                     for k, m in magnitudes.items()})
+        pool.append(Candidate(cid, shares, mask))
     return pool

@@ -20,8 +20,8 @@ import numpy as np
 from . import costs
 from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
     load_csv, make_blobs, split_indices
-from .masking import Mask, apply_mask, density_within, feasible_random_mask, \
-    generate_candidate_pool, magnitude_mask
+from .masking import Mask, apply_mask, generate_candidate_pool, \
+    magnitude_mask, random_mask
 from .nn import Array, Network, backward, cross_entropy, forward, make_mlp, \
     sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
@@ -312,8 +312,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                 average_std=cfg.aggregate_std)
         mask = pool[selected].mask.copy()
     elif cfg.algorithm == "StaticRandom":
-        mask = feasible_random_mask(net, cfg.density,
-                                    seed=_subseed(cfg.seed, _T_STATIC))
+        mask = random_mask(net, cfg.density,
+                           seed=_subseed(cfg.seed, _T_STATIC))
         net = apply_mask(net, mask)
     elif cfg.algorithm == "StaticMagnitude":
         mask = magnitude_mask(net, cfg.density)

@@ -23,7 +23,7 @@ from fedprune.costs import (
     storage_bits,
     training_memory,
 )
-from fedprune.masking import Mask, feasible_random_mask
+from fedprune.masking import Mask, random_mask
 from fedprune.nn import Linear, Network, ReLU, make_mlp
 
 
@@ -125,7 +125,7 @@ def test_dense_model_storage_is_param_count_times_width():
 
 def test_model_storage_additivity_and_bands():
     net = make_mlp(6, [40, 40, 40], 4, seed=1)
-    mask = feasible_random_mask(net, 0.05, seed=2)
+    mask = random_mask(net, 0.05, seed=2)
     report = model_storage(net, mask, bits=32)
     assert report.total_bits == sum(e.total_bits
                                     for e in report.entries.values())
@@ -162,7 +162,7 @@ def test_forward_flops_linearity():
     net = make_mlp(8, [16, 16], 4, seed=0)
     f1 = forward_flops(net, None, batch=1)
     assert forward_flops(net, None, batch=7) == 7 * f1
-    mask = feasible_random_mask(net, 0.5, seed=1)
+    mask = random_mask(net, 0.5, seed=1)
     key = net.prunable_keys()[0]
     full = forward_flops(net, None, batch=3)
     sparse = forward_flops(net, mask, batch=3)
@@ -187,7 +187,7 @@ def test_peak_flops_unknown_tag():
 def test_collection_pass_cost_bounded_by_dense_forward():
     # the measured extra pruning-round cost stays within one dense forward
     net = make_mlp(16, [64, 64, 64], 10, n_blocks=5, seed=0)
-    mask = feasible_random_mask(net, 0.05, seed=1)
+    mask = random_mask(net, 0.05, seed=1)
     f_d = forward_flops(net, None, batch=64)
     for key in net.prunable_keys():
         x = collection_pass_flops(net, mask, [key], batch=64)
@@ -229,7 +229,7 @@ def test_activation_bytes_measured_max():
 
 def test_reports_round_trip_json():
     net = make_mlp(4, [8, 8, 8], 3, seed=0)
-    mask = feasible_random_mask(net, 0.2, seed=0)
+    mask = random_mask(net, 0.2, seed=0)
     storage = model_storage(net, mask, 32)
     memory = [training_memory(ALG_STATIC_SPARSE, 100, 10, 5)]
     flops = [FlopsReport(ALG_STATIC_SPARSE, 100, 10, 5,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprune.data import make_blobs
-from fedprune.masking import density_within
+from fedprune.masking import keep_budget
 from fedprune.nn import forward, make_mlp
 from fedprune.sim import (
     ConfigError,
@@ -103,7 +103,7 @@ def test_pruning_round_conserves_density_exactly():
         rm = run_round(state, r)
         kept, total_now = state.mask.counts()
         assert total_now == total and kept == kept_before
-        assert density_within(kept, total, state.cfg.density)
+        assert kept == keep_budget(state.cfg.density, total)
         assert rm.grow_count == rm.drop_count
         if rm.grow_count > 0:
             changed = True
@@ -128,8 +128,22 @@ def test_masked_algorithms_stay_feasible_every_round():
         for r in range(1, 4):
             rm = run_round(state, r)
             kept, total = state.mask.counts()
-            assert density_within(kept, total, state.cfg.density)
+            assert kept == keep_budget(state.cfg.density, total)
             assert rm.grow_count == 0  # static masks never change
+
+
+def test_masks_keep_the_whole_budget_after_setup():
+    # the paper defaults: 409 of 8192 weights at density 0.05
+    for algorithm in ("FedTiny", "ProgressiveOnly", "AdaptiveBNOnly",
+                      "StaticRandom", "StaticMagnitude"):
+        cfg = ExperimentConfig(algorithm=algorithm)
+        kept, total = setup_experiment(cfg).mask.counts()
+        assert kept == keep_budget(cfg.density, total) == 409
+    for density in (0.29, 0.1, 0.05):
+        state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                             density=density))
+        kept, total = state.mask.counts()
+        assert kept == keep_budget(density, total)
 
 
 def test_dense_fedavg_learns_blobs():
