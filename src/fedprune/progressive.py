@@ -9,7 +9,6 @@ magnitude. Density is conserved exactly by every adjustment.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -45,45 +44,68 @@ class PruneSchedule:
 class TopKBuffer:
     """Bounded store of the ``capacity`` largest-magnitude gradients seen.
 
-    Streaming semantics: when full, an incoming gradient replaces the current
-    smallest-magnitude entry only if it beats it; magnitude ties are resolved
-    toward the lower flat index. ``peak_size`` instruments the memory bound.
+    ``index`` and ``value`` hold the retained (flat index, gradient) pairs in
+    entry order: |gradient| descending, magnitude ties by lower index first.
+    ``peak_size`` instruments the memory bound: the most entries retained at
+    once, never more than ``capacity``.
     """
 
-    __slots__ = ("capacity", "_heap", "peak_size")
+    __slots__ = ("capacity", "index", "value", "peak_size")
 
     def __init__(self, capacity: int):
         if capacity < 0:
             raise ValueError("buffer capacity must be nonnegative")
         self.capacity = capacity
-        self._heap: list[tuple[float, int, float]] = []  # (|g|, -idx, g)
+        self.index = np.zeros(0, dtype=np.int64)
+        self.value = np.zeros(0, dtype=np.float64)
         self.peak_size = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, index: int, value: float) -> None:
-        if self.capacity == 0:
-            return
-        item = (abs(value), -index, value)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
-        self.peak_size = max(self.peak_size, len(self._heap))
+        return len(self.index)
 
     def entries(self) -> list[tuple[int, float]]:
         """(index, gradient) pairs ordered by |gradient| descending, magnitude
         ties by lower index first."""
-        ordered = sorted(self._heap, reverse=True)
-        return [(-neg_idx, g) for _, neg_idx, g in ordered]
+        return list(zip(self.index.tolist(), self.value.tolist()))
 
 
 def topk_collect(indices, values, capacity: int) -> TopKBuffer:
-    """Stream (index, gradient) pairs through a bounded buffer."""
+    """Stream (index, gradient) pairs through a bounded buffer.
+
+    The input is read in chunks of ``capacity`` pairs. A chunk's pairs whose
+    magnitude is below the smallest retained one cannot enter a full buffer
+    and are dropped (ties survive); the rest are merged with the retained
+    entries by one sort on (|g| desc, index asc, g desc), which keeps the
+    first ``capacity``. At most ``capacity`` entries are retained and at most
+    ``capacity`` more are in flight, so memory is O(capacity) however long
+    the input. The result equals streaming the pairs one at a time through a
+    min-magnitude-evicting heap. A zero-capacity buffer reads no values.
+    """
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if len(indices) != len(values):
+        raise ValueError(f"{len(indices)} indices but {len(values)} values")
     buf = TopKBuffer(capacity)
-    for idx, val in zip(indices, values):
-        buf.push(int(idx), float(val))
+    if capacity == 0:
+        return buf
+    for start in range(0, len(values), capacity):
+        val = values[start:start + capacity]
+        mag = np.abs(val)
+        top = mag.max()
+        if not top < np.inf:  # NaN fails every comparison
+            raise FloatingPointError("non-finite gradient in top-K input")
+        idx = indices[start:start + capacity]
+        if len(buf) == capacity:
+            floor = abs(buf.value[-1])
+            if top < floor:
+                continue
+            keep = mag >= floor
+            idx, val = idx[keep], val[keep]
+        idx = np.concatenate((buf.index, idx))
+        val = np.concatenate((buf.value, val))
+        order = np.lexsort((-val, idx, -np.abs(val)))[:capacity]
+        buf.index, buf.value = idx[order], val[order]
+        buf.peak_size = max(buf.peak_size, len(buf.index))
     return buf
 
 
@@ -110,18 +132,20 @@ def pruning_number(t: int, schedule: PruneSchedule, local_iters: int,
 def aggregate_topk(buffers: list[TopKBuffer],
                    weights: list[float]) -> dict[int, float]:
     """Client-size-weighted sum over the union of reported indices; an index
-    a client did not report contributes zero for that client."""
+    a client did not report contributes zero for that client. Keys come in
+    ascending index order."""
     if not buffers:
         raise ValueError("need at least one buffer")
     if len(buffers) != len(weights):
         raise ValueError("one weight per buffer required")
     total = float(sum(weights))
-    out: dict[int, float] = {}
-    for buf, w in zip(buffers, weights):
-        share = w / total
-        for idx, g in buf.entries():
-            out[idx] = out.get(idx, 0.0) + share * g
-    return out
+    index = np.concatenate([buf.index for buf in buffers])
+    shares = np.concatenate([(w / total) * buf.value
+                             for buf, w in zip(buffers, weights)])
+    keys, slot = np.unique(index, return_inverse=True)
+    # bincount adds in input order, i.e. client by client, from 0.0
+    sums = np.bincount(slot, weights=shares, minlength=len(keys))
+    return dict(zip(keys.tolist(), sums.tolist()))
 
 
 @dataclass
@@ -155,24 +179,21 @@ def plan_grow_prune(agg_grads: dict[int, float], mask_slice: Array,
     if count == 0:
         return GrowPrunePlan()
 
-    pruned_set = set(pruned.tolist())
-    reported = [(idx, g) for idx, g in agg_grads.items() if idx in pruned_set]
-    reported.sort(key=lambda item: (-abs(item[1]), item[0]))
-    grow = [idx for idx, _ in reported[:count]]
+    index = np.fromiter(agg_grads.keys(), dtype=np.int64, count=len(agg_grads))
+    grads = np.fromiter(agg_grads.values(), dtype=np.float64,
+                        count=len(agg_grads))
+    reported = np.isin(index, pruned)
+    index, grads = index[reported], grads[reported]
+    grow = index[np.lexsort((index, -np.abs(grads)))[:count]]
     shortfall = count - len(grow)
     if shortfall > 0:
-        chosen = set(grow)
-        for idx in pruned:
-            if len(grow) == count:
-                break
-            if int(idx) not in chosen:
-                grow.append(int(idx))
+        fill = np.setdiff1d(pruned, grow, assume_unique=True)[:shortfall]
+        grow = np.concatenate((grow, fill))
 
     flat_w = np.abs(weight_slice.reshape(-1)[unpruned])
     order = np.argsort(flat_w, kind="stable")
-    drop = unpruned[order[:count]].tolist()
-    return GrowPrunePlan(grow=[int(i) for i in grow],
-                         drop=[int(i) for i in drop],
+    drop = unpruned[order[:count]]
+    return GrowPrunePlan(grow=grow.tolist(), drop=drop.tolist(),
                          shortfall=shortfall)
 
 
@@ -185,9 +206,9 @@ def apply_plan(mask_slice: Array, plan: GrowPrunePlan,
     weights = weight_slice.copy()
     flat_mask = mask.reshape(-1)
     flat_w = weights.reshape(-1)
-    if any(flat_mask[i] != 0 for i in plan.grow):
+    if np.any(flat_mask[plan.grow] != 0):
         raise ValueError("plan grows a coordinate that is not pruned")
-    if any(flat_mask[i] != 1 for i in plan.drop):
+    if np.any(flat_mask[plan.drop] != 1):
         raise ValueError("plan drops a coordinate that is not unpruned")
     flat_mask[plan.grow] = 1
     flat_w[plan.grow] = 0.0

@@ -179,6 +179,8 @@ class RoundMetrics:
     clamped: bool = False
     shortfall: int = 0
     buffer_violations: int = 0
+    # per adjusted layer: {key: {"grow": n, "drop": n, "shortfall": n}}
+    layers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def csv_row(self) -> str:
         return ",".join([str(self.round), repr(self.accuracy), repr(self.loss),
@@ -194,6 +196,7 @@ class RoundMetrics:
             "wall_time": self.wall_time, "clamped": self.clamped,
             "shortfall": self.shortfall,
             "buffer_violations": self.buffer_violations,
+            "layers": {key: dict(c) for key, c in self.layers.items()},
         }
 
 
@@ -355,9 +358,12 @@ class ClientResult:
 
 
 def _client_update(state: ExperimentState, k: int, round_index: int,
-                   lr: float, plan_sizes: dict[str, int]) -> ClientResult:
+                   lr: float, collect: dict[str, tuple[int, Array]]
+                   ) -> ClientResult:
     """One client's work item: E local epochs of masked SGD, then (on
-    pruning rounds) the top-K gradient collection for the targeted layers."""
+    pruning rounds) the top-K gradient collection for the targeted layers.
+    ``collect`` maps each targeted key to its buffer capacity and the flat
+    indices of its pruned coordinates."""
     cfg = state.cfg
     client = state.clients[k]
     local = state.net.clone()
@@ -371,7 +377,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
 
     buffers = {}
     violations = 0
-    if plan_sizes:
+    if collect:
         crng = np.random.default_rng(
             _subseed(cfg.seed, _T_COLLECT, round_index, k))
         take = min(cfg.batch_size, len(client))
@@ -381,9 +387,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
             # statistics, so the gradients do not depend on the moving ones
             logits, cache = forward(local, client.features[idx], "train")
             _, grads = backward(local, logits, client.labels[idx], cache)
-            for key, a in plan_sizes.items():
-                flat_mask = state.mask.slices[key].reshape(-1)
-                pruned = np.flatnonzero(flat_mask == 0)
+            for key, (a, pruned) in collect.items():
                 values = grads[key].reshape(-1)[pruned]
                 buf = topk_collect(pruned, values, a)
                 if buf.peak_size > a:
@@ -435,8 +439,12 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
         costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
         state.act_bytes, cfg.bits, topk_total=sum(plan_sizes.values()))
 
-    # client work, reduced in fixed participant order
-    results = [_client_update(state, k, round_index, lr, plan_sizes)
+    # client work, reduced in fixed participant order; the mask does not
+    # change before the grow/prune step, so neither do the pruned indices
+    collect = {key: (a, np.flatnonzero(state.mask.slices[key].reshape(-1)
+                                       == 0))
+               for key, a in plan_sizes.items()}
+    results = [_client_update(state, k, round_index, lr, collect)
                for k in participants]
 
     weights = ([float(len(state.clients[k])) for k in participants]
@@ -463,7 +471,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
         install_bn(state.net, means, variances)
 
     # grow/prune adjustment on the aggregated model
-    grow_count = drop_count = shortfall = 0
+    layers: dict[str, dict[str, int]] = {}
     violations = sum(res.violations for res in results)
     for key, a in plan_sizes.items():
         buffers = [res.buffers[key] for res in results if key in res.buffers]
@@ -478,18 +486,20 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
                                      state.net.params()[key])
         state.mask.slices[key] = new_mask
         state.net.params()[key][...] = new_w
-        grow_count += len(plan.grow)
-        drop_count += len(plan.drop)
-        shortfall += plan.shortfall
+        layers[key] = {"grow": len(plan.grow), "drop": len(plan.drop),
+                       "shortfall": plan.shortfall}
 
     accuracy, loss = evaluate_global(state.net, state.test_set, cfg.batch_size)
     dens = state.mask.density() if state.mask is not None else 1.0
     return RoundMetrics(
         round=round_index, accuracy=accuracy, loss=loss, density=dens,
-        targeted=targeted, grow_count=grow_count, drop_count=drop_count,
+        targeted=targeted,
+        grow_count=sum(c["grow"] for c in layers.values()),
+        drop_count=sum(c["drop"] for c in layers.values()),
         peak_flops=peak, memory_bytes=memory.total,
         wall_time=time.perf_counter() - t0, clamped=clamped,
-        shortfall=shortfall, buffer_violations=violations)
+        shortfall=sum(c["shortfall"] for c in layers.values()),
+        buffer_violations=violations, layers=layers)
 
 
 def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):

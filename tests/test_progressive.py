@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,86 @@ from fedprune.progressive import (
     target_layers,
     topk_collect,
 )
+
+
+# -- reference oracles ----------------------------------------------------------
+# The per-element heap implementation the array-backed top-K path replaced.
+# The array path must reproduce it exactly, ties and signed zeros included.
+
+class HeapTopKBuffer:
+    """Min-heap of (|g|, -index, g): an incoming gradient replaces the
+    smallest retained one only if it beats it."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._heap: list[tuple[float, int, float]] = []
+        self.peak_size = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, index: int, value: float) -> None:
+        if self.capacity == 0:
+            return
+        item = (abs(value), -index, value)
+        if len(self._heap) < self.capacity:
+            heapq.heappush(self._heap, item)
+        elif item > self._heap[0]:
+            heapq.heapreplace(self._heap, item)
+        self.peak_size = max(self.peak_size, len(self._heap))
+
+    def entries(self) -> list[tuple[int, float]]:
+        ordered = sorted(self._heap, reverse=True)
+        return [(-neg_idx, g) for _, neg_idx, g in ordered]
+
+
+def oracle_topk_collect(indices, values, capacity: int) -> HeapTopKBuffer:
+    buf = HeapTopKBuffer(capacity)
+    for idx, val in zip(indices, values):
+        buf.push(int(idx), float(val))
+    return buf
+
+
+def oracle_aggregate_topk(buffers, weights) -> dict[int, float]:
+    total = float(sum(weights))
+    out: dict[int, float] = {}
+    for buf, w in zip(buffers, weights):
+        share = w / total
+        for idx, g in buf.entries():
+            out[idx] = out.get(idx, 0.0) + share * g
+    return out
+
+
+def oracle_plan_grow_prune(agg_grads, mask_slice, weight_slice,
+                           count: int) -> GrowPrunePlan:
+    flat_mask = mask_slice.reshape(-1)
+    pruned = np.flatnonzero(flat_mask == 0)
+    unpruned = np.flatnonzero(flat_mask == 1)
+    if count > min(len(pruned), len(unpruned)):
+        raise ValueError("count too large")
+    if count == 0:
+        return GrowPrunePlan()
+    pruned_set = set(pruned.tolist())
+    reported = [(idx, g) for idx, g in agg_grads.items() if idx in pruned_set]
+    reported.sort(key=lambda item: (-abs(item[1]), item[0]))
+    grow = [idx for idx, _ in reported[:count]]
+    shortfall = count - len(grow)
+    if shortfall > 0:
+        chosen = set(grow)
+        for idx in pruned:
+            if len(grow) == count:
+                break
+            if int(idx) not in chosen:
+                grow.append(int(idx))
+    flat_w = np.abs(weight_slice.reshape(-1)[unpruned])
+    order = np.argsort(flat_w, kind="stable")
+    drop = unpruned[order[:count]].tolist()
+    return GrowPrunePlan(grow=[int(i) for i in grow],
+                         drop=[int(i) for i in drop], shortfall=shortfall)
+
+
+# values from a small grid, so magnitudes tie often; +0.0 and -0.0 both occur
+TIE_GRID = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
 
 
 def schedule(**kw):
@@ -81,6 +163,40 @@ def test_topk_matches_sort_oracle_and_memory_bound():
         assert buf.peak_size <= a
 
 
+def test_topk_matches_heap_oracle_with_ties_and_shuffled_indices():
+    rng = np.random.default_rng(2024)
+    for case in range(600):
+        n = int(rng.integers(1, 150))
+        if case % 6 == 5:  # n an exact multiple of the capacity
+            a = int(rng.integers(1, 12))
+            n = a * int(rng.integers(1, 12))
+        else:
+            a = max(0, (0, 1, n - 1, n, n + 3)[case % 6])
+        indices = rng.permutation(3 * n)[:n]  # shuffled, non-contiguous
+        values = (rng.choice(TIE_GRID, size=n) if case % 2
+                  else rng.normal(size=n))
+        buf = topk_collect(indices, values, a)
+        ref = oracle_topk_collect(indices, values, a)
+        assert buf.entries() == ref.entries()
+        assert [np.signbit(g) for _, g in buf.entries()] == \
+            [np.signbit(g) for _, g in ref.entries()]
+        assert buf.peak_size <= a
+        assert buf.peak_size == ref.peak_size
+
+
+def test_topk_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        topk_collect([0, 1, 2], [1.0, 2.0], 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_topk_rejects_non_finite_gradients(bad):
+    values = np.linspace(1.0, 2.0, 10)
+    values[7] = bad  # lands in a chunk after the buffer is full
+    with pytest.raises(FloatingPointError):
+        topk_collect(np.arange(10), values, 3)
+
+
 # -- aggregate_topk ---------------------------------------------------------------
 
 def test_aggregate_overlapping_index():
@@ -121,6 +237,23 @@ def test_aggregate_matches_bruteforce_within_1e12():
     assert set(agg) == set(expected)
     for i in agg:
         assert abs(agg[i] - expected[i]) < 1e-12
+
+
+def test_aggregate_matches_heap_oracle_exactly():
+    rng = np.random.default_rng(29)
+    for case in range(100):
+        n, clients = int(rng.integers(5, 80)), int(rng.integers(1, 6))
+        pairs = []
+        for _ in range(clients):
+            idx = rng.permutation(2 * n)[:n]  # supports overlap in part
+            vals = (rng.choice(TIE_GRID, size=n) if case % 2
+                    else rng.normal(size=n))
+            pairs.append((idx, vals, int(rng.integers(0, n + 2))))
+        weights = [float(rng.integers(1, 100)) for _ in range(clients)]
+        agg = aggregate_topk([topk_collect(*p) for p in pairs], weights)
+        ref = oracle_aggregate_topk([oracle_topk_collect(*p) for p in pairs],
+                                    weights)
+        assert agg == ref
 
 
 # -- plan_grow_prune ---------------------------------------------------------------
@@ -166,6 +299,30 @@ def test_plan_ignores_gradients_at_unpruned_coordinates():
     plan = plan_grow_prune({1: 100.0, 0: 0.5, 2: 0.1}, mask, weights, 1)
     assert plan.grow == [0]
     assert plan.drop == [3]
+
+
+def test_plan_matches_heap_oracle_exactly_including_shortfall():
+    rng = np.random.default_rng(37)
+    shortfalls = 0
+    for case in range(200):
+        n = int(rng.integers(4, 120))
+        mask = (rng.random(n) < 0.4).astype(np.uint8)
+        pruned = np.flatnonzero(mask == 0)
+        unpruned = np.flatnonzero(mask == 1)
+        weights = rng.choice(TIE_GRID, size=n) * mask
+        # some reports fall on unpruned coordinates; few reports leave a
+        # shortfall
+        reported = rng.permutation(n)[:int(rng.integers(0, n + 1))]
+        grads = {int(i): float(g) for i, g in zip(
+            reported, rng.choice(TIE_GRID, size=len(reported))
+            if case % 2 else rng.normal(size=len(reported)))}
+        count = int(rng.integers(0, min(len(pruned), len(unpruned)) + 1))
+        plan = plan_grow_prune(grads, mask, weights, count)
+        ref = oracle_plan_grow_prune(grads, mask, weights, count)
+        assert (plan.grow, plan.drop, plan.shortfall) == \
+            (ref.grow, ref.drop, ref.shortfall)
+        shortfalls += plan.shortfall > 0
+    assert shortfalls > 10
 
 
 def test_plan_count_too_large():

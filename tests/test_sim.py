@@ -257,3 +257,39 @@ def test_run_directory_artifacts(tmp_path):
                (tmp_path / "metrics.jsonl").read_text().splitlines()]
     assert [r["round"] for r in records] == [1, 2, 3]
     assert all(r["density"] <= cfg.density for r in records)
+
+
+def test_topk_path_matches_heap_oracles_byte_for_byte(tmp_path, monkeypatch):
+    from test_progressive import (oracle_aggregate_topk,
+                                  oracle_plan_grow_prune, oracle_topk_collect)
+
+    from fedprune import sim
+
+    def run(out):
+        cfg = ExperimentConfig(granularity="entire", interval=1,
+                               hidden=(32, 32, 32), rounds=4)
+        run_experiment(cfg, out_dir=out)
+        return [(out / name).read_bytes()
+                for name in ("metrics.csv", "final.ckpt")]
+
+    array_path = run(tmp_path / "array")
+    grown = [json.loads(line)["grow_count"] for line in
+             (tmp_path / "array" / "metrics.jsonl").read_text().splitlines()]
+    assert all(g > 0 for g in grown)  # every round adjusted the mask
+    monkeypatch.setattr(sim, "topk_collect", oracle_topk_collect)
+    monkeypatch.setattr(sim, "aggregate_topk", oracle_aggregate_topk)
+    monkeypatch.setattr(sim, "plan_grow_prune", oracle_plan_grow_prune)
+    assert run(tmp_path / "heap") == array_path
+
+
+def test_per_layer_counts_sum_to_round_totals(tmp_path):
+    cfg = tiny_config(granularity="entire", interval=1, rounds=4)
+    run_experiment(cfg, out_dir=tmp_path)
+    records = [json.loads(line) for line in
+               (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    assert any(rec["layers"] for rec in records)
+    for rec in records:
+        assert set(rec["layers"]) <= set(rec["targeted"])
+        for field, total in (("grow", "grow_count"), ("drop", "drop_count"),
+                             ("shortfall", "shortfall")):
+            assert sum(c[field] for c in rec["layers"].values()) == rec[total]
