@@ -16,8 +16,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, costs
-from .sim import ALGORITHMS, ConfigError, ExperimentConfig, load_checkpoint, \
-    run_experiment
+from .sim import ALGORITHMS, POOL_ALGS, ConfigError, ExperimentConfig, \
+    load_checkpoint, run_experiment
 
 SECTIONS = {
     "data": ("data_kind", "classes", "per_class", "dim", "spread", "csv_path",
@@ -123,8 +123,16 @@ def run_id(cfg: ExperimentConfig) -> str:
 
 
 def write_manifest(run_dir: Path, cfg: ExperimentConfig,
-                   overrides: list[str]) -> Path:
+                   overrides: list[str], status: str = "running") -> Path:
+    """Snapshot the config and the run's ``status``: ``running``,
+    ``completed`` or ``failed: <ExceptionType: message>``."""
+    artifacts = {"metrics_csv": "metrics.csv",
+                 "metrics_jsonl": "metrics.jsonl",
+                 "checkpoint": "final.ckpt"}
+    if cfg.algorithm in POOL_ALGS:
+        artifacts["selection"] = "selection.json"
     manifest = {
+        "status": status,
         "tool_version": __version__,
         "config": {section: {name: getattr(cfg, name) for name in names}
                    for section, names in SECTIONS.items()},
@@ -132,9 +140,7 @@ def write_manifest(run_dir: Path, cfg: ExperimentConfig,
         "resolved": {"seed": cfg.seed,
                      "pool_size": (cfg.resolved_pool_size()
                                    if cfg.algorithm != "DenseFedAvg" else 0)},
-        "artifacts": {"metrics_csv": "metrics.csv",
-                      "metrics_jsonl": "metrics.jsonl",
-                      "checkpoint": "final.ckpt"},
+        "artifacts": artifacts,
     }
     path = run_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True,
@@ -142,15 +148,29 @@ def write_manifest(run_dir: Path, cfg: ExperimentConfig,
     return path
 
 
+def run_with_manifest(run_dir: Path, cfg: ExperimentConfig,
+                      overrides: list[str]):
+    """Run one experiment into ``run_dir``, its manifest saying ``running``
+    until the run ends and then how it ended; returns the final round's
+    metrics. A failure is recorded and re-raised."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_manifest(run_dir, cfg, overrides)
+    try:
+        metrics, _ = run_experiment(cfg, out_dir=run_dir)
+    except BaseException as err:
+        write_manifest(run_dir, cfg, overrides,
+                       f"failed: {type(err).__name__}: {err}")
+        raise
+    write_manifest(run_dir, cfg, overrides, "completed")
+    return metrics[-1]
+
+
 def cmd_run(args) -> int:
     cfg = parse_config(args.config)
     apply_overrides(cfg, args.set or [])
     cfg.validate()
     run_dir = Path(args.out) / run_id(cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(run_dir, cfg, args.set or [])
-    metrics, _ = run_experiment(cfg, out_dir=run_dir)
-    final = metrics[-1]
+    final = run_with_manifest(run_dir, cfg, args.set or [])
     print(f"{run_id(cfg)}: {cfg.rounds} rounds, "
           f"final accuracy {final.accuracy:.4f}, density {final.density:.4f}")
     print(f"artifacts in {run_dir}")
@@ -176,12 +196,9 @@ def cmd_sweep(args) -> int:
         apply_overrides(cfg, args.set or [])
         apply_overrides(cfg, [f"{args.axis}={raw.strip()}"])
         cfg.validate()
-        run_dir = sweep_dir / run_id(cfg)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        write_manifest(run_dir, cfg, (args.set or [])
-                       + [f"{args.axis}={raw.strip()}"])
-        metrics, _ = run_experiment(cfg, out_dir=run_dir)
-        final = metrics[-1]
+        final = run_with_manifest(sweep_dir / run_id(cfg), cfg,
+                                  (args.set or [])
+                                  + [f"{args.axis}={raw.strip()}"])
         rows.append((run_id(cfg), raw.strip(), final))
         print(f"{run_id(cfg)}: final accuracy {final.accuracy:.4f}")
     summary = sweep_dir / "summary.csv"

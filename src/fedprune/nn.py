@@ -194,37 +194,28 @@ def forward(net: Network, batch, mode: str = "train"):
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {x.shape} does not match input width "
-                         f"{net.input_dim}")
-    train = mode == "train"
-    if train and x.shape[0] < 2:
+    x = _check_batch(net, batch)
+    if mode == "eval":
+        return eval_pass(net.layers, x, bn_stats(net)), None
+    if x.shape[0] < 2:
         raise ValueError("train-mode batches need at least 2 samples")
-    cache: list | None = [] if train else None
+    cache: list = []
     for layer in net.layers:
         if layer.kind == "linear":
-            if train:
-                cache.append((x,))
+            cache.append((x,))
             x = x @ layer.weight + layer.bias
         elif layer.kind == "relu":
-            if train:
-                cache.append((x,))
+            cache.append((x,))
             x = np.maximum(x, 0.0)
         else:  # batchnorm
             st = layer.state
-            if train:
-                mu = x.mean(axis=0)
-                var = x.var(axis=0)
-                inv = 1.0 / np.sqrt(var + st.eps)
-                xhat = (x - mu) * inv
-                st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
-                st.var = st.momentum * st.var + (1.0 - st.momentum) * var
-                cache.append((xhat, inv))
-                x = st.scale * xhat + st.shift
-            else:
-                inv = 1.0 / np.sqrt(st.var + st.eps)
-                x = st.scale * ((x - st.mean) * inv) + st.shift
+            mu, centred, var = batch_stats(x)
+            inv = 1.0 / np.sqrt(var + st.eps)
+            xhat = centred * inv
+            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
+            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
+            cache.append((xhat, inv))
+            x = st.scale * xhat + st.shift
     return x, cache
 
 
@@ -235,24 +226,78 @@ def update_bn_stats(net: Network, batch) -> None:
     Accepts batches of any size >= 1 (a singleton batch contributes zero
     variance); nothing is cached and no gradient is available.
     """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ValueError(f"batch shape {x.shape} does not match input width "
-                         f"{net.input_dim}")
+    x = _check_batch(net, batch)
     if x.shape[0] < 1:
         raise ValueError("statistics pass needs at least 1 sample")
-    for layer in net.layers:
+    stats = bn_stats(net)
+    refresh_pass(net.layers, x, stats)
+    for (_, bn), (mean, var) in zip(net.bn_layers(), stats):
+        bn.state.mean, bn.state.var = mean, var
+
+
+def bn_stats(net: Network) -> list[tuple[Array, Array]]:
+    """The ``(mean, var)`` moving statistics of every BN layer, in order
+    (live references, not copies)."""
+    return [(bn.state.mean, bn.state.var) for _, bn in net.bn_layers()]
+
+
+def batch_stats(x: Array) -> tuple[Array, Array, Array]:
+    """Per-feature batch mean, the centred batch, and the biased batch
+    variance. The variance reuses the centred batch; it is bit-identical to
+    ``x.var(axis=0)``."""
+    mu = x.mean(axis=0)
+    centred = x - mu
+    return mu, centred, np.add.reduce(centred * centred, axis=0) / x.shape[0]
+
+
+def refresh_pass(layers, x: Array, stats: list) -> Array:
+    """Statistics-refresh pass of ``x`` through ``layers``: every BN layer
+    normalizes with batch statistics and advances its moving statistics.
+    ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
+    order; each pair is replaced by the advanced one, and no layer is
+    changed. Returns the output of the last layer."""
+    j = 0
+    for layer in layers:
         if layer.kind == "linear":
             x = x @ layer.weight + layer.bias
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
             st = layer.state
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
-            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
-            x = st.scale * ((x - mu) / np.sqrt(var + st.eps)) + st.shift
+            mu, centred, var = batch_stats(x)
+            mean, old_var = stats[j]
+            stats[j] = (st.momentum * mean + (1.0 - st.momentum) * mu,
+                        st.momentum * old_var + (1.0 - st.momentum) * var)
+            j += 1
+            x = st.scale * (centred / np.sqrt(var + st.eps)) + st.shift
+    return x
+
+
+def eval_pass(layers, x: Array, stats) -> Array:
+    """Eval-mode pass of ``x`` through ``layers``, normalizing every BN layer
+    with the matching ``(mean, var)`` pair of ``stats`` in place of the
+    layer's own statistics. Mutates nothing."""
+    j = 0
+    for layer in layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            st = layer.state
+            mean, var = stats[j]
+            j += 1
+            inv = 1.0 / np.sqrt(var + st.eps)
+            x = st.scale * ((x - mean) * inv) + st.shift
+    return x
+
+
+def _check_batch(net: Network, batch) -> Array:
+    x = np.asarray(batch, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ValueError(f"batch shape {x.shape} does not match input width "
+                         f"{net.input_dim}")
+    return x
 
 
 def log_softmax(logits: Array) -> Array:

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .nn import Array, Network, cross_entropy, forward, update_bn_stats
+# ``update_bn_stats`` is not called here; bench/tracer.py patches it (and
+# ``forward``) as attributes of this module
+from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, forward, \
+    refresh_pass, update_bn_stats  # noqa: F401
 
 
 @dataclass
@@ -58,14 +61,21 @@ def client_bn_pass(candidate: Network, dev: Dataset,
                    batch_size: int = 64) -> BNReport:
     """Refresh BN moving statistics over the development set with frozen
     weights; the candidate itself is left untouched."""
+    _check_dev(dev)
+    stats = bn_stats(candidate)
+    for x, _ in iter_batches(dev, batch_size):
+        refresh_pass(candidate.layers, x, stats)
+    return _report(stats, len(dev))
+
+
+def _report(stats, samples: int) -> BNReport:
+    return BNReport(-1, [mean for mean, _ in stats],
+                    [var for _, var in stats], samples)
+
+
+def _check_dev(dev: Dataset) -> None:
     if len(dev) < 1:
         raise ValueError("development dataset is empty")
-    probe = candidate.clone()
-    for x, _ in iter_batches(dev, batch_size):
-        update_bn_stats(probe, x)
-    means = [bn.state.mean.copy() for _, bn in probe.bn_layers()]
-    variances = [bn.state.var.copy() for _, bn in probe.bn_layers()]
-    return BNReport(-1, means, variances, len(dev))
 
 
 def aggregate_bn(reports: list[BNReport], average_std: bool = True):
@@ -119,8 +129,7 @@ def install_bn(net: Network, means: list[Array],
 def client_score(candidate: Network, dev: Dataset,
                  batch_size: int = 64) -> ScoreReport:
     """Eval-mode cross-entropy of the candidate over the development set."""
-    if len(dev) < 1:
-        raise ValueError("development dataset is empty")
+    _check_dev(dev)
     total = 0.0
     for x, y in iter_batches(dev, batch_size):
         logits, _ = forward(candidate, x, "eval")
@@ -147,42 +156,124 @@ def select(scores: dict[int, list[float]], dev_sizes: list[int]) -> int:
     return best_id
 
 
+def shared_prefix(nets: list[Network]) -> int:
+    """Number of leading layers that are bit-identical across ``nets``: same
+    kind, and the same bytes in every parameter and BN statistic. Passes
+    through these layers give the same result for every network."""
+    first = nets[0].layers
+    for i, layer in enumerate(first):
+        if not all(i < len(net.layers) and _same_layer(layer, net.layers[i])
+                   for net in nets[1:]):
+            return i
+    return len(first)
+
+
+def _same_layer(a, b) -> bool:
+    if a.kind != b.kind:
+        return False
+    if a.kind == "linear":
+        pairs = [(a.weight, b.weight), (a.bias, b.bias)]
+    elif a.kind == "batchnorm":
+        sa, sb = a.state, b.state
+        if (sa.momentum, sa.eps) != (sb.momentum, sb.eps):
+            return False
+        pairs = [(sa.scale, sb.scale), (sa.shift, sb.shift),
+                 (sa.mean, sb.mean), (sa.var, sb.var)]
+    else:
+        pairs = []
+    # bytes, not values: -0.0 == 0.0, but the two can round differently
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in pairs)
+
+
+def _n_bn(layers) -> int:
+    return sum(layer.kind == "batchnorm" for layer in layers)
+
+
 def adaptive_select(candidates: list[tuple[int, Network]],
                     dev_sets: list[Dataset], batch_size: int = 64,
                     average_std: bool = True):
     """Full selection protocol. Returns the winning candidate id, the winner's
     network with the aggregated global statistics installed, and the
-    per-candidate aggregated scores."""
+    per-candidate aggregated scores.
+
+    The candidates' shared prefix (``shared_prefix``) is refreshed once per
+    client batch, and only the layers after it per candidate. Each candidate
+    keeps its statistics as ``(mean, var)`` arrays; only the winner becomes a
+    network."""
+    ids, nets = _unzip(candidates)
+    cut = shared_prefix(nets)
+    head = nets[0].layers[:cut]
+    n_head = _n_bn(head)
+    head_reports = []
+    tail_reports: list[list[BNReport]] = [[] for _ in nets]
+    for dev in dev_sets:
+        _check_dev(dev)
+        head_stats = bn_stats(nets[0])[:n_head]
+        acts = [refresh_pass(head, x, head_stats)
+                for x, _ in iter_batches(dev, batch_size)]
+        head_reports.append(_report(head_stats, len(dev)))
+        for net, reports in zip(nets, tail_reports):
+            tail, tail_stats = net.layers[cut:], bn_stats(net)[n_head:]
+            for x in acts:
+                refresh_pass(tail, x, tail_stats)
+            reports.append(_report(tail_stats, len(dev)))
+    # aggregation is per layer, so the head's global statistics are shared
+    head_mu, head_var = aggregate_bn(head_reports, average_std=average_std)
+    global_stats = []
+    for reports in tail_reports:
+        mu, var = aggregate_bn(reports, average_std=average_std)
+        global_stats.append(list(zip(head_mu + mu, head_var + var)))
     dev_sizes = [len(dev) for dev in dev_sets]
-    refreshed: dict[int, Network] = {}
-    for cid, net in candidates:
-        reports = []
-        for dev in dev_sets:
-            rep = client_bn_pass(net, dev, batch_size)
-            rep.candidate_id = cid
-            reports.append(rep)
-        means, variances = aggregate_bn(reports, average_std=average_std)
-        updated = net.clone()
-        install_bn(updated, means, variances)
-        refreshed[cid] = updated
-    scores = {cid: [client_score(refreshed[cid], dev, batch_size).loss
-                    for dev in dev_sets]
-              for cid, _ in candidates}
+    scores = _score(ids, nets, cut, global_stats, dev_sets, batch_size)
     winner = select(scores, dev_sizes)
-    return winner, refreshed[winner], _aggregate_scores(scores, dev_sizes)
+    i = ids.index(winner)
+    winner_net = nets[i].clone()
+    install_bn(winner_net, [mu for mu, _ in global_stats[i]],
+               [var for _, var in global_stats[i]])
+    return winner, winner_net, _aggregate_scores(scores, dev_sizes)
 
 
 def vanilla_select(candidates: list[tuple[int, Network]],
                    dev_sets: list[Dataset], batch_size: int = 64):
     """Ablation variant: score candidates with their original BN statistics
     (no refresh, no aggregation)."""
+    ids, nets = _unzip(candidates)
     dev_sizes = [len(dev) for dev in dev_sets]
-    scores = {cid: [client_score(net, dev, batch_size).loss
-                    for dev in dev_sets]
-              for cid, net in candidates}
+    scores = _score(ids, nets, shared_prefix(nets),
+                    [bn_stats(net) for net in nets], dev_sets, batch_size)
     winner = select(scores, dev_sizes)
-    winner_net = next(net for cid, net in candidates if cid == winner)
-    return winner, winner_net.clone(), _aggregate_scores(scores, dev_sizes)
+    return (winner, nets[ids.index(winner)].clone(),
+            _aggregate_scores(scores, dev_sizes))
+
+
+def _unzip(candidates):
+    if not candidates:
+        raise ValueError("no candidates to select from")
+    return [cid for cid, _ in candidates], [net for _, net in candidates]
+
+
+def _score(ids, nets, cut, stats, dev_sets, batch_size):
+    """Eval-mode dev loss of every candidate on every client, with
+    ``stats[c]`` in place of candidate c's BN statistics (equal across
+    candidates for the first ``cut`` layers). The shared prefix runs once
+    per client batch."""
+    head = nets[0].layers[:cut]
+    n_head = _n_bn(head)
+    scores = {cid: [] for cid in ids}
+    for dev in dev_sets:
+        _check_dev(dev)
+        batches = [(eval_pass(head, x, stats[0][:n_head]), y)
+                   for x, y in iter_batches(dev, batch_size)]
+        for cid, net, st in zip(ids, nets, stats):
+            tail, tail_stats = net.layers[cut:], st[n_head:]
+            total = 0.0
+            for x, y in batches:
+                logits = eval_pass(tail, x, tail_stats)
+                total += cross_entropy(logits, y) * len(y)
+            scores[cid].append(ScoreReport(cid, total / len(dev),
+                                           len(dev)).loss)
+    return scores
 
 
 def _aggregate_scores(scores: dict[int, list[float]],

@@ -209,8 +209,7 @@ class ExperimentState:
     dev_sets: list[Dataset]
     test_set: Dataset
     server_set: Dataset | None
-    selection_scores: dict | None
-    selected_candidate: int | None
+    selection: dict | None   # the selection.json record of pool algorithms
     param_dense_bytes: float
     act_bytes: float
 
@@ -298,8 +297,7 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                         cfg.batch_size, seed=_subseed(cfg.seed, _T_PRETRAIN))
 
     mask = None
-    selected = None
-    scores = None
+    record = None
     if cfg.algorithm in POOL_ALGS:
         pool = generate_candidate_pool(net, cfg.density,
                                        cfg.resolved_pool_size(),
@@ -307,13 +305,16 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                                        seed=_subseed(cfg.seed, _T_POOL))
         candidates = [(c.id, apply_mask(net, c.mask)) for c in pool]
         if cfg.algorithm == "ProgressiveOnly":
+            method = "vanilla"
             selected, net, scores = vanilla_select(
                 candidates, dev_sets, cfg.batch_size)
         else:
+            method = "adaptive"
             selected, net, scores = adaptive_select(
                 candidates, dev_sets, cfg.batch_size,
                 average_std=cfg.aggregate_std)
         mask = pool[selected].mask.copy()
+        record = selection_record(method, pool, scores, selected)
     elif cfg.algorithm == "StaticRandom":
         mask = random_mask(net, cfg.density,
                            seed=_subseed(cfg.seed, _T_STATIC))
@@ -330,10 +331,24 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
 
     return ExperimentState(
         cfg=cfg, net=net, mask=mask, clients=clients, dev_sets=dev_sets,
-        test_set=test_set, server_set=server_set, selection_scores=scores,
-        selected_candidate=selected,
+        test_set=test_set, server_set=server_set, selection=record,
         param_dense_bytes=costs.dense_param_bytes(net, cfg.bits),
         act_bytes=act)
+
+
+def selection_record(method: str, pool, scores: dict[int, float],
+                     winner: int) -> dict:
+    """What candidate selection saw: each candidate's drawn per-layer shares
+    and aggregated dev loss, the winner, and its margin to the runner-up
+    (``None`` for a pool of one)."""
+    rest = [loss for cid, loss in scores.items() if cid != winner]
+    return {
+        "method": method,
+        "winner": winner,
+        "margin": min(rest) - scores[winner] if rest else None,
+        "candidates": [{"id": c.id, "layer_shares": dict(c.layer_densities),
+                        "dev_loss": scores[c.id]} for c in pool],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +539,17 @@ def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the full pipeline. With ``out_dir`` set, metrics are appended to
     metrics.jsonl, mirrored to metrics.csv, and the final model is written
-    to final.ckpt. Returns (metrics list, final state)."""
+    to final.ckpt; pool algorithms also write selection.json before the
+    first round. Returns (metrics list, final state)."""
     state = setup_experiment(cfg)
     metrics: list[RoundMetrics] = []
     csv_fh = jsonl_fh = None
     if out_dir is not None:
         out_dir = _ensure_dir(out_dir)
+        if state.selection is not None:
+            (out_dir / "selection.json").write_text(
+                json.dumps(state.selection, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8")
         csv_fh = open(out_dir / "metrics.csv", "w", encoding="utf-8",
                       newline="\n")
         csv_fh.write(",".join(CSV_COLUMNS) + "\n")
@@ -550,7 +570,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         save_checkpoint(out_dir / "final.ckpt", state.net, state.mask,
                         {"algorithm": cfg.algorithm, "seed": cfg.seed,
                          "rounds": cfg.rounds,
-                         "selected_candidate": state.selected_candidate})
+                         "selected_candidate": (state.selection["winner"]
+                                                if state.selection else None)})
     return metrics, state
 
 

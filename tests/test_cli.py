@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,88 @@ def test_cmd_run_writes_artifacts(config_file, tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["config"]["pruning"]["density"] == 0.1
     assert manifest["config"]["training"]["algorithm"] == "StaticRandom"
+    assert manifest["status"] == "completed"
+    # no candidate pool, so nothing to record
+    assert not (run_dir / "selection.json").exists()
+    assert "selection" not in manifest["artifacts"]
+
+
+@pytest.mark.parametrize("algorithm, method", [("AdaptiveBNOnly", "adaptive"),
+                                               ("ProgressiveOnly", "vanilla")])
+def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
+                                                     algorithm, method):
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        rc = main(["run", "--config", str(config_file), "--out", str(out),
+                   "--set", f"algorithm={algorithm}", "--set", "pool_size=5"])
+        assert rc == 0
+        runs.append(next(out.iterdir()))
+    for artifact in ("selection.json", "metrics.csv"):
+        assert (runs[0] / artifact).read_bytes() == \
+            (runs[1] / artifact).read_bytes()
+    record = json.loads((runs[0] / "selection.json").read_text())
+    manifest = json.loads((runs[0] / "manifest.json").read_text())
+    ckpt = json.loads((runs[0] / "final.ckpt").read_text())
+    assert manifest["artifacts"]["selection"] == "selection.json"
+    assert record["method"] == method
+    assert [c["id"] for c in record["candidates"]] == [0, 1, 2, 3, 4]
+    losses = {c["id"]: c["dev_loss"] for c in record["candidates"]}
+    winner = record["winner"]
+    assert winner == ckpt["extra"]["selected_candidate"]
+    assert losses[winner] == min(losses.values())
+    assert record["margin"] == min(loss for cid, loss in losses.items()
+                                   if cid != winner) - losses[winner]
+    assert record["margin"] >= 0.0
+    for c in record["candidates"]:
+        assert sorted(c["layer_shares"]) == sorted(ckpt["mask"])
+
+
+def test_failed_run_is_marked_in_the_manifest(config_file, tmp_path):
+    # round 2 raises as a diverged run would; the process must exit nonzero
+    # and leave the first round's metrics beside a manifest that says why
+    script = (
+        "import sys\n"
+        "from fedprune import cli, sim\n"
+        "run_round = sim.run_round\n"
+        "def failing(state, r):\n"
+        "    if r == 2:\n"
+        "        raise FloatingPointError('non-finite loss')\n"
+        "    return run_round(state, r)\n"
+        "sim.run_round = failing\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(config_file),
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode != 0
+    assert "FloatingPointError" in proc.stderr
+    run_dir = out / run_id(parse_config(config_file))
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["status"] == "failed: FloatingPointError: non-finite loss"
+    assert len((run_dir / "metrics.csv").read_text().splitlines()) == 2
+    assert not (run_dir / "final.ckpt").exists()
+
+
+def test_manifest_says_running_while_the_run_is_in_progress(
+        config_file, tmp_path, monkeypatch):
+    from fedprune import cli
+
+    seen = []
+    run_experiment = cli.run_experiment
+
+    def spy(cfg, out_dir):
+        seen.append(json.loads((out_dir / "manifest.json").read_text())
+                    ["status"])
+        return run_experiment(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    assert main(["run", "--config", str(config_file), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert seen == ["running"]
 
 
 def test_cmd_run_set_override_lands_in_manifest(config_file, tmp_path):
@@ -138,6 +224,8 @@ def test_cmd_sweep_density_axis(config_file, tmp_path):
     assert len(summary) == 3
     metric_files = list(out.glob("*/metrics.csv"))
     assert len(metric_files) == 2
+    assert [json.loads(path.read_text())["status"]
+            for path in out.glob("*/manifest.json")] == ["completed"] * 2
 
 
 def test_cmd_sweep_seed_axis(config_file, tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from fedprune.data import Dataset, make_blobs
 from fedprune.masking import apply_mask, generate_candidate_pool
-from fedprune.nn import BatchNorm, BNState, Linear, Network, make_mlp
+from fedprune.nn import BatchNorm, BNState, Linear, Network, \
+    cross_entropy, make_mlp
 from fedprune.selection import (
     BNReport,
     adaptive_select,
@@ -13,9 +14,100 @@ from fedprune.selection import (
     client_bn_pass,
     client_score,
     install_bn,
+    iter_batches,
     select,
+    shared_prefix,
     vanilla_select,
 )
+
+
+# -- reference oracles: the clone-per-client protocol ---------------------------
+# The selectors as they were before the shared-prefix rewrite: one probe clone
+# per (candidate, client), one refreshed network per candidate, every pass
+# through the whole network, and the variance from ``x.var``. The rewrite
+# must reproduce them exactly.
+
+def oracle_update_bn_stats(net, x):
+    for layer in net.layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            st = layer.state
+            mu = x.mean(axis=0)
+            var = x.var(axis=0)
+            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
+            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
+            x = st.scale * ((x - mu) / np.sqrt(var + st.eps)) + st.shift
+
+
+def oracle_forward_eval(net, x):
+    for layer in net.layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            st = layer.state
+            inv = 1.0 / np.sqrt(st.var + st.eps)
+            x = st.scale * ((x - st.mean) * inv) + st.shift
+    return x
+
+
+def oracle_client_bn_pass(candidate, dev, batch_size=64):
+    probe = candidate.clone()
+    for x, _ in iter_batches(dev, batch_size):
+        oracle_update_bn_stats(probe, x)
+    means = [bn.state.mean.copy() for _, bn in probe.bn_layers()]
+    variances = [bn.state.var.copy() for _, bn in probe.bn_layers()]
+    return BNReport(-1, means, variances, len(dev))
+
+
+def oracle_client_score(candidate, dev, batch_size=64):
+    total = 0.0
+    for x, y in iter_batches(dev, batch_size):
+        total += cross_entropy(oracle_forward_eval(candidate, x), y) * len(y)
+    return total / len(dev)
+
+
+def oracle_aggregate_scores(scores, dev_sizes):
+    total = sum(dev_sizes)
+    return {cid: sum(n / total * s for n, s in zip(dev_sizes, per_client))
+            for cid, per_client in scores.items()}
+
+
+def oracle_adaptive_select(candidates, dev_sets, batch_size=64,
+                           average_std=True):
+    dev_sizes = [len(dev) for dev in dev_sets]
+    refreshed = {}
+    for cid, net in candidates:
+        reports = []
+        for dev in dev_sets:
+            rep = oracle_client_bn_pass(net, dev, batch_size)
+            rep.candidate_id = cid
+            reports.append(rep)
+        means, variances = aggregate_bn(reports, average_std=average_std)
+        updated = net.clone()
+        install_bn(updated, means, variances)
+        refreshed[cid] = updated
+    scores = {cid: [oracle_client_score(refreshed[cid], dev, batch_size)
+                    for dev in dev_sets]
+              for cid, _ in candidates}
+    winner = select(scores, dev_sizes)
+    return (winner, refreshed[winner],
+            oracle_aggregate_scores(scores, dev_sizes))
+
+
+def oracle_vanilla_select(candidates, dev_sets, batch_size=64):
+    dev_sizes = [len(dev) for dev in dev_sets]
+    scores = {cid: [oracle_client_score(net, dev, batch_size)
+                    for dev in dev_sets]
+              for cid, net in candidates}
+    winner = select(scores, dev_sizes)
+    winner_net = next(net for cid, net in candidates if cid == winner)
+    return (winner, winner_net.clone(),
+            oracle_aggregate_scores(scores, dev_sizes))
 
 
 def identity_bn_net(momentum=0.9):
@@ -217,3 +309,117 @@ def test_install_bn_shape_check():
     net = make_mlp(4, [8], 3, seed=0)
     with pytest.raises(ValueError):
         install_bn(net, [np.zeros(3)], [np.ones(3)])
+
+
+# -- shared-prefix selectors against the oracles ---------------------------------
+
+def bits(a):
+    return (a.shape, a.tobytes())
+
+
+def assert_same_selection(got, want):
+    assert got[0] == want[0]
+    assert got[2] == want[2]
+    net, ref = got[1], want[1]
+    assert net.params().keys() == ref.params().keys()
+    for key, p in net.params().items():
+        assert bits(p) == bits(ref.params()[key]), key
+    assert len(net.bn_layers()) == len(ref.bn_layers())
+    for (_, a), (_, b) in zip(net.bn_layers(), ref.bn_layers()):
+        assert bits(a.state.mean) == bits(b.state.mean)
+        assert bits(a.state.var) == bits(b.state.var)
+
+
+def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9)):
+    net = make_mlp(5, [24, 16, 12], 4, batch_norm=batch_norm, seed=seed)
+    candidates = [(c.id, apply_mask(net, c.mask)) for c in
+                  generate_candidate_pool(net, 0.2, pool, noise=0.5,
+                                          seed=seed)]
+    devs = []
+    for i, n in enumerate(dev_sizes):
+        ds = make_blobs(4, 10, 5, 1.5, seed=10 * seed + i)
+        order = np.random.default_rng(10 * seed + i).permutation(len(ds))
+        devs.append(ds.subset(order[:n]))
+    return candidates, devs
+
+
+def check_both(candidates, devs, batch_size=8):
+    for average_std in (True, False):
+        assert_same_selection(
+            adaptive_select(candidates, devs, batch_size, average_std),
+            oracle_adaptive_select(candidates, devs, batch_size, average_std))
+    assert_same_selection(vanilla_select(candidates, devs, batch_size),
+                          oracle_vanilla_select(candidates, devs, batch_size))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_selectors_match_oracles_exactly(seed):
+    candidates, devs = oracle_fixture(seed)
+    # Linear, BN and ReLU before the first prunable tensor
+    assert shared_prefix([net for _, net in candidates]) == 3
+    check_both(candidates, devs)
+
+
+def test_selectors_match_oracles_with_singleton_tail_batches():
+    # 17 = 2 * 8 + 1 and 9 = 8 + 1: every client's last batch has 1 sample
+    candidates, devs = oracle_fixture(4, dev_sizes=(17, 9, 1))
+    assert [len(d) for d in devs] == [17, 9, 1]
+    check_both(candidates, devs, batch_size=8)
+
+
+def test_selectors_match_oracles_with_no_shared_prefix():
+    candidates, devs = oracle_fixture(5)
+    for cid, net in candidates:
+        net.layers[0].weight[0, 0] += 1e-3 * (cid + 1)
+    assert shared_prefix([net for _, net in candidates]) == 0
+    check_both(candidates, devs)
+
+
+def test_prefix_stops_at_differing_bn_statistics():
+    candidates, devs = oracle_fixture(6)
+    for cid, net in candidates:
+        net.layers[1].state.mean = net.layers[1].state.mean + 0.01 * cid
+    assert shared_prefix([net for _, net in candidates]) == 1
+    check_both(candidates, devs)
+
+
+def test_prefix_tells_signed_zeros_apart():
+    a = make_mlp(3, [4], 2, seed=0)
+    b = a.clone()
+    a.layers[0].bias[0] = 0.0
+    b.layers[0].bias[0] = -0.0
+    assert shared_prefix([a, a.clone()]) == len(a.layers)
+    assert shared_prefix([a, b]) == 0
+
+
+def test_selectors_match_oracles_without_batch_norm():
+    candidates, devs = oracle_fixture(7, batch_norm=False)
+    assert shared_prefix([net for _, net in candidates]) == 2
+    check_both(candidates, devs)
+
+
+def test_selectors_match_oracles_with_a_single_candidate():
+    candidates, devs = oracle_fixture(8, pool=1)
+    assert shared_prefix([net for _, net in candidates]) == \
+        len(candidates[0][1].layers)
+    check_both(candidates, devs)
+
+
+def test_selectors_reject_an_empty_pool():
+    _, devs = oracle_fixture(0, pool=1)
+    with pytest.raises(ValueError):
+        adaptive_select([], devs)
+    with pytest.raises(ValueError):
+        vanilla_select([], devs)
+
+
+def test_selection_clones_only_the_winner(monkeypatch):
+    candidates, devs = oracle_fixture(9)
+    clones = []
+    original = Network.clone
+    monkeypatch.setattr(Network, "clone",
+                        lambda net: clones.append(1) or original(net))
+    adaptive_select(candidates, devs, batch_size=8)
+    vanilla_select(candidates, devs, batch_size=8)
+    client_bn_pass(candidates[0][1], devs[0], batch_size=8)
+    assert len(clones) == 2

@@ -293,3 +293,23 @@ def test_per_layer_counts_sum_to_round_totals(tmp_path):
         for field, total in (("grow", "grow_count"), ("drop", "drop_count"),
                              ("shortfall", "shortfall")):
             assert sum(c[field] for c in rec["layers"].values()) == rec[total]
+
+
+@pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
+def test_selection_path_matches_clone_oracles_byte_for_byte(
+        tmp_path, monkeypatch, algorithm):
+    from test_selection import oracle_adaptive_select, oracle_vanilla_select
+
+    from fedprune import sim
+
+    def run(out):
+        cfg = tiny_config(algorithm=algorithm, pool_size=8, dev_ratio=0.3,
+                          rounds=4)
+        run_experiment(cfg, out_dir=out)
+        return [(out / name).read_bytes()
+                for name in ("metrics.csv", "final.ckpt", "selection.json")]
+
+    shared = run(tmp_path / "shared")
+    monkeypatch.setattr(sim, "adaptive_select", oracle_adaptive_select)
+    monkeypatch.setattr(sim, "vanilla_select", oracle_vanilla_select)
+    assert run(tmp_path / "oracle") == shared
