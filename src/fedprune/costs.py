@@ -249,14 +249,6 @@ def activation_bytes(net: Network, batch: int, bits: int = 32) -> float:
     return values * batch * bits / 8.0
 
 
-def measure_activation_bytes(net: Network, batch_sizes, bits: int = 32) -> float:
-    """Maximum activation memory over several measured batch sizes."""
-    sizes = list(batch_sizes)
-    if not sizes:
-        raise ValueError("need at least one measurement")
-    return max(activation_bytes(net, b, bits) for b in sizes)
-
-
 @dataclass
 class MemoryReport:
     algorithm: str

@@ -92,16 +92,11 @@ class Network:
         if not linear_ix:
             raise ValueError("network needs at least one linear layer")
         self._first_linear = linear_ix[0]
-        self._last_linear = linear_ix[-1]
         self._prunable = tuple(f"{i}.weight" for i in linear_ix[1:-1])
 
     @property
     def input_dim(self) -> int:
         return self.layers[self._first_linear].weight.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.layers[self._last_linear].weight.shape[1]
 
     def params(self) -> dict[str, Array]:
         """Live references to every parameter tensor, in layer order."""

@@ -110,23 +110,18 @@ def topk_collect(indices, values, capacity: int) -> TopKBuffer:
 
 
 def pruning_number(t: int, schedule: PruneSchedule, local_iters: int,
-                   n_unpruned: int, n_pruned: int | None = None,
-                   targeted: bool = True) -> int:
+                   n_unpruned: int) -> int:
     """Cosine-decayed adjustment size for one layer at iteration ``t``:
     floor(beta * (1 + cos(t * pi / (stop_round * iters))) * n_unpruned),
-    zero for untargeted layers or past the stop point, clamped so that the
-    layer has enough pruned and unpruned coordinates to swap."""
+    zero past the stop point and at most ``n_unpruned``."""
     if t < 0:
         raise ValueError("iteration must be nonnegative")
     horizon = schedule.stop_round * local_iters
-    if not targeted or t > horizon:
+    if t > horizon:
         return 0
     raw = math.floor(schedule.growth_fraction
                      * (1.0 + math.cos(t * math.pi / horizon)) * n_unpruned)
-    capped = min(raw, n_unpruned)
-    if n_pruned is not None:
-        capped = min(capped, n_pruned)
-    return max(0, capped)
+    return max(0, min(raw, n_unpruned))
 
 
 def aggregate_topk(buffers: list[TopKBuffer],

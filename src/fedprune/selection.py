@@ -1,12 +1,16 @@
 """Adaptive batch-normalization candidate selection.
 
-Clients refresh the BN moving statistics of every coarse-pruned candidate on
-their local development data (weights frozen throughout), the server
-aggregates the statistics and redistributes them, clients score each
-candidate by eval-mode loss, and the candidate with the lowest weighted loss
-wins. ``vanilla_select`` is the ablation that skips the statistics refresh.
+A candidate is a mask over one pretrained network. Clients refresh the BN
+moving statistics of every masked sub-network on their local development
+data (weights frozen throughout), the server aggregates the statistics and
+redistributes them, clients score each candidate by eval-mode loss, and the
+candidate with the lowest weighted loss wins. ``vanilla_select`` is the
+ablation that skips the statistics refresh.
 
-No operation in this module ever changes a parameter value.
+The layers before the first masked tensor are the same in every candidate,
+so both selectors run them once per client batch and only the rest per
+candidate; only the winner becomes a network. No operation in this module
+ever changes a parameter value.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-# ``update_bn_stats`` is not called here; bench/tracer.py patches it (and
-# ``forward``) as attributes of this module
-from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, forward, \
-    refresh_pass, update_bn_stats  # noqa: F401
+from .masking import Candidate, apply_mask
+# ``forward`` and ``update_bn_stats`` are not called here; bench/tracer.py
+# patches them as attributes of this module
+from .nn import Array, Linear, Network, bn_stats, cross_entropy, eval_pass, \
+    forward, refresh_pass, update_bn_stats  # noqa: F401
 
 
 @dataclass
@@ -39,17 +44,6 @@ class BNReport:
                 raise ValueError("reported variances must be nonnegative")
 
 
-@dataclass
-class ScoreReport:
-    candidate_id: int
-    loss: float
-    samples: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.loss):
-            raise ValueError("candidate score must be finite")
-
-
 def iter_batches(ds: Dataset, batch_size: int):
     """Insertion-order batches of the dataset; the tail may be short."""
     for start in range(0, len(ds), batch_size):
@@ -57,25 +51,28 @@ def iter_batches(ds: Dataset, batch_size: int):
                ds.labels[start:start + batch_size])
 
 
-def client_bn_pass(candidate: Network, dev: Dataset,
-                   batch_size: int = 64) -> BNReport:
-    """Refresh BN moving statistics over the development set with frozen
-    weights; the candidate itself is left untouched."""
-    _check_dev(dev)
-    stats = bn_stats(candidate)
-    for x, _ in iter_batches(dev, batch_size):
-        refresh_pass(candidate.layers, x, stats)
-    return _report(stats, len(dev))
+def client_bn_pass(layers, batches, stats) -> BNReport:
+    """Refresh the BN moving statistics ``stats`` (one ``(mean, var)`` pair
+    per BN layer of ``layers``) over the ``(x, y)`` batches with frozen
+    weights. Neither the layers nor ``stats`` change."""
+    stats = list(stats)
+    for x, _ in batches:
+        refresh_pass(layers, x, stats)
+    return _report(stats, batches)
 
 
-def _report(stats, samples: int) -> BNReport:
+def _report(stats, batches) -> BNReport:
     return BNReport(-1, [mean for mean, _ in stats],
-                    [var for _, var in stats], samples)
+                    [var for _, var in stats], sum(len(y) for _, y in batches))
 
 
-def _check_dev(dev: Dataset) -> None:
-    if len(dev) < 1:
-        raise ValueError("development dataset is empty")
+def client_score(layers, batches, stats) -> float:
+    """Eval-mode cross-entropy of ``layers`` over the ``(x, y)`` batches,
+    with ``stats`` in place of the BN layers' own statistics."""
+    total = 0.0
+    for x, y in batches:
+        total += cross_entropy(eval_pass(layers, x, stats), y) * len(y)
+    return total / sum(len(y) for _, y in batches)
 
 
 def aggregate_bn(reports: list[BNReport], average_std: bool = True):
@@ -126,158 +123,100 @@ def install_bn(net: Network, means: list[Array],
         layer.state.var = np.asarray(var, dtype=np.float64).copy()
 
 
-def client_score(candidate: Network, dev: Dataset,
-                 batch_size: int = 64) -> ScoreReport:
-    """Eval-mode cross-entropy of the candidate over the development set."""
-    _check_dev(dev)
-    total = 0.0
-    for x, y in iter_batches(dev, batch_size):
-        logits, _ = forward(candidate, x, "eval")
-        total += cross_entropy(logits, y) * len(y)
-    return ScoreReport(-1, total / len(dev), len(dev))
+def adaptive_select(net: Network, pool: list[Candidate],
+                    dev_sets: list[Dataset], batch_size: int = 64,
+                    average_std: bool = True):
+    """Full selection protocol over the candidate masks of ``net``. Returns
+    the winning candidate id, the winner's masked network with the
+    aggregated global statistics installed, and the per-candidate
+    aggregated scores."""
+    head, tails = _split(net, pool)
+    stats = bn_stats(net)
+    n_head = _n_bn(head)
+    clients = _client_batches(dev_sets, batch_size)
+    head_reports = []
+    tail_reports: list[list[BNReport]] = [[] for _ in tails]
+    for batches in clients:
+        head_stats = stats[:n_head]
+        acts = [(refresh_pass(head, x, head_stats), y) for x, y in batches]
+        head_reports.append(_report(head_stats, batches))
+        for tail, reports in zip(tails, tail_reports):
+            reports.append(client_bn_pass(tail, acts, stats[n_head:]))
+    # aggregation is per layer, so the head's global statistics are shared
+    head_mu, head_var = aggregate_bn(head_reports, average_std=average_std)
+    tail_global = [aggregate_bn(reports, average_std=average_std)
+                   for reports in tail_reports]
+    scores = _score(pool, head, list(zip(head_mu, head_var)), tails,
+                    [list(zip(mu, var)) for mu, var in tail_global], clients)
+    winner = _winner(scores)
+    i = [c.id for c in pool].index(winner)
+    winner_net = apply_mask(net, pool[i].mask)
+    mu, var = tail_global[i]
+    install_bn(winner_net, head_mu + mu, head_var + var)
+    return winner, winner_net, scores
 
 
-def select(scores: dict[int, list[float]], dev_sizes: list[int]) -> int:
-    """argmin over candidates of the dev-size-weighted mean loss; ties go to
-    the lowest candidate id."""
-    if not scores:
+def vanilla_select(net: Network, pool: list[Candidate],
+                   dev_sets: list[Dataset], batch_size: int = 64):
+    """Ablation variant: score candidates with the pretrained BN statistics
+    (no refresh, no aggregation)."""
+    head, tails = _split(net, pool)
+    stats = bn_stats(net)
+    n_head = _n_bn(head)
+    scores = _score(pool, head, stats[:n_head], tails,
+                    [stats[n_head:]] * len(tails),
+                    _client_batches(dev_sets, batch_size))
+    winner = _winner(scores)
+    mask = pool[[c.id for c in pool].index(winner)].mask
+    return winner, apply_mask(net, mask), scores
+
+
+def _split(net: Network, pool: list[Candidate]):
+    """The layers before the first one any candidate masks (the shared
+    head), and each candidate's layers from there on. A masked weight is a
+    copy with +0.0 where the mask is 0, as ``apply_mask`` writes; every
+    other layer is ``net``'s own, shared and never changed."""
+    if not pool:
         raise ValueError("no candidates to select from")
-    total = sum(dev_sizes)
-    best_id = None
-    best_score = None
-    for cid in sorted(scores):
-        per_client = scores[cid]
-        if len(per_client) != len(dev_sizes):
-            raise ValueError(f"candidate {cid}: expected {len(dev_sizes)} "
-                             f"client scores, got {len(per_client)}")
-        agg = sum(n / total * s for n, s in zip(dev_sizes, per_client))
-        if best_score is None or agg < best_score:
-            best_id, best_score = cid, agg
-    return best_id
-
-
-def shared_prefix(nets: list[Network]) -> int:
-    """Number of leading layers that are bit-identical across ``nets``: same
-    kind, and the same bytes in every parameter and BN statistic. Passes
-    through these layers give the same result for every network."""
-    first = nets[0].layers
-    for i, layer in enumerate(first):
-        if not all(i < len(net.layers) and _same_layer(layer, net.layers[i])
-                   for net in nets[1:]):
-            return i
-    return len(first)
-
-
-def _same_layer(a, b) -> bool:
-    if a.kind != b.kind:
-        return False
-    if a.kind == "linear":
-        pairs = [(a.weight, b.weight), (a.bias, b.bias)]
-    elif a.kind == "batchnorm":
-        sa, sb = a.state, b.state
-        if (sa.momentum, sa.eps) != (sb.momentum, sb.eps):
-            return False
-        pairs = [(sa.scale, sb.scale), (sa.shift, sb.shift),
-                 (sa.mean, sb.mean), (sa.var, sb.var)]
-    else:
-        pairs = []
-    # bytes, not values: -0.0 == 0.0, but the two can round differently
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in pairs)
+    cut = min((net.layer_of_key(key) for c in pool for key in c.mask.slices),
+              default=len(net.layers))
+    tails = []
+    for c in pool:
+        tail = net.layers[cut:]
+        for key, m in c.mask.slices.items():
+            i = net.layer_of_key(key) - cut
+            tail[i] = Linear(np.where(m == 0, 0.0, tail[i].weight),
+                             tail[i].bias)
+        tails.append(tail)
+    return net.layers[:cut], tails
 
 
 def _n_bn(layers) -> int:
     return sum(layer.kind == "batchnorm" for layer in layers)
 
 
-def adaptive_select(candidates: list[tuple[int, Network]],
-                    dev_sets: list[Dataset], batch_size: int = 64,
-                    average_std: bool = True):
-    """Full selection protocol. Returns the winning candidate id, the winner's
-    network with the aggregated global statistics installed, and the
-    per-candidate aggregated scores.
-
-    The candidates' shared prefix (``shared_prefix``) is refreshed once per
-    client batch, and only the layers after it per candidate. Each candidate
-    keeps its statistics as ``(mean, var)`` arrays; only the winner becomes a
-    network."""
-    ids, nets = _unzip(candidates)
-    cut = shared_prefix(nets)
-    head = nets[0].layers[:cut]
-    n_head = _n_bn(head)
-    head_reports = []
-    tail_reports: list[list[BNReport]] = [[] for _ in nets]
-    for dev in dev_sets:
-        _check_dev(dev)
-        head_stats = bn_stats(nets[0])[:n_head]
-        acts = [refresh_pass(head, x, head_stats)
-                for x, _ in iter_batches(dev, batch_size)]
-        head_reports.append(_report(head_stats, len(dev)))
-        for net, reports in zip(nets, tail_reports):
-            tail, tail_stats = net.layers[cut:], bn_stats(net)[n_head:]
-            for x in acts:
-                refresh_pass(tail, x, tail_stats)
-            reports.append(_report(tail_stats, len(dev)))
-    # aggregation is per layer, so the head's global statistics are shared
-    head_mu, head_var = aggregate_bn(head_reports, average_std=average_std)
-    global_stats = []
-    for reports in tail_reports:
-        mu, var = aggregate_bn(reports, average_std=average_std)
-        global_stats.append(list(zip(head_mu + mu, head_var + var)))
-    dev_sizes = [len(dev) for dev in dev_sets]
-    scores = _score(ids, nets, cut, global_stats, dev_sets, batch_size)
-    winner = select(scores, dev_sizes)
-    i = ids.index(winner)
-    winner_net = nets[i].clone()
-    install_bn(winner_net, [mu for mu, _ in global_stats[i]],
-               [var for _, var in global_stats[i]])
-    return winner, winner_net, _aggregate_scores(scores, dev_sizes)
+def _client_batches(dev_sets: list[Dataset], batch_size: int):
+    """Each client's dev batches, as ``(x, y)`` pairs."""
+    if any(len(dev) < 1 for dev in dev_sets):
+        raise ValueError("development dataset is empty")
+    return [list(iter_batches(dev, batch_size)) for dev in dev_sets]
 
 
-def vanilla_select(candidates: list[tuple[int, Network]],
-                   dev_sets: list[Dataset], batch_size: int = 64):
-    """Ablation variant: score candidates with their original BN statistics
-    (no refresh, no aggregation)."""
-    ids, nets = _unzip(candidates)
-    dev_sizes = [len(dev) for dev in dev_sets]
-    scores = _score(ids, nets, shared_prefix(nets),
-                    [bn_stats(net) for net in nets], dev_sets, batch_size)
-    winner = select(scores, dev_sizes)
-    return (winner, nets[ids.index(winner)].clone(),
-            _aggregate_scores(scores, dev_sizes))
+def _score(pool, head, head_stats, tails, tail_stats, clients):
+    """Dev-size-weighted eval-mode dev loss of every candidate, keyed by id:
+    ``tails[c]`` scored with ``tail_stats[c]`` on the head's output. The
+    head runs once per client batch."""
+    losses: list[list[float]] = [[] for _ in tails]
+    for batches in clients:
+        acts = [(eval_pass(head, x, head_stats), y) for x, y in batches]
+        for tail, st, per_client in zip(tails, tail_stats, losses):
+            per_client.append(client_score(tail, acts, st))
+    sizes = [sum(len(y) for _, y in batches) for batches in clients]
+    total = sum(sizes)
+    return {c.id: sum(n / total * s for n, s in zip(sizes, per_client))
+            for c, per_client in zip(pool, losses)}
 
 
-def _unzip(candidates):
-    if not candidates:
-        raise ValueError("no candidates to select from")
-    return [cid for cid, _ in candidates], [net for _, net in candidates]
-
-
-def _score(ids, nets, cut, stats, dev_sets, batch_size):
-    """Eval-mode dev loss of every candidate on every client, with
-    ``stats[c]`` in place of candidate c's BN statistics (equal across
-    candidates for the first ``cut`` layers). The shared prefix runs once
-    per client batch."""
-    head = nets[0].layers[:cut]
-    n_head = _n_bn(head)
-    scores = {cid: [] for cid in ids}
-    for dev in dev_sets:
-        _check_dev(dev)
-        batches = [(eval_pass(head, x, stats[0][:n_head]), y)
-                   for x, y in iter_batches(dev, batch_size)]
-        for cid, net, st in zip(ids, nets, stats):
-            tail, tail_stats = net.layers[cut:], st[n_head:]
-            total = 0.0
-            for x, y in batches:
-                logits = eval_pass(tail, x, tail_stats)
-                total += cross_entropy(logits, y) * len(y)
-            scores[cid].append(ScoreReport(cid, total / len(dev),
-                                           len(dev)).loss)
-    return scores
-
-
-def _aggregate_scores(scores: dict[int, list[float]],
-                      dev_sizes: list[int]) -> dict[int, float]:
-    total = sum(dev_sizes)
-    return {cid: sum(n / total * s for n, s in zip(dev_sizes, per_client))
-            for cid, per_client in scores.items()}
+def _winner(scores: dict[int, float]) -> int:
+    """The id with the lowest aggregated score; ties go to the lowest id."""
+    return min(sorted(scores), key=scores.get)

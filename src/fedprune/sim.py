@@ -33,7 +33,6 @@ ALGORITHMS = ("FedTiny", "StaticRandom", "StaticMagnitude", "DenseFedAvg",
               "ProgressiveOnly", "AdaptiveBNOnly")
 PROGRESSIVE_ALGS = ("FedTiny", "ProgressiveOnly")
 POOL_ALGS = ("FedTiny", "ProgressiveOnly", "AdaptiveBNOnly")
-SPARSE_ALGS = tuple(a for a in ALGORITHMS if a != "DenseFedAvg")
 
 # seed-namespace tags
 _T_DATA, _T_SPLIT, _T_PART, _T_DEV, _T_MODEL, _T_PRETRAIN, _T_POOL, \
@@ -303,15 +302,14 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                                        cfg.resolved_pool_size(),
                                        noise=cfg.pool_noise,
                                        seed=_subseed(cfg.seed, _T_POOL))
-        candidates = [(c.id, apply_mask(net, c.mask)) for c in pool]
         if cfg.algorithm == "ProgressiveOnly":
             method = "vanilla"
             selected, net, scores = vanilla_select(
-                candidates, dev_sets, cfg.batch_size)
+                net, pool, dev_sets, cfg.batch_size)
         else:
             method = "adaptive"
             selected, net, scores = adaptive_select(
-                candidates, dev_sets, cfg.batch_size,
+                net, pool, dev_sets, cfg.batch_size,
                 average_std=cfg.aggregate_std)
         mask = pool[selected].mask.copy()
         record = selection_record(method, pool, scores, selected)
@@ -323,11 +321,9 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
         mask = magnitude_mask(net, cfg.density)
         net = apply_mask(net, mask)
 
-    # activation memory: maximum over the first (up to) five training batches
-    n0 = len(clients[0])
-    batch_sizes = [min(cfg.batch_size, n0 - i * cfg.batch_size)
-                   for i in range(5) if n0 - i * cfg.batch_size > 0]
-    act = costs.measure_activation_bytes(net, batch_sizes, cfg.bits)
+    # activation memory of the largest training batch (linear in the batch)
+    act = costs.activation_bytes(net, min(cfg.batch_size, len(clients[0])),
+                                 cfg.bits)
 
     return ExperimentState(
         cfg=cfg, net=net, mask=mask, clients=clients, dev_sets=dev_sets,
@@ -431,11 +427,10 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
         t_iter = (round_index - sched.interval) * cfg.local_epochs
         for key in targeted:
             n_unpruned = int(state.mask.slices[key].sum())
-            n_pruned = state.mask.slices[key].size - n_unpruned
-            a = pruning_number(t_iter, sched, cfg.local_epochs,
-                               n_unpruned, n_pruned)
-            if a < pruning_number(t_iter, sched, cfg.local_epochs, n_unpruned):
-                clamped = True
+            full = pruning_number(t_iter, sched, cfg.local_epochs, n_unpruned)
+            # a layer cannot grow more coordinates than it has pruned
+            a = min(full, state.mask.slices[key].size - n_unpruned)
+            clamped |= a < full
             if a > 0:
                 plan_sizes[key] = a
         targeted = [key for key in targeted if key in plan_sizes]

@@ -16,7 +16,6 @@ from fedprune.costs import (
     collection_pass_flops,
     dense_param_bytes,
     forward_flops,
-    measure_activation_bytes,
     model_storage,
     reports_to_json,
     round_peak_flops,
@@ -220,9 +219,11 @@ def test_memory_unknown_tag():
 
 
 def test_activation_bytes_measured_max():
+    # linear in the batch, so the largest batch holds the most
     net = make_mlp(4, [8], 3, seed=0)
     per_sample = activation_bytes(net, 1, bits=32)
-    assert measure_activation_bytes(net, [2, 5, 3], bits=32) == 5 * per_sample
+    assert [activation_bytes(net, b, bits=32) for b in (2, 5, 3)] == \
+        [2 * per_sample, 5 * per_sample, 3 * per_sample]
 
 
 # -- serialization ----------------------------------------------------------------

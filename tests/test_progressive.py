@@ -116,14 +116,28 @@ def test_pruning_number_cosine_endpoints():
 
 def test_pruning_number_untargeted_and_past_stop():
     sched = schedule()
-    assert pruning_number(0, sched, 5, 1000, targeted=False) == 0
     assert pruning_number(100 * 5 + 1, sched, 5, 1000) == 0
 
 
 def test_pruning_number_clamps_to_available_coordinates():
-    sched = schedule()
-    assert pruning_number(0, sched, 5, 10, n_pruned=4) == 3  # floor(0.3*10)=3
-    assert pruning_number(0, sched, 5, 10, n_pruned=2) == 2
+    # at density 0.9 a layer has fewer pruned coordinates than the schedule
+    # asks for, so round 1 grows exactly what each layer has pruned
+    from test_sim import tiny_config
+
+    from fedprune.sim import run_round, setup_experiment
+
+    state = setup_experiment(tiny_config(density=0.9, granularity="entire",
+                                         interval=1))
+    pruned = {key: int((m == 0).sum())
+              for key, m in state.mask.slices.items()}
+    sched = state.cfg.schedule()
+    assert all(pruning_number(0, sched, state.cfg.local_epochs,
+                              m.size - pruned[key]) > pruned[key]
+               for key, m in state.mask.slices.items())
+    rm = run_round(state, 1)
+    assert rm.clamped
+    assert {key: c["grow"] for key, c in rm.layers.items()} == pruned
+    assert sorted(pruned.values()) == [46, 70]
 
 
 # -- TopKBuffer ----------------------------------------------------------------

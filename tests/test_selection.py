@@ -4,28 +4,29 @@ import numpy as np
 import pytest
 
 from fedprune.data import Dataset, make_blobs
-from fedprune.masking import apply_mask, generate_candidate_pool
-from fedprune.nn import BatchNorm, BNState, Linear, Network, \
+from fedprune.masking import Candidate, Mask, apply_mask, \
+    generate_candidate_pool
+from fedprune.nn import BatchNorm, BNState, Linear, Network, bn_stats, \
     cross_entropy, make_mlp
 from fedprune.selection import (
     BNReport,
+    _split,
+    _winner,
     adaptive_select,
     aggregate_bn,
     client_bn_pass,
     client_score,
     install_bn,
     iter_batches,
-    select,
-    shared_prefix,
     vanilla_select,
 )
 
 
 # -- reference oracles: the clone-per-client protocol ---------------------------
-# The selectors as they were before the shared-prefix rewrite: one probe clone
-# per (candidate, client), one refreshed network per candidate, every pass
-# through the whole network, and the variance from ``x.var``. The rewrite
-# must reproduce them exactly.
+# The selectors as they were before candidates became masks: every candidate
+# a full masked network, one probe clone per (candidate, client), one
+# refreshed network per candidate, every pass through the whole network, and
+# the variance from ``x.var``. The selectors must reproduce them exactly.
 
 def oracle_update_bn_stats(net, x):
     for layer in net.layers:
@@ -71,6 +72,21 @@ def oracle_client_score(candidate, dev, batch_size=64):
     return total / len(dev)
 
 
+def oracle_select(scores, dev_sizes):
+    """argmin over candidates of the dev-size-weighted mean loss; ties go to
+    the lowest candidate id."""
+    if not scores:
+        raise ValueError("no candidates to select from")
+    total = sum(dev_sizes)
+    best_id = None
+    best_score = None
+    for cid in sorted(scores):
+        agg = sum(n / total * s for n, s in zip(dev_sizes, scores[cid]))
+        if best_score is None or agg < best_score:
+            best_id, best_score = cid, agg
+    return best_id
+
+
 def oracle_aggregate_scores(scores, dev_sizes):
     total = sum(dev_sizes)
     return {cid: sum(n / total * s for n, s in zip(dev_sizes, per_client))
@@ -94,7 +110,7 @@ def oracle_adaptive_select(candidates, dev_sets, batch_size=64,
     scores = {cid: [oracle_client_score(refreshed[cid], dev, batch_size)
                     for dev in dev_sets]
               for cid, _ in candidates}
-    winner = select(scores, dev_sizes)
+    winner = oracle_select(scores, dev_sizes)
     return (winner, refreshed[winner],
             oracle_aggregate_scores(scores, dev_sizes))
 
@@ -104,10 +120,25 @@ def oracle_vanilla_select(candidates, dev_sets, batch_size=64):
     scores = {cid: [oracle_client_score(net, dev, batch_size)
                     for dev in dev_sets]
               for cid, net in candidates}
-    winner = select(scores, dev_sizes)
+    winner = oracle_select(scores, dev_sizes)
     winner_net = next(net for cid, net in candidates if cid == winner)
     return (winner, winner_net.clone(),
             oracle_aggregate_scores(scores, dev_sizes))
+
+
+def masked(net, pool):
+    """The candidates as the oracles take them: one masked network each."""
+    return [(c.id, apply_mask(net, c.mask)) for c in pool]
+
+
+def bn_pass(net, dev, batch_size=64):
+    return client_bn_pass(net.layers, list(iter_batches(dev, batch_size)),
+                          bn_stats(net))
+
+
+def score(net, dev, batch_size=64):
+    return client_score(net.layers, list(iter_batches(dev, batch_size)),
+                        bn_stats(net))
 
 
 def identity_bn_net(momentum=0.9):
@@ -127,7 +158,7 @@ def constant_dataset(value, n=40):
 def test_bn_pass_single_batch_moving_update():
     net = identity_bn_net(momentum=0.9)
     dev = constant_dataset(5.0, n=8)
-    rep = client_bn_pass(net, dev, batch_size=8)
+    rep = bn_pass(net, dev, batch_size=8)
     np.testing.assert_allclose(rep.means[0], [0.5, 0.5])
     assert rep.samples == 8
 
@@ -135,7 +166,7 @@ def test_bn_pass_single_batch_moving_update():
 def test_bn_pass_converges_to_constant_input():
     net = identity_bn_net(momentum=0.5)
     dev = constant_dataset(3.0, n=256)
-    rep = client_bn_pass(net, dev, batch_size=4)
+    rep = bn_pass(net, dev, batch_size=4)
     np.testing.assert_allclose(rep.means[0], 3.0, atol=1e-9)
     np.testing.assert_allclose(rep.variances[0], 0.0, atol=1e-9)
 
@@ -145,7 +176,14 @@ def test_bn_pass_leaves_candidate_untouched():
     before = {k: v.copy() for k, v in net.params().items()}
     bn_before = [(l.state.mean.copy(), l.state.var.copy())
                  for _, l in net.bn_layers()]
-    client_bn_pass(net, make_blobs(3, 10, 4, 1.0, seed=1), batch_size=8)
+    stats = bn_stats(net)
+    given = list(stats)
+    dev = make_blobs(3, 10, 4, 1.0, seed=1)
+    rep = client_bn_pass(net.layers, list(iter_batches(dev, 8)), stats)
+    assert all(a is b for a, b in zip(stats, given))
+    assert rep.means[0] is not given[0][0]
+    assert all(a is b for a, b in zip(sum(stats, ()),
+                                      sum(bn_stats(net), ())))
     for k, v in net.params().items():
         np.testing.assert_array_equal(v, before[k])
     for (m0, v0), (_, l) in zip(bn_before, net.bn_layers()):
@@ -161,7 +199,13 @@ def test_bn_pass_rejects_empty_dev():
     empty.labels = ds.labels[:0]
     empty.classes = 2
     with pytest.raises(ValueError):
-        client_bn_pass(net, empty)
+        bn_pass(net, empty)
+    net = make_mlp(2, [8, 8, 8], 2, seed=0)
+    pool = generate_candidate_pool(net, 0.5, 2)
+    with pytest.raises(ValueError):
+        adaptive_select(net, pool, [ds, empty])
+    with pytest.raises(ValueError):
+        vanilla_select(net, pool, [ds, empty])
 
 
 # -- aggregate_bn ----------------------------------------------------------------
@@ -231,33 +275,35 @@ def test_uniform_model_scores_log_classes():
     net = Network([Linear(np.zeros((4, 10)), np.zeros(10))])
     dev = Dataset(np.random.default_rng(0).normal(size=(30, 4)),
                   np.tile(np.arange(10), 3), 10)
-    rep = client_score(net, dev)
-    assert rep.loss == pytest.approx(math.log(10), abs=1e-12)
+    assert score(net, dev) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_score_is_repeatable():
     net = make_mlp(4, [8], 3, seed=2)
     dev = make_blobs(3, 10, 4, 1.0, seed=3)
-    assert client_score(net, dev).loss == client_score(net, dev).loss
+    assert score(net, dev) == score(net, dev)
+    # one batch or many: the same dev-size-weighted mean up to rounding
+    assert score(net, dev, batch_size=7) == pytest.approx(score(net, dev))
 
 
 def test_select_lowest_weighted_loss():
-    assert select({1: [2.0], 2: [1.5]}, [10]) == 2
-    assert select({5: [1.0, 1.0]}, [3, 7]) == 5
+    assert _winner({1: 2.0, 2: 1.5}) == 2
+    assert _winner({5: 1.0}) == 5
+    # the selectors' scores are the dev-size-weighted client losses
+    net, pool, devs = oracle_fixture(0)
+    winner, _, scores = vanilla_select(net, pool, devs, batch_size=8)
+    total = sum(len(d) for d in devs)
+    for cid, cand in masked(net, pool):
+        assert scores[cid] == sum(len(d) / total * oracle_client_score(cand, d, 8)
+                                  for d in devs)
+    assert scores[winner] == min(scores.values())
 
 
 def test_select_shift_invariance_and_ties():
-    scores = {1: [2.0, 1.0], 2: [1.0, 1.5]}
-    sizes = [10, 30]
-    base = select(scores, sizes)
-    shifted = {c: [s + 10.0 for s in v] for c, v in scores.items()}
-    assert select(shifted, sizes) == base
-    assert select({3: [1.0], 9: [1.0]}, [4]) == 3  # tie -> lowest id
-
-
-def test_select_missing_report():
-    with pytest.raises(ValueError):
-        select({1: [1.0]}, [5, 5])
+    scores = {1: 1.75, 2: 1.25}
+    base = _winner(scores)
+    assert _winner({c: s + 10.0 for c, s in scores.items()}) == base
+    assert _winner({9: 1.0, 3: 1.0}) == 3  # tie -> lowest id, in any order
 
 
 # -- end-to-end selection -----------------------------------------------------------
@@ -265,44 +311,45 @@ def test_select_missing_report():
 def selection_fixture(seed=0):
     net = make_mlp(6, [32, 32, 32], 4, seed=seed)
     pool = generate_candidate_pool(net, 0.1, 3, noise=0.5, seed=seed)
-    candidates = [(c.id, apply_mask(net, c.mask)) for c in pool]
     devs = [make_blobs(4, 12, 6, 1.5, seed=100 + i) for i in range(3)]
-    return candidates, devs
+    return net, pool, devs
 
 
 def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
-    candidates, devs = selection_fixture()
-    before = {cid: {k: v.copy() for k, v in net.params().items()}
-              for cid, net in candidates}
-    winner, winner_net, scores = adaptive_select(candidates, devs, batch_size=8)
-    assert winner in {cid for cid, _ in candidates}
-    assert set(scores) == {cid for cid, _ in candidates}
+    net, pool, devs = selection_fixture()
+    before = {k: v.copy() for k, v in net.params().items()}
+    stats = [(m.copy(), v.copy()) for m, v in bn_stats(net)]
+    winner, winner_net, scores = adaptive_select(net, pool, devs,
+                                                 batch_size=8)
+    assert winner in {c.id for c in pool}
+    assert set(scores) == {c.id for c in pool}
     assert all(np.isfinite(s) for s in scores.values())
-    for cid, net in candidates:
-        for k, v in net.params().items():
-            np.testing.assert_array_equal(v, before[cid][k])
-    # the winner keeps its parameter values, only statistics moved
-    orig = dict(candidates)[winner]
+    for k, v in net.params().items():
+        assert bits(v) == bits(before[k])
+    for (m0, v0), (m, v) in zip(stats, bn_stats(net)):
+        assert bits(m) == bits(m0) and bits(v) == bits(v0)
+    # the winner keeps its masked parameter values, only statistics moved
+    orig = apply_mask(net, pool[winner].mask)
     for k, v in winner_net.params().items():
-        np.testing.assert_array_equal(v, orig.params()[k])
+        assert bits(v) == bits(orig.params()[k])
 
 
 def test_adaptive_select_deterministic():
-    candidates, devs = selection_fixture(seed=5)
-    a = adaptive_select(candidates, devs, batch_size=8)
-    b = adaptive_select(candidates, devs, batch_size=8)
+    net, pool, devs = selection_fixture(seed=5)
+    a = adaptive_select(net, pool, devs, batch_size=8)
+    b = adaptive_select(net, pool, devs, batch_size=8)
     assert a[0] == b[0] and a[2] == b[2]
 
 
 def test_vanilla_and_adaptive_agree_when_stats_already_global():
     # single client: aggregated statistics equal the client's own refresh,
     # so installing them changes nothing that scoring order depends on
-    candidates, devs = selection_fixture(seed=7)
+    net, pool, devs = selection_fixture(seed=7)
     devs = devs[:1]
-    winner_v, _, _ = vanilla_select(candidates, devs, batch_size=8)
-    winner_a, _, _ = adaptive_select(candidates, devs, batch_size=8)
-    assert winner_v in {cid for cid, _ in candidates}
-    assert winner_a in {cid for cid, _ in candidates}
+    winner_v, _, _ = vanilla_select(net, pool, devs, batch_size=8)
+    winner_a, _, _ = adaptive_select(net, pool, devs, batch_size=8)
+    assert winner_v in {c.id for c in pool}
+    assert winner_a in {c.id for c in pool}
 
 
 def test_install_bn_shape_check():
@@ -311,7 +358,7 @@ def test_install_bn_shape_check():
         install_bn(net, [np.zeros(3)], [np.ones(3)])
 
 
-# -- shared-prefix selectors against the oracles ---------------------------------
+# -- mask selectors against the clone-per-client oracles ------------------------
 
 def bits(a):
     return (a.shape, a.tobytes())
@@ -330,96 +377,93 @@ def assert_same_selection(got, want):
         assert bits(a.state.var) == bits(b.state.var)
 
 
-def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9)):
+def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9),
+                   noise=0.5):
     net = make_mlp(5, [24, 16, 12], 4, batch_norm=batch_norm, seed=seed)
-    candidates = [(c.id, apply_mask(net, c.mask)) for c in
-                  generate_candidate_pool(net, 0.2, pool, noise=0.5,
-                                          seed=seed)]
+    candidates = generate_candidate_pool(net, 0.2, pool, noise=noise,
+                                         seed=seed)
     devs = []
     for i, n in enumerate(dev_sizes):
         ds = make_blobs(4, 10, 5, 1.5, seed=10 * seed + i)
         order = np.random.default_rng(10 * seed + i).permutation(len(ds))
         devs.append(ds.subset(order[:n]))
-    return candidates, devs
+    return net, candidates, devs
 
 
-def check_both(candidates, devs, batch_size=8):
+def check_both(net, pool, devs, batch_size=8):
     for average_std in (True, False):
         assert_same_selection(
-            adaptive_select(candidates, devs, batch_size, average_std),
-            oracle_adaptive_select(candidates, devs, batch_size, average_std))
-    assert_same_selection(vanilla_select(candidates, devs, batch_size),
-                          oracle_vanilla_select(candidates, devs, batch_size))
+            adaptive_select(net, pool, devs, batch_size, average_std),
+            oracle_adaptive_select(masked(net, pool), devs, batch_size,
+                                   average_std))
+    assert_same_selection(
+        vanilla_select(net, pool, devs, batch_size),
+        oracle_vanilla_select(masked(net, pool), devs, batch_size))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_selectors_match_oracles_exactly(seed):
-    candidates, devs = oracle_fixture(seed)
+    net, pool, devs = oracle_fixture(seed)
     # Linear, BN and ReLU before the first prunable tensor
-    assert shared_prefix([net for _, net in candidates]) == 3
-    check_both(candidates, devs)
+    assert len(_split(net, pool)[0]) == 3
+    check_both(net, pool, devs)
 
 
 def test_selectors_match_oracles_with_singleton_tail_batches():
     # 17 = 2 * 8 + 1 and 9 = 8 + 1: every client's last batch has 1 sample
-    candidates, devs = oracle_fixture(4, dev_sizes=(17, 9, 1))
+    net, pool, devs = oracle_fixture(4, dev_sizes=(17, 9, 1))
     assert [len(d) for d in devs] == [17, 9, 1]
-    check_both(candidates, devs, batch_size=8)
+    check_both(net, pool, devs, batch_size=8)
 
 
 def test_selectors_match_oracles_with_no_shared_prefix():
-    candidates, devs = oracle_fixture(5)
-    for cid, net in candidates:
-        net.layers[0].weight[0, 0] += 1e-3 * (cid + 1)
-    assert shared_prefix([net for _, net in candidates]) == 0
-    check_both(candidates, devs)
-
-
-def test_prefix_stops_at_differing_bn_statistics():
-    candidates, devs = oracle_fixture(6)
-    for cid, net in candidates:
-        net.layers[1].state.mean = net.layers[1].state.mean + 0.01 * cid
-    assert shared_prefix([net for _, net in candidates]) == 1
-    check_both(candidates, devs)
-
-
-def test_prefix_tells_signed_zeros_apart():
-    a = make_mlp(3, [4], 2, seed=0)
-    b = a.clone()
-    a.layers[0].bias[0] = 0.0
-    b.layers[0].bias[0] = -0.0
-    assert shared_prefix([a, a.clone()]) == len(a.layers)
-    assert shared_prefix([a, b]) == 0
+    # masks on the first linear layer too: no layer is shared, and a mask
+    # that drops -0.0 or keeps +0.0 weights must write the same bytes
+    net, pool, devs = oracle_fixture(5)
+    net.layers[0].weight[0, :4] = [0.0, -0.0, 0.0, -0.0]
+    rng = np.random.default_rng(5)
+    pool = [Candidate(c.id, c.layer_densities,
+                      Mask({"0.weight": (rng.random((5, 24)) < 0.5),
+                            **c.mask.slices}))
+            for c in pool]
+    assert _split(net, pool)[0] == []
+    check_both(net, pool, devs)
 
 
 def test_selectors_match_oracles_without_batch_norm():
-    candidates, devs = oracle_fixture(7, batch_norm=False)
-    assert shared_prefix([net for _, net in candidates]) == 2
-    check_both(candidates, devs)
+    check_both(*oracle_fixture(7, batch_norm=False))
 
 
 def test_selectors_match_oracles_with_a_single_candidate():
-    candidates, devs = oracle_fixture(8, pool=1)
-    assert shared_prefix([net for _, net in candidates]) == \
-        len(candidates[0][1].layers)
-    check_both(candidates, devs)
+    check_both(*oracle_fixture(8, pool=1))
+
+
+def test_identical_candidates_tie_to_the_lowest_id():
+    # zero noise: every candidate draws the same mask, so all scores tie
+    net, pool, devs = oracle_fixture(10, pool=4, noise=0.0)
+    assert all(bits(c.mask.slices[k]) == bits(pool[0].mask.slices[k])
+               for c in pool for k in c.mask.slices)
+    for winner, _, scores in (adaptive_select(net, pool, devs, 8),
+                              vanilla_select(net, pool, devs, 8)):
+        assert winner == 0 and len(set(scores.values())) == 1
+    check_both(net, pool, devs)
 
 
 def test_selectors_reject_an_empty_pool():
-    _, devs = oracle_fixture(0, pool=1)
+    net, _, devs = oracle_fixture(0, pool=1)
     with pytest.raises(ValueError):
-        adaptive_select([], devs)
+        adaptive_select(net, [], devs)
     with pytest.raises(ValueError):
-        vanilla_select([], devs)
+        vanilla_select(net, [], devs)
 
 
 def test_selection_clones_only_the_winner(monkeypatch):
-    candidates, devs = oracle_fixture(9)
+    net, pool, devs = oracle_fixture(9)
     clones = []
     original = Network.clone
     monkeypatch.setattr(Network, "clone",
                         lambda net: clones.append(1) or original(net))
-    adaptive_select(candidates, devs, batch_size=8)
-    vanilla_select(candidates, devs, batch_size=8)
-    client_bn_pass(candidates[0][1], devs[0], batch_size=8)
+    adaptive_select(net, pool, devs, batch_size=8)
+    vanilla_select(net, pool, devs, batch_size=8)
+    bn_pass(net, devs[0], batch_size=8)
     assert len(clones) == 2

@@ -298,7 +298,8 @@ def test_per_layer_counts_sum_to_round_totals(tmp_path):
 @pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
 def test_selection_path_matches_clone_oracles_byte_for_byte(
         tmp_path, monkeypatch, algorithm):
-    from test_selection import oracle_adaptive_select, oracle_vanilla_select
+    from test_selection import masked, oracle_adaptive_select, \
+        oracle_vanilla_select
 
     from fedprune import sim
 
@@ -310,6 +311,47 @@ def test_selection_path_matches_clone_oracles_byte_for_byte(
                 for name in ("metrics.csv", "final.ckpt", "selection.json")]
 
     shared = run(tmp_path / "shared")
-    monkeypatch.setattr(sim, "adaptive_select", oracle_adaptive_select)
-    monkeypatch.setattr(sim, "vanilla_select", oracle_vanilla_select)
+    monkeypatch.setattr(
+        sim, "adaptive_select",
+        lambda net, pool, devs, batch_size, average_std:
+        oracle_adaptive_select(masked(net, pool), devs, batch_size,
+                               average_std))
+    monkeypatch.setattr(
+        sim, "vanilla_select",
+        lambda net, pool, devs, batch_size:
+        oracle_vanilla_select(masked(net, pool), devs, batch_size))
     assert run(tmp_path / "oracle") == shared
+
+
+@pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
+def test_setup_clones_only_the_winner(monkeypatch, algorithm):
+    from fedprune.nn import Network
+
+    clones = []
+    original = Network.clone
+    monkeypatch.setattr(Network, "clone",
+                        lambda net: clones.append(1) or original(net))
+    state = setup_experiment(tiny_config(algorithm=algorithm, pool_size=8))
+    assert len(state.selection["candidates"]) == 8
+    assert len(clones) == 1
+
+
+def test_collection_pass_never_reaches_the_upload():
+    # the top-K collection runs a train-mode forward on the trained local
+    # network, which advances its BN statistics; the upload must be the
+    # state from before that pass
+    from fedprune.sim import _client_update
+
+    state = setup_experiment(tiny_config(algorithm="FedTiny"))
+    collect = {key: (5, np.flatnonzero(m.reshape(-1) == 0))
+               for key, m in state.mask.slices.items()}
+    with_pass = _client_update(state, 0, 2, state.cfg.lr, collect)
+    without = _client_update(state, 0, 2, state.cfg.lr, {})
+    assert set(with_pass.buffers) == set(collect) and not without.buffers
+    assert with_pass.params.keys() == without.params.keys()
+    for key, p in with_pass.params.items():
+        assert p.tobytes() == without.params[key].tobytes(), key
+    for got, want in ((with_pass.bn_means, without.bn_means),
+                      (with_pass.bn_vars, without.bn_vars)):
+        assert len(got) == len(want) > 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
