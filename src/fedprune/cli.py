@@ -12,21 +12,20 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, costs
-from .sim import ALGORITHMS, POOL_ALGS, ConfigError, ExperimentConfig, \
-    load_checkpoint, run_experiment
+from .sim import POOL_ALGS, ConfigError, ExperimentConfig, load_checkpoint, \
+    run_experiment
 
 SECTIONS = {
     "data": ("data_kind", "classes", "per_class", "dim", "spread", "csv_path",
              "csv_header", "test_ratio", "server_ratio"),
-    "federation": ("clients", "client_fraction", "alpha", "dev_ratio",
-                   "dev_disjoint"),
+    "federation": ("clients", "client_fraction", "alpha", "dev_ratio"),
     "model": ("hidden", "blocks", "bn_momentum", "bn_eps"),
     "training": ("algorithm", "rounds", "local_epochs", "batch_size", "lr",
-                 "lr_decay", "weighted_aggregation", "pretrain_epochs"),
+                 "pretrain_epochs"),
     "pruning": ("density", "pool_size", "pool_noise", "granularity", "order",
                 "interval", "stop_round", "growth_fraction", "aggregate_std"),
     "run": ("seed", "bits"),
@@ -192,15 +191,15 @@ def cmd_sweep(args) -> int:
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for raw in raw_values:
-        cfg = parse_config(args.config)
-        apply_overrides(cfg, args.set or [])
-        apply_overrides(cfg, [f"{args.axis}={raw.strip()}"])
+        override = f"{args.axis}={raw.strip()}"
+        cfg = apply_overrides(replace(base), [override])
         cfg.validate()
-        final = run_with_manifest(sweep_dir / run_id(cfg), cfg,
-                                  (args.set or [])
-                                  + [f"{args.axis}={raw.strip()}"])
-        rows.append((run_id(cfg), raw.strip(), final))
-        print(f"{run_id(cfg)}: final accuracy {final.accuracy:.4f}")
+        # the run id does not encode every axis, so it names the value too
+        rid = f"{run_id(cfg)}-{override}"
+        final = run_with_manifest(sweep_dir / rid, cfg,
+                                  (args.set or []) + [override])
+        rows.append((rid, raw.strip(), final))
+        print(f"{rid}: final accuracy {final.accuracy:.4f}")
     summary = sweep_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("run_id,axis,value,accuracy,loss,density,peak_flops,"

@@ -16,11 +16,9 @@ bits, so an empty tensor costs exactly its fixed index structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .nn import Array, Network
+from .nn import Network
 
 SCHEME_DENSE = "dense"
 SCHEME_BITMAP = "bitmap"
@@ -104,17 +102,6 @@ class StorageReport:
                 "tensors": {k: e.to_record() for k, e in self.entries.items()}}
 
 
-def _compressed_dims(shape: tuple) -> tuple[int, int]:
-    """The two longest extents form the compressed matrix; any remaining
-    extents just multiply the element count."""
-    if len(shape) == 0:
-        return 1, 1
-    if len(shape) == 1:
-        return 1, int(shape[0])
-    longest = sorted(shape, reverse=True)[:2]
-    return int(longest[0]), int(longest[1])
-
-
 def model_storage(net: Network, mask=None, bits: int = 32) -> StorageReport:
     """Per-tensor scheme selection over every parameter tensor; tensors
     without a mask slice are dense."""
@@ -124,10 +111,8 @@ def model_storage(net: Network, mask=None, bits: int = 32) -> StorageReport:
     for key, p in net.params().items():
         n = p.size
         m = int(slices[key].sum()) if key in slices else n
-        n_r, n_c = _compressed_dims(p.shape)
-        if len(p.shape) > 2:
-            extra = n // (n_r * n_c)
-            n_c *= extra  # fold the remaining extents into the column count
+        # every parameter is 1-D or 2-D; csr/csc is symmetric in the extents
+        n_r, n_c = p.shape if p.ndim == 2 else (1, n)
         entry = storage_bits(n, n_r, n_c, m, bits)
         entries[key] = entry
         total += entry.total_bits

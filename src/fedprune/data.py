@@ -126,12 +126,6 @@ def dev_indices(n: int, ratio: float, seed: int = 0) -> Array:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def dev_split(ds: Dataset, ratio: float, seed: int = 0) -> Dataset:
-    """Uniform subset of size max(1, floor(ratio * N)), without replacement,
-    in original sample order."""
-    return ds.subset(dev_indices(len(ds), ratio, seed))
-
-
 def split_indices(n: int, fractions: list[float], seed: int) -> list[Array]:
     """Disjoint random index groups covering 0..n-1: one group per fraction
     (floored sizes) plus a final remainder group."""

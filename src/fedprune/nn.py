@@ -9,19 +9,10 @@ and eval-mode passes never mutate state.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 Array = np.ndarray
-
-
-@dataclass
-class LossValue:
-    """Scalar loss averaged over ``count`` samples."""
-
-    value: float
-    count: int
 
 
 class BNState:
@@ -127,12 +118,6 @@ class Network:
 
     def layer_of_key(self, key: str) -> int:
         return int(key.split(".")[0])
-
-    def block_of_layer(self, layer_index: int) -> int:
-        for b, members in self.blocks.items():
-            if layer_index in members:
-                return b
-        raise KeyError(layer_index)
 
     def clone(self) -> "Network":
         return copy.deepcopy(self)
@@ -359,7 +344,7 @@ def backward(net: Network, logits: Array, labels, cache):
             b = xhat.shape[0]
             delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
                                  - xhat * (dxhat * xhat).sum(axis=0))
-    return LossValue(loss, n), grads
+    return loss, grads
 
 
 def sgd_step(net: Network, grads: dict[str, Array], lr: float,

@@ -29,9 +29,8 @@ from .nn import Array, Linear, Network, bn_stats, cross_entropy, eval_pass, \
 
 @dataclass
 class BNReport:
-    """One client's refreshed BN statistics for one candidate."""
+    """One client's BN moving statistics, weighted by its sample count."""
 
-    candidate_id: int
     means: list[Array]
     variances: list[Array]
     samples: int
@@ -62,7 +61,7 @@ def client_bn_pass(layers, batches, stats) -> BNReport:
 
 
 def _report(stats, batches) -> BNReport:
-    return BNReport(-1, [mean for mean, _ in stats],
+    return BNReport([mean for mean, _ in stats],
                     [var for _, var in stats], sum(len(y) for _, y in batches))
 
 

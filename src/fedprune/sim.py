@@ -11,9 +11,9 @@ client order.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
     load_csv, make_blobs, split_indices
 from .masking import Mask, apply_mask, generate_candidate_pool, \
     magnitude_mask, random_mask
-from .nn import Array, Network, backward, cross_entropy, forward, make_mlp, \
-    sgd_step
+from .nn import Array, BatchNorm, BNState, Linear, Network, ReLU, backward, \
+    cross_entropy, forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
@@ -62,7 +62,6 @@ class ExperimentConfig:
     client_fraction: float = 1.0
     alpha: float = 0.5
     dev_ratio: float = 0.1
-    dev_disjoint: bool = False
     # model
     hidden: tuple = (64, 64, 64)
     blocks: int = 5
@@ -74,8 +73,6 @@ class ExperimentConfig:
     local_epochs: int = 5
     batch_size: int = 64
     lr: float = 0.05
-    lr_decay: str = "none"            # none | cosine
-    weighted_aggregation: bool = True
     pretrain_epochs: int = 3
     # pruning
     density: float = 0.05
@@ -123,8 +120,6 @@ class ExperimentConfig:
                           f"got {self.algorithm!r}")
         if self.lr <= 0:
             issues.append("lr: must be positive")
-        if self.lr_decay not in ("none", "cosine"):
-            issues.append("lr_decay: must be none or cosine")
         if self.pretrain_epochs < 0:
             issues.append("pretrain_epochs: must be nonnegative")
         if not 0.0 < self.density <= 1.0:
@@ -186,18 +181,6 @@ class RoundMetrics:
                          repr(self.density), repr(self.peak_flops),
                          repr(self.memory_bytes)])
 
-    def to_record(self) -> dict:
-        return {
-            "round": self.round, "accuracy": self.accuracy, "loss": self.loss,
-            "density": self.density, "targeted": list(self.targeted),
-            "grow_count": self.grow_count, "drop_count": self.drop_count,
-            "peak_flops": self.peak_flops, "memory_bytes": self.memory_bytes,
-            "wall_time": self.wall_time, "clamped": self.clamped,
-            "shortfall": self.shortfall,
-            "buffer_violations": self.buffer_violations,
-            "layers": {key: dict(c) for key, c in self.layers.items()},
-        }
-
 
 @dataclass
 class ExperimentState:
@@ -205,9 +188,7 @@ class ExperimentState:
     net: Network
     mask: Mask | None
     clients: list[Dataset]
-    dev_sets: list[Dataset]
     test_set: Dataset
-    server_set: Dataset | None
     selection: dict | None   # the selection.json record of pool algorithms
     param_dense_bytes: float
     act_bytes: float
@@ -279,14 +260,9 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     clients = dirichlet_partition(
         train_pool, PartitionSpec(cfg.clients, cfg.alpha,
                                   seed=_subseed(cfg.seed, _T_PART)))
-    dev_sets = []
-    for k, client in enumerate(clients):
-        idx = dev_indices(len(client), cfg.dev_ratio,
-                          seed=_subseed(cfg.seed, _T_DEV, k))
-        dev_sets.append(client.subset(idx))
-        if cfg.dev_disjoint and len(client) > len(idx):
-            rest = np.setdiff1d(np.arange(len(client)), idx)
-            clients[k] = client.subset(rest)
+    dev_sets = [client.subset(dev_indices(len(client), cfg.dev_ratio,
+                                          seed=_subseed(cfg.seed, _T_DEV, k)))
+                for k, client in enumerate(clients)]
 
     net = make_mlp(ds.dim, list(cfg.hidden), ds.classes,
                    momentum=cfg.bn_momentum, eps=cfg.bn_eps,
@@ -326,8 +302,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                                  cfg.bits)
 
     return ExperimentState(
-        cfg=cfg, net=net, mask=mask, clients=clients, dev_sets=dev_sets,
-        test_set=test_set, server_set=server_set, selection=record,
+        cfg=cfg, net=net, mask=mask, clients=clients, test_set=test_set,
+        selection=record,
         param_dense_bytes=costs.dense_param_bytes(net, cfg.bits),
         act_bytes=act)
 
@@ -351,26 +327,18 @@ def selection_record(method: str, pool, scores: dict[int, float],
 # Round loop
 # ---------------------------------------------------------------------------
 
-def _round_lr(cfg: ExperimentConfig, round_index: int) -> float:
-    if cfg.lr_decay == "cosine":
-        return cfg.lr * 0.5 * (1.0 + math.cos(math.pi * round_index / cfg.rounds))
-    return cfg.lr
-
-
 @dataclass
 class ClientResult:
     """One client's upload: trained parameters, BN moving statistics, and
     (on pruning rounds) the top-K gradient buffers of the targeted layers."""
     params: dict[str, Array]
-    bn_means: list[Array]
-    bn_vars: list[Array]
+    bn: BNReport
     buffers: dict[str, TopKBuffer]
     violations: int
 
 
 def _client_update(state: ExperimentState, k: int, round_index: int,
-                   lr: float, collect: dict[str, tuple[int, Array]]
-                   ) -> ClientResult:
+                   collect: dict[str, tuple[int, Array]]) -> ClientResult:
     """One client's work item: E local epochs of masked SGD, then (on
     pruning rounds) the top-K gradient collection for the targeted layers.
     ``collect`` maps each targeted key to its buffer capacity and the flat
@@ -380,11 +348,13 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
     local = state.net.clone()
     rng = np.random.default_rng(_subseed(cfg.seed, _T_LOCAL, round_index, k))
     for _ in range(cfg.local_epochs):
-        _train_one_epoch(local, client, state.mask, cfg.batch_size, lr, rng)
+        _train_one_epoch(local, client, state.mask, cfg.batch_size, cfg.lr,
+                         rng)
 
     params = {key: p.copy() for key, p in local.params().items()}
-    bn_means = [bn.state.mean.copy() for _, bn in local.bn_layers()]
-    bn_vars = [bn.state.var.copy() for _, bn in local.bn_layers()]
+    bn = BNReport([bn.state.mean.copy() for _, bn in local.bn_layers()],
+                  [bn.state.var.copy() for _, bn in local.bn_layers()],
+                  len(client))
 
     buffers = {}
     violations = 0
@@ -404,42 +374,39 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
                 if buf.peak_size > a:
                     violations += 1
                 buffers[key] = buf
-    return ClientResult(params, bn_means, bn_vars, buffers, violations)
+    return ClientResult(params, bn, buffers, violations)
 
 
-def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
-    """Advance the federation by one round, mutating ``state`` in place."""
+def plan_round(state: ExperimentState, round_index: int):
+    """The grow/prune plan: each targeted key that can adjust, mapped to
+    its grow/drop count ``a`` and the flat indices of its pruned coordinates
+    (empty off the pruning rounds), and whether any ``a`` was clamped."""
     cfg = state.cfg
-    t0 = time.perf_counter()
-    lr = _round_lr(cfg, round_index)
-
-    srng = np.random.default_rng(_subseed(cfg.seed, _T_SAMPLE, round_index))
-    m = max(1, round(cfg.client_fraction * cfg.clients))
-    participants = sorted(srng.choice(cfg.clients, size=m, replace=False))
-
-    # grow/prune plan sizes for this round
-    plan_sizes: dict[str, int] = {}
+    collect: dict[str, tuple[int, Array]] = {}
     clamped = False
-    targeted: list[str] = []
     if cfg.algorithm in PROGRESSIVE_ALGS and state.mask is not None:
         sched = cfg.schedule()
-        targeted = target_layers(round_index, sched, state.net)
         t_iter = (round_index - sched.interval) * cfg.local_epochs
-        for key in targeted:
-            n_unpruned = int(state.mask.slices[key].sum())
+        for key in target_layers(round_index, sched, state.net):
+            sl = state.mask.slices[key]
+            n_unpruned = int(sl.sum())
             full = pruning_number(t_iter, sched, cfg.local_epochs, n_unpruned)
             # a layer cannot grow more coordinates than it has pruned
-            a = min(full, state.mask.slices[key].size - n_unpruned)
+            a = min(full, sl.size - n_unpruned)
             clamped |= a < full
             if a > 0:
-                plan_sizes[key] = a
-        targeted = [key for key in targeted if key in plan_sizes]
+                collect[key] = (a, np.flatnonzero(sl.reshape(-1) == 0))
+    return collect, clamped
 
-    # cost accounting uses the mask the round trains with
+
+def round_costs(state: ExperimentState, participants, collect):
+    """Modeled peak per-client training FLOPs and training memory (bytes)
+    of a round, from the mask it trains with."""
+    cfg = state.cfg
     f_s = costs.forward_flops(state.net, state.mask, cfg.batch_size)
     f_d = costs.forward_flops(state.net, None, cfg.batch_size)
-    extra = (costs.collection_pass_flops(state.net, state.mask, targeted,
-                                         cfg.batch_size) if targeted else 0.0)
+    extra = (costs.collection_pass_flops(state.net, state.mask, list(collect),
+                                         cfg.batch_size) if collect else 0.0)
     iters = max(cfg.local_epochs * _local_batches(len(state.clients[k]),
                                                   cfg.batch_size)
                 for k in participants)
@@ -447,49 +414,42 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
     memory = costs.training_memory(
         cfg.cost_tag(), state.param_dense_bytes,
         costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
-        state.act_bytes, cfg.bits, topk_total=sum(plan_sizes.values()))
+        state.act_bytes, cfg.bits,
+        topk_total=sum(a for a, _ in collect.values()))
+    return peak, memory.total
 
-    # client work, reduced in fixed participant order; the mask does not
-    # change before the grow/prune step, so neither do the pruned indices
-    collect = {key: (a, np.flatnonzero(state.mask.slices[key].reshape(-1)
-                                       == 0))
-               for key, a in plan_sizes.items()}
-    results = [_client_update(state, k, round_index, lr, collect)
-               for k in participants]
 
-    weights = ([float(len(state.clients[k])) for k in participants]
-               if cfg.weighted_aggregation else [1.0] * len(participants))
-    total_w = sum(weights)
-
-    # FedAvg parameter aggregation
+def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
+    """Sample-weighted FedAvg of the uploads into ``state.net``: the
+    parameters (masked coordinates stay exactly zero), then the BN moving
+    statistics."""
+    total = sum(res.bn.samples for res in results)
     new_params = {key: np.zeros_like(p) for key, p in state.net.params().items()}
-    for res, w in zip(results, weights):
+    for res in results:
         for key in new_params:
-            new_params[key] += (w / total_w) * res.params[key]
+            new_params[key] += (res.bn.samples / total) * res.params[key]
     for key, p in state.net.params().items():
         p[...] = new_params[key]
     if state.mask is not None:
         for key, sl in state.mask.slices.items():
             state.net.params()[key][sl == 0] = 0.0
+    means, variances = aggregate_bn([res.bn for res in results],
+                                    average_std=state.cfg.aggregate_std)
+    install_bn(state.net, means, variances)
 
-    # BN running statistics aggregated with the same weights
-    reports = [BNReport(0, res.bn_means, res.bn_vars, max(1, int(w)))
-               for res, w in zip(results, weights)]
-    if reports and reports[0].means:
-        means, variances = aggregate_bn(reports,
-                                        average_std=cfg.aggregate_std)
-        install_bn(state.net, means, variances)
 
-    # grow/prune adjustment on the aggregated model
+def adjust(state: ExperimentState, results: list[ClientResult], collect
+           ) -> dict[str, dict[str, int]]:
+    """Grow/prune every planned layer of the aggregated model: aggregate the
+    clients' top-K buffers by sample count, plan, apply. Returns the
+    per-layer grow/drop/shortfall counts."""
     layers: dict[str, dict[str, int]] = {}
-    violations = sum(res.violations for res in results)
-    for key, a in plan_sizes.items():
-        buffers = [res.buffers[key] for res in results if key in res.buffers]
-        if not buffers:
+    for key, (a, _) in collect.items():
+        uploads = [res for res in results if key in res.buffers]
+        if not uploads:
             continue
-        buf_weights = [w for res, w in zip(results, weights)
-                       if key in res.buffers]
-        agg = aggregate_topk(buffers, buf_weights)
+        agg = aggregate_topk([res.buffers[key] for res in uploads],
+                             [res.bn.samples for res in uploads])
         plan = plan_grow_prune(agg, state.mask.slices[key],
                                state.net.params()[key], a)
         new_mask, new_w = apply_plan(state.mask.slices[key], plan,
@@ -498,18 +458,36 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
         state.net.params()[key][...] = new_w
         layers[key] = {"grow": len(plan.grow), "drop": len(plan.drop),
                        "shortfall": plan.shortfall}
+    return layers
 
+
+def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
+    """Advance the federation by one round, mutating ``state`` in place."""
+    cfg = state.cfg
+    t0 = time.perf_counter()
+    srng = np.random.default_rng(_subseed(cfg.seed, _T_SAMPLE, round_index))
+    m = max(1, round(cfg.client_fraction * cfg.clients))
+    participants = sorted(srng.choice(cfg.clients, size=m, replace=False))
+    collect, clamped = plan_round(state, round_index)
+    peak, memory = round_costs(state, participants, collect)
+    # clients reduced in fixed participant order; the mask does not change
+    # before adjust, so neither do the pruned indices in ``collect``
+    results = [_client_update(state, k, round_index, collect)
+               for k in participants]
+    fedavg(state, results)
+    layers = adjust(state, results, collect)
     accuracy, loss = evaluate_global(state.net, state.test_set, cfg.batch_size)
-    dens = state.mask.density() if state.mask is not None else 1.0
     return RoundMetrics(
-        round=round_index, accuracy=accuracy, loss=loss, density=dens,
-        targeted=targeted,
+        round=round_index, accuracy=accuracy, loss=loss,
+        density=state.mask.density() if state.mask is not None else 1.0,
+        targeted=list(collect),
         grow_count=sum(c["grow"] for c in layers.values()),
         drop_count=sum(c["drop"] for c in layers.values()),
-        peak_flops=peak, memory_bytes=memory.total,
+        peak_flops=peak, memory_bytes=memory,
         wall_time=time.perf_counter() - t0, clamped=clamped,
         shortfall=sum(c["shortfall"] for c in layers.values()),
-        buffer_violations=violations, layers=layers)
+        buffer_violations=sum(res.violations for res in results),
+        layers=layers)
 
 
 def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
@@ -540,7 +518,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     metrics: list[RoundMetrics] = []
     csv_fh = jsonl_fh = None
     if out_dir is not None:
-        out_dir = _ensure_dir(out_dir)
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if state.selection is not None:
             (out_dir / "selection.json").write_text(
                 json.dumps(state.selection, indent=2, sort_keys=True) + "\n",
@@ -556,7 +535,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             metrics.append(rm)
             if csv_fh is not None:
                 csv_fh.write(rm.csv_row() + "\n")
-                jsonl_fh.write(json.dumps(rm.to_record(), sort_keys=True) + "\n")
+                jsonl_fh.write(json.dumps(asdict(rm), sort_keys=True) + "\n")
     finally:
         if csv_fh is not None:
             csv_fh.close()
@@ -568,13 +547,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                          "selected_candidate": (state.selection["winner"]
                                                 if state.selection else None)})
     return metrics, state
-
-
-def _ensure_dir(path):
-    from pathlib import Path
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 CKPT_VERSION = 1
@@ -611,13 +583,11 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
                  if mask is not None else None),
         "extra": extra or {},
     }
-    from pathlib import Path
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_checkpoint(path):
     """Rebuild (network, mask, extra) from a checkpoint file."""
-    from pathlib import Path
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
@@ -625,7 +595,6 @@ def load_checkpoint(path):
     if record.get("version") != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{record.get('version')!r}")
-    from .nn import BatchNorm, BNState, Linear, ReLU
     layers = []
     bn_stats = iter(record["bn_stats"])
     for spec in record["layers"]:

@@ -236,6 +236,25 @@ def test_cmd_sweep_seed_axis(config_file, tmp_path):
     assert len(list(out.glob("*/final.ckpt"))) == 3
 
 
+def test_cmd_sweep_pool_size_axis_keeps_every_run(config_file, tmp_path):
+    # the run id does not encode pool_size; each value still needs its own
+    # run directory and summary row
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(config_file), "--axis", "pool_size",
+               "--values", "2,3", "--set", "algorithm=AdaptiveBNOnly",
+               "--out", str(out)])
+    assert rc == 0
+    manifests = [json.loads(path.read_text())
+                 for path in sorted(out.glob("*/manifest.json"))]
+    assert [m["overrides"] for m in manifests] == [
+        ["algorithm=AdaptiveBNOnly", f"pool_size={n}"] for n in (2, 3)]
+    assert [m["resolved"]["pool_size"] for m in manifests] == [2, 3]
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert sorted(row.split(",")[0] for row in rows) == \
+        sorted(path.parent.name for path in out.glob("*/manifest.json"))
+    assert len(rows) == 2
+
+
 def test_cmd_sweep_unknown_axis(config_file, tmp_path):
     rc = main(["sweep", "--config", str(config_file), "--axis", "wat",
                "--values", "1", "--out", str(tmp_path / "s")])

@@ -90,14 +90,20 @@ def test_storage_empty_tensor_costs_index_structure_minimum():
 
 def test_storage_matches_transcription_oracle():
     rng = np.random.default_rng(3)
+    schemes = set()
     for _ in range(1000):
         n_r = int(rng.integers(1, 200))
         n_c = int(rng.integers(1, 200))
         n = n_r * n_c
         m = int(rng.integers(0, n + 1))
         b = int(rng.integers(1, 65))
-        assert storage_bits(n, n_r, n_c, m, b).total_bits == \
-            oracle_storage(n, n_r, n_c, m, b)
+        entry = storage_bits(n, n_r, n_c, m, b)
+        assert entry.total_bits == oracle_storage(n, n_r, n_c, m, b)
+        # model_storage passes a 2-D weight's extents in shape order, which
+        # is sound only because no scheme depends on their order
+        assert storage_bits(n, n_c, n_r, m, b) == entry
+        schemes.add(entry.scheme)
+    assert schemes == {"dense", "bitmap", "coo", "csr"}
 
 
 def test_ceil_log2():

@@ -4,7 +4,7 @@ import pytest
 from fedprune.data import (
     Dataset,
     PartitionSpec,
-    dev_split,
+    dev_indices,
     dirichlet_partition,
     load_csv,
     make_blobs,
@@ -87,17 +87,17 @@ def test_heterogeneity_grows_as_alpha_shrinks():
     assert mean_tv(0.1) > mean_tv(10.0)
 
 
-# -- dev_split ---------------------------------------------------------------
+# -- dev splits --------------------------------------------------------------
 
 def test_dev_split_full_ratio_returns_everything():
     ds = make_blobs(2, 5, 2, 1.0, seed=0)
-    sub = dev_split(ds, 1.0, seed=3)
+    sub = ds.subset(dev_indices(len(ds), 1.0, seed=3))
     np.testing.assert_array_equal(sub.features, ds.features)
 
 
 def test_dev_split_size_and_membership():
     ds = make_blobs(2, 50, 3, 1.0, seed=1)
-    sub = dev_split(ds, 0.1, seed=5)
+    sub = ds.subset(dev_indices(len(ds), 0.1, seed=5))
     assert len(sub) == 10
     rows = {tuple(r) for r in ds.features}
     assert all(tuple(r) in rows for r in sub.features)
@@ -105,8 +105,8 @@ def test_dev_split_size_and_membership():
 
 def test_dev_split_seeds_differ_but_sizes_match():
     ds = make_blobs(2, 50, 3, 1.0, seed=1)
-    a = dev_split(ds, 0.2, seed=1)
-    b = dev_split(ds, 0.2, seed=2)
+    a = ds.subset(dev_indices(len(ds), 0.2, seed=1))
+    b = ds.subset(dev_indices(len(ds), 0.2, seed=2))
     assert len(a) == len(b) == 20
     assert not np.array_equal(a.features, b.features)
 

@@ -105,6 +105,12 @@ def schedule(**kw):
     return PruneSchedule(**base)
 
 
+def block_of(net, key):
+    """The block holding the layer of parameter ``key``."""
+    layer = net.layer_of_key(key)
+    return next(b for b, members in net.blocks.items() if layer in members)
+
+
 # -- pruning_number -----------------------------------------------------------
 
 def test_pruning_number_cosine_endpoints():
@@ -399,8 +405,7 @@ def test_block_backward_cycles_from_last_block():
             assert keys == []
         else:
             hit.extend(keys)
-            blocks_seen.append({net.block_of_layer(net.layer_of_key(k))
-                                for k in keys})
+            blocks_seen.append({block_of(net, k) for k in keys})
     # 10 pruning rounds cycling blocks 5,4,3,2,1,5,4,3,2,1
     assert len(blocks_seen) == 10
     # within one full block cycle every eligible layer was targeted once
@@ -416,7 +421,7 @@ def test_block_order_is_backward_by_block_id():
     order = []
     for r in range(1, 6):
         keys = target_layers(r, sched, net)
-        order.append([net.block_of_layer(net.layer_of_key(k)) for k in keys])
+        order.append([block_of(net, k) for k in keys])
     flat = [b for bs in order for b in set(bs)]
     # only blocks containing eligible layers appear, in descending block order
     assert flat == sorted(flat, reverse=True)

@@ -62,7 +62,7 @@ def oracle_client_bn_pass(candidate, dev, batch_size=64):
         oracle_update_bn_stats(probe, x)
     means = [bn.state.mean.copy() for _, bn in probe.bn_layers()]
     variances = [bn.state.var.copy() for _, bn in probe.bn_layers()]
-    return BNReport(-1, means, variances, len(dev))
+    return BNReport(means, variances, len(dev))
 
 
 def oracle_client_score(candidate, dev, batch_size=64):
@@ -98,11 +98,8 @@ def oracle_adaptive_select(candidates, dev_sets, batch_size=64,
     dev_sizes = [len(dev) for dev in dev_sets]
     refreshed = {}
     for cid, net in candidates:
-        reports = []
-        for dev in dev_sets:
-            rep = oracle_client_bn_pass(net, dev, batch_size)
-            rep.candidate_id = cid
-            reports.append(rep)
+        reports = [oracle_client_bn_pass(net, dev, batch_size)
+                   for dev in dev_sets]
         means, variances = aggregate_bn(reports, average_std=average_std)
         updated = net.clone()
         install_bn(updated, means, variances)
@@ -211,22 +208,22 @@ def test_bn_pass_rejects_empty_dev():
 # -- aggregate_bn ----------------------------------------------------------------
 
 def test_aggregate_weighted_mean():
-    r1 = BNReport(0, [np.array([1.0])], [np.array([1.0])], 10)
-    r2 = BNReport(0, [np.array([3.0])], [np.array([1.0])], 30)
+    r1 = BNReport([np.array([1.0])], [np.array([1.0])], 10)
+    r2 = BNReport([np.array([3.0])], [np.array([1.0])], 30)
     means, variances = aggregate_bn([r1, r2])
     np.testing.assert_allclose(means[0], [2.5])
     np.testing.assert_allclose(variances[0], [1.0])
 
 
 def test_aggregate_single_client_identity():
-    r = BNReport(0, [np.array([2.0, -1.0])], [np.array([0.5, 4.0])], 7)
+    r = BNReport([np.array([2.0, -1.0])], [np.array([0.5, 4.0])], 7)
     means, variances = aggregate_bn([r])
     np.testing.assert_allclose(means[0], [2.0, -1.0])
     np.testing.assert_allclose(variances[0], [0.5, 4.0])
 
 
 def test_aggregate_equal_weights():
-    reps = [BNReport(0, [np.array([v])], [np.array([1.0])], 5)
+    reps = [BNReport([np.array([v])], [np.array([1.0])], 5)
             for v in (0.0, 2.0, 4.0)]
     means, _ = aggregate_bn(reps)
     np.testing.assert_allclose(means[0], [2.0])
@@ -234,8 +231,8 @@ def test_aggregate_equal_weights():
 
 def test_aggregate_std_vs_variance_modes():
     # sigma averaging: ((1+3)/2)^2 = 4; variance averaging: (1+9)/2 = 5
-    reps = [BNReport(0, [np.zeros(1)], [np.array([1.0])], 5),
-            BNReport(0, [np.zeros(1)], [np.array([9.0])], 5)]
+    reps = [BNReport([np.zeros(1)], [np.array([1.0])], 5),
+            BNReport([np.zeros(1)], [np.array([9.0])], 5)]
     _, var_std = aggregate_bn(reps, average_std=True)
     _, var_var = aggregate_bn(reps, average_std=False)
     np.testing.assert_allclose(var_std[0], [4.0])
@@ -246,8 +243,7 @@ def test_aggregate_matches_bruteforce_within_1e12():
     rng = np.random.default_rng(8)
     reps = []
     for _ in range(6):
-        reps.append(BNReport(0,
-                             [rng.normal(size=4), rng.normal(size=3)],
+        reps.append(BNReport([rng.normal(size=4), rng.normal(size=3)],
                              [rng.random(4), rng.random(3)],
                              int(rng.integers(1, 50))))
     means, variances = aggregate_bn(reps, average_std=False)
@@ -263,8 +259,8 @@ def test_aggregate_matches_bruteforce_within_1e12():
 
 
 def test_aggregate_shape_mismatch():
-    r1 = BNReport(0, [np.zeros(2)], [np.ones(2)], 5)
-    r2 = BNReport(0, [np.zeros(3)], [np.ones(3)], 5)
+    r1 = BNReport([np.zeros(2)], [np.ones(2)], 5)
+    r2 = BNReport([np.zeros(3)], [np.ones(3)], 5)
     with pytest.raises(ValueError):
         aggregate_bn([r1, r2])
 

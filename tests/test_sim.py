@@ -9,8 +9,11 @@ from fedprune.nn import forward, make_mlp
 from fedprune.sim import (
     ConfigError,
     ExperimentConfig,
+    _client_update,
     evaluate_global,
+    fedavg,
     load_checkpoint,
+    plan_round,
     pretrain_server,
     run_experiment,
     run_round,
@@ -114,12 +117,14 @@ def test_single_client_aggregation_is_identity():
     cfg = tiny_config(algorithm="DenseFedAvg", clients=1, rounds=1,
                       local_epochs=1)
     state = setup_experiment(cfg)
-    # reproduce the single client's local training by hand
-    from fedprune.sim import _client_update
-    expected = _client_update(state, 0, 1, cfg.lr, {}).params
-    run_round(state, 1)
+    upload = _client_update(state, 0, 1, {})
+    fedavg(state, [upload])
     for key, p in state.net.params().items():
-        np.testing.assert_allclose(p, expected[key], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, upload.params[key], rtol=0, atol=1e-12)
+    for (_, bn), mean, var in zip(state.net.bn_layers(), upload.bn.means,
+                                  upload.bn.variances):
+        np.testing.assert_allclose(bn.state.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bn.state.var, var, rtol=1e-12, atol=0)
 
 
 def test_masked_algorithms_stay_feasible_every_round():
@@ -170,17 +175,27 @@ def test_client_fraction_sampling_deterministic():
 def test_fedavg_matches_bruteforce_weighted_average():
     cfg = tiny_config(algorithm="DenseFedAvg", rounds=1, local_epochs=1)
     state = setup_experiment(cfg)
-    from fedprune.sim import _client_update
-    uploads = [_client_update(state, k, 1, cfg.lr, {}).params
-               for k in range(cfg.clients)]
+    uploads = [_client_update(state, k, 1, {}) for k in range(cfg.clients)]
     weights = [len(c) for c in state.clients]
-    run_round(state, 1)
+    fedavg(state, uploads)
     total = sum(weights)
     for key, p in state.net.params().items():
         expected = np.zeros_like(p)
         for up, w in zip(uploads, weights):
-            expected = expected + (w / total) * up[key]
+            expected = expected + (w / total) * up.params[key]
         assert np.max(np.abs(p - expected)) < 1e-12
+
+
+def test_plan_round_pairs_each_adjusted_layer_with_its_pruned_indices():
+    state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                         granularity="entire"))
+    assert plan_round(state, 1) == ({}, False)  # interval=2
+    collect, clamped = plan_round(state, 2)
+    assert list(collect) == list(state.mask.slices) and not clamped
+    for key, (a, pruned) in collect.items():
+        sl = state.mask.slices[key].reshape(-1)
+        np.testing.assert_array_equal(pruned, np.flatnonzero(sl == 0))
+        assert 0 < a <= len(pruned)
 
 
 # -- determinism -----------------------------------------------------------------------
@@ -340,18 +355,16 @@ def test_collection_pass_never_reaches_the_upload():
     # the top-K collection runs a train-mode forward on the trained local
     # network, which advances its BN statistics; the upload must be the
     # state from before that pass
-    from fedprune.sim import _client_update
-
     state = setup_experiment(tiny_config(algorithm="FedTiny"))
     collect = {key: (5, np.flatnonzero(m.reshape(-1) == 0))
                for key, m in state.mask.slices.items()}
-    with_pass = _client_update(state, 0, 2, state.cfg.lr, collect)
-    without = _client_update(state, 0, 2, state.cfg.lr, {})
+    with_pass = _client_update(state, 0, 2, collect)
+    without = _client_update(state, 0, 2, {})
     assert set(with_pass.buffers) == set(collect) and not without.buffers
     assert with_pass.params.keys() == without.params.keys()
     for key, p in with_pass.params.items():
         assert p.tobytes() == without.params[key].tobytes(), key
-    for got, want in ((with_pass.bn_means, without.bn_means),
-                      (with_pass.bn_vars, without.bn_vars)):
+    for got, want in ((with_pass.bn.means, without.bn.means),
+                      (with_pass.bn.variances, without.bn.variances)):
         assert len(got) == len(want) > 0
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
