@@ -181,24 +181,32 @@ def cmd_sweep(args) -> int:
         print(f"error: sweep axis must be one of {SWEEP_AXES}",
               file=sys.stderr)
         return 2
-    raw_values = [v for v in args.values.split(",") if v.strip()]
+    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not raw_values:
         print("error: sweep needs at least one value", file=sys.stderr)
         return 2
     base = parse_config(args.config)
     apply_overrides(base, args.set or [])
+    runs = {}  # parsed axis value -> (raw value, config)
+    for raw in raw_values:
+        cfg = apply_overrides(replace(base), [f"{args.axis}={raw}"])
+        cfg.validate()
+        value = getattr(cfg, args.axis)
+        if value in runs:
+            print(f"error: sweep values {runs[value][0]!r} and {raw!r} are "
+                  f"the same {args.axis}", file=sys.stderr)
+            return 2
+        runs[value] = (raw, cfg)
     sweep_dir = Path(args.out)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for raw in raw_values:
-        override = f"{args.axis}={raw.strip()}"
-        cfg = apply_overrides(replace(base), [override])
-        cfg.validate()
+    for raw, cfg in runs.values():
+        override = f"{args.axis}={raw}"
         # the run id does not encode every axis, so it names the value too
         rid = f"{run_id(cfg)}-{override}"
         final = run_with_manifest(sweep_dir / rid, cfg,
                                   (args.set or []) + [override])
-        rows.append((rid, raw.strip(), final))
+        rows.append((rid, raw, final))
         print(f"{rid}: final accuracy {final.accuracy:.4f}")
     summary = sweep_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:

@@ -18,6 +18,8 @@ from .nn import Array, Network
 
 GRANULARITIES = ("layer", "block", "entire")
 ORDERS = ("backward", "forward")
+# top-K input is read in chunks of this many times the buffer capacity
+CHUNK_FACTOR = 16
 
 
 @dataclass
@@ -72,14 +74,17 @@ class TopKBuffer:
 def topk_collect(indices, values, capacity: int) -> TopKBuffer:
     """Stream (index, gradient) pairs through a bounded buffer.
 
-    The input is read in chunks of ``capacity`` pairs. A chunk's pairs whose
-    magnitude is below the smallest retained one cannot enter a full buffer
-    and are dropped (ties survive); the rest are merged with the retained
-    entries by one sort on (|g| desc, index asc, g desc), which keeps the
-    first ``capacity``. At most ``capacity`` entries are retained and at most
-    ``capacity`` more are in flight, so memory is O(capacity) however long
-    the input. The result equals streaming the pairs one at a time through a
-    min-magnitude-evicting heap. A zero-capacity buffer reads no values.
+    The input is read in chunks of ``CHUNK_FACTOR * capacity`` pairs. A
+    chunk's pairs below a cut cannot reach the result and are dropped (ties
+    at the cut survive): the cut is the chunk's own ``capacity``-th largest
+    magnitude, found by one ``np.partition``, or the smallest retained
+    magnitude of a full buffer if that is higher. The rest are merged with
+    the retained entries by one sort on (|g| desc, index asc, g desc), which
+    keeps the first ``capacity``. At most ``capacity`` entries are retained
+    and at most ``CHUNK_FACTOR * capacity`` more are in flight, so memory is
+    O(capacity) however long the input. The result equals streaming the
+    pairs one at a time through a min-magnitude-evicting heap. A
+    zero-capacity buffer reads no values.
     """
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -88,21 +93,22 @@ def topk_collect(indices, values, capacity: int) -> TopKBuffer:
     buf = TopKBuffer(capacity)
     if capacity == 0:
         return buf
-    for start in range(0, len(values), capacity):
-        val = values[start:start + capacity]
+    step = CHUNK_FACTOR * capacity
+    for start in range(0, len(values), step):
+        val = values[start:start + step]
         mag = np.abs(val)
         top = mag.max()
         if not top < np.inf:  # NaN fails every comparison
             raise FloatingPointError("non-finite gradient in top-K input")
-        idx = indices[start:start + capacity]
-        if len(buf) == capacity:
-            floor = abs(buf.value[-1])
-            if top < floor:
-                continue
-            keep = mag >= floor
-            idx, val = idx[keep], val[keep]
-        idx = np.concatenate((buf.index, idx))
-        val = np.concatenate((buf.value, val))
+        cut = abs(buf.value[-1]) if len(buf) == capacity else 0.0
+        if top < cut:
+            continue
+        if len(val) > capacity:
+            kth = len(val) - capacity
+            cut = max(cut, np.partition(mag, kth)[kth])
+        keep = mag >= cut
+        idx = np.concatenate((buf.index, indices[start:start + step][keep]))
+        val = np.concatenate((buf.value, val[keep]))
         order = np.lexsort((-val, idx, -np.abs(val)))[:capacity]
         buf.index, buf.value = idx[order], val[order]
         buf.peak_size = max(buf.peak_size, len(buf.index))

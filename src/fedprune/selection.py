@@ -53,8 +53,11 @@ def iter_batches(ds: Dataset, batch_size: int):
 def client_bn_pass(layers, batches, stats) -> BNReport:
     """Refresh the BN moving statistics ``stats`` (one ``(mean, var)`` pair
     per BN layer of ``layers``) over the ``(x, y)`` batches with frozen
-    weights. Neither the layers nor ``stats`` change."""
+    weights. Neither the layers nor ``stats`` change. The pass stops at the
+    last BN layer: no statistic depends on the layers after it."""
     stats = list(stats)
+    bn = [i for i, layer in enumerate(layers) if layer.kind == "batchnorm"]
+    layers = layers[:bn[-1] + 1] if bn else []
     for x, _ in batches:
         refresh_pass(layers, x, stats)
     return _report(stats, batches)

@@ -267,6 +267,16 @@ def test_cmd_sweep_empty_values(config_file, tmp_path):
     assert rc == 2
 
 
+def test_cmd_sweep_rejects_values_that_parse_equal(config_file, tmp_path,
+                                                  capsys):
+    out = tmp_path / "s"
+    rc = main(["sweep", "--config", str(config_file), "--axis", "density",
+               "--values", "0.1,0.10,0.1", "--out", str(out)])
+    assert rc == 2
+    assert "'0.1' and '0.10' are the same density" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run starts
+
+
 # -- cost command ------------------------------------------------------------------
 
 def test_cmd_cost_reports(config_file, tmp_path):

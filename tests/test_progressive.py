@@ -5,6 +5,7 @@ import pytest
 
 from fedprune.nn import make_mlp
 from fedprune.progressive import (
+    CHUNK_FACTOR,
     GrowPrunePlan,
     PruneSchedule,
     TopKBuffer,
@@ -215,6 +216,36 @@ def test_topk_rejects_non_finite_gradients(bad):
     values[7] = bad  # lands in a chunk after the buffer is full
     with pytest.raises(FloatingPointError):
         topk_collect(np.arange(10), values, 3)
+
+
+def test_topk_matches_heap_oracle_across_several_chunks():
+    # k whole chunks of CHUNK_FACTOR * a pairs, and one pair fewer or more,
+    # so the per-chunk partition cut and the merge across chunks both run
+    rng = np.random.default_rng(31)
+    for a in (1, 2, 7, 33):
+        step = CHUNK_FACTOR * a
+        for k in (1, 2, 3):
+            for n in (k * step - 1, k * step, k * step + 1):
+                for tied in (True, False):
+                    indices = rng.permutation(3 * n)[:n]
+                    values = (rng.choice(TIE_GRID, size=n) if tied
+                              else rng.normal(size=n))
+                    buf = topk_collect(indices, values, a)
+                    ref = oracle_topk_collect(indices, values, a)
+                    assert buf.entries() == ref.entries()
+                    assert [np.signbit(g) for _, g in buf.entries()] == \
+                        [np.signbit(g) for _, g in ref.entries()]
+                    assert buf.peak_size <= a
+                    assert buf.peak_size == ref.peak_size
+
+
+def test_topk_rejects_nan_in_the_last_chunk():
+    a = 3
+    n = 3 * CHUNK_FACTOR * a + 5
+    values = np.linspace(1.0, 2.0, n)
+    values[-1] = np.nan  # the buffer is full long before the last chunk
+    with pytest.raises(FloatingPointError):
+        topk_collect(np.arange(n), values, a)
 
 
 # -- aggregate_topk ---------------------------------------------------------------

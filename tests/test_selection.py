@@ -7,7 +7,7 @@ from fedprune.data import Dataset, make_blobs
 from fedprune.masking import Candidate, Mask, apply_mask, \
     generate_candidate_pool
 from fedprune.nn import BatchNorm, BNState, Linear, Network, bn_stats, \
-    cross_entropy, make_mlp
+    cross_entropy, make_mlp, refresh_pass
 from fedprune.selection import (
     BNReport,
     _split,
@@ -186,6 +186,23 @@ def test_bn_pass_leaves_candidate_untouched():
     for (m0, v0), (_, l) in zip(bn_before, net.bn_layers()):
         np.testing.assert_array_equal(l.state.mean, m0)
         np.testing.assert_array_equal(l.state.var, v0)
+
+
+def test_bn_pass_stopping_at_last_bn_matches_full_tail_pass():
+    # the pass skips the ReLU and head after the last BN layer; the report
+    # must be the one a pass through every layer gives
+    net = make_mlp(4, [6, 5], 3, seed=2)
+    assert net.layers[-1].kind == "linear"
+    batches = list(iter_batches(make_blobs(3, 10, 4, 1.0, seed=3), 8))
+    full = bn_stats(net)
+    for x, _ in batches:
+        refresh_pass(net.layers, x, full)
+    rep = client_bn_pass(net.layers, batches, bn_stats(net))
+    assert rep.samples == 30
+    assert len(rep.means) == len(full) == 2
+    for mean, var, (m, v) in zip(rep.means, rep.variances, full):
+        np.testing.assert_array_equal(mean, m)
+        np.testing.assert_array_equal(var, v)
 
 
 def test_bn_pass_rejects_empty_dev():
