@@ -23,10 +23,10 @@ SECTIONS = {
     "data": ("data_kind", "classes", "per_class", "dim", "spread", "csv_path",
              "csv_header", "test_ratio", "server_ratio"),
     "federation": ("clients", "client_fraction", "alpha", "dev_ratio"),
-    "model": ("hidden", "blocks", "bn_momentum", "bn_eps"),
+    "model": ("hidden", "bn_momentum", "bn_eps"),
     "training": ("algorithm", "rounds", "local_epochs", "batch_size", "lr",
                  "pretrain_epochs"),
-    "pruning": ("density", "pool_size", "pool_noise", "granularity", "order",
+    "pruning": ("density", "pool_size", "pool_noise", "granularity", "blocks",
                 "interval", "stop_round", "growth_fraction", "aggregate_std"),
     "run": ("seed", "bits"),
 }

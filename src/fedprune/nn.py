@@ -64,21 +64,18 @@ class BatchNorm:
 
 
 class Network:
-    """Ordered layer list with a contiguous block partition.
+    """Ordered layer list.
 
     Parameter tensors are addressed by string keys ``"<layer_index>.<name>"``.
     BN parameters, biases, and the first and last linear layers are excluded
-    from pruning; ``prunable_keys()`` lists the weight tensors that remain.
+    from pruning; ``prunable_keys()`` lists the weight tensors that remain,
+    in layer order. The pruning schedule groups these keys, not the layers.
     """
 
-    def __init__(self, layers, blocks=None, n_blocks: int = 5):
+    def __init__(self, layers):
         self.layers = list(layers)
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        if blocks is None:
-            blocks = default_blocks(len(self.layers), n_blocks)
-        _check_blocks(blocks, len(self.layers))
-        self.blocks = {int(b): list(ix) for b, ix in sorted(blocks.items())}
         linear_ix = [i for i, l in enumerate(self.layers) if l.kind == "linear"]
         if not linear_ix:
             raise ValueError("network needs at least one linear layer")
@@ -123,26 +120,9 @@ class Network:
         return copy.deepcopy(self)
 
 
-def default_blocks(n_layers: int, n_blocks: int = 5) -> dict[int, list[int]]:
-    """Contiguous, equal-as-possible partition of layer indices into blocks 1..B."""
-    parts = np.array_split(np.arange(n_layers), max(1, min(n_blocks, n_layers)))
-    return {b + 1: part.tolist() for b, part in enumerate(parts)}
-
-
-def _check_blocks(blocks, n_layers: int) -> None:
-    seen: list[int] = []
-    for members in blocks.values():
-        members = sorted(members)
-        if members and members != list(range(members[0], members[-1] + 1)):
-            raise ValueError("blocks must cover contiguous layer ranges")
-        seen.extend(members)
-    if sorted(seen) != list(range(n_layers)):
-        raise ValueError("blocks must cover every layer exactly once")
-
-
 def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
-             momentum: float = 0.9, eps: float = 1e-5, n_blocks: int = 5,
-             seed: int = 0) -> Network:
+             momentum: float = 0.9, eps: float = 1e-5, seed: int = 0
+             ) -> Network:
     """He-initialized MLP: [Linear, BN, ReLU] per hidden width, then a Linear head."""
     rng = np.random.default_rng(seed)
     layers: list = []
@@ -157,7 +137,7 @@ def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
         fan_in = width
     w = rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, classes))
     layers.append(Linear(w, np.zeros(classes)))
-    return Network(layers, n_blocks=n_blocks)
+    return Network(layers)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 from .nn import Array, Network
 
 GRANULARITIES = ("layer", "block", "entire")
-ORDERS = ("backward", "forward")
 # top-K input is read in chunks of this many times the buffer capacity
 CHUNK_FACTOR = 16
 
@@ -25,7 +24,7 @@ CHUNK_FACTOR = 16
 @dataclass
 class PruneSchedule:
     granularity: str = "block"
-    order: str = "backward"
+    blocks: int = 5             # groups of prunable tensors at block granularity
     interval: int = 10          # fine-tuning rounds between two prunes
     stop_round: int = 100       # last round on which pruning may happen
     growth_fraction: float = 0.15
@@ -33,8 +32,8 @@ class PruneSchedule:
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be one of {ORDERS}")
+        if self.blocks < 1:
+            raise ValueError("blocks must be at least 1")
         if self.interval < 1:
             raise ValueError("pruning interval must be positive")
         if self.stop_round < self.interval:
@@ -218,37 +217,28 @@ def apply_plan(mask_slice: Array, plan: GrowPrunePlan,
     return mask, weights
 
 
-def eligible_layer_order(net: Network, order: str) -> list[str]:
-    keys = list(net.prunable_keys())
-    return list(reversed(keys)) if order == "backward" else keys
-
-
 def target_layers(round_index: int, schedule: PruneSchedule,
                   net: Network) -> list[str]:
     """Prunable parameter keys adjusted in this round.
 
     Pruning happens on rounds that are multiples of the interval, up to and
-    including the stop round. Block granularity cycles through the network's
-    block partition (backward = highest block first); layer granularity
-    cycles through the eligible layers one at a time; entire targets all of
-    them every pruning round.
+    including the stop round. The prunable keys, in layer order, are cut
+    into G contiguous, equal-as-possible groups: one per key at layer
+    granularity, ``min(blocks, #keys)`` at block granularity, one at entire.
+    Pruning round k (0-based) targets group ``G - 1 - (k mod G)``, so the
+    last group goes first and every pruning round targets a tensor; keys
+    within a group stay in layer order.
     """
     if round_index < 1:
         raise ValueError("rounds are 1-based")
     if round_index % schedule.interval != 0 or round_index > schedule.stop_round:
         return []
+    keys = net.prunable_keys()
+    if not keys:
+        return []
+    n_groups = {"layer": len(keys), "block": min(schedule.blocks, len(keys)),
+                "entire": 1}[schedule.granularity]
     ordinal = round_index // schedule.interval - 1  # 0-based pruning counter
-    if schedule.granularity == "entire":
-        return list(net.prunable_keys())
-    if schedule.granularity == "layer":
-        ordered = eligible_layer_order(net, schedule.order)
-        if not ordered:
-            return []
-        return [ordered[ordinal % len(ordered)]]
-    block_ids = sorted(net.blocks)
-    if schedule.order == "backward":
-        block_ids = list(reversed(block_ids))
-    block = block_ids[ordinal % len(block_ids)]
-    members = set(net.blocks[block])
-    return [key for key in net.prunable_keys()
-            if net.layer_of_key(key) in members]
+    group = np.array_split(np.arange(len(keys)), n_groups)[
+        n_groups - 1 - ordinal % n_groups]
+    return [keys[i] for i in group]

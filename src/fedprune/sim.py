@@ -64,7 +64,6 @@ class ExperimentConfig:
     dev_ratio: float = 0.1
     # model
     hidden: tuple = (64, 64, 64)
-    blocks: int = 5
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
     # training
@@ -79,7 +78,7 @@ class ExperimentConfig:
     pool_size: int = 0                # 0 -> 0.1 / density
     pool_noise: float = 0.5
     granularity: str = "block"
-    order: str = "backward"
+    blocks: int = 5
     interval: int = 10
     stop_round: int = 100
     growth_fraction: float = 0.15
@@ -137,7 +136,7 @@ class ExperimentConfig:
             raise ConfigError(issues)
 
     def schedule(self) -> PruneSchedule:
-        return PruneSchedule(granularity=self.granularity, order=self.order,
+        return PruneSchedule(granularity=self.granularity, blocks=self.blocks,
                              interval=self.interval, stop_round=self.stop_round,
                              growth_fraction=self.growth_fraction)
 
@@ -266,7 +265,7 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
 
     net = make_mlp(ds.dim, list(cfg.hidden), ds.classes,
                    momentum=cfg.bn_momentum, eps=cfg.bn_eps,
-                   n_blocks=cfg.blocks, seed=_subseed(cfg.seed, _T_MODEL))
+                   seed=_subseed(cfg.seed, _T_MODEL))
     if cfg.pretrain_epochs > 0:
         pretrain_server(net, server_set, cfg.pretrain_epochs, cfg.lr,
                         cfg.batch_size, seed=_subseed(cfg.seed, _T_PRETRAIN))
@@ -555,7 +554,7 @@ CKPT_VERSION = 1
 def save_checkpoint(path, net: Network, mask: Mask | None,
                     extra: dict | None = None) -> None:
     """Versioned JSON snapshot: layer structure, parameter values, BN moving
-    statistics, block partition, and the mask."""
+    statistics, and the mask."""
     layers = []
     for layer in net.layers:
         if layer.kind == "linear":
@@ -571,7 +570,6 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
     record = {
         "version": CKPT_VERSION,
         "layers": layers,
-        "blocks": {str(b): ix for b, ix in net.blocks.items()},
         "params": {key: {"shape": list(p.shape),
                          "data": p.reshape(-1).tolist()}
                    for key, p in net.params().items()},
@@ -608,8 +606,7 @@ def load_checkpoint(path):
                 momentum=spec["momentum"], eps=spec["eps"])))
         else:
             layers.append(ReLU())
-    blocks = {int(b): ix for b, ix in record["blocks"].items()}
-    net = Network(layers, blocks=blocks)
+    net = Network(layers)
     for key, entry in record["params"].items():
         net.set_param(key, np.array(entry["data"],
                                     dtype=np.float64).reshape(entry["shape"]))

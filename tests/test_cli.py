@@ -77,6 +77,33 @@ def test_unknown_section_rejected(tmp_path):
         parse_config(path)
 
 
+def test_pruning_blocks_round_trip(tmp_path):
+    path = tmp_path / "blocks.ini"
+    path.write_text("[pruning]\nblocks = 3\n")
+    cfg = parse_config(path)
+    assert cfg.blocks == 3
+    text = serialize_config(cfg)
+    assert "blocks = 3" in text.split("[pruning]")[1].split("[run]")[0]
+    again = tmp_path / "again.ini"
+    again.write_text(text)
+    assert parse_config(again) == cfg
+
+
+def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
+    out = str(tmp_path / "out")
+    for i, text in enumerate(("[pruning]\norder = forward\n",
+                              "[pruning]\norder = backward\n",
+                              "[model]\nblocks = 5\n")):
+        path = tmp_path / f"bad{i}.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", out]) == 2
+    for override in ("order=forward", "pruning.order=backward",
+                     "model.blocks=3"):
+        assert main(["run", "--config", str(config_file), "--out", out,
+                     "--set", override]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_overrides_bare_and_sectioned():
     cfg = ExperimentConfig()
     apply_overrides(cfg, ["density=0.01", "training.lr=0.1",

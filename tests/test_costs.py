@@ -191,7 +191,7 @@ def test_peak_flops_unknown_tag():
 
 def test_collection_pass_cost_bounded_by_dense_forward():
     # the measured extra pruning-round cost stays within one dense forward
-    net = make_mlp(16, [64, 64, 64], 10, n_blocks=5, seed=0)
+    net = make_mlp(16, [64, 64, 64], 10, seed=0)
     mask = random_mask(net, 0.05, seed=1)
     f_d = forward_flops(net, None, batch=64)
     for key in net.prunable_keys():

@@ -11,7 +11,6 @@ from fedprune.nn import (
     ReLU,
     backward,
     cross_entropy,
-    default_blocks,
     forward,
     make_mlp,
     sgd_step,
@@ -228,14 +227,6 @@ def test_update_bn_stats_accepts_singleton_batch():
 
 
 # -- structure --------------------------------------------------------------
-
-def test_default_blocks_partition():
-    blocks = default_blocks(10, 5)
-    assert sorted(i for ix in blocks.values() for i in ix) == list(range(10))
-    assert len(blocks) == 5
-    blocks = default_blocks(3, 5)
-    assert len(blocks) == 3
-
 
 def test_prunable_excludes_first_and_last_linear():
     net = make_mlp(4, [8, 8, 8], 3, seed=0)

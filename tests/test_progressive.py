@@ -11,7 +11,6 @@ from fedprune.progressive import (
     TopKBuffer,
     aggregate_topk,
     apply_plan,
-    eligible_layer_order,
     plan_grow_prune,
     pruning_number,
     target_layers,
@@ -100,16 +99,10 @@ TIE_GRID = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
 
 
 def schedule(**kw):
-    base = dict(granularity="block", order="backward", interval=10,
+    base = dict(granularity="block", interval=10,
                 stop_round=100, growth_fraction=0.15)
     base.update(kw)
     return PruneSchedule(**base)
-
-
-def block_of(net, key):
-    """The block holding the layer of parameter ``key``."""
-    layer = net.layer_of_key(key)
-    return next(b for b, members in net.blocks.items() if layer in members)
 
 
 # -- pruning_number -----------------------------------------------------------
@@ -424,44 +417,54 @@ def test_plan_validates_disjointness():
 # -- target_layers -----------------------------------------------------------------
 
 def test_block_backward_cycles_from_last_block():
-    # 5 blocks over a 4-linear-layer MLP; eligible weights sit in two blocks
-    net = make_mlp(8, [8, 8, 8], 4, n_blocks=5, seed=0)
+    # 2 prunable keys, so blocks=5 makes min(5, 2) = 2 groups of one key
+    net = make_mlp(8, [8, 8, 8], 4, seed=0)
+    k0, k1 = net.prunable_keys()
     sched = schedule(interval=10, stop_round=100)
-    eligible = set(net.prunable_keys())
-    hit: list[str] = []
-    blocks_seen = []
+    targeted = []
     for r in range(1, 101):
         keys = target_layers(r, sched, net)
         if r % 10 != 0:
             assert keys == []
         else:
-            hit.extend(keys)
-            blocks_seen.append({block_of(net, k) for k in keys})
-    # 10 pruning rounds cycling blocks 5,4,3,2,1,5,4,3,2,1
-    assert len(blocks_seen) == 10
-    # within one full block cycle every eligible layer was targeted once
-    from collections import Counter
-    counts = Counter(hit)
-    assert set(counts) == eligible
-    assert all(v == 2 for v in counts.values())  # two full cycles
+            targeted.append(keys)
+    # every one of the 10 pruning rounds targets a tensor, last group first
+    assert targeted == [[k1], [k0]] * 5
 
 
 def test_block_order_is_backward_by_block_id():
-    net = make_mlp(8, [8, 8, 8], 4, n_blocks=5, seed=0)
-    sched = schedule(interval=1, stop_round=5)
-    order = []
-    for r in range(1, 6):
-        keys = target_layers(r, sched, net)
-        order.append([block_of(net, k) for k in keys])
-    flat = [b for bs in order for b in set(bs)]
-    # only blocks containing eligible layers appear, in descending block order
-    assert flat == sorted(flat, reverse=True)
+    # 5 prunable keys in 3 groups: [k0, k1], [k2, k3], [k4]
+    net = make_mlp(8, [8] * 6, 4, seed=0)
+    keys = net.prunable_keys()
+    sched = schedule(blocks=3, interval=1, stop_round=6)
+    order = [target_layers(r, sched, net) for r in range(1, 7)]
+    assert all(order)  # no pruning round is empty
+    groups = [[keys[4]], [keys[2], keys[3]], [keys[0], keys[1]]]
+    assert order == groups * 2  # descending groups, keys in layer order
+
+
+def test_blocks_cut_prunable_keys_into_contiguous_groups():
+    net = make_mlp(8, [8] * 6, 4, seed=0)
+    k = list(net.prunable_keys())
+    assert len(k) == 5
+
+    def rounds(**kw):
+        sched = schedule(interval=1, stop_round=10, **kw)
+        return [target_layers(r, sched, net) for r in range(1, 11)]
+
+    # groups [k0, k1, k2] and [k3, k4], the last one first
+    assert rounds(blocks=2) == [k[3:], k[:3]] * 5
+    layer = rounds(granularity="layer")
+    assert layer == [[key] for key in reversed(k)] * 2
+    for blocks in (5, 6, 50):
+        assert rounds(blocks=blocks) == layer
+    assert rounds(granularity="entire") == [k] * 10
 
 
 def test_layer_granularity_cycles_each_layer_once():
-    net = make_mlp(8, [8, 8, 8], 4, n_blocks=5, seed=0)
+    net = make_mlp(8, [8, 8, 8], 4, seed=0)
     sched = schedule(granularity="layer", interval=5, stop_round=100)
-    eligible = eligible_layer_order(net, "backward")
+    eligible = list(reversed(net.prunable_keys()))
     seen = []
     for r in range(1, 5 * len(eligible) + 1):
         keys = target_layers(r, sched, net)
@@ -471,21 +474,23 @@ def test_layer_granularity_cycles_each_layer_once():
 
 
 def test_entire_targets_every_eligible_layer():
-    net = make_mlp(8, [8, 8, 8], 4, n_blocks=5, seed=0)
+    net = make_mlp(8, [8, 8, 8], 4, seed=0)
     sched = schedule(granularity="entire", interval=10, stop_round=100)
     assert target_layers(10, sched, net) == list(net.prunable_keys())
 
 
 def test_no_pruning_after_stop():
-    net = make_mlp(8, [8, 8, 8], 4, n_blocks=5, seed=0)
+    net = make_mlp(8, [8, 8, 8], 4, seed=0)
     sched = schedule(interval=10, stop_round=100)
     assert target_layers(110, sched, net) == []
-    assert target_layers(90, sched, net) != []  # block 2 holds an eligible layer
+    assert target_layers(90, sched, net) != []  # every pruning round targets
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
         PruneSchedule(granularity="weird")
+    with pytest.raises(ValueError):
+        PruneSchedule(blocks=0)
     with pytest.raises(ValueError):
         PruneSchedule(interval=10, stop_round=5)
     with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from fedprune.data import make_blobs
 from fedprune.masking import keep_budget
 from fedprune.nn import forward, make_mlp
+from fedprune.progressive import target_layers
 from fedprune.sim import (
     ConfigError,
     ExperimentConfig,
@@ -111,6 +112,27 @@ def test_pruning_round_conserves_density_exactly():
         if rm.grow_count > 0:
             changed = True
     assert changed  # at least one adjustment actually moved the mask
+
+
+@pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
+def test_every_pruning_round_of_a_long_run_adjusts(algorithm):
+    cfg = tiny_config(algorithm=algorithm, granularity="block", rounds=100,
+                      interval=10, stop_round=100, local_epochs=1)
+    state = setup_experiment(cfg)
+    total = state.mask.counts()[1]
+    grown = []
+    for r in range(1, 101):
+        rm = run_round(state, r)
+        assert state.mask.counts() == (keep_budget(cfg.density, total), total)
+        assert rm.buffer_violations == 0
+        assert rm.grow_count == rm.drop_count
+        for counts in rm.layers.values():
+            assert counts["grow"] == counts["drop"]
+        if r % 10 == 0:
+            assert target_layers(r, cfg.schedule(), state.net)
+            grown.append(rm.grow_count)
+    # round 100's cosine count floors to 0 at this size
+    assert len(grown) == 10 and all(g > 0 for g in grown[:9])
 
 
 def test_single_client_aggregation_is_identity():
