@@ -297,8 +297,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
         net = apply_mask(net, mask)
 
     # activation memory of the largest training batch (linear in the batch)
-    act = costs.activation_bytes(net, min(cfg.batch_size, len(clients[0])),
-                                 cfg.bits)
+    largest = max(len(client) for client in clients)
+    act = costs.activation_bytes(net, min(cfg.batch_size, largest), cfg.bits)
 
     return ExperimentState(
         cfg=cfg, net=net, mask=mask, clients=clients, test_set=test_set,

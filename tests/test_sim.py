@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fedprune import costs
 from fedprune.data import make_blobs
 from fedprune.masking import keep_budget
 from fedprune.nn import forward, make_mlp
@@ -171,6 +172,18 @@ def test_masks_keep_the_whole_budget_after_setup():
                                              density=density))
         kept, total = state.mask.counts()
         assert kept == keep_budget(density, total)
+
+
+def test_activation_memory_is_sized_by_the_largest_client():
+    # client 0 holds 4 samples, fewer than a batch; others hold up to 77
+    cfg = tiny_config(algorithm="FedTiny", alpha=0.3, seed=3, batch_size=32)
+    state = setup_experiment(cfg)
+    sizes = [len(client) for client in state.clients]
+    assert sizes[0] < cfg.batch_size < max(sizes)
+    assert state.act_bytes == costs.activation_bytes(state.net,
+                                                     cfg.batch_size, cfg.bits)
+    assert state.act_bytes > costs.activation_bytes(state.net, sizes[0],
+                                                    cfg.bits)
 
 
 def test_dense_fedavg_learns_blobs():
