@@ -138,7 +138,7 @@ def write_manifest(run_dir: Path, cfg: ExperimentConfig,
         "overrides": list(overrides),
         "resolved": {"seed": cfg.seed,
                      "pool_size": (cfg.resolved_pool_size()
-                                   if cfg.algorithm != "DenseFedAvg" else 0)},
+                                   if cfg.algorithm in POOL_ALGS else 0)},
         "artifacts": artifacts,
     }
     path = run_dir / "manifest.json"

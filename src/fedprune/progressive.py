@@ -24,7 +24,7 @@ CHUNK_FACTOR = 16
 @dataclass
 class PruneSchedule:
     granularity: str = "block"
-    blocks: int = 5             # groups of prunable tensors at block granularity
+    blocks: int = 5             # prunable-tensor groups at block granularity
     interval: int = 10          # fine-tuning rounds between two prunes
     stop_round: int = 100       # last round on which pruning may happen
     growth_fraction: float = 0.15

@@ -590,9 +590,16 @@ def load_checkpoint(path):
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         raise ValueError(f"unreadable checkpoint {path}: {err}")
+    if not isinstance(record, dict):
+        raise ValueError(f"unreadable checkpoint {path}: not a JSON object")
     if record.get("version") != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version "
                          f"{record.get('version')!r}")
+    missing = [k for k in ("layers", "params", "bn_stats", "mask")
+               if k not in record]
+    if missing:
+        raise ValueError(f"unreadable checkpoint {path}: missing "
+                         f"{', '.join(missing)}")
     layers = []
     bn_stats = iter(record["bn_stats"])
     for spec in record["layers"]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,13 @@ def test_cmd_run_writes_artifacts(config_file, tmp_path):
     # no candidate pool, so nothing to record
     assert not (run_dir / "selection.json").exists()
     assert "selection" not in manifest["artifacts"]
+    assert manifest["resolved"]["pool_size"] == 0
+    rc = main(["run", "--config", str(config_file), "--out", str(out),
+               "--set", "algorithm=StaticMagnitude"])
+    assert rc == 0
+    run_dir = out / run_id(replace(cfg, algorithm="StaticMagnitude"))
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["resolved"]["pool_size"] == 0
 
 
 @pytest.mark.parametrize("algorithm, method", [("AdaptiveBNOnly", "adaptive"),
@@ -156,6 +164,7 @@ def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
     manifest = json.loads((runs[0] / "manifest.json").read_text())
     ckpt = json.loads((runs[0] / "final.ckpt").read_text())
     assert manifest["artifacts"]["selection"] == "selection.json"
+    assert manifest["resolved"]["pool_size"] == 5
     assert record["method"] == method
     assert [c["id"] for c in record["candidates"]] == [0, 1, 2, 3, 4]
     losses = {c["id"]: c["dev_loss"] for c in record["candidates"]}
@@ -342,3 +351,33 @@ def test_cmd_cost_corrupt_checkpoint(tmp_path):
     bad.write_text("{broken")
     rc = main(["cost", "--ckpt", str(bad)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"version": 1}'])
+def test_cmd_cost_rejects_json_that_is_not_a_checkpoint(tmp_path, capsys,
+                                                         text):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(text)
+    assert main(["cost", "--ckpt", str(bad)]) == 1
+    assert "error: unreadable checkpoint" in capsys.readouterr().err
+
+
+def test_cmd_cost_reads_a_checkpoint_with_a_block_partition(config_file,
+                                                             tmp_path):
+    # checkpoints written before the schedule moved to prunable tensors
+    # carry a "blocks" record; the loader ignores it
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_file), "--out", str(out)])
+    ckpt = next(out.glob("*/final.ckpt"))
+    record = json.loads(ckpt.read_text())
+    record["blocks"] = {"1": [0, 1], "2": [2, 3], "3": [4, 5], "4": [6, 7],
+                        "5": [8, 9]}
+    old = tmp_path / "old.ckpt"
+    old.write_text(json.dumps(record))
+    assert main(["cost", "--ckpt", str(old), "--out",
+                 str(tmp_path / "cost.json")]) == 0
+    from fedprune.sim import load_checkpoint
+    net, mask, _ = load_checkpoint(old)
+    again, again_mask, _ = load_checkpoint(ckpt)
+    assert net.prunable_keys() == again.prunable_keys()
+    assert mask.counts() == again_mask.counts()
