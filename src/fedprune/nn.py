@@ -69,7 +69,7 @@ class Network:
     Parameter tensors are addressed by string keys ``"<layer_index>.<name>"``.
     BN parameters, biases, and the first and last linear layers are excluded
     from pruning; ``prunable_keys()`` lists the weight tensors that remain,
-    in layer order. The pruning schedule groups these keys, not the layers.
+    in layer order, and the pruning schedule groups these keys.
     """
 
     def __init__(self, layers):

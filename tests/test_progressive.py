@@ -99,8 +99,8 @@ TIE_GRID = np.array([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
 
 
 def schedule(**kw):
-    base = dict(granularity="block", interval=10,
-                stop_round=100, growth_fraction=0.15)
+    base = dict(granularity="block", interval=10, stop_round=100,
+                growth_fraction=0.15)
     base.update(kw)
     return PruneSchedule(**base)
 
@@ -484,6 +484,12 @@ def test_no_pruning_after_stop():
     sched = schedule(interval=10, stop_round=100)
     assert target_layers(110, sched, net) == []
     assert target_layers(90, sched, net) != []  # every pruning round targets
+
+
+def test_network_without_prunable_tensors_targets_nothing():
+    net = make_mlp(8, [8], 4, seed=0)  # first and last linear only
+    for granularity in ("layer", "block", "entire"):
+        assert target_layers(10, schedule(granularity=granularity), net) == []
 
 
 def test_schedule_validation():
