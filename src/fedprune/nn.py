@@ -4,6 +4,11 @@ Feed-forward chains of linear, ReLU, and batch-normalization layers over
 float64 numpy arrays. Networks are plain values: ``clone()`` yields a fully
 independent copy, every operation is a deterministic function of its inputs,
 and eval-mode passes never mutate state.
+
+The passes compute in place only on arrays they allocated themselves: never
+on the caller's batch, an array cached for ``backward`` or a ``BNState``
+array. Each in-place operation is the same floating-point operation, in the
+same order, as the expression it replaces, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ def forward(net: Network, batch, mode: str = "train"):
     Train mode normalizes BN layers with batch statistics and advances the
     moving statistics; eval mode uses the stored statistics and mutates
     nothing. Returns ``(logits, cache)`` where the cache feeds ``backward``
-    (``None`` in eval mode).
+    (``None`` in eval mode). The batch itself is never written.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -160,22 +165,30 @@ def forward(net: Network, batch, mode: str = "train"):
     if x.shape[0] < 2:
         raise ValueError("train-mode batches need at least 2 samples")
     cache: list = []
+    own = False  # x was allocated by this pass and is not cached
     for layer in net.layers:
         if layer.kind == "linear":
             cache.append((x,))
-            x = x @ layer.weight + layer.bias
+            x = x @ layer.weight
+            x += layer.bias
+            own = True
         elif layer.kind == "relu":
+            # the output is positive exactly where the input is, so
+            # backward can read its mask from the output
+            x = np.maximum(x, 0.0, out=x if own else None)
             cache.append((x,))
-            x = np.maximum(x, 0.0)
+            own = False
         else:  # batchnorm
             st = layer.state
-            mu, centred, var = batch_stats(x)
+            mu, xhat, var = batch_stats(x)
             inv = 1.0 / np.sqrt(var + st.eps)
-            xhat = centred * inv
+            xhat *= inv
             st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
             st.var = st.momentum * st.var + (1.0 - st.momentum) * var
             cache.append((xhat, inv))
-            x = st.scale * xhat + st.shift
+            x = xhat * st.scale
+            x += st.shift
+            own = True
     return x, cache
 
 
@@ -203,9 +216,10 @@ def bn_stats(net: Network) -> list[tuple[Array, Array]]:
 
 def batch_stats(x: Array) -> tuple[Array, Array, Array]:
     """Per-feature batch mean, the centred batch, and the biased batch
-    variance. The variance reuses the centred batch; it is bit-identical to
-    ``x.var(axis=0)``."""
-    mu = x.mean(axis=0)
+    variance. The mean is the sum and division ``x.mean(axis=0)`` runs, and
+    the variance reuses the centred batch; they are bit-identical to
+    ``x.mean(axis=0)`` and ``x.var(axis=0)``."""
+    mu = np.add.reduce(x, axis=0) / x.shape[0]
     centred = x - mu
     return mu, centred, np.add.reduce(centred * centred, axis=0) / x.shape[0]
 
@@ -215,40 +229,50 @@ def refresh_pass(layers, x: Array, stats: list) -> Array:
     normalizes with batch statistics and advances its moving statistics.
     ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
     order; each pair is replaced by the advanced one, and no layer is
-    changed. Returns the output of the last layer."""
+    changed. Returns the output of the last layer; ``x`` is never
+    written."""
+    batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = x @ layer.weight
+            x += layer.bias
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
             st = layer.state
-            mu, centred, var = batch_stats(x)
+            mu, x, var = batch_stats(x)
             mean, old_var = stats[j]
             stats[j] = (st.momentum * mean + (1.0 - st.momentum) * mu,
                         st.momentum * old_var + (1.0 - st.momentum) * var)
             j += 1
-            x = st.scale * (centred / np.sqrt(var + st.eps)) + st.shift
+            x /= np.sqrt(var + st.eps)
+            x *= st.scale
+            x += st.shift
     return x
 
 
 def eval_pass(layers, x: Array, stats) -> Array:
     """Eval-mode pass of ``x`` through ``layers``, normalizing every BN layer
     with the matching ``(mean, var)`` pair of ``stats`` in place of the
-    layer's own statistics. Mutates nothing."""
+    layer's own statistics. Mutates nothing, ``x`` included."""
+    batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = x @ layer.weight
+            x += layer.bias
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
             st = layer.state
             mean, var = stats[j]
             j += 1
             inv = 1.0 / np.sqrt(var + st.eps)
-            x = st.scale * ((x - mean) * inv) + st.shift
+            x = x - mean
+            x *= inv
+            x *= st.scale
+            x += st.shift
     return x
 
 
@@ -310,27 +334,38 @@ def backward(net: Network, logits: Array, labels, cache):
         if layer.kind == "linear":
             (x,) = cache[i]
             grads[f"{i}.weight"] = x.T @ delta
-            grads[f"{i}.bias"] = delta.sum(axis=0)
-            delta = delta @ layer.weight.T
+            grads[f"{i}.bias"] = np.add.reduce(delta, axis=0)
+            if i > 0:  # nothing reads the gradient of the network input
+                delta = delta @ layer.weight.T
         elif layer.kind == "relu":
-            (x,) = cache[i]
-            delta = delta * (x > 0.0)
+            (y,) = cache[i]
+            delta *= y > 0.0
         else:
             xhat, inv = cache[i]
             st = layer.state
-            grads[f"{i}.scale"] = (delta * xhat).sum(axis=0)
-            grads[f"{i}.shift"] = delta.sum(axis=0)
-            dxhat = delta * st.scale
             b = xhat.shape[0]
-            delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
-                                 - xhat * (dxhat * xhat).sum(axis=0))
+            tmp = delta * xhat
+            grads[f"{i}.scale"] = np.add.reduce(tmp, axis=0)
+            grads[f"{i}.shift"] = np.add.reduce(delta, axis=0)
+            # delta becomes dxhat, then (inv / b) * (b * dxhat - sum(dxhat)
+            # - xhat * sum(dxhat * xhat)), one operation at a time
+            delta *= st.scale
+            s1 = np.add.reduce(delta, axis=0)
+            np.multiply(delta, xhat, out=tmp)
+            s2 = np.add.reduce(tmp, axis=0)
+            delta *= b
+            delta -= s1
+            np.multiply(xhat, s2, out=tmp)
+            delta -= tmp
+            delta *= inv / b
     return loss, grads
 
 
 def sgd_step(net: Network, grads: dict[str, Array], lr: float,
              mask=None) -> Network:
-    """In-place SGD update: masked tensors follow ``p -= lr * (g * m)`` and
-    keep masked coordinates exactly zero; unmasked tensors update densely."""
+    """In-place SGD update ``p -= lr * g``; a masked tensor then sets its
+    masked coordinates to exactly +0.0. Since ``g * 1 == g`` exactly, this
+    is the update with the masked gradient ``g * m``, bit for bit."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     slices = getattr(mask, "slices", mask) or {}
@@ -338,10 +373,8 @@ def sgd_step(net: Network, grads: dict[str, Array], lr: float,
         g = grads[key]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {key}")
+        p -= lr * g
         m = slices.get(key)
-        if m is None:
-            p -= lr * g
-        else:
-            p -= lr * (g * m)
+        if m is not None:
             p[m == 0] = 0.0
     return net

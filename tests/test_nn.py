@@ -3,16 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from fedprune.masking import apply_mask, random_mask
 from fedprune.nn import (
     BatchNorm,
     BNState,
     Linear,
     Network,
     ReLU,
+    _check_batch,
     backward,
+    bn_stats,
     cross_entropy,
+    eval_pass,
     forward,
+    log_softmax,
     make_mlp,
+    refresh_pass,
     sgd_step,
     update_bn_stats,
 )
@@ -247,3 +253,226 @@ def test_bn_state_validation():
         BNState(np.zeros(2), np.ones(2), eps=0.0)
     with pytest.raises(ValueError):
         BNState(np.zeros(2), -np.ones(2))
+
+
+# -- bitwise oracle -----------------------------------------------------------
+# The straightforward kernels, one new array per operation. The engine's
+# kernels compute in place on arrays they allocate; they must agree with
+# these bit for bit, signs of zero included.
+
+def _ref_forward(net: Network, batch, mode: str = "train"):
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    x = _check_batch(net, batch)
+    if mode == "eval":
+        return _ref_eval_pass(net.layers, x, bn_stats(net)), None
+    if x.shape[0] < 2:
+        raise ValueError("train-mode batches need at least 2 samples")
+    cache: list = []
+    for layer in net.layers:
+        if layer.kind == "linear":
+            cache.append((x,))
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            cache.append((x,))
+            x = np.maximum(x, 0.0)
+        else:  # batchnorm
+            st = layer.state
+            mu, centred, var = _ref_batch_stats(x)
+            inv = 1.0 / np.sqrt(var + st.eps)
+            xhat = centred * inv
+            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
+            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
+            cache.append((xhat, inv))
+            x = st.scale * xhat + st.shift
+    return x, cache
+
+
+def _ref_batch_stats(x):
+    mu = x.mean(axis=0)
+    centred = x - mu
+    return mu, centred, np.add.reduce(centred * centred, axis=0) / x.shape[0]
+
+
+def _ref_refresh_pass(layers, x, stats):
+    j = 0
+    for layer in layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            st = layer.state
+            mu, centred, var = _ref_batch_stats(x)
+            mean, old_var = stats[j]
+            stats[j] = (st.momentum * mean + (1.0 - st.momentum) * mu,
+                        st.momentum * old_var + (1.0 - st.momentum) * var)
+            j += 1
+            x = st.scale * (centred / np.sqrt(var + st.eps)) + st.shift
+    return x
+
+
+def _ref_eval_pass(layers, x, stats):
+    j = 0
+    for layer in layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            st = layer.state
+            mean, var = stats[j]
+            j += 1
+            inv = 1.0 / np.sqrt(var + st.eps)
+            x = st.scale * ((x - mean) * inv) + st.shift
+    return x
+
+
+def _ref_backward(net: Network, logits, labels, cache):
+    if cache is None:
+        raise ValueError("backward needs the cache from a train-mode forward")
+    if len(cache) != len(net.layers):
+        raise ValueError("cache does not match this network")
+    labels = np.asarray(labels)
+    n = logits.shape[0]
+    n_classes = logits.shape[1]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
+
+    logp = log_softmax(logits)
+    loss = float(-logp[np.arange(n), labels].mean())
+    if not np.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grads = {}
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.kind == "linear":
+            (x,) = cache[i]
+            grads[f"{i}.weight"] = x.T @ delta
+            grads[f"{i}.bias"] = delta.sum(axis=0)
+            delta = delta @ layer.weight.T
+        elif layer.kind == "relu":
+            (x,) = cache[i]
+            delta = delta * (x > 0.0)
+        else:
+            xhat, inv = cache[i]
+            st = layer.state
+            grads[f"{i}.scale"] = (delta * xhat).sum(axis=0)
+            grads[f"{i}.shift"] = delta.sum(axis=0)
+            dxhat = delta * st.scale
+            b = xhat.shape[0]
+            delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
+                                 - xhat * (dxhat * xhat).sum(axis=0))
+    return loss, grads
+
+
+def _ref_sgd_step(net: Network, grads, lr: float, mask=None) -> Network:
+    if lr <= 0.0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
+    slices = getattr(mask, "slices", mask) or {}
+    for key, p in net.params().items():
+        g = grads[key]
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape mismatch for {key}")
+        m = slices.get(key)
+        if m is None:
+            p -= lr * g
+        else:
+            p -= lr * (g * m)
+            p[m == 0] = 0.0
+    return net
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def _bn_first_net(rng):
+    return Network([
+        BatchNorm(BNState(rng.normal(size=5), rng.random(5) + 0.5,
+                          scale=rng.normal(size=5), shift=rng.normal(size=5))),
+        Linear(rng.normal(size=(5, 7)), rng.normal(size=7)), ReLU(),
+        Linear(rng.normal(size=(7, 3)), rng.normal(size=3))])
+
+
+def _relu_first_net(rng):
+    return Network([
+        ReLU(), Linear(rng.normal(size=(5, 7)), rng.normal(size=7)),
+        BatchNorm(BNState(np.zeros(7), np.ones(7))), ReLU(),
+        Linear(rng.normal(size=(7, 3)), rng.normal(size=3))])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(17)
+    default = make_mlp(32, [64, 64, 64], 10, seed=3)
+    mask = random_mask(default, 0.05, seed=4)
+    yield "default MLP, 5% mask", apply_mask(default, mask), mask, 64
+    yield ("BN-free MLP", make_mlp(12, [16, 8], 4, batch_norm=False, seed=5),
+           None, 16)
+    yield "1-hidden-layer MLP", make_mlp(6, [9], 3, seed=6), None, 8
+    small = make_mlp(6, [9, 9], 3, seed=7)
+    small_mask = random_mask(small, 0.3, seed=8)
+    yield "batch of 2", apply_mask(small, small_mask), small_mask, 2
+    yield "ReLU first", _relu_first_net(rng), None, 12
+    yield "BN first", _bn_first_net(rng), None, 12
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_kernels_match_reference_bit_for_bit(case):
+    name, net, mask, batch = list(_oracle_cases())[case]
+    ref = net.clone()
+    classes = net.params()[f"{len(net.layers) - 1}.bias"].size
+    rng = np.random.default_rng(case)
+    for step in range(4):
+        x = rng.normal(size=(batch, net.input_dim))
+        y = rng.integers(0, classes, size=batch)
+        x_before = x.copy()
+        logits, cache = forward(net, x, "train")
+        assert_bitwise_equal(x, x_before)
+        ref_logits, ref_cache = _ref_forward(ref, x, "train")
+        assert_bitwise_equal(logits, ref_logits)
+        loss, grads = backward(net, logits, y, cache)
+        ref_loss, ref_grads = _ref_backward(ref, ref_logits, y, ref_cache)
+        assert loss == ref_loss, name
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert_bitwise_equal(grads[key], ref_grads[key])
+        sgd_step(net, grads, 0.05, mask)
+        _ref_sgd_step(ref, ref_grads, 0.05, mask)
+        for key, p in net.params().items():
+            assert_bitwise_equal(p, ref.params()[key])
+        for (_, bn), (_, ref_bn) in zip(net.bn_layers(), ref.bn_layers()):
+            assert_bitwise_equal(bn.state.mean, ref_bn.state.mean)
+            assert_bitwise_equal(bn.state.var, ref_bn.state.var)
+        assert_bitwise_equal(forward(net, x, "eval")[0],
+                             _ref_forward(ref, x, "eval")[0])
+        assert_bitwise_equal(x, x_before)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_refresh_and_eval_passes_match_reference_and_keep_the_input(case):
+    # every tail of the network, as selection runs tails on a shared head's
+    # output; the input must come back unchanged
+    _, net, _, batch = list(_oracle_cases())[case]
+    batch_x = np.random.default_rng(case).normal(size=(batch, net.input_dim))
+    for cut in range(len(net.layers)):
+        head, tail = net.layers[:cut], net.layers[cut:]
+        n_head = sum(layer.kind == "batchnorm" for layer in head)
+        x = _ref_eval_pass(head, batch_x, bn_stats(net)[:n_head])
+        x_before = x.copy()
+        stats = bn_stats(net)[n_head:]
+        ref_stats = list(stats)
+        out = refresh_pass(tail, x, stats)
+        assert_bitwise_equal(out, _ref_refresh_pass(tail, x, ref_stats))
+        for (m, v), (ref_m, ref_v) in zip(stats, ref_stats):
+            assert_bitwise_equal(m, ref_m)
+            assert_bitwise_equal(v, ref_v)
+        assert_bitwise_equal(eval_pass(tail, x, stats),
+                             _ref_eval_pass(tail, x, stats))
+        assert_bitwise_equal(x, x_before)
