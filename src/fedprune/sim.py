@@ -172,7 +172,11 @@ class RoundMetrics:
     clamped: bool = False
     shortfall: int = 0
     buffer_violations: int = 0
-    # per adjusted layer: {key: {"grow": n, "drop": n, "shortfall": n}}
+    # weights the mask keeps, of all prunable weights (all of them if dense)
+    kept: int = 0
+    total: int = 0
+    # per adjusted layer: {key: {"grow": n, "drop": n, "shortfall": n,
+    # "kept": n}}
     layers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def csv_row(self) -> str:
@@ -441,7 +445,7 @@ def adjust(state: ExperimentState, results: list[ClientResult], collect
            ) -> dict[str, dict[str, int]]:
     """Grow/prune every planned layer of the aggregated model: aggregate the
     clients' top-K buffers by sample count, plan, apply. Returns the
-    per-layer grow/drop/shortfall counts."""
+    per-layer grow/drop/shortfall counts and the layer's new kept count."""
     layers: dict[str, dict[str, int]] = {}
     for key, (a, _) in collect.items():
         uploads = [res for res in results if key in res.buffers]
@@ -456,7 +460,8 @@ def adjust(state: ExperimentState, results: list[ClientResult], collect
         state.mask.slices[key] = new_mask
         state.net.params()[key][...] = new_w
         layers[key] = {"grow": len(plan.grow), "drop": len(plan.drop),
-                       "shortfall": plan.shortfall}
+                       "shortfall": plan.shortfall,
+                       "kept": int(new_mask.sum())}
     return layers
 
 
@@ -476,9 +481,15 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
     fedavg(state, results)
     layers = adjust(state, results, collect)
     accuracy, loss = evaluate_global(state.net, state.test_set, cfg.batch_size)
+    if state.mask is not None:
+        kept, total = state.mask.counts()
+    else:
+        kept = total = sum(state.net.params()[key].size
+                           for key in state.net.prunable_keys())
     return RoundMetrics(
         round=round_index, accuracy=accuracy, loss=loss,
         density=state.mask.density() if state.mask is not None else 1.0,
+        kept=kept, total=total,
         targeted=list(collect),
         grow_count=sum(c["grow"] for c in layers.values()),
         drop_count=sum(c["drop"] for c in layers.values()),
@@ -585,7 +596,8 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
 
 
 def load_checkpoint(path):
-    """Rebuild (network, mask, extra) from a checkpoint file."""
+    """Rebuild (network, mask, extra) from a checkpoint file. A file that
+    ``save_checkpoint`` could not have written raises ``ValueError``."""
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
@@ -600,28 +612,67 @@ def load_checkpoint(path):
     if missing:
         raise ValueError(f"unreadable checkpoint {path}: missing "
                          f"{', '.join(missing)}")
-    layers = []
-    bn_stats = iter(record["bn_stats"])
-    for spec in record["layers"]:
-        if spec["kind"] == "linear":
-            shape = spec["shape"]
-            layers.append(Linear(np.zeros(shape), np.zeros(shape[1])))
-        elif spec["kind"] == "batchnorm":
-            stats = next(bn_stats)
-            layers.append(BatchNorm(BNState(
-                np.array(stats["mean"]), np.array(stats["var"]),
-                momentum=spec["momentum"], eps=spec["eps"])))
-        else:
-            layers.append(ReLU())
-    net = Network(layers)
-    for key, entry in record["params"].items():
-        net.set_param(key, np.array(entry["data"],
-                                    dtype=np.float64).reshape(entry["shape"]))
-    mask = None
-    if record["mask"] is not None:
-        slices = {}
-        for key, flat in record["mask"].items():
-            shape = record["params"][key]["shape"]
-            slices[key] = np.array(flat, dtype=np.uint8).reshape(shape)
-        mask = Mask(slices)
+    try:
+        net, mask = _rebuild(record)
+    except (KeyError, OverflowError, TypeError, ValueError) as err:
+        raise ValueError(f"unreadable checkpoint {path}: {err}") from None
     return net, mask, record.get("extra", {})
+
+
+def _rebuild(record: dict) -> tuple[Network, Mask | None]:
+    """The network and mask of a checkpoint record, checking each entry
+    against the layers the record declares."""
+    specs, stats = record["layers"], record["bn_stats"]
+    if not (isinstance(specs, list) and isinstance(stats, list)
+            and isinstance(record["params"], dict)
+            and isinstance(record["mask"], (dict, type(None)))):
+        raise ValueError("layers, params, bn_stats or mask has the wrong type")
+    kinds = [spec.get("kind") if isinstance(spec, dict) else None
+             for spec in specs]
+    if kinds.count("batchnorm") != len(stats):
+        raise ValueError(f"{len(stats)} bn_stats entries for "
+                         f"{kinds.count('batchnorm')} BN layers")
+    layers = []
+    stats = iter(stats)
+    for i, (spec, kind) in enumerate(zip(specs, kinds)):
+        if kind == "linear":
+            shape = spec.get("shape")
+            if not (isinstance(shape, list) and len(shape) == 2
+                    and all(type(d) is int and d > 0 for d in shape)):
+                raise ValueError(f"layer {i}: shape {shape!r} is not two "
+                                 f"positive integers")
+            layers.append(Linear(np.zeros(shape), np.zeros(shape[1])))
+        elif kind == "batchnorm":
+            entry = next(stats)
+            layers.append(BatchNorm(BNState(
+                np.array(entry["mean"]), np.array(entry["var"]),
+                momentum=spec["momentum"], eps=spec["eps"])))
+        elif kind == "relu":
+            layers.append(ReLU())
+        else:
+            raise ValueError(f"layer {i}: unknown kind {kind!r}")
+    net = Network(layers)
+    params = net.params()
+    for key, entry in record["params"].items():
+        value = _tensor("param", key, entry["data"], params, np.float64)
+        if entry["shape"] != list(value.shape):
+            raise ValueError(f"param {key!r}: shape {entry['shape']!r} is "
+                             f"not {list(value.shape)}")
+        net.set_param(key, value)
+    if record["mask"] is None:
+        return net, None
+    return net, Mask({key: _tensor("mask", key, flat, params, np.uint8)
+                      for key, flat in record["mask"].items()})
+
+
+def _tensor(what: str, key: str, flat, params: dict[str, Array], dtype
+            ) -> Array:
+    """The flat checkpoint list ``flat`` as an array shaped like the
+    network's parameter ``key``."""
+    if key not in params:
+        raise ValueError(f"{what} {key!r} is not a parameter of the network")
+    value = np.array(flat, dtype=dtype)
+    if value.shape != (params[key].size,):
+        raise ValueError(f"{what} {key!r}: {value.size} values for shape "
+                         f"{list(params[key].shape)}")
+    return value.reshape(params[key].shape)

@@ -362,6 +362,75 @@ def test_cmd_cost_rejects_json_that_is_not_a_checkpoint(tmp_path, capsys,
     assert "error: unreadable checkpoint" in capsys.readouterr().err
 
 
+def _checkpoint_record(**changes):
+    """A small well-formed checkpoint record, with top-level changes."""
+    record = {
+        "version": 1,
+        "layers": [{"kind": "linear", "shape": [2, 3]},
+                   {"kind": "batchnorm", "features": 3, "momentum": 0.9,
+                    "eps": 1e-5},
+                   {"kind": "relu"},
+                   {"kind": "linear", "shape": [3, 2]}],
+        "params": {"0.weight": {"shape": [2, 3], "data": [0.5] * 6},
+                   "1.scale": {"shape": [3], "data": [2.0] * 3}},
+        "bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}],
+        "mask": {"0.weight": [1, 0, 1, 0, 1, 0]},
+    }
+    record.update(changes)
+    return record
+
+
+def _with_layer(i, spec):
+    layers = _checkpoint_record()["layers"]
+    layers[i] = spec
+    return layers
+
+
+MALFORMED_CHECKPOINTS = {
+    "layer without kind": {"layers": [{}], "params": {}, "bn_stats": [],
+                           "mask": None},
+    "unknown kind": {"layers": _with_layer(2, {"kind": "conv"})},
+    "one-entry shape": {"layers": _with_layer(0, {"kind": "linear",
+                                                  "shape": [2]})},
+    "zero in shape": {"layers": _with_layer(0, {"kind": "linear",
+                                                "shape": [0, 3]})},
+    "fractional shape": {"layers": _with_layer(0, {"kind": "linear",
+                                                   "shape": [2.5, 3]})},
+    "extra bn_stats": {"bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}] * 2},
+    "missing bn_stats": {"bn_stats": []},
+    "param not in the network": {"params": {"5.weight": {"shape": [2, 3],
+                                                         "data": [0.5] * 6}}},
+    "param of a ReLU layer": {"params": {"2.weight": {"shape": [2, 3],
+                                                      "data": [0.5] * 6}}},
+    "param data too short": {"params": {"0.weight": {"shape": [2, 3],
+                                                     "data": [0.5] * 5}}},
+    "mask of no param": {"mask": {"9.weight": [1] * 6}},
+    "mask too long": {"mask": {"0.weight": [1, 0] * 4}},
+    "negative mask entry": {"mask": {"0.weight": [1, -1, 1, 0, 1, 0]}},
+}
+
+
+def test_cmd_cost_reads_the_well_formed_record(tmp_path):
+    ckpt = tmp_path / "ok.ckpt"
+    ckpt.write_text(json.dumps(_checkpoint_record()))
+    assert main(["cost", "--ckpt", str(ckpt), "--out",
+                 str(tmp_path / "cost.json")]) == 0
+    from fedprune.sim import load_checkpoint
+    net, mask, _ = load_checkpoint(ckpt)
+    assert net.params()["1.scale"].tolist() == [2.0] * 3
+    assert mask.counts() == (3, 6)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_cmd_cost_rejects_a_malformed_checkpoint_record(tmp_path, capsys,
+                                                        case):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_text(json.dumps(_checkpoint_record(
+        **MALFORMED_CHECKPOINTS[case])))
+    assert main(["cost", "--ckpt", str(bad)]) == 1
+    assert "error: unreadable checkpoint" in capsys.readouterr().err
+
+
 def test_cmd_cost_reads_a_checkpoint_with_a_block_partition(config_file,
                                                              tmp_path):
     # checkpoints written before the schedule moved to prunable tensors

@@ -9,6 +9,7 @@ from fedprune.masking import keep_budget
 from fedprune.nn import forward, make_mlp
 from fedprune.progressive import target_layers
 from fedprune.sim import (
+    ALGORITHMS,
     ConfigError,
     ExperimentConfig,
     _client_update,
@@ -125,10 +126,12 @@ def test_every_pruning_round_of_a_long_run_adjusts(algorithm):
     for r in range(1, 101):
         rm = run_round(state, r)
         assert state.mask.counts() == (keep_budget(cfg.density, total), total)
+        assert (rm.kept, rm.total) == state.mask.counts()
         assert rm.buffer_violations == 0
         assert rm.grow_count == rm.drop_count
-        for counts in rm.layers.values():
+        for key, counts in rm.layers.items():
             assert counts["grow"] == counts["drop"]
+            assert counts["kept"] == state.mask.slices[key].sum()
         if r % 10 == 0:
             assert target_layers(r, cfg.schedule(), state.net)
             grown.append(rm.grow_count)
@@ -343,6 +346,31 @@ def test_per_layer_counts_sum_to_round_totals(tmp_path):
         for field, total in (("grow", "grow_count"), ("drop", "drop_count"),
                              ("shortfall", "shortfall")):
             assert sum(c[field] for c in rec["layers"].values()) == rec[total]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_metrics_record_kept_counts(tmp_path, algorithm):
+    # the density budget can be checked from metrics.jsonl alone
+    cfg = tiny_config(algorithm=algorithm, granularity="entire", interval=1,
+                      rounds=4)
+    metrics, state = run_experiment(cfg, out_dir=tmp_path)
+    records = [json.loads(line) for line in
+               (tmp_path / "metrics.jsonl").read_text().splitlines()]
+    n = sum(state.net.params()[key].size for key in state.net.prunable_keys())
+    for rm, rec in zip(metrics, records):
+        assert (rec["kept"], rec["total"]) == (rm.kept, rm.total)
+        assert rec["total"] == n
+        if algorithm == "DenseFedAvg":
+            assert rec["kept"] == n
+        else:
+            assert rec["kept"] == keep_budget(cfg.density, n)
+        assert rec["density"] == rec["kept"] / n
+    if algorithm in ("FedTiny", "ProgressiveOnly"):
+        assert all(rec["layers"] for rec in records)
+        # after the last round the checkpoint's mask is the round's mask
+        _, mask, _ = load_checkpoint(tmp_path / "final.ckpt")
+        for key, counts in records[-1]["layers"].items():
+            assert counts["kept"] == mask.slices[key].sum()
 
 
 @pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
