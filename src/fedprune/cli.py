@@ -27,7 +27,7 @@ SECTIONS = {
     "training": ("algorithm", "rounds", "local_epochs", "batch_size", "lr",
                  "pretrain_epochs"),
     "pruning": ("density", "pool_size", "pool_noise", "granularity", "blocks",
-                "interval", "stop_round", "growth_fraction", "aggregate_std"),
+                "interval", "stop_round", "growth_fraction"),
     "run": ("seed", "bits"),
 }
 _FIELD_SECTION = {name: section for section, names in SECTIONS.items()
@@ -222,25 +222,29 @@ def cmd_sweep(args) -> int:
 
 def cmd_cost(args) -> int:
     net, mask, _ = load_checkpoint(args.ckpt)
-    bits = args.bits
+    bits, iters = args.bits, args.local_iters
     storage = costs.model_storage(net, mask, bits)
     dense_bytes = costs.dense_param_bytes(net, bits)
-    sparse_bytes = storage.total_bytes
     act = costs.activation_bytes(net, args.batch, bits)
     f_d = costs.forward_flops(net, None, args.batch)
     f_s = costs.forward_flops(net, mask, args.batch)
     extra = (costs.collection_pass_flops(net, mask, list(net.prunable_keys()),
                                          args.batch) if mask else 0.0)
-    memory = []
-    flops = []
-    for tag in costs.ALGORITHM_TAGS:
-        memory.append(costs.training_memory(tag, dense_bytes, sparse_bytes,
-                                            act, bits))
-        peak = costs.round_peak_flops(
-            tag, f_d, f_s, args.local_iters,
-            extra if tag == costs.ALG_PROGRESSIVE else 0.0)
-        flops.append(costs.FlopsReport(tag, f_d, f_s, args.local_iters, peak))
-    blob = costs.reports_to_json(storage, memory, flops)
+    report = {
+        "storage": storage.to_record(),
+        "memory": [{"algorithm": tag, "param_dense": dense_bytes,
+                    "param_sparse": storage.total_bytes, "activations": act,
+                    "memory_total": costs.training_memory(
+                        tag, dense_bytes, storage.total_bytes, act, bits)}
+                   for tag in costs.ALGORITHM_TAGS],
+        "flops": [{"algorithm": tag, "dense_forward": f_d,
+                   "sparse_forward": f_s, "local_iters": iters,
+                   "flops_peak": costs.round_peak_flops(
+                       tag, f_d, f_s, iters,
+                       extra if tag == costs.ALG_PROGRESSIVE else 0.0)}
+                  for tag in costs.ALGORITHM_TAGS],
+    }
+    blob = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(blob + "\n", encoding="utf-8")
         print(f"report written to {args.out}")

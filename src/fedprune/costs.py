@@ -15,7 +15,6 @@ bits, so an empty tensor costs exactly its fixed index structure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .nn import Network
@@ -178,20 +177,6 @@ def collection_pass_flops(net: Network, mask, targeted: list[str],
     return total
 
 
-@dataclass
-class FlopsReport:
-    algorithm: str
-    dense_forward: float
-    sparse_forward: float
-    local_iters: int
-    peak: float
-
-    def to_record(self) -> dict:
-        return {"algorithm": self.algorithm, "dense_forward": self.dense_forward,
-                "sparse_forward": self.sparse_forward,
-                "local_iters": self.local_iters, "flops_peak": self.peak}
-
-
 def round_peak_flops(algorithm: str, dense_forward: float,
                      sparse_forward: float, local_iters: int,
                      extra: float = 0.0) -> float:
@@ -234,23 +219,9 @@ def activation_bytes(net: Network, batch: int, bits: int = 32) -> float:
     return values * batch * bits / 8.0
 
 
-@dataclass
-class MemoryReport:
-    algorithm: str
-    param_dense: float
-    param_sparse: float
-    activations: float
-    total: float
-
-    def to_record(self) -> dict:
-        return {"algorithm": self.algorithm, "param_dense": self.param_dense,
-                "param_sparse": self.param_sparse,
-                "activations": self.activations, "memory_total": self.total}
-
-
 def training_memory(algorithm: str, param_dense: float, param_sparse: float,
                     activations: float, bits: int = 32,
-                    topk_total: int = 0) -> MemoryReport:
+                    topk_total: int = 0) -> float:
     """Training footprint in bytes per algorithm family:
 
         dense          2*Mp_d + 2*Ma
@@ -261,24 +232,12 @@ def training_memory(algorithm: str, param_dense: float, param_sparse: float,
     if min(param_dense, param_sparse, activations, topk_total) < 0:
         raise ValueError("inputs must be nonnegative")
     if algorithm == ALG_DENSE:
-        total = 2.0 * param_dense + 2.0 * activations
-    elif algorithm == ALG_STATIC_SPARSE:
-        total = 2.0 * param_sparse + 2.0 * activations
-    elif algorithm == ALG_DENSE_SCORES:
-        total = param_dense + param_sparse + 2.0 * activations
-    elif algorithm == ALG_PROGRESSIVE:
-        total = (2.0 * param_sparse + 2.0 * activations
-                 + 3.0 * (bits / 8.0) * topk_total)
-    else:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    return MemoryReport(algorithm, param_dense, param_sparse, activations,
-                        total)
-
-
-def reports_to_json(storage: StorageReport, memory: list[MemoryReport],
-                    flops: list[FlopsReport]) -> str:
-    return json.dumps({
-        "storage": storage.to_record(),
-        "memory": [m.to_record() for m in memory],
-        "flops": [f.to_record() for f in flops],
-    }, indent=2, sort_keys=True)
+        return 2.0 * param_dense + 2.0 * activations
+    if algorithm == ALG_STATIC_SPARSE:
+        return 2.0 * param_sparse + 2.0 * activations
+    if algorithm == ALG_DENSE_SCORES:
+        return param_dense + param_sparse + 2.0 * activations
+    if algorithm == ALG_PROGRESSIVE:
+        return (2.0 * param_sparse + 2.0 * activations
+                + 3.0 * (bits / 8.0) * topk_total)
+    raise ValueError(f"unknown algorithm tag {algorithm!r}")

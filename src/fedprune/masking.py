@@ -81,10 +81,11 @@ class Mask:
 
     def __post_init__(self):
         for key, m in self.slices.items():
-            m = np.asarray(m, dtype=np.uint8)
+            # check before the cast, which would turn 0.5 into 0 and 256 into 0
+            m = np.asarray(m)
             if not np.all((m == 0) | (m == 1)):
                 raise ValueError(f"mask entries for {key} must be 0 or 1")
-            self.slices[key] = m
+            self.slices[key] = m.astype(np.uint8, copy=False)
 
     def nonzeros(self) -> dict[str, int]:
         return {k: int(m.sum()) for k, m in self.slices.items()}
@@ -105,9 +106,9 @@ class Mask:
 @dataclass
 class Candidate:
     """One coarse-pruned model: the drawn per-layer densities (shares of the
-    budget) plus the mask they produced."""
+    budget) plus the mask they produced. A candidate is identified by its
+    position in the pool."""
 
-    id: int
     layer_densities: dict[str, float]
     mask: Mask
 
@@ -177,5 +178,5 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
         counts = allocate_counts(shares, sizes, budget)
         mask = Mask({k: select_support(m, counts[k])
                      for k, m in magnitudes.items()})
-        pool.append(Candidate(cid, shares, mask))
+        pool.append(Candidate(shares, mask))
     return pool

@@ -6,7 +6,7 @@ independent copy, every operation is a deterministic function of its inputs,
 and eval-mode passes never mutate state.
 
 The passes compute in place only on arrays they allocated themselves: never
-on the caller's batch, an array cached for ``backward`` or a ``BNState``
+on the caller's batch, an array cached for ``backward`` or a BN layer's
 array. Each in-place operation is the same floating-point operation, in the
 same order, as the expression it replaces, so results are bit-identical.
 """
@@ -18,31 +18,6 @@ import copy
 import numpy as np
 
 Array = np.ndarray
-
-
-class BNState:
-    """Per-feature moving statistics plus the affine transform of one BN layer.
-
-    ``momentum`` weights the previous moving value, i.e. the moving update is
-    ``mean = momentum * mean + (1 - momentum) * batch_mean``.
-    """
-
-    def __init__(self, mean, var, momentum: float = 0.9, eps: float = 1e-5,
-                 scale=None, shift=None):
-        self.mean = np.asarray(mean, dtype=np.float64).copy()
-        self.var = np.asarray(var, dtype=np.float64).copy()
-        self.momentum = float(momentum)
-        self.eps = float(eps)
-        self.scale = (np.ones_like(self.mean) if scale is None
-                      else np.asarray(scale, dtype=np.float64).copy())
-        self.shift = (np.zeros_like(self.mean) if shift is None
-                      else np.asarray(shift, dtype=np.float64).copy())
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"BN momentum must lie in (0, 1), got {self.momentum}")
-        if self.eps <= 0.0:
-            raise ValueError(f"BN epsilon must be positive, got {self.eps}")
-        if np.any(self.var < 0.0):
-            raise ValueError("BN variance must be nonnegative")
 
 
 class Linear:
@@ -62,10 +37,30 @@ class ReLU:
 
 
 class BatchNorm:
+    """Per-feature moving statistics plus the affine transform of one BN layer.
+
+    ``momentum`` weights the previous moving value, i.e. the moving update is
+    ``mean = momentum * mean + (1 - momentum) * batch_mean``.
+    """
+
     kind = "batchnorm"
 
-    def __init__(self, state: BNState):
-        self.state = state
+    def __init__(self, mean, var, momentum: float = 0.9, eps: float = 1e-5,
+                 scale=None, shift=None):
+        self.mean = np.asarray(mean, dtype=np.float64).copy()
+        self.var = np.asarray(var, dtype=np.float64).copy()
+        self.momentum = float(momentum)
+        self.eps = float(eps)
+        self.scale = (np.ones_like(self.mean) if scale is None
+                      else np.asarray(scale, dtype=np.float64).copy())
+        self.shift = (np.zeros_like(self.mean) if shift is None
+                      else np.asarray(shift, dtype=np.float64).copy())
+        if not 0.0 < self.momentum < 1.0:
+            raise ValueError(f"BN momentum must lie in (0, 1), got {self.momentum}")
+        if self.eps <= 0.0:
+            raise ValueError(f"BN epsilon must be positive, got {self.eps}")
+        if np.any(self.var < 0.0):
+            raise ValueError("BN variance must be nonnegative")
 
 
 class Network:
@@ -99,18 +94,16 @@ class Network:
                 out[f"{i}.weight"] = layer.weight
                 out[f"{i}.bias"] = layer.bias
             elif layer.kind == "batchnorm":
-                out[f"{i}.scale"] = layer.state.scale
-                out[f"{i}.shift"] = layer.state.shift
+                out[f"{i}.scale"] = layer.scale
+                out[f"{i}.shift"] = layer.shift
         return out
 
     def set_param(self, key: str, value: Array) -> None:
         idx, name = key.split(".")
         layer = self.layers[int(idx)]
-        target = layer.state if layer.kind == "batchnorm" else layer
-        current = getattr(target, name)
-        if current.shape != value.shape:
+        if getattr(layer, name).shape != value.shape:
             raise ValueError(f"shape mismatch for {key}")
-        setattr(target, name, np.asarray(value, dtype=np.float64).copy())
+        setattr(layer, name, np.asarray(value, dtype=np.float64).copy())
 
     def prunable_keys(self) -> tuple[str, ...]:
         return self._prunable
@@ -136,8 +129,8 @@ def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
         layers.append(Linear(w, np.zeros(width)))
         if batch_norm:
-            layers.append(BatchNorm(BNState(np.zeros(width), np.ones(width),
-                                            momentum=momentum, eps=eps)))
+            layers.append(BatchNorm(np.zeros(width), np.ones(width),
+                                    momentum=momentum, eps=eps))
         layers.append(ReLU())
         fan_in = width
     w = rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, classes))
@@ -179,15 +172,15 @@ def forward(net: Network, batch, mode: str = "train"):
             cache.append((x,))
             own = False
         else:  # batchnorm
-            st = layer.state
             mu, xhat, var = batch_stats(x)
-            inv = 1.0 / np.sqrt(var + st.eps)
+            inv = 1.0 / np.sqrt(var + layer.eps)
             xhat *= inv
-            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
-            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
+            m = layer.momentum
+            layer.mean = m * layer.mean + (1.0 - m) * mu
+            layer.var = m * layer.var + (1.0 - m) * var
             cache.append((xhat, inv))
-            x = xhat * st.scale
-            x += st.shift
+            x = xhat * layer.scale
+            x += layer.shift
             own = True
     return x, cache
 
@@ -205,13 +198,13 @@ def update_bn_stats(net: Network, batch) -> None:
     stats = bn_stats(net)
     refresh_pass(net.layers, x, stats)
     for (_, bn), (mean, var) in zip(net.bn_layers(), stats):
-        bn.state.mean, bn.state.var = mean, var
+        bn.mean, bn.var = mean, var
 
 
 def bn_stats(net: Network) -> list[tuple[Array, Array]]:
     """The ``(mean, var)`` moving statistics of every BN layer, in order
     (live references, not copies)."""
-    return [(bn.state.mean, bn.state.var) for _, bn in net.bn_layers()]
+    return [(bn.mean, bn.var) for _, bn in net.bn_layers()]
 
 
 def batch_stats(x: Array) -> tuple[Array, Array, Array]:
@@ -240,15 +233,14 @@ def refresh_pass(layers, x: Array, stats: list) -> Array:
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
-            st = layer.state
             mu, x, var = batch_stats(x)
             mean, old_var = stats[j]
-            stats[j] = (st.momentum * mean + (1.0 - st.momentum) * mu,
-                        st.momentum * old_var + (1.0 - st.momentum) * var)
+            m = layer.momentum
+            stats[j] = (m * mean + (1.0 - m) * mu, m * old_var + (1.0 - m) * var)
             j += 1
-            x /= np.sqrt(var + st.eps)
-            x *= st.scale
-            x += st.shift
+            x /= np.sqrt(var + layer.eps)
+            x *= layer.scale
+            x += layer.shift
     return x
 
 
@@ -265,14 +257,13 @@ def eval_pass(layers, x: Array, stats) -> Array:
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
-            st = layer.state
             mean, var = stats[j]
             j += 1
-            inv = 1.0 / np.sqrt(var + st.eps)
+            inv = 1.0 / np.sqrt(var + layer.eps)
             x = x - mean
             x *= inv
-            x *= st.scale
-            x += st.shift
+            x *= layer.scale
+            x += layer.shift
     return x
 
 
@@ -342,14 +333,13 @@ def backward(net: Network, logits: Array, labels, cache):
             delta *= y > 0.0
         else:
             xhat, inv = cache[i]
-            st = layer.state
             b = xhat.shape[0]
             tmp = delta * xhat
             grads[f"{i}.scale"] = np.add.reduce(tmp, axis=0)
             grads[f"{i}.shift"] = np.add.reduce(delta, axis=0)
             # delta becomes dxhat, then (inv / b) * (b * dxhat - sum(dxhat)
             # - xhat * sum(dxhat * xhat)), one operation at a time
-            delta *= st.scale
+            delta *= layer.scale
             s1 = np.add.reduce(delta, axis=0)
             np.multiply(delta, xhat, out=tmp)
             s2 = np.add.reduce(tmp, axis=0)

@@ -29,17 +29,17 @@ from .nn import Array, Linear, Network, bn_stats, cross_entropy, eval_pass, \
 
 @dataclass
 class BNReport:
-    """One client's BN moving statistics, weighted by its sample count."""
+    """One client's BN moving statistics, one ``(mean, var)`` pair per BN
+    layer, weighted by its sample count."""
 
-    means: list[Array]
-    variances: list[Array]
+    stats: list[tuple[Array, Array]]
     samples: int
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("a BN report needs at least one sample")
-        for v in self.variances:
-            if np.any(v < 0.0):
+        for _, var in self.stats:
+            if np.any(var < 0.0):
                 raise ValueError("reported variances must be nonnegative")
 
 
@@ -60,12 +60,7 @@ def client_bn_pass(layers, batches, stats) -> BNReport:
     layers = layers[:bn[-1] + 1] if bn else []
     for x, _ in batches:
         refresh_pass(layers, x, stats)
-    return _report(stats, batches)
-
-
-def _report(stats, batches) -> BNReport:
-    return BNReport([mean for mean, _ in stats],
-                    [var for _, var in stats], sum(len(y) for _, y in batches))
+    return BNReport(stats, _samples(batches))
 
 
 def client_score(layers, batches, stats) -> float:
@@ -74,62 +69,52 @@ def client_score(layers, batches, stats) -> float:
     total = 0.0
     for x, y in batches:
         total += cross_entropy(eval_pass(layers, x, stats), y) * len(y)
-    return total / sum(len(y) for _, y in batches)
+    return total / _samples(batches)
 
 
-def aggregate_bn(reports: list[BNReport], average_std: bool = True):
-    """Dev-size-weighted aggregation of client BN statistics.
-
-    With ``average_std`` the spread statistics are combined as standard
-    deviations (sigma-bar squared becomes the global variance); otherwise
-    variances are averaged directly.
-    """
+def aggregate_bn(reports: list[BNReport]) -> list[tuple[Array, Array]]:
+    """Dev-size-weighted aggregation of client BN statistics into one
+    ``(mean, var)`` pair per layer. Means are averaged; spreads are
+    averaged as standard deviations, and sigma-bar squared becomes the
+    global variance."""
     if not reports:
         raise ValueError("need at least one BN report")
-    n_layers = len(reports[0].means)
+    first = reports[0].stats
     for rep in reports:
-        if len(rep.means) != n_layers or len(rep.variances) != n_layers:
+        if len(rep.stats) != len(first):
             raise ValueError("BN reports disagree on layer count")
-        for a, b in zip(rep.means, reports[0].means):
+        for (a, _), (b, _) in zip(rep.stats, first):
             if a.shape != b.shape:
                 raise ValueError("BN reports disagree on layer shapes")
     total = sum(rep.samples for rep in reports)
     weights = [rep.samples / total for rep in reports]
-    means = []
-    variances = []
-    for layer in range(n_layers):
-        mu = sum(w * rep.means[layer] for w, rep in zip(weights, reports))
-        if average_std:
-            sigma = sum(w * np.sqrt(rep.variances[layer])
-                        for w, rep in zip(weights, reports))
-            var = sigma ** 2
-        else:
-            var = sum(w * rep.variances[layer]
-                      for w, rep in zip(weights, reports))
-        means.append(mu)
-        variances.append(var)
-    return means, variances
+    out = []
+    for layer in range(len(first)):
+        mu = sum(w * rep.stats[layer][0] for w, rep in zip(weights, reports))
+        sigma = sum(w * np.sqrt(rep.stats[layer][1])
+                    for w, rep in zip(weights, reports))
+        out.append((mu, sigma ** 2))
+    return out
 
 
-def install_bn(net: Network, means: list[Array],
-               variances: list[Array]) -> None:
-    """Overwrite the running statistics of every BN layer (statistics only;
-    the affine parameters stay as they are)."""
+def install_bn(net: Network, stats: list[tuple[Array, Array]]) -> None:
+    """Overwrite the running statistics of every BN layer with the matching
+    ``(mean, var)`` pair (statistics only; the affine parameters stay as
+    they are)."""
     bn = net.bn_layers()
-    if len(bn) != len(means):
+    if len(bn) != len(stats):
         raise ValueError("statistics do not match the network's BN layers")
-    for (_, layer), mu, var in zip(bn, means, variances):
-        if layer.state.mean.shape != mu.shape:
+    for (_, layer), (mu, var) in zip(bn, stats):
+        if layer.mean.shape != mu.shape:
             raise ValueError("BN statistics shape mismatch")
-        layer.state.mean = np.asarray(mu, dtype=np.float64).copy()
-        layer.state.var = np.asarray(var, dtype=np.float64).copy()
+        layer.mean = np.asarray(mu, dtype=np.float64).copy()
+        layer.var = np.asarray(var, dtype=np.float64).copy()
 
 
 def adaptive_select(net: Network, pool: list[Candidate],
-                    dev_sets: list[Dataset], batch_size: int = 64,
-                    average_std: bool = True):
+                    dev_sets: list[Dataset], batch_size: int = 64):
     """Full selection protocol over the candidate masks of ``net``. Returns
-    the winning candidate id, the winner's masked network with the
+    the winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
     aggregated scores."""
     head, tails = _split(net, pool)
@@ -141,20 +126,16 @@ def adaptive_select(net: Network, pool: list[Candidate],
     for batches in clients:
         head_stats = stats[:n_head]
         acts = [(refresh_pass(head, x, head_stats), y) for x, y in batches]
-        head_reports.append(_report(head_stats, batches))
+        head_reports.append(BNReport(head_stats, _samples(batches)))
         for tail, reports in zip(tails, tail_reports):
             reports.append(client_bn_pass(tail, acts, stats[n_head:]))
     # aggregation is per layer, so the head's global statistics are shared
-    head_mu, head_var = aggregate_bn(head_reports, average_std=average_std)
-    tail_global = [aggregate_bn(reports, average_std=average_std)
-                   for reports in tail_reports]
-    scores = _score(pool, head, list(zip(head_mu, head_var)), tails,
-                    [list(zip(mu, var)) for mu, var in tail_global], clients)
+    head_global = aggregate_bn(head_reports)
+    tail_global = [aggregate_bn(reports) for reports in tail_reports]
+    scores = _score(head, head_global, tails, tail_global, clients)
     winner = _winner(scores)
-    i = [c.id for c in pool].index(winner)
-    winner_net = apply_mask(net, pool[i].mask)
-    mu, var = tail_global[i]
-    install_bn(winner_net, head_mu + mu, head_var + var)
+    winner_net = apply_mask(net, pool[winner].mask)
+    install_bn(winner_net, head_global + tail_global[winner])
     return winner, winner_net, scores
 
 
@@ -165,12 +146,10 @@ def vanilla_select(net: Network, pool: list[Candidate],
     head, tails = _split(net, pool)
     stats = bn_stats(net)
     n_head = _n_bn(head)
-    scores = _score(pool, head, stats[:n_head], tails,
-                    [stats[n_head:]] * len(tails),
+    scores = _score(head, stats[:n_head], tails, [stats[n_head:]] * len(tails),
                     _client_batches(dev_sets, batch_size))
     winner = _winner(scores)
-    mask = pool[[c.id for c in pool].index(winner)].mask
-    return winner, apply_mask(net, mask), scores
+    return winner, apply_mask(net, pool[winner].mask), scores
 
 
 def _split(net: Network, pool: list[Candidate]):
@@ -204,21 +183,26 @@ def _client_batches(dev_sets: list[Dataset], batch_size: int):
     return [list(iter_batches(dev, batch_size)) for dev in dev_sets]
 
 
-def _score(pool, head, head_stats, tails, tail_stats, clients):
-    """Dev-size-weighted eval-mode dev loss of every candidate, keyed by id:
-    ``tails[c]`` scored with ``tail_stats[c]`` on the head's output. The
-    head runs once per client batch."""
+def _samples(batches) -> int:
+    return sum(len(y) for _, y in batches)
+
+
+def _score(head, head_stats, tails, tail_stats, clients):
+    """Dev-size-weighted eval-mode dev loss of every candidate, keyed by its
+    position: ``tails[c]`` scored with ``tail_stats[c]`` on the head's
+    output. The head runs once per client batch."""
     losses: list[list[float]] = [[] for _ in tails]
     for batches in clients:
         acts = [(eval_pass(head, x, head_stats), y) for x, y in batches]
         for tail, st, per_client in zip(tails, tail_stats, losses):
             per_client.append(client_score(tail, acts, st))
-    sizes = [sum(len(y) for _, y in batches) for batches in clients]
+    sizes = [_samples(batches) for batches in clients]
     total = sum(sizes)
-    return {c.id: sum(n / total * s for n, s in zip(sizes, per_client))
-            for c, per_client in zip(pool, losses)}
+    return {c: sum(n / total * s for n, s in zip(sizes, per_client))
+            for c, per_client in enumerate(losses)}
 
 
 def _winner(scores: dict[int, float]) -> int:
-    """The id with the lowest aggregated score; ties go to the lowest id."""
+    """The position with the lowest aggregated score; ties go to the lowest
+    position."""
     return min(sorted(scores), key=scores.get)

@@ -22,8 +22,8 @@ from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
     load_csv, make_blobs, split_indices
 from .masking import Mask, apply_mask, generate_candidate_pool, \
     magnitude_mask, random_mask
-from .nn import Array, BatchNorm, BNState, Linear, Network, ReLU, backward, \
-    cross_entropy, forward, make_mlp, sgd_step
+from .nn import Array, BatchNorm, Linear, Network, ReLU, backward, \
+    bn_stats, cross_entropy, forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
@@ -82,7 +82,6 @@ class ExperimentConfig:
     interval: int = 10
     stop_round: int = 100
     growth_fraction: float = 0.15
-    aggregate_std: bool = True
     # run
     seed: int = 0
     bits: int = 32
@@ -114,6 +113,10 @@ class ExperimentConfig:
             issues.append("dev_ratio: must lie in (0, 1]")
         if not self.hidden or any(int(h) < 1 for h in self.hidden):
             issues.append("hidden: needs positive layer widths")
+        elif self.algorithm != "DenseFedAvg" and len(self.hidden) < 2:
+            # the first and last linear layers are never pruned
+            issues.append(f"hidden: {self.algorithm} needs at least two "
+                          f"hidden widths to have a prunable tensor")
         if self.algorithm not in ALGORITHMS:
             issues.append(f"algorithm: must be one of {ALGORITHMS}, "
                           f"got {self.algorithm!r}")
@@ -121,6 +124,9 @@ class ExperimentConfig:
             issues.append("lr: must be positive")
         if self.pretrain_epochs < 0:
             issues.append("pretrain_epochs: must be nonnegative")
+        elif self.pretrain_epochs > 0 and self.server_ratio == 0.0:
+            issues.append("pretrain_epochs: pretraining needs server data "
+                          "(server_ratio > 0)")
         if not 0.0 < self.density <= 1.0:
             issues.append("density: must lie in (0, 1]")
         if self.pool_size < 0:
@@ -288,8 +294,7 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
         else:
             method = "adaptive"
             selected, net, scores = adaptive_select(
-                net, pool, dev_sets, cfg.batch_size,
-                average_std=cfg.aggregate_std)
+                net, pool, dev_sets, cfg.batch_size)
         mask = pool[selected].mask.copy()
         record = selection_record(method, pool, scores, selected)
     elif cfg.algorithm == "StaticRandom":
@@ -321,8 +326,8 @@ def selection_record(method: str, pool, scores: dict[int, float],
         "method": method,
         "winner": winner,
         "margin": min(rest) - scores[winner] if rest else None,
-        "candidates": [{"id": c.id, "layer_shares": dict(c.layer_densities),
-                        "dev_loss": scores[c.id]} for c in pool],
+        "candidates": [{"id": i, "layer_shares": dict(c.layer_densities),
+                        "dev_loss": scores[i]} for i, c in enumerate(pool)],
     }
 
 
@@ -355,8 +360,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
                          rng)
 
     params = {key: p.copy() for key, p in local.params().items()}
-    bn = BNReport([bn.state.mean.copy() for _, bn in local.bn_layers()],
-                  [bn.state.var.copy() for _, bn in local.bn_layers()],
+    bn = BNReport([(mean.copy(), var.copy()) for mean, var in bn_stats(local)],
                   len(client))
 
     buffers = {}
@@ -414,12 +418,11 @@ def round_costs(state: ExperimentState, participants, collect):
                                                   cfg.batch_size)
                 for k in participants)
     peak = costs.round_peak_flops(cfg.cost_tag(), f_d, f_s, iters, extra)
-    memory = costs.training_memory(
+    return peak, costs.training_memory(
         cfg.cost_tag(), state.param_dense_bytes,
         costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
         state.act_bytes, cfg.bits,
         topk_total=sum(a for a, _ in collect.values()))
-    return peak, memory.total
 
 
 def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
@@ -436,9 +439,7 @@ def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
     if state.mask is not None:
         for key, sl in state.mask.slices.items():
             state.net.params()[key][sl == 0] = 0.0
-    means, variances = aggregate_bn([res.bn for res in results],
-                                    average_std=state.cfg.aggregate_std)
-    install_bn(state.net, means, variances)
+    install_bn(state.net, aggregate_bn([res.bn for res in results]))
 
 
 def adjust(state: ExperimentState, results: list[ClientResult], collect
@@ -573,9 +574,8 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
                            "shape": list(layer.weight.shape)})
         elif layer.kind == "batchnorm":
             layers.append({"kind": "batchnorm",
-                           "features": int(layer.state.mean.size),
-                           "momentum": layer.state.momentum,
-                           "eps": layer.state.eps})
+                           "features": int(layer.mean.size),
+                           "momentum": layer.momentum, "eps": layer.eps})
         else:
             layers.append({"kind": "relu"})
     record = {
@@ -584,9 +584,8 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
         "params": {key: {"shape": list(p.shape),
                          "data": p.reshape(-1).tolist()}
                    for key, p in net.params().items()},
-        "bn_stats": [{"mean": bn.state.mean.tolist(),
-                      "var": bn.state.var.tolist()}
-                     for _, bn in net.bn_layers()],
+        "bn_stats": [{"mean": mean.tolist(), "var": var.tolist()}
+                     for mean, var in bn_stats(net)],
         "mask": ({key: sl.reshape(-1).tolist()
                   for key, sl in mask.slices.items()}
                  if mask is not None else None),
@@ -644,9 +643,9 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
             layers.append(Linear(np.zeros(shape), np.zeros(shape[1])))
         elif kind == "batchnorm":
             entry = next(stats)
-            layers.append(BatchNorm(BNState(
+            layers.append(BatchNorm(
                 np.array(entry["mean"]), np.array(entry["var"]),
-                momentum=spec["momentum"], eps=spec["eps"])))
+                momentum=spec["momentum"], eps=spec["eps"]))
         elif kind == "relu":
             layers.append(ReLU())
         else:
@@ -654,24 +653,24 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
     net = Network(layers)
     params = net.params()
     for key, entry in record["params"].items():
-        value = _tensor("param", key, entry["data"], params, np.float64)
+        value = _tensor("param", key, entry["data"], params)
         if entry["shape"] != list(value.shape):
             raise ValueError(f"param {key!r}: shape {entry['shape']!r} is "
                              f"not {list(value.shape)}")
         net.set_param(key, value)
     if record["mask"] is None:
         return net, None
-    return net, Mask({key: _tensor("mask", key, flat, params, np.uint8)
+    # Mask checks every entry is 0 or 1 before its uint8 cast
+    return net, Mask({key: _tensor("mask", key, flat, params)
                       for key, flat in record["mask"].items()})
 
 
-def _tensor(what: str, key: str, flat, params: dict[str, Array], dtype
-            ) -> Array:
-    """The flat checkpoint list ``flat`` as an array shaped like the
+def _tensor(what: str, key: str, flat, params: dict[str, Array]) -> Array:
+    """The flat checkpoint list ``flat`` as a float64 array shaped like the
     network's parameter ``key``."""
     if key not in params:
         raise ValueError(f"{what} {key!r} is not a parameter of the network")
-    value = np.array(flat, dtype=dtype)
+    value = np.array(flat, dtype=np.float64)
     if value.shape != (params[key].size,):
         raise ValueError(f"{what} {key!r}: {value.size} values for shape "
                          f"{list(params[key].shape)}")

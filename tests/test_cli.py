@@ -91,15 +91,19 @@ def test_pruning_blocks_round_trip(tmp_path):
 
 
 def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
+    # removed keys: order, [model] blocks and aggregate_std (BN statistics
+    # are always aggregated as standard deviations)
     out = str(tmp_path / "out")
     for i, text in enumerate(("[pruning]\norder = forward\n",
                               "[pruning]\norder = backward\n",
-                              "[model]\nblocks = 5\n")):
+                              "[model]\nblocks = 5\n",
+                              "[pruning]\naggregate_std = false\n")):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
         assert main(["run", "--config", str(path), "--out", out]) == 2
     for override in ("order=forward", "pruning.order=backward",
-                     "model.blocks=3"):
+                     "model.blocks=3", "aggregate_std=true",
+                     "pruning.aggregate_std=false"):
         assert main(["run", "--config", str(config_file), "--out", out,
                      "--set", override]) == 2
     assert not (tmp_path / "out").exists()
@@ -243,9 +247,17 @@ def test_cmd_run_missing_config(tmp_path):
 
 
 def test_cmd_run_invalid_config(config_file, tmp_path):
-    rc = main(["run", "--config", str(config_file), "--out",
-               str(tmp_path / "o"), "--set", "density=7.0"])
-    assert rc == 2
+    # each is rejected by validation, before the run directory exists:
+    # a pruning algorithm with one hidden width has no prunable tensor,
+    # and pretraining needs server data
+    for sets in (["density=7.0"],
+                 ["algorithm=FedTiny", "hidden=64"],
+                 ["pretrain_epochs=1", "server_ratio=0.0"]):
+        rc = main(["run", "--config", str(config_file), "--out",
+                   str(tmp_path / "o")]
+                  + [arg for s in sets for arg in ("--set", s)])
+        assert rc == 2, sets
+    assert not (tmp_path / "o").exists()
 
 
 # -- sweep command ------------------------------------------------------------------
@@ -407,6 +419,7 @@ MALFORMED_CHECKPOINTS = {
     "mask of no param": {"mask": {"9.weight": [1] * 6}},
     "mask too long": {"mask": {"0.weight": [1, 0] * 4}},
     "negative mask entry": {"mask": {"0.weight": [1, -1, 1, 0, 1, 0]}},
+    "fractional mask entry": {"mask": {"0.weight": [1, 0.5, 1, 0, 1, 0]}},
 }
 
 

@@ -9,7 +9,7 @@ from fedprune.costs import (
     ALG_DENSE_SCORES,
     ALG_PROGRESSIVE,
     ALG_STATIC_SPARSE,
-    FlopsReport,
+    ALGORITHM_TAGS,
     activation_bytes,
     ceil_log2,
     choose_scheme,
@@ -17,13 +17,14 @@ from fedprune.costs import (
     dense_param_bytes,
     forward_flops,
     model_storage,
-    reports_to_json,
     round_peak_flops,
     storage_bits,
     training_memory,
 )
-from fedprune.masking import Mask, random_mask
+from fedprune.cli import main
+from fedprune.masking import Mask, apply_mask, random_mask
 from fedprune.nn import Linear, Network, ReLU, make_mlp
+from fedprune.sim import save_checkpoint
 
 
 # -- independent transcription of the storage formulas (oracle) ---------------
@@ -211,12 +212,11 @@ def test_collection_pass_empty_targets():
 # -- training_memory ----------------------------------------------------------------
 
 def test_memory_closed_forms():
-    assert training_memory(ALG_DENSE, 40, 4, 10).total == 100
-    assert training_memory(ALG_STATIC_SPARSE, 40, 4, 10).total == 28
-    assert training_memory(ALG_DENSE_SCORES, 40, 4, 10).total == 64
-    report = training_memory(ALG_PROGRESSIVE, 40, 4, 10, bits=32,
-                             topk_total=100)
-    assert report.total == 8 + 20 + 3 * 4 * 100
+    assert training_memory(ALG_DENSE, 40, 4, 10) == 100
+    assert training_memory(ALG_STATIC_SPARSE, 40, 4, 10) == 28
+    assert training_memory(ALG_DENSE_SCORES, 40, 4, 10) == 64
+    assert training_memory(ALG_PROGRESSIVE, 40, 4, 10, bits=32,
+                           topk_total=100) == 8 + 20 + 3 * 4 * 100
 
 
 def test_memory_unknown_tag():
@@ -234,17 +234,32 @@ def test_activation_bytes_measured_max():
 
 # -- serialization ----------------------------------------------------------------
 
-def test_reports_round_trip_json():
+def test_reports_round_trip_json(tmp_path):
+    # the `fedprune cost` report of a checkpoint: every record echoes the
+    # model's inputs beside the closed-form result
     net = make_mlp(4, [8, 8, 8], 3, seed=0)
     mask = random_mask(net, 0.2, seed=0)
+    ckpt, out = tmp_path / "m.ckpt", tmp_path / "cost.json"
+    save_checkpoint(ckpt, apply_mask(net, mask), mask)
+    assert main(["cost", "--ckpt", str(ckpt), "--batch", "16",
+                 "--local-iters", "5", "--out", str(out)]) == 0
+    parsed = json.loads(out.read_text())
     storage = model_storage(net, mask, 32)
-    memory = [training_memory(ALG_STATIC_SPARSE, 100, 10, 5)]
-    flops = [FlopsReport(ALG_STATIC_SPARSE, 100, 10, 5,
-                         round_peak_flops(ALG_STATIC_SPARSE, 100, 10, 5))]
-    blob = reports_to_json(storage, memory, flops)
-    parsed = json.loads(blob)
+    dense, act = dense_param_bytes(net, 32), activation_bytes(net, 16, 32)
+    f_d, f_s = forward_flops(net, None, 16), forward_flops(net, mask, 16)
+    extra = collection_pass_flops(net, mask, list(net.prunable_keys()), 16)
     assert parsed["storage"]["bits"] == storage.total_bits
-    assert parsed["memory"][0]["memory_total"] == memory[0].total
-    assert parsed["flops"][0]["flops_peak"] == flops[0].peak
+    assert parsed["memory"] == [
+        {"algorithm": tag, "param_dense": dense,
+         "param_sparse": storage.total_bytes, "activations": act,
+         "memory_total": training_memory(tag, dense, storage.total_bytes,
+                                         act, 32)}
+        for tag in ALGORITHM_TAGS]
+    assert parsed["flops"] == [
+        {"algorithm": tag, "dense_forward": f_d, "sparse_forward": f_s,
+         "local_iters": 5,
+         "flops_peak": round_peak_flops(
+             tag, f_d, f_s, 5, extra if tag == ALG_PROGRESSIVE else 0.0)}
+        for tag in ALGORITHM_TAGS]
     for record in parsed["storage"]["tensors"].values():
         assert set(record) == {"scheme", "bits", "bytes"}

@@ -144,6 +144,11 @@ def test_density_trivial_cases():
 def test_mask_rejects_non_binary_entries():
     with pytest.raises(ValueError):
         Mask({"a": np.array([0, 1, 2], dtype=np.uint8)})
+    # checked before the uint8 cast, which maps 0.5 and 256.0 to 0
+    for bad in ([0.5, 1.0], [256.0, 1.0], [1.9, 0.0]):
+        with pytest.raises(ValueError):
+            Mask({"a": np.array(bad)})
+    assert Mask({"a": np.array([1.0, 0.0])}).slices["a"].dtype == np.uint8
 
 
 # -- select_support over magnitudes ------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from fedprune.masking import apply_mask, random_mask
 from fedprune.nn import (
     BatchNorm,
-    BNState,
     Linear,
     Network,
     ReLU,
@@ -26,7 +25,7 @@ from fedprune.nn import (
 
 def snapshot(net):
     params = {k: v.copy() for k, v in net.params().items()}
-    bn = [(l.state.mean.copy(), l.state.var.copy()) for _, l in net.bn_layers()]
+    bn = [(l.mean.copy(), l.var.copy()) for _, l in net.bn_layers()]
     return params, bn
 
 
@@ -66,7 +65,7 @@ def rel_close(a, b, tol=1e-4):
 
 def test_bn_identity_eval():
     # identity BN (mean 0, var 1, eps -> 0) maps x to x in eval mode
-    net = Network([BatchNorm(BNState(np.zeros(1), np.ones(1), eps=1e-12)),
+    net = Network([BatchNorm(np.zeros(1), np.ones(1), eps=1e-12),
                    Linear(np.eye(1), np.zeros(1))])
     x = np.array([[0.5], [-2.0], [3.25]])
     logits, _ = forward(net, x, "eval")
@@ -74,12 +73,12 @@ def test_bn_identity_eval():
 
 
 def test_bn_moving_mean_update():
-    bn = BatchNorm(BNState(np.zeros(1), np.ones(1), momentum=0.9))
+    bn = BatchNorm(np.zeros(1), np.ones(1), momentum=0.9)
     net = Network([bn, Linear(np.eye(1), np.zeros(1))])
     forward(net, np.array([[2.0], [4.0]]), "train")
     # new moving mean = 0.9 * 0 + 0.1 * 3
-    np.testing.assert_allclose(bn.state.mean, [0.3])
-    np.testing.assert_allclose(bn.state.var, 0.9 * 1.0 + 0.1 * 1.0)
+    np.testing.assert_allclose(bn.mean, [0.3])
+    np.testing.assert_allclose(bn.var, 0.9 * 1.0 + 0.1 * 1.0)
 
 
 def test_eval_mode_is_pure():
@@ -224,7 +223,7 @@ def test_update_bn_stats_moves_statistics_but_not_params():
     for k, v in net.params().items():
         np.testing.assert_array_equal(v, params_before[k])
     _, bn = net.bn_layers()[0]
-    assert np.any(bn.state.mean != 0.0)
+    assert np.any(bn.mean != 0.0)
 
 
 def test_update_bn_stats_accepts_singleton_batch():
@@ -248,11 +247,11 @@ def test_prunable_excludes_first_and_last_linear():
 
 def test_bn_state_validation():
     with pytest.raises(ValueError):
-        BNState(np.zeros(2), np.ones(2), momentum=1.5)
+        BatchNorm(np.zeros(2), np.ones(2), momentum=1.5)
     with pytest.raises(ValueError):
-        BNState(np.zeros(2), np.ones(2), eps=0.0)
+        BatchNorm(np.zeros(2), np.ones(2), eps=0.0)
     with pytest.raises(ValueError):
-        BNState(np.zeros(2), -np.ones(2))
+        BatchNorm(np.zeros(2), -np.ones(2))
 
 
 # -- bitwise oracle -----------------------------------------------------------
@@ -277,14 +276,14 @@ def _ref_forward(net: Network, batch, mode: str = "train"):
             cache.append((x,))
             x = np.maximum(x, 0.0)
         else:  # batchnorm
-            st = layer.state
             mu, centred, var = _ref_batch_stats(x)
-            inv = 1.0 / np.sqrt(var + st.eps)
+            inv = 1.0 / np.sqrt(var + layer.eps)
             xhat = centred * inv
-            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
-            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
+            m = layer.momentum
+            layer.mean = m * layer.mean + (1.0 - m) * mu
+            layer.var = m * layer.var + (1.0 - m) * var
             cache.append((xhat, inv))
-            x = st.scale * xhat + st.shift
+            x = layer.scale * xhat + layer.shift
     return x, cache
 
 
@@ -302,13 +301,14 @@ def _ref_refresh_pass(layers, x, stats):
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
-            st = layer.state
             mu, centred, var = _ref_batch_stats(x)
             mean, old_var = stats[j]
-            stats[j] = (st.momentum * mean + (1.0 - st.momentum) * mu,
-                        st.momentum * old_var + (1.0 - st.momentum) * var)
+            m = layer.momentum
+            stats[j] = (m * mean + (1.0 - m) * mu,
+                        m * old_var + (1.0 - m) * var)
             j += 1
-            x = st.scale * (centred / np.sqrt(var + st.eps)) + st.shift
+            x = (layer.scale * (centred / np.sqrt(var + layer.eps))
+                 + layer.shift)
     return x
 
 
@@ -320,11 +320,10 @@ def _ref_eval_pass(layers, x, stats):
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
-            st = layer.state
             mean, var = stats[j]
             j += 1
-            inv = 1.0 / np.sqrt(var + st.eps)
-            x = st.scale * ((x - mean) * inv) + st.shift
+            inv = 1.0 / np.sqrt(var + layer.eps)
+            x = layer.scale * ((x - mean) * inv) + layer.shift
     return x
 
 
@@ -360,10 +359,9 @@ def _ref_backward(net: Network, logits, labels, cache):
             delta = delta * (x > 0.0)
         else:
             xhat, inv = cache[i]
-            st = layer.state
             grads[f"{i}.scale"] = (delta * xhat).sum(axis=0)
             grads[f"{i}.shift"] = delta.sum(axis=0)
-            dxhat = delta * st.scale
+            dxhat = delta * layer.scale
             b = xhat.shape[0]
             delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
                                  - xhat * (dxhat * xhat).sum(axis=0))
@@ -395,8 +393,8 @@ def assert_bitwise_equal(a, b):
 
 def _bn_first_net(rng):
     return Network([
-        BatchNorm(BNState(rng.normal(size=5), rng.random(5) + 0.5,
-                          scale=rng.normal(size=5), shift=rng.normal(size=5))),
+        BatchNorm(rng.normal(size=5), rng.random(5) + 0.5,
+                  scale=rng.normal(size=5), shift=rng.normal(size=5)),
         Linear(rng.normal(size=(5, 7)), rng.normal(size=7)), ReLU(),
         Linear(rng.normal(size=(7, 3)), rng.normal(size=3))])
 
@@ -404,7 +402,7 @@ def _bn_first_net(rng):
 def _relu_first_net(rng):
     return Network([
         ReLU(), Linear(rng.normal(size=(5, 7)), rng.normal(size=7)),
-        BatchNorm(BNState(np.zeros(7), np.ones(7))), ReLU(),
+        BatchNorm(np.zeros(7), np.ones(7)), ReLU(),
         Linear(rng.normal(size=(7, 3)), rng.normal(size=3))])
 
 
@@ -448,8 +446,8 @@ def test_kernels_match_reference_bit_for_bit(case):
         for key, p in net.params().items():
             assert_bitwise_equal(p, ref.params()[key])
         for (_, bn), (_, ref_bn) in zip(net.bn_layers(), ref.bn_layers()):
-            assert_bitwise_equal(bn.state.mean, ref_bn.state.mean)
-            assert_bitwise_equal(bn.state.var, ref_bn.state.var)
+            assert_bitwise_equal(bn.mean, ref_bn.mean)
+            assert_bitwise_equal(bn.var, ref_bn.var)
         assert_bitwise_equal(forward(net, x, "eval")[0],
                              _ref_forward(ref, x, "eval")[0])
         assert_bitwise_equal(x, x_before)

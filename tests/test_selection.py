@@ -6,7 +6,7 @@ import pytest
 from fedprune.data import Dataset, make_blobs
 from fedprune.masking import Candidate, Mask, apply_mask, \
     generate_candidate_pool
-from fedprune.nn import BatchNorm, BNState, Linear, Network, bn_stats, \
+from fedprune.nn import BatchNorm, Linear, Network, bn_stats, \
     cross_entropy, make_mlp, refresh_pass
 from fedprune.selection import (
     BNReport,
@@ -35,12 +35,13 @@ def oracle_update_bn_stats(net, x):
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
-            st = layer.state
             mu = x.mean(axis=0)
             var = x.var(axis=0)
-            st.mean = st.momentum * st.mean + (1.0 - st.momentum) * mu
-            st.var = st.momentum * st.var + (1.0 - st.momentum) * var
-            x = st.scale * ((x - mu) / np.sqrt(var + st.eps)) + st.shift
+            m = layer.momentum
+            layer.mean = m * layer.mean + (1.0 - m) * mu
+            layer.var = m * layer.var + (1.0 - m) * var
+            x = (layer.scale * ((x - mu) / np.sqrt(var + layer.eps))
+                 + layer.shift)
 
 
 def oracle_forward_eval(net, x):
@@ -50,9 +51,8 @@ def oracle_forward_eval(net, x):
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
-            st = layer.state
-            inv = 1.0 / np.sqrt(st.var + st.eps)
-            x = st.scale * ((x - st.mean) * inv) + st.shift
+            inv = 1.0 / np.sqrt(layer.var + layer.eps)
+            x = layer.scale * ((x - layer.mean) * inv) + layer.shift
     return x
 
 
@@ -60,9 +60,8 @@ def oracle_client_bn_pass(candidate, dev, batch_size=64):
     probe = candidate.clone()
     for x, _ in iter_batches(dev, batch_size):
         oracle_update_bn_stats(probe, x)
-    means = [bn.state.mean.copy() for _, bn in probe.bn_layers()]
-    variances = [bn.state.var.copy() for _, bn in probe.bn_layers()]
-    return BNReport(means, variances, len(dev))
+    return BNReport([(bn.mean.copy(), bn.var.copy())
+                     for _, bn in probe.bn_layers()], len(dev))
 
 
 def oracle_client_score(candidate, dev, batch_size=64):
@@ -74,7 +73,7 @@ def oracle_client_score(candidate, dev, batch_size=64):
 
 def oracle_select(scores, dev_sizes):
     """argmin over candidates of the dev-size-weighted mean loss; ties go to
-    the lowest candidate id."""
+    the lowest candidate position."""
     if not scores:
         raise ValueError("no candidates to select from")
     total = sum(dev_sizes)
@@ -93,16 +92,14 @@ def oracle_aggregate_scores(scores, dev_sizes):
             for cid, per_client in scores.items()}
 
 
-def oracle_adaptive_select(candidates, dev_sets, batch_size=64,
-                           average_std=True):
+def oracle_adaptive_select(candidates, dev_sets, batch_size=64):
     dev_sizes = [len(dev) for dev in dev_sets]
     refreshed = {}
     for cid, net in candidates:
         reports = [oracle_client_bn_pass(net, dev, batch_size)
                    for dev in dev_sets]
-        means, variances = aggregate_bn(reports, average_std=average_std)
         updated = net.clone()
-        install_bn(updated, means, variances)
+        install_bn(updated, aggregate_bn(reports))
         refreshed[cid] = updated
     scores = {cid: [oracle_client_score(refreshed[cid], dev, batch_size)
                     for dev in dev_sets]
@@ -125,7 +122,7 @@ def oracle_vanilla_select(candidates, dev_sets, batch_size=64):
 
 def masked(net, pool):
     """The candidates as the oracles take them: one masked network each."""
-    return [(c.id, apply_mask(net, c.mask)) for c in pool]
+    return [(i, apply_mask(net, c.mask)) for i, c in enumerate(pool)]
 
 
 def bn_pass(net, dev, batch_size=64):
@@ -140,8 +137,7 @@ def score(net, dev, batch_size=64):
 
 def identity_bn_net(momentum=0.9):
     return Network([Linear(np.eye(2), np.zeros(2)),
-                    BatchNorm(BNState(np.zeros(2), np.ones(2),
-                                      momentum=momentum)),
+                    BatchNorm(np.zeros(2), np.ones(2), momentum=momentum),
                     Linear(np.eye(2), np.zeros(2))])
 
 
@@ -156,7 +152,7 @@ def test_bn_pass_single_batch_moving_update():
     net = identity_bn_net(momentum=0.9)
     dev = constant_dataset(5.0, n=8)
     rep = bn_pass(net, dev, batch_size=8)
-    np.testing.assert_allclose(rep.means[0], [0.5, 0.5])
+    np.testing.assert_allclose(rep.stats[0][0], [0.5, 0.5])
     assert rep.samples == 8
 
 
@@ -164,28 +160,27 @@ def test_bn_pass_converges_to_constant_input():
     net = identity_bn_net(momentum=0.5)
     dev = constant_dataset(3.0, n=256)
     rep = bn_pass(net, dev, batch_size=4)
-    np.testing.assert_allclose(rep.means[0], 3.0, atol=1e-9)
-    np.testing.assert_allclose(rep.variances[0], 0.0, atol=1e-9)
+    np.testing.assert_allclose(rep.stats[0][0], 3.0, atol=1e-9)
+    np.testing.assert_allclose(rep.stats[0][1], 0.0, atol=1e-9)
 
 
 def test_bn_pass_leaves_candidate_untouched():
     net = make_mlp(4, [6], 3, seed=0)
     before = {k: v.copy() for k, v in net.params().items()}
-    bn_before = [(l.state.mean.copy(), l.state.var.copy())
-                 for _, l in net.bn_layers()]
+    bn_before = [(l.mean.copy(), l.var.copy()) for _, l in net.bn_layers()]
     stats = bn_stats(net)
     given = list(stats)
     dev = make_blobs(3, 10, 4, 1.0, seed=1)
     rep = client_bn_pass(net.layers, list(iter_batches(dev, 8)), stats)
     assert all(a is b for a, b in zip(stats, given))
-    assert rep.means[0] is not given[0][0]
+    assert rep.stats[0][0] is not given[0][0]
     assert all(a is b for a, b in zip(sum(stats, ()),
                                       sum(bn_stats(net), ())))
     for k, v in net.params().items():
         np.testing.assert_array_equal(v, before[k])
     for (m0, v0), (_, l) in zip(bn_before, net.bn_layers()):
-        np.testing.assert_array_equal(l.state.mean, m0)
-        np.testing.assert_array_equal(l.state.var, v0)
+        np.testing.assert_array_equal(l.mean, m0)
+        np.testing.assert_array_equal(l.var, v0)
 
 
 def test_bn_pass_stopping_at_last_bn_matches_full_tail_pass():
@@ -199,8 +194,8 @@ def test_bn_pass_stopping_at_last_bn_matches_full_tail_pass():
         refresh_pass(net.layers, x, full)
     rep = client_bn_pass(net.layers, batches, bn_stats(net))
     assert rep.samples == 30
-    assert len(rep.means) == len(full) == 2
-    for mean, var, (m, v) in zip(rep.means, rep.variances, full):
+    assert len(rep.stats) == len(full) == 2
+    for (mean, var), (m, v) in zip(rep.stats, full):
         np.testing.assert_array_equal(mean, m)
         np.testing.assert_array_equal(var, v)
 
@@ -225,59 +220,58 @@ def test_bn_pass_rejects_empty_dev():
 # -- aggregate_bn ----------------------------------------------------------------
 
 def test_aggregate_weighted_mean():
-    r1 = BNReport([np.array([1.0])], [np.array([1.0])], 10)
-    r2 = BNReport([np.array([3.0])], [np.array([1.0])], 30)
-    means, variances = aggregate_bn([r1, r2])
-    np.testing.assert_allclose(means[0], [2.5])
-    np.testing.assert_allclose(variances[0], [1.0])
+    r1 = BNReport([(np.array([1.0]), np.array([1.0]))], 10)
+    r2 = BNReport([(np.array([3.0]), np.array([1.0]))], 30)
+    [(mean, var)] = aggregate_bn([r1, r2])
+    np.testing.assert_allclose(mean, [2.5])
+    np.testing.assert_allclose(var, [1.0])
 
 
 def test_aggregate_single_client_identity():
-    r = BNReport([np.array([2.0, -1.0])], [np.array([0.5, 4.0])], 7)
-    means, variances = aggregate_bn([r])
-    np.testing.assert_allclose(means[0], [2.0, -1.0])
-    np.testing.assert_allclose(variances[0], [0.5, 4.0])
+    r = BNReport([(np.array([2.0, -1.0]), np.array([0.5, 4.0]))], 7)
+    [(mean, var)] = aggregate_bn([r])
+    np.testing.assert_allclose(mean, [2.0, -1.0])
+    np.testing.assert_allclose(var, [0.5, 4.0])
 
 
 def test_aggregate_equal_weights():
-    reps = [BNReport([np.array([v])], [np.array([1.0])], 5)
+    reps = [BNReport([(np.array([v]), np.array([1.0]))], 5)
             for v in (0.0, 2.0, 4.0)]
-    means, _ = aggregate_bn(reps)
-    np.testing.assert_allclose(means[0], [2.0])
+    [(mean, _)] = aggregate_bn(reps)
+    np.testing.assert_allclose(mean, [2.0])
 
 
-def test_aggregate_std_vs_variance_modes():
-    # sigma averaging: ((1+3)/2)^2 = 4; variance averaging: (1+9)/2 = 5
-    reps = [BNReport([np.zeros(1)], [np.array([1.0])], 5),
-            BNReport([np.zeros(1)], [np.array([9.0])], 5)]
-    _, var_std = aggregate_bn(reps, average_std=True)
-    _, var_var = aggregate_bn(reps, average_std=False)
-    np.testing.assert_allclose(var_std[0], [4.0])
-    np.testing.assert_allclose(var_var[0], [5.0])
+def test_aggregate_averages_standard_deviations():
+    # sigma averaging: ((1+3)/2)^2 = 4, where variance averaging gives 5
+    reps = [BNReport([(np.zeros(1), np.array([1.0]))], 5),
+            BNReport([(np.zeros(1), np.array([9.0]))], 5)]
+    [(_, var)] = aggregate_bn(reps)
+    np.testing.assert_allclose(var, [4.0])
 
 
 def test_aggregate_matches_bruteforce_within_1e12():
     rng = np.random.default_rng(8)
     reps = []
     for _ in range(6):
-        reps.append(BNReport([rng.normal(size=4), rng.normal(size=3)],
-                             [rng.random(4), rng.random(3)],
+        reps.append(BNReport([(rng.normal(size=4), rng.random(4)),
+                              (rng.normal(size=3), rng.random(3))],
                              int(rng.integers(1, 50))))
-    means, variances = aggregate_bn(reps, average_std=False)
+    got = aggregate_bn(reps)
     total = sum(r.samples for r in reps)
     for layer in range(2):
-        mu = np.zeros_like(reps[0].means[layer])
-        var = np.zeros_like(reps[0].variances[layer])
+        mu = np.zeros_like(reps[0].stats[layer][0])
+        sigma = np.zeros_like(reps[0].stats[layer][1])
         for r in reps:
-            mu = mu + (r.samples / total) * r.means[layer]
-            var = var + (r.samples / total) * r.variances[layer]
-        assert np.max(np.abs(means[layer] - mu)) < 1e-12
-        assert np.max(np.abs(variances[layer] - var)) < 1e-12
+            mean, var = r.stats[layer]
+            mu = mu + (r.samples / total) * mean
+            sigma = sigma + (r.samples / total) * np.sqrt(var)
+        assert np.max(np.abs(got[layer][0] - mu)) < 1e-12
+        assert np.max(np.abs(got[layer][1] - sigma ** 2)) < 1e-12
 
 
 def test_aggregate_shape_mismatch():
-    r1 = BNReport([np.zeros(2)], [np.ones(2)], 5)
-    r2 = BNReport([np.zeros(3)], [np.ones(3)], 5)
+    r1 = BNReport([(np.zeros(2), np.ones(2))], 5)
+    r2 = BNReport([(np.zeros(3), np.ones(3))], 5)
     with pytest.raises(ValueError):
         aggregate_bn([r1, r2])
 
@@ -316,7 +310,7 @@ def test_select_shift_invariance_and_ties():
     scores = {1: 1.75, 2: 1.25}
     base = _winner(scores)
     assert _winner({c: s + 10.0 for c, s in scores.items()}) == base
-    assert _winner({9: 1.0, 3: 1.0}) == 3  # tie -> lowest id, in any order
+    assert _winner({9: 1.0, 3: 1.0}) == 3  # tie -> lowest position, in any order
 
 
 # -- end-to-end selection -----------------------------------------------------------
@@ -334,8 +328,8 @@ def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
     stats = [(m.copy(), v.copy()) for m, v in bn_stats(net)]
     winner, winner_net, scores = adaptive_select(net, pool, devs,
                                                  batch_size=8)
-    assert winner in {c.id for c in pool}
-    assert set(scores) == {c.id for c in pool}
+    assert winner in range(len(pool))
+    assert set(scores) == set(range(len(pool)))
     assert all(np.isfinite(s) for s in scores.values())
     for k, v in net.params().items():
         assert bits(v) == bits(before[k])
@@ -361,14 +355,14 @@ def test_vanilla_and_adaptive_agree_when_stats_already_global():
     devs = devs[:1]
     winner_v, _, _ = vanilla_select(net, pool, devs, batch_size=8)
     winner_a, _, _ = adaptive_select(net, pool, devs, batch_size=8)
-    assert winner_v in {c.id for c in pool}
-    assert winner_a in {c.id for c in pool}
+    assert winner_v in range(len(pool))
+    assert winner_a in range(len(pool))
 
 
 def test_install_bn_shape_check():
     net = make_mlp(4, [8], 3, seed=0)
     with pytest.raises(ValueError):
-        install_bn(net, [np.zeros(3)], [np.ones(3)])
+        install_bn(net, [(np.zeros(3), np.ones(3))])
 
 
 # -- mask selectors against the clone-per-client oracles ------------------------
@@ -386,8 +380,8 @@ def assert_same_selection(got, want):
         assert bits(p) == bits(ref.params()[key]), key
     assert len(net.bn_layers()) == len(ref.bn_layers())
     for (_, a), (_, b) in zip(net.bn_layers(), ref.bn_layers()):
-        assert bits(a.state.mean) == bits(b.state.mean)
-        assert bits(a.state.var) == bits(b.state.var)
+        assert bits(a.mean) == bits(b.mean)
+        assert bits(a.var) == bits(b.var)
 
 
 def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9),
@@ -404,11 +398,9 @@ def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9),
 
 
 def check_both(net, pool, devs, batch_size=8):
-    for average_std in (True, False):
-        assert_same_selection(
-            adaptive_select(net, pool, devs, batch_size, average_std),
-            oracle_adaptive_select(masked(net, pool), devs, batch_size,
-                                   average_std))
+    assert_same_selection(
+        adaptive_select(net, pool, devs, batch_size),
+        oracle_adaptive_select(masked(net, pool), devs, batch_size))
     assert_same_selection(
         vanilla_select(net, pool, devs, batch_size),
         oracle_vanilla_select(masked(net, pool), devs, batch_size))
@@ -435,7 +427,7 @@ def test_selectors_match_oracles_with_no_shared_prefix():
     net, pool, devs = oracle_fixture(5)
     net.layers[0].weight[0, :4] = [0.0, -0.0, 0.0, -0.0]
     rng = np.random.default_rng(5)
-    pool = [Candidate(c.id, c.layer_densities,
+    pool = [Candidate(c.layer_densities,
                       Mask({"0.weight": (rng.random((5, 24)) < 0.5),
                             **c.mask.slices}))
             for c in pool]

@@ -147,10 +147,9 @@ def test_single_client_aggregation_is_identity():
     fedavg(state, [upload])
     for key, p in state.net.params().items():
         np.testing.assert_allclose(p, upload.params[key], rtol=0, atol=1e-12)
-    for (_, bn), mean, var in zip(state.net.bn_layers(), upload.bn.means,
-                                  upload.bn.variances):
-        np.testing.assert_allclose(bn.state.mean, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bn.state.var, var, rtol=1e-12, atol=0)
+    for (_, bn), (mean, var) in zip(state.net.bn_layers(), upload.bn.stats):
+        np.testing.assert_allclose(bn.mean, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bn.var, var, rtol=1e-12, atol=0)
 
 
 def test_masked_algorithms_stay_feasible_every_round():
@@ -391,9 +390,8 @@ def test_selection_path_matches_clone_oracles_byte_for_byte(
     shared = run(tmp_path / "shared")
     monkeypatch.setattr(
         sim, "adaptive_select",
-        lambda net, pool, devs, batch_size, average_std:
-        oracle_adaptive_select(masked(net, pool), devs, batch_size,
-                               average_std))
+        lambda net, pool, devs, batch_size:
+        oracle_adaptive_select(masked(net, pool), devs, batch_size))
     monkeypatch.setattr(
         sim, "vanilla_select",
         lambda net, pool, devs, batch_size:
@@ -427,7 +425,8 @@ def test_collection_pass_never_reaches_the_upload():
     assert with_pass.params.keys() == without.params.keys()
     for key, p in with_pass.params.items():
         assert p.tobytes() == without.params[key].tobytes(), key
-    for got, want in ((with_pass.bn.means, without.bn.means),
-                      (with_pass.bn.variances, without.bn.variances)):
-        assert len(got) == len(want) > 0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    got, want = with_pass.bn.stats, without.bn.stats
+    assert len(got) == len(want) > 0
+    for (mean, var), (want_mean, want_var) in zip(got, want):
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes()
