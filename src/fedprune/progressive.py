@@ -130,10 +130,10 @@ def pruning_number(t: int, schedule: PruneSchedule, local_iters: int,
 
 
 def aggregate_topk(buffers: list[TopKBuffer],
-                   weights: list[float]) -> dict[int, float]:
+                   weights: list[float]) -> tuple[Array, Array]:
     """Client-size-weighted sum over the union of reported indices; an index
-    a client did not report contributes zero for that client. Keys come in
-    ascending index order."""
+    a client did not report contributes zero for that client. Returns the
+    ascending int64 indices and their float64 sums."""
     if not buffers:
         raise ValueError("need at least one buffer")
     if len(buffers) != len(weights):
@@ -144,32 +144,35 @@ def aggregate_topk(buffers: list[TopKBuffer],
                              for buf, w in zip(buffers, weights)])
     keys, slot = np.unique(index, return_inverse=True)
     # bincount adds in input order, i.e. client by client, from 0.0
-    sums = np.bincount(slot, weights=shares, minlength=len(keys))
-    return dict(zip(keys.tolist(), sums.tolist()))
+    return keys, np.bincount(slot, weights=shares, minlength=len(keys))
 
 
 @dataclass
 class GrowPrunePlan:
-    """Index sets for one layer: grow flips mask 0 -> 1, drop flips 1 -> 0."""
+    """int64 flat-index sets for one layer: grow flips mask 0 -> 1, drop
+    flips 1 -> 0."""
 
-    grow: list[int] = field(default_factory=list)
-    drop: list[int] = field(default_factory=list)
+    grow: Array = field(default_factory=lambda: np.zeros(0, np.int64))
+    drop: Array = field(default_factory=lambda: np.zeros(0, np.int64))
     shortfall: int = 0  # grow slots filled without a reported gradient
 
     def __post_init__(self):
+        self.grow = np.asarray(self.grow, dtype=np.int64)
+        self.drop = np.asarray(self.drop, dtype=np.int64)
         if len(self.grow) != len(self.drop):
             raise ValueError("grow and drop sets must have equal size")
-        if set(self.grow) & set(self.drop):
+        if np.isin(self.grow, self.drop).any():
             raise ValueError("grow and drop sets must be disjoint")
 
 
-def plan_grow_prune(agg_grads: dict[int, float], mask_slice: Array,
+def plan_grow_prune(index: Array, grads: Array, mask_slice: Array,
                     weight_slice: Array, count: int) -> GrowPrunePlan:
     """Choose ``count`` pruned coordinates to grow (largest aggregated
-    gradient magnitude) and ``count`` unpruned coordinates to drop (smallest
-    weight magnitude, never a just-grown coordinate). Ties go to the lower
-    flat index. If fewer than ``count`` pruned coordinates were reported, the
-    remainder is filled with the lowest pruned indices and flagged."""
+    gradient ``grads[i]`` at flat index ``index[i]``) and ``count`` unpruned
+    coordinates to drop (smallest weight magnitude, never a just-grown
+    coordinate). Ties go to the lower flat index. If fewer than ``count``
+    pruned coordinates were reported, the remainder is filled with the
+    lowest pruned indices and flagged."""
     flat_mask = mask_slice.reshape(-1)
     pruned = np.flatnonzero(flat_mask == 0)
     unpruned = np.flatnonzero(flat_mask == 1)
@@ -179,9 +182,6 @@ def plan_grow_prune(agg_grads: dict[int, float], mask_slice: Array,
     if count == 0:
         return GrowPrunePlan()
 
-    index = np.fromiter(agg_grads.keys(), dtype=np.int64, count=len(agg_grads))
-    grads = np.fromiter(agg_grads.values(), dtype=np.float64,
-                        count=len(agg_grads))
     reported = np.isin(index, pruned)
     index, grads = index[reported], grads[reported]
     grow = index[np.lexsort((index, -np.abs(grads)))[:count]]
@@ -192,29 +192,23 @@ def plan_grow_prune(agg_grads: dict[int, float], mask_slice: Array,
 
     flat_w = np.abs(weight_slice.reshape(-1)[unpruned])
     order = np.argsort(flat_w, kind="stable")
-    drop = unpruned[order[:count]]
-    return GrowPrunePlan(grow=grow.tolist(), drop=drop.tolist(),
-                         shortfall=shortfall)
+    return GrowPrunePlan(grow, unpruned[order[:count]], shortfall)
 
 
 def apply_plan(mask_slice: Array, plan: GrowPrunePlan,
-               weight_slice: Array) -> tuple[Array, Array]:
-    """Flip the plan into a fresh (mask, weights) pair: grown coordinates are
-    zero-initialized, dropped coordinates are zeroed, and the nonzero count
-    is exactly conserved."""
-    mask = mask_slice.copy()
-    weights = weight_slice.copy()
-    flat_mask = mask.reshape(-1)
-    flat_w = weights.reshape(-1)
-    if np.any(flat_mask[plan.grow] != 0):
+               weight_slice: Array) -> None:
+    """Flip the plan into the mask slice and weight tensor in place: grown
+    coordinates are zero-initialized, dropped coordinates are zeroed, and
+    the nonzero count is exactly conserved. Both checks run before any
+    write."""
+    if np.any(mask_slice.flat[plan.grow] != 0):
         raise ValueError("plan grows a coordinate that is not pruned")
-    if np.any(flat_mask[plan.drop] != 1):
+    if np.any(mask_slice.flat[plan.drop] != 1):
         raise ValueError("plan drops a coordinate that is not unpruned")
-    flat_mask[plan.grow] = 1
-    flat_w[plan.grow] = 0.0
-    flat_mask[plan.drop] = 0
-    flat_w[plan.drop] = 0.0
-    return mask, weights
+    mask_slice.flat[plan.grow] = 1
+    weight_slice.flat[plan.grow] = 0.0
+    mask_slice.flat[plan.drop] = 0
+    weight_slice.flat[plan.drop] = 0.0
 
 
 def target_layers(round_index: int, schedule: PruneSchedule,

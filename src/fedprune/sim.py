@@ -199,8 +199,6 @@ class ExperimentState:
     clients: list[Dataset]
     test_set: Dataset
     selection: dict | None   # the selection.json record of pool algorithms
-    param_dense_bytes: float
-    act_bytes: float
 
 
 def _subseed(master: int, *tags: int) -> int:
@@ -305,15 +303,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
         mask = magnitude_mask(net, cfg.density)
         net = apply_mask(net, mask)
 
-    # activation memory of the largest training batch (linear in the batch)
-    largest = max(len(client) for client in clients)
-    act = costs.activation_bytes(net, min(cfg.batch_size, largest), cfg.bits)
-
-    return ExperimentState(
-        cfg=cfg, net=net, mask=mask, clients=clients, test_set=test_set,
-        selection=record,
-        param_dense_bytes=costs.dense_param_bytes(net, cfg.bits),
-        act_bytes=act)
+    return ExperimentState(cfg=cfg, net=net, mask=mask, clients=clients,
+                           test_set=test_set, selection=record)
 
 
 def selection_record(method: str, pool, scores: dict[int, float],
@@ -359,10 +350,9 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
         _train_one_epoch(local, client, state.mask, cfg.batch_size, cfg.lr,
                          rng)
 
-    params = {key: p.copy() for key, p in local.params().items()}
-    bn = BNReport([(mean.copy(), var.copy()) for mean, var in bn_stats(local)],
-                  len(client))
-
+    # uploaded without copies: the collection pass below writes no
+    # parameter and rebinds, rather than writes, the BN statistics
+    params, bn = local.params(), BNReport(bn_stats(local), len(client))
     buffers = {}
     violations = 0
     if collect:
@@ -371,8 +361,8 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
         take = min(cfg.batch_size, len(client))
         if take >= 2:
             idx = crng.choice(len(client), size=take, replace=False)
-            # the uploads are already copied; train-mode BN uses batch
-            # statistics, so the gradients do not depend on the moving ones
+            # train-mode BN uses batch statistics, so the gradients do not
+            # depend on the moving ones
             logits, cache = forward(local, client.features[idx], "train")
             _, grads = backward(local, logits, client.labels[idx], cache)
             for key, (a, pruned) in collect.items():
@@ -408,8 +398,12 @@ def plan_round(state: ExperimentState, round_index: int):
 
 def round_costs(state: ExperimentState, participants, collect):
     """Modeled peak per-client training FLOPs and training memory (bytes)
-    of a round, from the mask it trains with."""
+    of a round, from the mask it trains with. Activation memory is that of
+    the largest client's training batch."""
     cfg = state.cfg
+    largest = max(len(client) for client in state.clients)
+    act = costs.activation_bytes(state.net, min(cfg.batch_size, largest),
+                                 cfg.bits)
     f_s = costs.forward_flops(state.net, state.mask, cfg.batch_size)
     f_d = costs.forward_flops(state.net, None, cfg.batch_size)
     extra = (costs.collection_pass_flops(state.net, state.mask, list(collect),
@@ -419,23 +413,22 @@ def round_costs(state: ExperimentState, participants, collect):
                 for k in participants)
     peak = costs.round_peak_flops(cfg.cost_tag(), f_d, f_s, iters, extra)
     return peak, costs.training_memory(
-        cfg.cost_tag(), state.param_dense_bytes,
+        cfg.cost_tag(), costs.dense_param_bytes(state.net, cfg.bits),
         costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
-        state.act_bytes, cfg.bits,
+        act, cfg.bits,
         topk_total=sum(a for a, _ in collect.values()))
 
 
 def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
-    """Sample-weighted FedAvg of the uploads into ``state.net``: the
-    parameters (masked coordinates stay exactly zero), then the BN moving
-    statistics."""
+    """Sample-weighted FedAvg of the uploads into ``state.net``, in place:
+    each parameter is zeroed and the weighted uploads are added into it in
+    client order (masked coordinates stay exactly zero), then the BN moving
+    statistics are replaced."""
     total = sum(res.bn.samples for res in results)
-    new_params = {key: np.zeros_like(p) for key, p in state.net.params().items()}
-    for res in results:
-        for key in new_params:
-            new_params[key] += (res.bn.samples / total) * res.params[key]
     for key, p in state.net.params().items():
-        p[...] = new_params[key]
+        p[...] = 0.0
+        for res in results:
+            p += (res.bn.samples / total) * res.params[key]
     if state.mask is not None:
         for key, sl in state.mask.slices.items():
             state.net.params()[key][sl == 0] = 0.0
@@ -444,25 +437,22 @@ def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
 
 def adjust(state: ExperimentState, results: list[ClientResult], collect
            ) -> dict[str, dict[str, int]]:
-    """Grow/prune every planned layer of the aggregated model: aggregate the
-    clients' top-K buffers by sample count, plan, apply. Returns the
-    per-layer grow/drop/shortfall counts and the layer's new kept count."""
+    """Grow/prune every planned layer of the aggregated model in place:
+    aggregate the clients' top-K buffers by sample count, plan, apply.
+    Returns the per-layer grow/drop/shortfall counts and the layer's new
+    kept count."""
     layers: dict[str, dict[str, int]] = {}
     for key, (a, _) in collect.items():
         uploads = [res for res in results if key in res.buffers]
         if not uploads:
             continue
-        agg = aggregate_topk([res.buffers[key] for res in uploads],
-                             [res.bn.samples for res in uploads])
-        plan = plan_grow_prune(agg, state.mask.slices[key],
-                               state.net.params()[key], a)
-        new_mask, new_w = apply_plan(state.mask.slices[key], plan,
-                                     state.net.params()[key])
-        state.mask.slices[key] = new_mask
-        state.net.params()[key][...] = new_w
+        index, grads = aggregate_topk([res.buffers[key] for res in uploads],
+                                      [res.bn.samples for res in uploads])
+        sl, weight = state.mask.slices[key], state.net.params()[key]
+        plan = plan_grow_prune(index, grads, sl, weight, a)
+        apply_plan(sl, plan, weight)
         layers[key] = {"grow": len(plan.grow), "drop": len(plan.drop),
-                       "shortfall": plan.shortfall,
-                       "kept": int(new_mask.sum())}
+                       "shortfall": plan.shortfall, "kept": int(sl.sum())}
     return layers
 
 

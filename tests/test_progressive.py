@@ -56,18 +56,26 @@ def oracle_topk_collect(indices, values, capacity: int) -> HeapTopKBuffer:
     return buf
 
 
-def oracle_aggregate_topk(buffers, weights) -> dict[int, float]:
+def arrays(grads: dict[int, float]):
+    """A {flat index: gradient} dict as an ascending (index, grads) pair."""
+    keys = sorted(grads)
+    return (np.array(keys, dtype=np.int64),
+            np.array([grads[k] for k in keys], dtype=np.float64))
+
+
+def oracle_aggregate_topk(buffers, weights):
     total = float(sum(weights))
     out: dict[int, float] = {}
     for buf, w in zip(buffers, weights):
         share = w / total
         for idx, g in buf.entries():
             out[idx] = out.get(idx, 0.0) + share * g
-    return out
+    return arrays(out)
 
 
-def oracle_plan_grow_prune(agg_grads, mask_slice, weight_slice,
+def oracle_plan_grow_prune(index, grads, mask_slice, weight_slice,
                            count: int) -> GrowPrunePlan:
+    agg_grads = dict(zip(index.tolist(), grads.tolist()))
     flat_mask = mask_slice.reshape(-1)
     pruned = np.flatnonzero(flat_mask == 0)
     unpruned = np.flatnonzero(flat_mask == 1)
@@ -246,22 +254,24 @@ def test_topk_rejects_nan_in_the_last_chunk():
 def test_aggregate_overlapping_index():
     b1 = topk_collect([7], [2.0], 5)
     b2 = topk_collect([7], [4.0], 5)
-    agg = aggregate_topk([b1, b2], [1.0, 1.0])
-    assert agg == {7: pytest.approx(3.0)}
+    index, sums = aggregate_topk([b1, b2], [1.0, 1.0])
+    assert index.dtype == np.int64 and sums.dtype == np.float64
+    assert index.tolist() == [7] and sums.tolist() == [pytest.approx(3.0)]
 
 
 def test_aggregate_disjoint_supports():
     b1 = topk_collect([1], [2.0], 5)
     b2 = topk_collect([2], [4.0], 5)
-    agg = aggregate_topk([b1, b2], [1.0, 1.0])
-    assert agg[1] == pytest.approx(1.0)
-    assert agg[2] == pytest.approx(2.0)
+    index, sums = aggregate_topk([b1, b2], [1.0, 1.0])
+    assert index.tolist() == [1, 2]
+    assert sums.tolist() == [pytest.approx(1.0), pytest.approx(2.0)]
 
 
 def test_aggregate_single_client():
     b = topk_collect([3, 8], [1.0, -2.0], 5)
-    agg = aggregate_topk([b], [17.0])
-    assert agg == {3: pytest.approx(1.0), 8: pytest.approx(-2.0)}
+    index, sums = aggregate_topk([b], [17.0])
+    assert index.tolist() == [3, 8]
+    assert sums.tolist() == [pytest.approx(1.0), pytest.approx(-2.0)]
 
 
 def test_aggregate_matches_bruteforce_within_1e12():
@@ -272,7 +282,7 @@ def test_aggregate_matches_bruteforce_within_1e12():
         vals = rng.normal(size=n)
         buffers.append(topk_collect(range(n), vals, 20))
         weights.append(float(rng.integers(1, 100)))
-    agg = aggregate_topk(buffers, weights)
+    agg = dict(zip(*(a.tolist() for a in aggregate_topk(buffers, weights))))
     total = sum(weights)
     expected: dict[int, float] = {}
     for buf, w in zip(buffers, weights):
@@ -294,18 +304,20 @@ def test_aggregate_matches_heap_oracle_exactly():
                     else rng.normal(size=n))
             pairs.append((idx, vals, int(rng.integers(0, n + 2))))
         weights = [float(rng.integers(1, 100)) for _ in range(clients)]
-        agg = aggregate_topk([topk_collect(*p) for p in pairs], weights)
+        index, sums = aggregate_topk([topk_collect(*p) for p in pairs],
+                                     weights)
         ref = oracle_aggregate_topk([oracle_topk_collect(*p) for p in pairs],
                                     weights)
-        assert agg == ref
+        assert (index.tolist(), sums.tolist()) == \
+            (ref[0].tolist(), ref[1].tolist())
 
 
 # -- plan_grow_prune ---------------------------------------------------------------
 
 def test_plan_empty_when_count_zero():
     mask = np.array([1, 0, 1, 0], dtype=np.uint8)
-    plan = plan_grow_prune({}, mask, np.ones(4), 0)
-    assert plan.grow == [] and plan.drop == []
+    plan = plan_grow_prune(*arrays({}), mask, np.ones(4), 0)
+    assert plan.grow.tolist() == [] and plan.drop.tolist() == []
 
 
 def test_plan_matches_bruteforce_oracle():
@@ -319,30 +331,31 @@ def test_plan_matches_bruteforce_oracle():
         unpruned = np.flatnonzero(mask == 1)
         a = min(10, len(pruned), len(unpruned))
         grads = {int(i): float(rng.normal()) for i in pruned}
-        plan = plan_grow_prune(grads, mask, weights, a)
+        plan = plan_grow_prune(*arrays(grads), mask, weights, a)
         grow_oracle = sorted(pruned, key=lambda i: (-abs(grads[int(i)]), i))[:a]
         drop_oracle = sorted(unpruned, key=lambda i: (abs(weights[i]), i))[:a]
-        assert plan.grow == [int(i) for i in grow_oracle]
-        assert plan.drop == [int(i) for i in drop_oracle]
-        assert not set(plan.grow) & set(plan.drop)
+        assert plan.grow.tolist() == [int(i) for i in grow_oracle]
+        assert plan.drop.tolist() == [int(i) for i in drop_oracle]
+        assert not set(plan.grow.tolist()) & set(plan.drop.tolist())
         assert plan.shortfall == 0
 
 
 def test_plan_fills_shortfall_with_lowest_pruned_indices():
     mask = np.array([0, 0, 0, 0, 1, 1, 1], dtype=np.uint8)
     weights = np.array([0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 2.0])
-    plan = plan_grow_prune({2: 0.5}, mask, weights, 3)
-    assert plan.grow == [2, 0, 1]
-    assert plan.drop == [5, 6, 4]
+    plan = plan_grow_prune(*arrays({2: 0.5}), mask, weights, 3)
+    assert plan.grow.tolist() == [2, 0, 1]
+    assert plan.drop.tolist() == [5, 6, 4]
     assert plan.shortfall == 2
 
 
 def test_plan_ignores_gradients_at_unpruned_coordinates():
     mask = np.array([0, 1, 0, 1], dtype=np.uint8)
     weights = np.array([0.0, 5.0, 0.0, 1.0])
-    plan = plan_grow_prune({1: 100.0, 0: 0.5, 2: 0.1}, mask, weights, 1)
-    assert plan.grow == [0]
-    assert plan.drop == [3]
+    plan = plan_grow_prune(*arrays({1: 100.0, 0: 0.5, 2: 0.1}), mask,
+                           weights, 1)
+    assert plan.grow.tolist() == [0]
+    assert plan.drop.tolist() == [3]
 
 
 def test_plan_matches_heap_oracle_exactly_including_shortfall():
@@ -361,10 +374,10 @@ def test_plan_matches_heap_oracle_exactly_including_shortfall():
             reported, rng.choice(TIE_GRID, size=len(reported))
             if case % 2 else rng.normal(size=len(reported)))}
         count = int(rng.integers(0, min(len(pruned), len(unpruned)) + 1))
-        plan = plan_grow_prune(grads, mask, weights, count)
-        ref = oracle_plan_grow_prune(grads, mask, weights, count)
-        assert (plan.grow, plan.drop, plan.shortfall) == \
-            (ref.grow, ref.drop, ref.shortfall)
+        plan = plan_grow_prune(*arrays(grads), mask, weights, count)
+        ref = oracle_plan_grow_prune(*arrays(grads), mask, weights, count)
+        assert (plan.grow.tolist(), plan.drop.tolist(), plan.shortfall) == \
+            (ref.grow.tolist(), ref.drop.tolist(), ref.shortfall)
         shortfalls += plan.shortfall > 0
     assert shortfalls > 10
 
@@ -372,7 +385,7 @@ def test_plan_matches_heap_oracle_exactly_including_shortfall():
 def test_plan_count_too_large():
     mask = np.array([1, 0], dtype=np.uint8)
     with pytest.raises(ValueError):
-        plan_grow_prune({}, mask, np.ones(2), 2)
+        plan_grow_prune(*arrays({}), mask, np.ones(2), 2)
 
 
 # -- apply_plan -------------------------------------------------------------------
@@ -384,8 +397,9 @@ def test_apply_conserves_density_and_zero_inits():
     weights[mask == 0] = 0.0
     pruned = np.flatnonzero(mask == 0)
     unpruned = np.flatnonzero(mask == 1)
-    plan = GrowPrunePlan(grow=pruned[:5].tolist(), drop=unpruned[:5].tolist())
-    new_mask, new_w = apply_plan(mask, plan, weights)
+    plan = GrowPrunePlan(grow=pruned[:5], drop=unpruned[:5])
+    new_mask, new_w = mask.copy(), weights.copy()
+    assert apply_plan(new_mask, plan, new_w) is None  # flips in place
     assert new_mask.sum() == mask.sum()
     np.testing.assert_array_equal(new_w[plan.grow], 0.0)
     np.testing.assert_array_equal(new_w[plan.drop], 0.0)
@@ -398,7 +412,8 @@ def test_apply_conserves_density_and_zero_inits():
 def test_apply_empty_plan_is_identity():
     mask = np.array([1, 0, 1], dtype=np.uint8)
     weights = np.array([1.0, 0.0, -2.0])
-    new_mask, new_w = apply_plan(mask, GrowPrunePlan(), weights)
+    new_mask, new_w = mask.copy(), weights.copy()
+    apply_plan(new_mask, GrowPrunePlan(), new_w)
     np.testing.assert_array_equal(new_mask, mask)
     np.testing.assert_array_equal(new_w, weights)
 
@@ -407,6 +422,17 @@ def test_apply_rejects_inconsistent_plan():
     mask = np.array([1, 0], dtype=np.uint8)
     with pytest.raises(ValueError):
         apply_plan(mask, GrowPrunePlan(grow=[0], drop=[1]), np.ones(2))
+
+
+def test_apply_checks_the_whole_plan_before_writing():
+    # the grow set is valid, the drop set is not: nothing may be flipped
+    mask = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    weights = np.array([[2.0, 0.0], [0.0, -3.0]])
+    before = mask.copy(), weights.copy()
+    with pytest.raises(ValueError):
+        apply_plan(mask, GrowPrunePlan(grow=[1], drop=[2]), weights)
+    np.testing.assert_array_equal(mask, before[0])
+    np.testing.assert_array_equal(weights, before[1])
 
 
 def test_plan_validates_disjointness():

@@ -182,10 +182,15 @@ def test_activation_memory_is_sized_by_the_largest_client():
     state = setup_experiment(cfg)
     sizes = [len(client) for client in state.clients]
     assert sizes[0] < cfg.batch_size < max(sizes)
-    assert state.act_bytes == costs.activation_bytes(state.net,
-                                                     cfg.batch_size, cfg.bits)
-    assert state.act_bytes > costs.activation_bytes(state.net, sizes[0],
-                                                    cfg.bits)
+
+    def memory(batch):  # round 1 collects no top-K gradients
+        return costs.training_memory(
+            cfg.cost_tag(), costs.dense_param_bytes(state.net, cfg.bits),
+            costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
+            costs.activation_bytes(state.net, batch, cfg.bits), cfg.bits)
+
+    expected, client_0 = memory(cfg.batch_size), memory(sizes[0])
+    assert run_round(state, 1).memory_bytes == expected > client_0
 
 
 def test_dense_fedavg_learns_blobs():
