@@ -126,19 +126,19 @@ def dev_indices(n: int, ratio: float, seed: int = 0) -> Array:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
+def split_sizes(n: int, fractions: list[float]) -> list[int]:
+    """Group sizes of ``split_indices``: ``int(frac * n)`` per fraction, then
+    the remainder."""
+    sizes = [int(frac * n) for frac in fractions]
+    return sizes + [n - sum(sizes)]
+
+
 def split_indices(n: int, fractions: list[float], seed: int) -> list[Array]:
-    """Disjoint random index groups covering 0..n-1: one group per fraction
-    (floored sizes) plus a final remainder group."""
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    groups = []
-    start = 0
-    for frac in fractions:
-        take = int(frac * n)
-        groups.append(np.sort(perm[start:start + take]))
-        start += take
-    groups.append(np.sort(perm[start:]))
-    return groups
+    """Disjoint random index groups covering 0..n-1, sized by
+    ``split_sizes``: one group per fraction plus a final remainder group."""
+    perm = np.random.default_rng(seed).permutation(n)
+    bounds = np.cumsum(split_sizes(n, fractions)[:-1])
+    return [np.sort(group) for group in np.split(perm, bounds)]
 
 
 def load_csv(path, skip_header: bool = False) -> Dataset:

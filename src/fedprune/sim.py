@@ -19,7 +19,7 @@ import numpy as np
 
 from . import costs
 from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
-    load_csv, make_blobs, split_indices
+    load_csv, make_blobs, split_indices, split_sizes
 from .masking import Mask, apply_mask, generate_candidate_pool, \
     magnitude_mask, random_mask
 from .nn import Array, BatchNorm, Linear, Network, ReLU, backward, \
@@ -93,10 +93,13 @@ class ExperimentConfig:
         if self.data_kind == "csv" and not self.csv_path:
             issues.append("csv_path: required when data_kind is csv")
         for name in ("classes", "per_class", "dim", "clients", "rounds",
-                     "local_epochs", "batch_size", "blocks", "interval",
-                     "stop_round", "bits"):
+                     "local_epochs", "blocks", "interval", "stop_round",
+                     "bits"):
             if getattr(self, name) < 1:
                 issues.append(f"{name}: must be at least 1")
+        if self.batch_size < 2:
+            issues.append("batch_size: must be at least 2 (BN batch "
+                          "statistics need two samples)")
         if self.spread < 0:
             issues.append("spread: must be nonnegative")
         if not 0.0 <= self.test_ratio < 1.0:
@@ -105,6 +108,15 @@ class ExperimentConfig:
             issues.append("server_ratio: must lie in [0, 1)")
         if self.test_ratio + self.server_ratio >= 1.0:
             issues.append("test_ratio + server_ratio: must leave client data")
+        # blob split sizes are known before the run; CSV ones only once
+        # the file is loaded
+        server = None
+        if self.data_kind == "blobs" and not issues:
+            _, server, train = split_sizes(self.classes * self.per_class,
+                                           [self.test_ratio, self.server_ratio])
+            if train < self.clients:
+                issues.append(f"clients: {train} training samples cannot "
+                              f"give each of {self.clients} clients one")
         if not 0.0 < self.client_fraction <= 1.0:
             issues.append("client_fraction: must lie in (0, 1]")
         if self.alpha <= 0:
@@ -124,9 +136,10 @@ class ExperimentConfig:
             issues.append("lr: must be positive")
         if self.pretrain_epochs < 0:
             issues.append("pretrain_epochs: must be nonnegative")
-        elif self.pretrain_epochs > 0 and self.server_ratio == 0.0:
+        elif self.pretrain_epochs > 0 and (self.server_ratio == 0.0
+                                           or server == 0):
             issues.append("pretrain_epochs: pretraining needs server data "
-                          "(server_ratio > 0)")
+                          "(a non-empty server split)")
         if not 0.0 < self.density <= 1.0:
             issues.append("density: must lie in (0, 1]")
         if self.pool_size < 0:
@@ -186,9 +199,7 @@ class RoundMetrics:
     layers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def csv_row(self) -> str:
-        return ",".join([str(self.round), repr(self.accuracy), repr(self.loss),
-                         repr(self.density), repr(self.peak_flops),
-                         repr(self.memory_bytes)])
+        return ",".join(repr(getattr(self, c)) for c in CSV_COLUMNS)
 
 
 @dataclass
@@ -233,20 +244,20 @@ def pretrain_server(net: Network, ds: Dataset | None, epochs: int,
     return net
 
 
+def _local_batches(n: int, batch_size: int) -> int:
+    """Batches in an epoch of ``n`` samples: a one-sample tail is skipped,
+    since BN batch statistics need two samples."""
+    full, rem = divmod(n, batch_size)
+    return full + (1 if rem >= 2 else 0)
+
+
 def _train_one_epoch(net, ds, mask, batch_size, lr, rng) -> None:
     perm = rng.permutation(len(ds))
-    for start in range(0, len(ds), batch_size):
-        idx = perm[start:start + batch_size]
-        if len(idx) < 2:
-            continue  # BN batch statistics need two samples
+    for b in range(_local_batches(len(ds), batch_size)):
+        idx = perm[b * batch_size:(b + 1) * batch_size]
         logits, cache = forward(net, ds.features[idx], "train")
         _, grads = backward(net, logits, ds.labels[idx], cache)
         sgd_step(net, grads, lr, mask)
-
-
-def _local_batches(n: int, batch_size: int) -> int:
-    full, rem = divmod(n, batch_size)
-    return full + (1 if rem >= 2 else 0)
 
 
 def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:

@@ -249,15 +249,50 @@ def test_cmd_run_missing_config(tmp_path):
 def test_cmd_run_invalid_config(config_file, tmp_path):
     # each is rejected by validation, before the run directory exists:
     # a pruning algorithm with one hidden width has no prunable tensor,
-    # and pretraining needs server data
+    # pretraining needs server data (0.0001 of 160 blobs floors to none),
+    # 160 blobs leave too few training samples for 600 clients, and BN
+    # batch statistics need two samples
     for sets in (["density=7.0"],
                  ["algorithm=FedTiny", "hidden=64"],
-                 ["pretrain_epochs=1", "server_ratio=0.0"]):
+                 ["pretrain_epochs=1", "server_ratio=0.0"],
+                 ["server_ratio=0.0001"],
+                 ["clients=600", "per_class=50"],
+                 ["batch_size=1"]):
         rc = main(["run", "--config", str(config_file), "--out",
                    str(tmp_path / "o")]
                   + [arg for s in sets for arg in ("--set", s)])
         assert rc == 2, sets
     assert not (tmp_path / "o").exists()
+
+
+def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
+    # four shifted classes of 60 rows under a header line
+    rows = ["x0,x1,x2,label"]
+    for i in range(240):
+        c = i % 4
+        rows.append(f"{c + 0.1 * (i % 7)},{-c + 0.05 * (i % 11)},"
+                    f"{0.3 * (i % 5)},{c}")
+    data = tmp_path / "toy.csv"
+    data.write_text("\n".join(rows) + "\n")
+    config = tmp_path / "csv.ini"
+    config.write_text(SMALL_CONFIG.replace(
+        "[data]\n", f"[data]\ndata_kind = csv\ncsv_path = {data}\n"
+                    f"csv_header = true\n"))
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        rc = main(["run", "--config", str(config), "--out", str(out),
+                   "--set", "algorithm=FedTiny", "--set", "pool_size=3"])
+        assert rc == 0
+        runs.append(next(out.iterdir()))
+    for artifact in ("manifest.json", "metrics.csv", "metrics.jsonl",
+                     "final.ckpt", "selection.json"):
+        assert (runs[0] / artifact).exists(), artifact
+    assert (runs[0] / "metrics.csv").read_bytes() == \
+        (runs[1] / "metrics.csv").read_bytes()
+    records = [json.loads(line) for line in
+               (runs[0] / "metrics.jsonl").read_text().splitlines()]
+    assert any(rec["grow_count"] > 0 for rec in records)
 
 
 # -- sweep command ------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fedprune.data import (
     load_csv,
     make_blobs,
     split_indices,
+    split_sizes,
 )
 
 
@@ -116,6 +117,13 @@ def test_split_indices_cover_everything():
     assert len(groups) == 3
     assert len(groups[0]) == 20 and len(groups[1]) == 10 and len(groups[2]) == 70
     np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(100))
+
+
+def test_split_sizes_are_the_split_group_sizes():
+    for n, fractions in ((100, [0.2, 0.1]), (5000, [0.2, 0.0001]),
+                         (7, [0.5]), (10, [])):
+        groups = split_indices(n, fractions, seed=1)
+        assert split_sizes(n, fractions) == [len(g) for g in groups]
 
 
 # -- load_csv ----------------------------------------------------------------

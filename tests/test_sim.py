@@ -13,6 +13,7 @@ from fedprune.sim import (
     ConfigError,
     ExperimentConfig,
     _client_update,
+    _local_batches,
     evaluate_global,
     fedavg,
     load_checkpoint,
@@ -42,6 +43,19 @@ def test_config_validation_reports_fields():
         cfg.validate()
     text = str(err.value)
     assert "algorithm" in text and "density" in text and "lr" in text
+
+
+def test_config_validation_checks_blob_split_sizes():
+    # 240 blobs: 48 test, 24 server and 168 training samples
+    tiny_config(clients=168).validate()
+    for kw, field in (({"clients": 169}, "clients"),
+                      ({"server_ratio": 0.004}, "pretrain_epochs"),
+                      ({"batch_size": 1}, "batch_size")):
+        with pytest.raises(ConfigError) as err:
+            tiny_config(**kw).validate()
+        assert [m.split(":")[0] for m in err.value.issues] == [field]
+    # without pretraining an empty server split is allowed
+    tiny_config(server_ratio=0.004, pretrain_epochs=0).validate()
 
 
 def test_auto_pool_size():
@@ -210,6 +224,34 @@ def test_client_fraction_sampling_deterministic():
     a = run_experiment(cfg)[0]
     b = run_experiment(cfg)[0]
     assert [m.accuracy for m in a] == [m.accuracy for m in b]
+
+
+def test_each_participant_steps_once_per_local_batch(monkeypatch):
+    # training and the cost model count batches by one rule: clients 0 and
+    # 3 hold 89 and 41 samples, so each skips a one-sample tail
+    from fedprune import sim
+
+    cfg = tiny_config(algorithm="DenseFedAvg", seed=1, batch_size=8,
+                      client_fraction=0.75, pretrain_epochs=0)
+    state = setup_experiment(cfg)
+    assert [len(c) % 8 for c in state.clients] == [1, 4, 2, 1]
+    current, steps = [], {}
+    client_update, sgd_step = sim._client_update, sim.sgd_step
+
+    def update(state, k, *args):
+        current.append(k)
+        return client_update(state, k, *args)
+
+    def step(*args):
+        steps[current[-1]] = steps.get(current[-1], 0) + 1
+        return sgd_step(*args)
+
+    monkeypatch.setattr(sim, "_client_update", update)
+    monkeypatch.setattr(sim, "sgd_step", step)
+    run_round(state, 1)
+    assert len(current) == 3
+    assert steps == {k: cfg.local_epochs * _local_batches(
+        len(state.clients[k]), cfg.batch_size) for k in current}
 
 
 # -- aggregation oracle --------------------------------------------------------------
