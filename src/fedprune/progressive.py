@@ -161,7 +161,9 @@ class GrowPrunePlan:
         self.drop = np.asarray(self.drop, dtype=np.int64)
         if len(self.grow) != len(self.drop):
             raise ValueError("grow and drop sets must have equal size")
-        if np.isin(self.grow, self.drop).any():
+        # the default sort method calls np.unique, which imports numpy.ma
+        # (about 1 MiB resident) on first use
+        if np.isin(self.grow, self.drop, kind="table").any():
             raise ValueError("grow and drop sets must be disjoint")
 
 
