@@ -249,7 +249,7 @@ def test_each_participant_steps_once_per_local_batch(monkeypatch):
     monkeypatch.setattr(sim, "_client_update", update)
     monkeypatch.setattr(sim, "sgd_step", step)
     run_round(state, 1)
-    assert len(current) == 3
+    assert current == [0, 1, 3]  # both one-sample tails take part
     assert steps == {k: cfg.local_epochs * _local_batches(
         len(state.clients[k]), cfg.batch_size) for k in current}
 
