@@ -231,11 +231,11 @@ def cmd_cost(args) -> int:
     extra = (costs.collection_pass_flops(net, mask, list(net.prunable_keys()),
                                          args.batch) if mask else 0.0)
     report = {
-        "storage": storage.to_record(),
+        "storage": storage,
         "memory": [{"algorithm": tag, "param_dense": dense_bytes,
-                    "param_sparse": storage.total_bytes, "activations": act,
+                    "param_sparse": storage["bytes"], "activations": act,
                     "memory_total": costs.training_memory(
-                        tag, dense_bytes, storage.total_bytes, act, bits)}
+                        tag, dense_bytes, storage["bytes"], act, bits)}
                    for tag in costs.ALGORITHM_TAGS],
         "flops": [{"algorithm": tag, "dense_forward": f_d,
                    "sparse_forward": f_s, "local_iters": iters,

@@ -15,8 +15,7 @@ bits, so an empty tensor costs exactly its fixed index structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .masking import Mask
 from .nn import Network
 
 SCHEME_DENSE = "dense"
@@ -50,27 +49,17 @@ def choose_scheme(d: float) -> str:
     return SCHEME_CSR
 
 
-@dataclass
-class StorageEntry:
-    scheme: str
-    position_bits: int
-    total_bits: int
-
-    def to_record(self) -> dict:
-        return {"scheme": self.scheme, "bits": self.total_bits,
-                "bytes": self.total_bits / 8.0}
-
-
-def storage_bits(n: int, n_r: int, n_c: int, m: int, b: int) -> StorageEntry:
-    """Bits to store m nonzeros of an n-element (n_r x n_c) tensor at value
-    bit-width b, under the scheme its density selects."""
+def storage_bits(n: int, n_r: int, n_c: int, m: int,
+                 b: int) -> tuple[str, int]:
+    """Scheme and bits to store m nonzeros of an n-element (n_r x n_c)
+    tensor at value bit-width b, under the scheme its density selects."""
     if m > n or n != n_r * n_c:
         raise ValueError("need m <= n and n == n_r * n_c")
     if b < 1:
         raise ValueError("bit width must be at least 1")
     scheme = choose_scheme(m / n)
     if scheme == SCHEME_DENSE:
-        return StorageEntry(scheme, 0, n * b)
+        return scheme, n * b
     if scheme == SCHEME_BITMAP:
         o = n
     elif scheme == SCHEME_COO:
@@ -79,43 +68,23 @@ def storage_bits(n: int, n_r: int, n_c: int, m: int, b: int) -> StorageEntry:
         o_csr = m * ceil_log2(n_c) + n_r * ceil_log2(m)
         o_csc = m * ceil_log2(n_r) + n_c * ceil_log2(m)
         o = min(o_csr, o_csc)
-    return StorageEntry(scheme, o, o + m * b)
+    return scheme, o + m * b
 
 
-@dataclass
-class StorageReport:
-    entries: dict[str, StorageEntry]
-    total_bits: int
-
-    @property
-    def total_bytes(self) -> float:
-        return self.total_bits / 8.0
-
-    @property
-    def total_mb(self) -> float:
-        return self.total_bits / 8.0 / 1e6
-
-    def to_record(self) -> dict:
-        return {"bits": self.total_bits, "bytes": self.total_bytes,
-                "mb": self.total_mb,
-                "tensors": {k: e.to_record() for k, e in self.entries.items()}}
-
-
-def model_storage(net: Network, mask=None, bits: int = 32) -> StorageReport:
-    """Per-tensor scheme selection over every parameter tensor; tensors
-    without a mask slice are dense."""
-    slices = getattr(mask, "slices", mask) or {}
-    entries: dict[str, StorageEntry] = {}
-    total = 0
+def model_storage(net: Network, mask: Mask | None = None,
+                  bits: int = 32) -> dict:
+    """The storage record of ``fedprune cost``: per-tensor scheme selection
+    over every parameter tensor; tensors without a mask slice are dense."""
+    kept = mask.nonzeros() if mask is not None else {}
+    tensors = {}
     for key, p in net.params().items():
-        n = p.size
-        m = int(slices[key].sum()) if key in slices else n
         # every parameter is 1-D or 2-D; csr/csc is symmetric in the extents
-        n_r, n_c = p.shape if p.ndim == 2 else (1, n)
-        entry = storage_bits(n, n_r, n_c, m, bits)
-        entries[key] = entry
-        total += entry.total_bits
-    return StorageReport(entries, total)
+        n_r, n_c = p.shape if p.ndim == 2 else (1, p.size)
+        scheme, b = storage_bits(p.size, n_r, n_c, kept.get(key, p.size), bits)
+        tensors[key] = {"scheme": scheme, "bits": b, "bytes": b / 8.0}
+    total = sum(t["bits"] for t in tensors.values())
+    return {"bits": total, "bytes": total / 8.0, "mb": total / 8.0 / 1e6,
+            "tensors": tensors}
 
 
 def dense_param_bytes(net: Network, bits: int = 32) -> float:
@@ -126,54 +95,54 @@ def dense_param_bytes(net: Network, bits: int = 32) -> float:
 # FLOPs
 # ---------------------------------------------------------------------------
 
-def forward_flops(net: Network, mask=None, batch: int = 1) -> float:
+def forward_flops(net: Network, mask: Mask | None = None,
+                  batch: int = 1) -> float:
     """One forward pass: 2 * nonzero-weights * batch per linear layer plus
     batch * width per activation; batch normalization and the loss cost 0."""
     if batch < 1:
         raise ValueError("batch size must be at least 1")
-    slices = getattr(mask, "slices", mask) or {}
+    kept = mask.nonzeros() if mask is not None else {}
     total = 0.0
-    for i, layer in enumerate(net.layers):
+    for i, (layer, width) in enumerate(zip(net.layers, _widths(net))):
         if layer.kind == "linear":
-            key = f"{i}.weight"
-            m = int(slices[key].sum()) if key in slices else layer.weight.size
-            total += 2.0 * m * batch
+            total += 2.0 * kept.get(f"{i}.weight", layer.weight.size) * batch
         elif layer.kind == "relu":
-            width = _layer_width(net, i)
             total += float(batch * width)
     return total
 
 
-def _layer_width(net: Network, index: int) -> int:
-    for j in range(index, -1, -1):
-        if net.layers[j].kind == "linear":
-            return net.layers[j].weight.shape[1]
-    return net.input_dim
+def _widths(net: Network) -> list[int]:
+    """Output width of every layer, from one forward walk."""
+    widths, width = [], net.input_dim
+    for layer in net.layers:
+        if layer.kind == "linear":
+            width = layer.weight.shape[1]
+        widths.append(width)
+    return widths
 
 
-def collection_pass_flops(net: Network, mask, targeted: list[str],
-                          batch: int) -> float:
+def collection_pass_flops(net: Network, mask: Mask | None,
+                          targeted: list[str], batch: int) -> float:
     """FLOPs of the extra gradient-collection pass on a pruning round: one
     sparse forward, activation-gradient propagation back to the earliest
     targeted layer, and a dense weight-gradient for each targeted layer."""
     if not targeted:
         return 0.0
-    slices = getattr(mask, "slices", mask) or {}
+    kept = mask.nonzeros() if mask is not None else {}
     targeted_ix = sorted(net.layer_of_key(k) for k in targeted)
     earliest = targeted_ix[0]
     total = forward_flops(net, mask, batch)
+    widths = _widths(net)
     for i in range(len(net.layers) - 1, earliest - 1, -1):
         layer = net.layers[i]
         if layer.kind == "linear":
             if i in targeted_ix:
                 total += 2.0 * layer.weight.size * batch  # dense dW
-            if i > earliest:
-                key = f"{i}.weight"
-                m = (int(slices[key].sum()) if key in slices
-                     else layer.weight.size)
-                total += 2.0 * m * batch  # input-gradient propagation
+            if i > earliest:  # input-gradient propagation
+                m = kept.get(f"{i}.weight", layer.weight.size)
+                total += 2.0 * m * batch
         elif layer.kind == "relu" and i > earliest:
-            total += float(batch * _layer_width(net, i))
+            total += float(batch * widths[i])
     return total
 
 
@@ -210,13 +179,7 @@ def activation_bytes(net: Network, batch: int, bits: int = 32) -> float:
     gradient-of-activation memory is taken equal to this."""
     if batch < 1:
         raise ValueError("batch size must be at least 1")
-    values = net.input_dim
-    for i, layer in enumerate(net.layers):
-        if layer.kind == "linear":
-            values += layer.weight.shape[1]
-        else:
-            values += _layer_width(net, i)
-    return values * batch * bits / 8.0
+    return (net.input_dim + sum(_widths(net))) * batch * bits / 8.0
 
 
 def training_memory(algorithm: str, param_dense: float, param_sparse: float,

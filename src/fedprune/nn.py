@@ -14,8 +14,12 @@ same order, as the expression it replaces, so results are bit-identical.
 from __future__ import annotations
 
 import copy
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .masking import Mask
 
 Array = np.ndarray
 
@@ -352,13 +356,13 @@ def backward(net: Network, logits: Array, labels, cache):
 
 
 def sgd_step(net: Network, grads: dict[str, Array], lr: float,
-             mask=None) -> Network:
+             mask: Mask | None = None) -> Network:
     """In-place SGD update ``p -= lr * g``; a masked tensor then sets its
     masked coordinates to exactly +0.0. Since ``g * 1 == g`` exactly, this
     is the update with the masked gradient ``g * m``, bit for bit."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    slices = getattr(mask, "slices", mask) or {}
+    slices = mask.slices if mask is not None else {}
     for key, p in net.params().items():
         g = grads[key]
         if g.shape != p.shape:

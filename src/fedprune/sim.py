@@ -425,7 +425,7 @@ def round_costs(state: ExperimentState, participants, collect):
     peak = costs.round_peak_flops(cfg.cost_tag(), f_d, f_s, iters, extra)
     return peak, costs.training_memory(
         cfg.cost_tag(), costs.dense_param_bytes(state.net, cfg.bits),
-        costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
+        costs.model_storage(state.net, state.mask, cfg.bits)["bytes"],
         act, cfg.bits,
         topk_total=sum(a for a, _ in collect.values()))
 

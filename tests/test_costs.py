@@ -74,19 +74,18 @@ def test_scheme_band_boundaries_and_totality():
 
 def test_storage_worked_values():
     # bitmap: 100 + 50*32 = 1700
-    assert storage_bits(100, 10, 10, 50, 32).total_bits == 1700
-    # coo: 20*7 + 20*32 = 780
-    entry = storage_bits(100, 10, 10, 20, 32)
-    assert entry.position_bits == 140 and entry.total_bits == 780
+    assert storage_bits(100, 10, 10, 50, 32) == ("bitmap", 1700)
+    # coo: 20*7 + 20*32 = 780; the index bits are bits - m * b
+    scheme, bits = storage_bits(100, 10, 10, 20, 32)
+    assert scheme == "coo" and bits == 780 and bits - 20 * 32 == 140
     # csr: 5*4 + 10*3 + 5*32 = 210
-    entry = storage_bits(100, 10, 10, 5, 32)
-    assert entry.position_bits == 50 and entry.total_bits == 210
+    scheme, bits = storage_bits(100, 10, 10, 5, 32)
+    assert scheme == "csr" and bits == 210 and bits - 5 * 32 == 50
 
 
 def test_storage_empty_tensor_costs_index_structure_minimum():
-    entry = storage_bits(100, 10, 10, 0, 32)
-    assert entry.scheme == "csr"
-    assert entry.total_bits == 0  # ceil(log2 m) = 0 for m <= 1
+    # ceil(log2 m) = 0 for m <= 1
+    assert storage_bits(100, 10, 10, 0, 32) == ("csr", 0)
 
 
 def test_storage_matches_transcription_oracle():
@@ -98,12 +97,12 @@ def test_storage_matches_transcription_oracle():
         n = n_r * n_c
         m = int(rng.integers(0, n + 1))
         b = int(rng.integers(1, 65))
-        entry = storage_bits(n, n_r, n_c, m, b)
-        assert entry.total_bits == oracle_storage(n, n_r, n_c, m, b)
+        scheme, bits = storage_bits(n, n_r, n_c, m, b)
+        assert bits == oracle_storage(n, n_r, n_c, m, b)
         # model_storage passes a 2-D weight's extents in shape order, which
         # is sound only because no scheme depends on their order
-        assert storage_bits(n, n_c, n_r, m, b) == entry
-        schemes.add(entry.scheme)
+        assert storage_bits(n, n_c, n_r, m, b) == (scheme, bits)
+        schemes.add(scheme)
     assert schemes == {"dense", "bitmap", "coo", "csr"}
 
 
@@ -125,21 +124,21 @@ def test_dense_model_storage_is_param_count_times_width():
     net = make_mlp(6, [10, 10], 4, seed=0)
     report = model_storage(net, None, bits=32)
     n_params = sum(p.size for p in net.params().values())
-    assert report.total_bits == n_params * 32
-    assert report.total_bytes == dense_param_bytes(net, 32)
+    assert report["bits"] == n_params * 32
+    assert report["bytes"] == dense_param_bytes(net, 32)
 
 
 def test_model_storage_additivity_and_bands():
     net = make_mlp(6, [40, 40, 40], 4, seed=1)
     mask = random_mask(net, 0.05, seed=2)
     report = model_storage(net, mask, bits=32)
-    assert report.total_bits == sum(e.total_bits
-                                    for e in report.entries.values())
+    tensors = report["tensors"]
+    assert report["bits"] == sum(t["bits"] for t in tensors.values())
     for key in mask.slices:
-        assert report.entries[key].scheme == "csr"
+        assert tensors[key]["scheme"] == "csr"
     # unmasked tensors stay dense
-    bias_keys = [k for k in report.entries if k.endswith(".bias")]
-    assert all(report.entries[k].scheme == "dense" for k in bias_keys)
+    bias_keys = [k for k in tensors if k.endswith(".bias")]
+    assert all(tensors[k]["scheme"] == "dense" for k in bias_keys)
 
 
 def test_model_storage_empty_mask_slice():
@@ -147,7 +146,7 @@ def test_model_storage_empty_mask_slice():
     key = net.prunable_keys()[0]
     mask = Mask({key: np.zeros_like(net.params()[key], dtype=np.uint8)})
     report = model_storage(net, mask, bits=32)
-    assert report.entries[key].total_bits == 0
+    assert report["tensors"][key]["bits"] == 0
 
 
 # -- forward_flops ----------------------------------------------------------------
@@ -161,7 +160,8 @@ def test_forward_flops_half_masked():
     net = Network([Linear(np.zeros((10, 10)), np.zeros(10)), ReLU()])
     m = np.zeros(100, dtype=np.uint8)
     m[:50] = 1
-    assert forward_flops(net, {"0.weight": m.reshape(10, 10)}, batch=1) == 110
+    assert forward_flops(net, Mask({"0.weight": m.reshape(10, 10)}),
+                         batch=1) == 110
 
 
 def test_forward_flops_linearity():
@@ -248,11 +248,11 @@ def test_reports_round_trip_json(tmp_path):
     dense, act = dense_param_bytes(net, 32), activation_bytes(net, 16, 32)
     f_d, f_s = forward_flops(net, None, 16), forward_flops(net, mask, 16)
     extra = collection_pass_flops(net, mask, list(net.prunable_keys()), 16)
-    assert parsed["storage"]["bits"] == storage.total_bits
+    assert parsed["storage"] == storage
     assert parsed["memory"] == [
         {"algorithm": tag, "param_dense": dense,
-         "param_sparse": storage.total_bytes, "activations": act,
-         "memory_total": training_memory(tag, dense, storage.total_bytes,
+         "param_sparse": storage["bytes"], "activations": act,
+         "memory_total": training_memory(tag, dense, storage["bytes"],
                                          act, 32)}
         for tag in ALGORITHM_TAGS]
     assert parsed["flops"] == [

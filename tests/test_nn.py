@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedprune.masking import apply_mask, random_mask
+from fedprune.masking import Mask, apply_mask, random_mask
 from fedprune.nn import (
     BatchNorm,
     Linear,
@@ -156,9 +156,9 @@ def test_sgd_all_ones_mask_is_plain_sgd():
     x = np.random.default_rng(0).normal(size=(4, 3))
     y = np.array([0, 1, 0, 1])
     for net, mask in ((net_a, None),
-                      (net_b, {k: np.ones_like(v, dtype=np.uint8)
-                               for k, v in net_b.params().items()
-                               if k in net_b.prunable_keys()})):
+                      (net_b, Mask({k: np.ones_like(v, dtype=np.uint8)
+                                    for k, v in net_b.params().items()
+                                    if k in net_b.prunable_keys()}))):
         logits, cache = forward(net, x, "train")
         _, grads = backward(net, logits, y, cache)
         sgd_step(net, grads, 0.1, mask)
@@ -173,7 +173,7 @@ def test_masked_coordinates_stay_exactly_zero():
     # random half-density mask that keeps every output unit connected
     m = (rng.random(net.params()[key].shape) < 0.5).astype(np.uint8)
     m[0] = 1
-    mask = {key: m}
+    mask = Mask({key: m})
     p = net.params()[key]
     p[m == 0] = 0.0
     for step in range(5):
@@ -371,7 +371,7 @@ def _ref_backward(net: Network, logits, labels, cache):
 def _ref_sgd_step(net: Network, grads, lr: float, mask=None) -> Network:
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    slices = getattr(mask, "slices", mask) or {}
+    slices = mask.slices if mask is not None else {}
     for key, p in net.params().items():
         g = grads[key]
         if g.shape != p.shape:

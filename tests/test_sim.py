@@ -200,7 +200,7 @@ def test_activation_memory_is_sized_by_the_largest_client():
     def memory(batch):  # round 1 collects no top-K gradients
         return costs.training_memory(
             cfg.cost_tag(), costs.dense_param_bytes(state.net, cfg.bits),
-            costs.model_storage(state.net, state.mask, cfg.bits).total_bytes,
+            costs.model_storage(state.net, state.mask, cfg.bits)["bytes"],
             costs.activation_bytes(state.net, batch, cfg.bits), cfg.bits)
 
     expected, client_0 = memory(cfg.batch_size), memory(sizes[0])
