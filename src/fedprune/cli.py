@@ -23,11 +23,11 @@ SECTIONS = {
     "data": ("data_kind", "classes", "per_class", "dim", "spread", "csv_path",
              "csv_header", "test_ratio", "server_ratio"),
     "federation": ("clients", "client_fraction", "alpha", "dev_ratio"),
-    "model": ("hidden", "bn_momentum", "bn_eps"),
+    "model": ("hidden",),
     "training": ("algorithm", "rounds", "local_epochs", "batch_size", "lr",
                  "pretrain_epochs"),
-    "pruning": ("density", "pool_size", "pool_noise", "granularity", "blocks",
-                "interval", "stop_round", "growth_fraction"),
+    "pruning": ("density", "pool_size", "granularity", "blocks", "interval",
+                "stop_round", "growth_fraction"),
     "run": ("seed", "bits"),
 }
 _FIELD_SECTION = {name: section for section, names in SECTIONS.items()

@@ -123,8 +123,7 @@ class Network:
 
 
 def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
-             momentum: float = 0.9, eps: float = 1e-5, seed: int = 0
-             ) -> Network:
+             seed: int = 0) -> Network:
     """He-initialized MLP: [Linear, BN, ReLU] per hidden width, then a Linear head."""
     rng = np.random.default_rng(seed)
     layers: list = []
@@ -133,8 +132,7 @@ def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
         layers.append(Linear(w, np.zeros(width)))
         if batch_norm:
-            layers.append(BatchNorm(np.zeros(width), np.ones(width),
-                                    momentum=momentum, eps=eps))
+            layers.append(BatchNorm(np.zeros(width), np.ones(width)))
         layers.append(ReLU())
         fan_in = width
     w = rng.normal(0.0, np.sqrt(1.0 / fan_in), size=(fan_in, classes))

@@ -64,8 +64,6 @@ class ExperimentConfig:
     dev_ratio: float = 0.1
     # model
     hidden: tuple = (64, 64, 64)
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
     # training
     algorithm: str = "FedTiny"
     rounds: int = 100
@@ -76,7 +74,6 @@ class ExperimentConfig:
     # pruning
     density: float = 0.05
     pool_size: int = 0                # 0 -> 0.1 / density
-    pool_noise: float = 0.5
     granularity: str = "block"
     blocks: int = 5
     interval: int = 10
@@ -144,8 +141,6 @@ class ExperimentConfig:
             issues.append("density: must lie in (0, 1]")
         if self.pool_size < 0:
             issues.append("pool_size: must be nonnegative (0 = auto)")
-        if self.pool_noise < 0:
-            issues.append("pool_noise: must be nonnegative")
         if self.algorithm in PROGRESSIVE_ALGS:
             try:
                 self.schedule()
@@ -283,7 +278,6 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
                 for k, client in enumerate(clients)]
 
     net = make_mlp(ds.dim, list(cfg.hidden), ds.classes,
-                   momentum=cfg.bn_momentum, eps=cfg.bn_eps,
                    seed=_subseed(cfg.seed, _T_MODEL))
     if cfg.pretrain_epochs > 0:
         pretrain_server(net, server_set, cfg.pretrain_epochs, cfg.lr,
@@ -294,7 +288,6 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     if cfg.algorithm in POOL_ALGS:
         pool = generate_candidate_pool(net, cfg.density,
                                        cfg.resolved_pool_size(),
-                                       noise=cfg.pool_noise,
                                        seed=_subseed(cfg.seed, _T_POOL))
         if cfg.algorithm == "ProgressiveOnly":
             method = "vanilla"

@@ -91,19 +91,24 @@ def test_pruning_blocks_round_trip(tmp_path):
 
 
 def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
-    # removed keys: order, [model] blocks and aggregate_std (BN statistics
-    # are always aggregated as standard deviations)
+    # removed keys: order, [model] blocks, aggregate_std (BN statistics
+    # are always aggregated as standard deviations), and bn_momentum, bn_eps
+    # and pool_noise (fixed at 0.9, 1e-5 and 0.5)
     out = str(tmp_path / "out")
     for i, text in enumerate(("[pruning]\norder = forward\n",
                               "[pruning]\norder = backward\n",
                               "[model]\nblocks = 5\n",
-                              "[pruning]\naggregate_std = false\n")):
+                              "[pruning]\naggregate_std = false\n",
+                              "[model]\nbn_momentum = 0.9\n",
+                              "[model]\nbn_eps = 1e-5\n",
+                              "[pruning]\npool_noise = 0.5\n")):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
         assert main(["run", "--config", str(path), "--out", out]) == 2
     for override in ("order=forward", "pruning.order=backward",
                      "model.blocks=3", "aggregate_std=true",
-                     "pruning.aggregate_std=false"):
+                     "pruning.aggregate_std=false", "bn_momentum=1.5",
+                     "bn_eps=0", "pool_noise=0.5", "model.bn_eps=1e-5"):
         assert main(["run", "--config", str(config_file), "--out", out,
                      "--set", override]) == 2
     assert not (tmp_path / "out").exists()

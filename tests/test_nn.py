@@ -128,7 +128,7 @@ def test_zero_input_gives_exactly_zero_weight_gradient():
 def test_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
     for trial in range(3):
-        net = make_mlp(3, [5, 4], 3, seed=trial, momentum=0.9)
+        net = make_mlp(3, [5, 4], 3, seed=trial)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         logits, cache = forward(net, x, "train")
