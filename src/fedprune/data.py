@@ -44,19 +44,6 @@ class Dataset:
                        self.classes)
 
 
-@dataclass
-class PartitionSpec:
-    clients: int
-    alpha: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.clients < 1:
-            raise ValueError("client count must be at least 1")
-        if self.alpha <= 0.0:
-            raise ValueError("Dirichlet concentration must be positive")
-
-
 def make_blobs(classes: int, per_class: int, dim: int, spread: float,
                seed: int = 0) -> Dataset:
     """Gaussian class clusters: unit-normal class means, per-sample noise of
@@ -73,17 +60,22 @@ def make_blobs(classes: int, per_class: int, dim: int, spread: float,
     return Dataset(features, labels, classes)
 
 
-def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset]:
+def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
+                        seed: int = 0) -> list[Dataset]:
     """Split a dataset across clients with per-class Dirichlet proportions.
 
     Each class's samples are divided by a fresh Dir(alpha * 1_K) draw; the
     whole assignment is redrawn (up to PARTITION_RETRIES times) until every
     client holds at least one sample.
     """
-    k = spec.clients
+    k = clients
+    if k < 1:
+        raise ValueError("client count must be at least 1")
+    if alpha <= 0.0:
+        raise ValueError("Dirichlet concentration must be positive")
     if k > len(ds):
         raise ValueError(f"cannot split {len(ds)} samples across {k} clients")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.classes)]
     for _ in range(PARTITION_RETRIES):
         assignment: list[list[int]] = [[] for _ in range(k)]
@@ -91,7 +83,7 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset]:
             if len(idx_c) == 0:
                 continue
             idx_c = rng.permutation(idx_c)
-            p = rng.dirichlet(np.full(k, spec.alpha))
+            p = rng.dirichlet(np.full(k, alpha))
             counts = _proportional_counts(p, len(idx_c))
             start = 0
             for client, take in enumerate(counts):
@@ -99,7 +91,7 @@ def dirichlet_partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset]:
                 start += take
         if all(len(a) > 0 for a in assignment):
             return [ds.subset(sorted(a)) for a in assignment]
-    raise RuntimeError(
+    raise ValueError(
         f"could not give every one of {k} clients a sample in "
         f"{PARTITION_RETRIES} draws; fewer clients or a larger dataset needed")
 

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import costs
-from .data import Dataset, PartitionSpec, dev_indices, dirichlet_partition, \
-    load_csv, make_blobs, split_indices, split_sizes
+from .data import Dataset, dev_indices, dirichlet_partition, load_csv, \
+    make_blobs, split_indices, split_sizes
 from .masking import Mask, apply_mask, generate_candidate_pool, \
     magnitude_mask, random_mask
 from .nn import Array, BatchNorm, Linear, Network, ReLU, backward, \
@@ -270,9 +270,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     # with no held-out split, evaluation falls back to the training pool
     test_set = ds.subset(test_idx) if len(test_idx) else train_pool
 
-    clients = dirichlet_partition(
-        train_pool, PartitionSpec(cfg.clients, cfg.alpha,
-                                  seed=_subseed(cfg.seed, _T_PART)))
+    clients = dirichlet_partition(train_pool, cfg.clients, cfg.alpha,
+                                  seed=_subseed(cfg.seed, _T_PART))
     dev_sets = [client.subset(dev_indices(len(client), cfg.dev_ratio,
                                           seed=_subseed(cfg.seed, _T_DEV, k)))
                 for k, client in enumerate(clients)]

@@ -216,6 +216,24 @@ def test_failed_run_is_marked_in_the_manifest(config_file, tmp_path):
     assert not (run_dir / "final.ckpt").exists()
 
 
+def test_failed_partition_exits_1_with_one_error_line(tmp_path, capsys):
+    # 168 training samples validate for 168 clients, but 100 Dirichlet
+    # draws never give every client one
+    from test_sim import tiny_config
+
+    path, out = tmp_path / "exp.ini", tmp_path / "out"
+    cfg = tiny_config(clients=168)
+    path.write_text(serialize_config(cfg))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: could not give every one of 168 clients")
+    assert len(err.splitlines()) == 1
+    manifest = json.loads((out / run_id(cfg) / "manifest.json").read_text())
+    assert manifest["status"].startswith(
+        "failed: ValueError: could not give every one of 168 clients")
+
+
 def test_manifest_says_running_while_the_run_is_in_progress(
         config_file, tmp_path, monkeypatch):
     from fedprune import cli

@@ -3,7 +3,6 @@ import pytest
 
 from fedprune.data import (
     Dataset,
-    PartitionSpec,
     dev_indices,
     dirichlet_partition,
     load_csv,
@@ -39,7 +38,7 @@ def test_blobs_zero_spread_collapses_classes():
 
 def test_partition_is_complete_and_disjoint():
     ds = make_blobs(4, 50, 2, 1.0, seed=3)
-    parts = dirichlet_partition(ds, PartitionSpec(5, 0.5, seed=1))
+    parts = dirichlet_partition(ds, 5, 0.5, seed=1)
     assert len(parts) == 5
     rows = np.concatenate([p.features for p in parts])
     key = np.lexsort(rows.T)
@@ -51,7 +50,7 @@ def test_partition_is_complete_and_disjoint():
 
 def test_single_client_gets_everything():
     ds = make_blobs(2, 10, 2, 1.0, seed=0)
-    (part,) = dirichlet_partition(ds, PartitionSpec(1, 0.5, seed=0))
+    (part,) = dirichlet_partition(ds, 1, 0.5, seed=0)
     np.testing.assert_array_equal(np.sort(part.labels), np.sort(ds.labels))
 
 
@@ -59,7 +58,7 @@ def test_partition_near_uniform_at_huge_alpha():
     # alpha -> inf limit: client label shares within 5% of the global shares
     for seed in range(10):
         ds = make_blobs(10, 1000, 2, 1.0, seed=seed)
-        parts = dirichlet_partition(ds, PartitionSpec(10, 1e6, seed=seed))
+        parts = dirichlet_partition(ds, 10, 1e6, seed=seed)
         for p in parts:
             shares = np.bincount(p.labels, minlength=10) / len(p)
             assert np.all(np.abs(shares - 0.1) < 0.05)
@@ -68,7 +67,10 @@ def test_partition_near_uniform_at_huge_alpha():
 def test_partition_rejects_more_clients_than_samples():
     ds = make_blobs(2, 2, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
-        dirichlet_partition(ds, PartitionSpec(5, 0.5, seed=0))
+        dirichlet_partition(ds, 5, 0.5, seed=0)
+    for clients, alpha in ((0, 0.5), (2, 0.0)):
+        with pytest.raises(ValueError):
+            dirichlet_partition(ds, clients, alpha)
 
 
 def test_heterogeneity_grows_as_alpha_shrinks():
@@ -79,7 +81,7 @@ def test_heterogeneity_grows_as_alpha_shrinks():
         for seed in range(20):
             ds = make_blobs(5, 40, 2, 1.0, seed=seed)
             global_shares = np.bincount(ds.labels, minlength=5) / len(ds)
-            for p in dirichlet_partition(ds, PartitionSpec(4, alpha, seed=seed)):
+            for p in dirichlet_partition(ds, 4, alpha, seed=seed):
                 shares = np.bincount(p.labels, minlength=5) / len(p)
                 total += 0.5 * np.abs(shares - global_shares).sum()
                 runs += 1
