@@ -23,7 +23,7 @@ from fedprune.costs import (
 )
 from fedprune.cli import main
 from fedprune.masking import Mask, apply_mask, random_mask
-from fedprune.nn import Linear, Network, ReLU, make_mlp
+from fedprune.nn import BatchNorm, Linear, Network, ReLU, make_mlp
 from fedprune.sim import save_checkpoint
 
 
@@ -174,6 +174,62 @@ def test_forward_flops_linearity():
     sparse = forward_flops(net, mask, batch=3)
     dropped = sum(int((mask.slices[k] == 0).sum()) for k in mask.slices)
     assert full - sparse == 2 * 3 * dropped
+
+
+# -- worked values of the layer walk (batch 1, 32 bits) -------------------------
+
+def _kept_first(shape, count):
+    m = np.zeros(int(np.prod(shape)), dtype=np.uint8)
+    m[:count] = 1
+    return m.reshape(shape)
+
+
+def test_default_mlp_worked_costs():
+    # layers: 0 Linear(4,8), 3 Linear(8,8), 6 Linear(8,8), 9 Linear(8,3),
+    # each hidden one followed by BN and ReLU
+    net = make_mlp(4, [8, 8, 8], 3, seed=0)
+    mask = Mask({"3.weight": _kept_first((8, 8), 16),
+                 "6.weight": _kept_first((8, 8), 8)})
+    # 4 inputs + nine layers of width 8 + 3 logits = 79 values
+    assert activation_bytes(net, 1, bits=32) == 316
+    # 2 * (32 + 16 + 8 + 24) + 3 * 8 ReLU; dense 2 * (32 + 64 + 64 + 24) + 24
+    assert forward_flops(net, mask, batch=1) == 184
+    assert forward_flops(net, None, batch=1) == 392
+    # 184 + 2 * 24 (head propagation) + 8 (ReLU) + 2 * 64 (dense dW of 6)
+    assert collection_pass_flops(net, mask, ["6.weight"], 1) == 368
+    # ... + 2 * 8 (propagation through 6) + 8 (ReLU) + 2 * 64 (dW of 3)
+    # instead of the dW of 6
+    assert collection_pass_flops(net, mask, ["3.weight"], 1) == 392
+    assert collection_pass_flops(net, mask, ["3.weight", "6.weight"], 1) == 520
+    # 3.weight: 16 * 6 + 16 * 32 = 608 bits coo; 6.weight: 8 * 6 + 8 * 32
+    # = 304 bits coo; the other 1,056 parameters are dense
+    storage = model_storage(net, mask, bits=32)
+    assert storage["bits"] == 5104
+    assert storage["tensors"]["3.weight"] == {"scheme": "coo", "bits": 608,
+                                              "bytes": 76.0}
+    assert storage["tensors"]["6.weight"]["scheme"] == "coo"
+
+
+def test_relu_first_worked_costs():
+    net = Network([ReLU(), Linear(np.zeros((4, 8)), np.zeros(8)), ReLU(),
+                   Linear(np.zeros((8, 3)), np.zeros(3))])
+    # values: 4 inputs, then widths 4, 8, 8, 3
+    assert activation_bytes(net, 1, bits=32) == 108
+    # ReLU 4 + 2 * 32 + ReLU 8 + 2 * 24
+    assert forward_flops(net, None, batch=1) == 124
+
+
+def test_bn_first_worked_costs():
+    net = Network([BatchNorm(np.zeros(4), np.ones(4)), ReLU(),
+                   Linear(np.zeros((4, 8)), np.zeros(8)), ReLU(),
+                   Linear(np.zeros((8, 8)), np.zeros(8)), ReLU(),
+                   Linear(np.zeros((8, 3)), np.zeros(3))])
+    # values: 4 inputs, then widths 4, 4, 8, 8, 8, 8, 3
+    assert activation_bytes(net, 1, bits=32) == 188
+    # ReLU 4 + 2 * 32 + ReLU 8 + 2 * 64 + ReLU 8 + 2 * 24
+    assert forward_flops(net, None, batch=1) == 260
+    # 260 + 2 * 24 (head propagation) + 8 (ReLU) + 2 * 64 (dense dW of 4)
+    assert collection_pass_flops(net, None, ["4.weight"], 1) == 444
 
 
 # -- round_peak_flops ----------------------------------------------------------------
