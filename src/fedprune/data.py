@@ -68,22 +68,22 @@ def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
     whole assignment is redrawn (up to PARTITION_RETRIES times) until every
     client holds at least one sample.
     """
-    k = clients
-    if k < 1:
+    if clients < 1:
         raise ValueError("client count must be at least 1")
     if alpha <= 0.0:
         raise ValueError("Dirichlet concentration must be positive")
-    if k > len(ds):
-        raise ValueError(f"cannot split {len(ds)} samples across {k} clients")
+    if clients > len(ds):
+        raise ValueError(f"cannot split {len(ds)} samples across "
+                         f"{clients} clients")
     rng = np.random.default_rng(seed)
     by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.classes)]
     for _ in range(PARTITION_RETRIES):
-        assignment: list[list[int]] = [[] for _ in range(k)]
+        assignment: list[list[int]] = [[] for _ in range(clients)]
         for idx_c in by_class:
             if len(idx_c) == 0:
                 continue
             idx_c = rng.permutation(idx_c)
-            p = rng.dirichlet(np.full(k, alpha))
+            p = rng.dirichlet(np.full(clients, alpha))
             counts = _proportional_counts(p, len(idx_c))
             start = 0
             for client, take in enumerate(counts):
@@ -92,7 +92,7 @@ def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
         if all(len(a) > 0 for a in assignment):
             return [ds.subset(sorted(a)) for a in assignment]
     raise ValueError(
-        f"could not give every one of {k} clients a sample in "
+        f"could not give every one of {clients} clients a sample in "
         f"{PARTITION_RETRIES} draws; fewer clients or a larger dataset needed")
 
 
