@@ -116,9 +116,7 @@ class Candidate:
 def apply_mask(net: Network, mask: Mask) -> Network:
     """Clone the network with masked-out weights set to exactly zero."""
     out = net.clone()
-    params = out.params()
-    for key, m in mask.slices.items():
-        params[key][m == 0] = 0.0
+    np.copyto(out.flat, 0.0, where=out.masked_out(mask))
     return out
 
 

@@ -74,7 +74,14 @@ class Network:
     BN parameters, biases, and the first and last linear layers are excluded
     from pruning; ``prunable_keys()`` lists the weight tensors that remain,
     in layer order, and the pruning schedule groups these keys.
+
+    Every parameter tensor, and the layer attribute holding it, is a view
+    into one contiguous float64 vector ``flat``, tiled in ``params()`` order;
+    the network rebinds the attributes of the layers it is given. ``grad``
+    is the gradient vector of the same layout that ``backward`` writes.
     """
+
+    _PARAMS = {"linear": ("weight", "bias"), "batchnorm": ("scale", "shift")}
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -83,31 +90,54 @@ class Network:
         linear_ix = [i for i, l in enumerate(self.layers) if l.kind == "linear"]
         if not linear_ix:
             raise ValueError("network needs at least one linear layer")
-        self._first_linear = linear_ix[0]
+        self.input_dim = self.layers[linear_ix[0]].weight.shape[0]
         self._prunable = tuple(f"{i}.weight" for i in linear_ix[1:-1])
+        tensors = {f"{i}.{name}": getattr(l, name)
+                   for i, l in enumerate(self.layers)
+                   for name in self._PARAMS.get(l.kind, ())}
+        ends = np.cumsum([p.size for p in tensors.values()])
+        self._spans = {key: (slice(end - p.size, end), p.shape)
+                       for (key, p), end in zip(tensors.items(), ends)}
+        self.flat = np.concatenate([p.reshape(-1) for p in tensors.values()])
+        self._bind()
 
-    @property
-    def input_dim(self) -> int:
-        return self.layers[self._first_linear].weight.shape[0]
+    def _bind(self) -> None:
+        """Point every parameter attribute at its view of ``flat``."""
+        self._params = self._views(self.flat)
+        for key, p in self._params.items():
+            idx, name = key.split(".")
+            setattr(self.layers[int(idx)], name, p)
+        self.grad: Array | None = None
+
+    def _views(self, vec: Array) -> dict[str, Array]:
+        """A vector laid out like ``flat`` as one view per parameter key."""
+        return {k: vec[s].reshape(shape) for k, (s, shape) in self._spans.items()}
 
     def params(self) -> dict[str, Array]:
-        """Live references to every parameter tensor, in layer order."""
-        out: dict[str, Array] = {}
-        for i, layer in enumerate(self.layers):
-            if layer.kind == "linear":
-                out[f"{i}.weight"] = layer.weight
-                out[f"{i}.bias"] = layer.bias
-            elif layer.kind == "batchnorm":
-                out[f"{i}.scale"] = layer.scale
-                out[f"{i}.shift"] = layer.shift
-        return out
+        """Live views of every parameter tensor, in layer order."""
+        return dict(self._params)
+
+    def grads(self) -> dict[str, Array]:
+        """Live views of ``grad`` keyed like ``params()``, which each
+        ``backward`` overwrites; made by the first call, once per network."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.flat)
+            self._grads = self._views(self.grad)
+        return dict(self._grads)
 
     def set_param(self, key: str, value: Array) -> None:
-        idx, name = key.split(".")
-        layer = self.layers[int(idx)]
-        if getattr(layer, name).shape != value.shape:
+        p = self._params[key]
+        if p.shape != np.shape(value):
             raise ValueError(f"shape mismatch for {key}")
-        setattr(layer, name, np.asarray(value, dtype=np.float64).copy())
+        p[...] = value
+
+    def masked_out(self, mask: Mask) -> Array:
+        """Boolean vector laid out like ``flat``, True where ``mask`` prunes."""
+        zero = np.zeros(self.flat.shape, dtype=bool)
+        views = self._views(zero)
+        for key, m in mask.slices.items():
+            np.equal(m, 0, out=views[key])
+        return zero
 
     def prunable_keys(self) -> tuple[str, ...]:
         return self._prunable
@@ -119,7 +149,14 @@ class Network:
         return int(key.split(".")[0])
 
     def clone(self) -> "Network":
-        return copy.deepcopy(self)
+        """An independent copy, with its own ``flat`` and BN statistics."""
+        out = copy.copy(self)
+        out.layers = [copy.copy(layer) for layer in self.layers]
+        for _, bn in out.bn_layers():
+            bn.mean, bn.var = bn.mean.copy(), bn.var.copy()
+        out.flat = self.flat.copy()
+        out._bind()
+        return out
 
 
 def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
@@ -282,8 +319,8 @@ def log_softmax(logits: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy(logits: Array, labels) -> float:
-    """Mean softmax cross-entropy of integer labels."""
+def _nll(logits: Array, labels) -> tuple[Array, float]:
+    """Log-softmax of ``logits`` and mean NLL of the integer ``labels``."""
     labels = np.asarray(labels)
     n_classes = logits.shape[1]
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
@@ -294,40 +331,39 @@ def cross_entropy(logits: Array, labels) -> float:
     loss = float(-logp[np.arange(len(labels)), labels].mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-    return loss
+    return logp, loss
+
+
+def cross_entropy(logits: Array, labels) -> float:
+    """Mean softmax cross-entropy of integer labels."""
+    return _nll(logits, labels)[1]
 
 
 def backward(net: Network, logits: Array, labels, cache):
     """Softmax cross-entropy loss and exact gradients for every parameter.
 
-    Requires the cache of a train-mode forward on the same batch. Gradients
-    are dense; any masking is the caller's concern.
+    Requires the cache of a train-mode forward on the same batch. Returns
+    the loss and ``net.grad``, which the next ``backward`` on ``net``
+    overwrites. Gradients are dense; any masking is the caller's concern.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward")
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match this network")
-    labels = np.asarray(labels)
+    logp, loss = _nll(logits, labels)
     n = logits.shape[0]
-    n_classes = logits.shape[1]
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in [0, {n_classes})")
-
-    logp = log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
-    if not np.isfinite(loss):
-        raise FloatingPointError("non-finite loss")
     delta = np.exp(logp)
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads: dict[str, Array] = {}
+    # views in flat order, which the walk from the last layer pops
+    grads = list(net.grads().values())
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.kind == "linear":
             (x,) = cache[i]
-            grads[f"{i}.weight"] = x.T @ delta
-            grads[f"{i}.bias"] = np.add.reduce(delta, axis=0)
+            np.add.reduce(delta, axis=0, out=grads.pop())  # bias
+            np.matmul(x.T, delta, out=grads.pop())  # weight
             if i > 0:  # nothing reads the gradient of the network input
                 delta = delta @ layer.weight.T
         elif layer.kind == "relu":
@@ -337,8 +373,8 @@ def backward(net: Network, logits: Array, labels, cache):
             xhat, inv = cache[i]
             b = xhat.shape[0]
             tmp = delta * xhat
-            grads[f"{i}.scale"] = np.add.reduce(tmp, axis=0)
-            grads[f"{i}.shift"] = np.add.reduce(delta, axis=0)
+            np.add.reduce(delta, axis=0, out=grads.pop())  # shift
+            np.add.reduce(tmp, axis=0, out=grads.pop())  # scale
             # delta becomes dxhat, then (inv / b) * (b * dxhat - sum(dxhat)
             # - xhat * sum(dxhat * xhat)), one operation at a time
             delta *= layer.scale
@@ -350,23 +386,23 @@ def backward(net: Network, logits: Array, labels, cache):
             np.multiply(xhat, s2, out=tmp)
             delta -= tmp
             delta *= inv / b
-    return loss, grads
+    return loss, net.grad
 
 
-def sgd_step(net: Network, grads: dict[str, Array], lr: float,
-             mask: Mask | None = None) -> Network:
-    """In-place SGD update ``p -= lr * g``; a masked tensor then sets its
-    masked coordinates to exactly +0.0. Since ``g * 1 == g`` exactly, this
-    is the update with the masked gradient ``g * m``, bit for bit."""
-    if lr <= 0.0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
-    slices = mask.slices if mask is not None else {}
-    for key, p in net.params().items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {key}")
-        p -= lr * g
-        m = slices.get(key)
-        if m is not None:
-            p[m == 0] = 0.0
+def sgd_step(net: Network, grad: Array, lr: float, mask: Mask | None = None,
+             zero: Array | None = None) -> Network:
+    """In-place SGD update ``flat -= lr * grad``, scaling ``grad`` in place.
+    Under ``mask``, the coordinates where ``zero = net.masked_out(mask)``
+    (built once while the mask holds) is True are then set to exactly +0.0;
+    since ``g * 1 == g`` exactly, this is the masked update, bit for bit."""
+    if not 0.0 < lr < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
+    if grad.shape != net.flat.shape:
+        raise ValueError("gradient does not match the parameter vector")
+    if (mask is None) != (zero is None):
+        raise ValueError("a mask needs its masked-out vector, and only a mask")
+    grad *= lr
+    net.flat -= grad
+    if zero is not None:
+        np.copyto(net.flat, 0.0, where=zero)
     return net

@@ -248,11 +248,12 @@ def _local_batches(n: int, batch_size: int) -> int:
 
 def _train_one_epoch(net, ds, mask, batch_size, lr, rng) -> None:
     perm = rng.permutation(len(ds))
+    zero = net.masked_out(mask) if mask is not None else None
     for b in range(_local_batches(len(ds), batch_size)):
         idx = perm[b * batch_size:(b + 1) * batch_size]
         logits, cache = forward(net, ds.features[idx], "train")
-        _, grads = backward(net, logits, ds.labels[idx], cache)
-        sgd_step(net, grads, lr, mask)
+        _, grad = backward(net, logits, ds.labels[idx], cache)
+        sgd_step(net, grad, lr, mask, zero)
 
 
 def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
@@ -331,9 +332,9 @@ def selection_record(method: str, pool, scores: dict[int, float],
 
 @dataclass
 class ClientResult:
-    """One client's upload: trained parameters, BN moving statistics, and
-    (on pruning rounds) the top-K gradient buffers of the targeted layers."""
-    params: dict[str, Array]
+    """One client's upload: its trained ``Network.flat``, BN statistics, and
+    (on pruning rounds) the targeted layers' top-K gradient buffers."""
+    flat: Array
     bn: BNReport
     buffers: dict[str, TopKBuffer]
     violations: int
@@ -355,7 +356,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
 
     # uploaded without copies: the collection pass below writes no
     # parameter and rebinds, rather than writes, the BN statistics
-    params, bn = local.params(), BNReport(bn_stats(local), len(client))
+    flat, bn = local.flat, BNReport(bn_stats(local), len(client))
     buffers = {}
     violations = 0
     if collect:
@@ -367,14 +368,14 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
             # train-mode BN uses batch statistics, so the gradients do not
             # depend on the moving ones
             logits, cache = forward(local, client.features[idx], "train")
-            _, grads = backward(local, logits, client.labels[idx], cache)
+            backward(local, logits, client.labels[idx], cache)
             for key, (a, pruned) in collect.items():
-                values = grads[key].reshape(-1)[pruned]
+                values = local.grads()[key].reshape(-1)[pruned]
                 buf = topk_collect(pruned, values, a)
                 if buf.peak_size > a:
                     violations += 1
                 buffers[key] = buf
-    return ClientResult(params, bn, buffers, violations)
+    return ClientResult(flat, bn, buffers, violations)
 
 
 def plan_round(state: ExperimentState, round_index: int):
@@ -424,17 +425,16 @@ def round_costs(state: ExperimentState, participants, collect):
 
 def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
     """Sample-weighted FedAvg of the uploads into ``state.net``, in place:
-    each parameter is zeroed and the weighted uploads are added into it in
-    client order (masked coordinates stay exactly zero), then the BN moving
-    statistics are replaced."""
+    the parameter vector is zeroed and the weighted uploads are added into
+    it in client order (masked coordinates stay exactly zero), then the BN
+    moving statistics are replaced."""
     total = sum(res.bn.samples for res in results)
-    for key, p in state.net.params().items():
-        p[...] = 0.0
-        for res in results:
-            p += (res.bn.samples / total) * res.params[key]
+    flat = state.net.flat
+    flat[...] = 0.0
+    for res in results:
+        flat += (res.bn.samples / total) * res.flat
     if state.mask is not None:
-        for key, sl in state.mask.slices.items():
-            state.net.params()[key][sl == 0] = 0.0
+        np.copyto(flat, 0.0, where=state.net.masked_out(state.mask))
     install_bn(state.net, aggregate_bn([res.bn for res in results]))
 
 

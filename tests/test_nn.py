@@ -121,8 +121,8 @@ def test_zero_input_gives_exactly_zero_weight_gradient():
     net = Network([Linear(np.array([[1.0], [2.0]]), np.zeros(1))])
     x = np.array([[0.0, 1.0], [0.0, -1.0]])
     logits, cache = forward(net, x, "train")
-    _, grads = backward(net, logits, np.array([0, 0]), cache)
-    np.testing.assert_array_equal(grads["0.weight"][0], np.zeros(1))
+    backward(net, logits, np.array([0, 0]), cache)
+    np.testing.assert_array_equal(net.grads()["0.weight"][0], np.zeros(1))
 
 
 def test_backward_matches_finite_differences():
@@ -132,7 +132,8 @@ def test_backward_matches_finite_differences():
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         logits, cache = forward(net, x, "train")
-        _, grads = backward(net, logits, y, cache)
+        backward(net, logits, y, cache)
+        grads = net.grads()
         fd = finite_diff_grads(net, x, y)
         for key in grads:
             assert rel_close(grads[key], fd[key]), key
@@ -160,8 +161,9 @@ def test_sgd_all_ones_mask_is_plain_sgd():
                                     for k, v in net_b.params().items()
                                     if k in net_b.prunable_keys()}))):
         logits, cache = forward(net, x, "train")
-        _, grads = backward(net, logits, y, cache)
-        sgd_step(net, grads, 0.1, mask)
+        _, grad = backward(net, logits, y, cache)
+        sgd_step(net, grad, 0.1, mask,
+                 net.masked_out(mask) if mask is not None else None)
     for k in net_a.params():
         np.testing.assert_array_equal(net_a.params()[k], net_b.params()[k])
 
@@ -174,16 +176,18 @@ def test_masked_coordinates_stay_exactly_zero():
     m = (rng.random(net.params()[key].shape) < 0.5).astype(np.uint8)
     m[0] = 1
     mask = Mask({key: m})
+    zero = net.masked_out(mask)
     p = net.params()[key]
     p[m == 0] = 0.0
     for step in range(5):
         x = rng.normal(size=(4, 3))
         y = rng.integers(0, 2, size=4)
         logits, cache = forward(net, x, "train")
-        _, grads = backward(net, logits, y, cache)
+        _, grad = backward(net, logits, y, cache)
         if step == 0:
-            assert np.any(grads[key][m == 0] != 0.0)  # gradient is dense
-        sgd_step(net, grads, 0.05, mask)
+            # gradient is dense
+            assert np.any(net.grads()[key][m == 0] != 0.0)
+        sgd_step(net, grad, 0.05, mask, zero)
         np.testing.assert_array_equal(net.params()[key][m == 0], 0.0)
 
 
@@ -191,9 +195,9 @@ def test_sgd_rejects_nonpositive_lr():
     net = make_mlp(2, [3], 2, seed=0)
     x = np.zeros((2, 2))
     logits, cache = forward(net, x, "train")
-    _, grads = backward(net, logits, np.array([0, 1]), cache)
+    _, grad = backward(net, logits, np.array([0, 1]), cache)
     with pytest.raises(ValueError):
-        sgd_step(net, grads, 0.0)
+        sgd_step(net, grad, 0.0)
 
 
 def test_identical_seeds_give_identical_training():
@@ -204,8 +208,8 @@ def test_identical_seeds_give_identical_training():
             x = rng.normal(size=(6, 4))
             y = rng.integers(0, 3, size=6)
             logits, cache = forward(net, x, "train")
-            _, grads = backward(net, logits, y, cache)
-            sgd_step(net, grads, 0.05)
+            _, grad = backward(net, logits, y, cache)
+            sgd_step(net, grad, 0.05)
         return net
 
     a, b = run(), run()
@@ -407,27 +411,34 @@ def _relu_first_net(rng):
 
 
 def _oracle_cases():
+    """(name, network, mask, the batch sizes of its steps)."""
     rng = np.random.default_rng(17)
     default = make_mlp(32, [64, 64, 64], 10, seed=3)
     mask = random_mask(default, 0.05, seed=4)
-    yield "default MLP, 5% mask", apply_mask(default, mask), mask, 64
+    yield "default MLP, 5% mask", apply_mask(default, mask), mask, (64,) * 4
     yield ("BN-free MLP", make_mlp(12, [16, 8], 4, batch_norm=False, seed=5),
-           None, 16)
-    yield "1-hidden-layer MLP", make_mlp(6, [9], 3, seed=6), None, 8
+           None, (16,) * 4)
+    yield "1-hidden-layer MLP", make_mlp(6, [9], 3, seed=6), None, (8,) * 4
     small = make_mlp(6, [9, 9], 3, seed=7)
     small_mask = random_mask(small, 0.3, seed=8)
-    yield "batch of 2", apply_mask(small, small_mask), small_mask, 2
-    yield "ReLU first", _relu_first_net(rng), None, 12
-    yield "BN first", _bn_first_net(rng), None, 12
+    yield "batch of 2", apply_mask(small, small_mask), small_mask, (2,) * 4
+    yield "ReLU first", _relu_first_net(rng), None, (12,) * 4
+    yield "BN first", _bn_first_net(rng), None, (12,) * 4
+    # the widths of the prune_heavy workload: a full batch, then a tail
+    wide = make_mlp(32, [128, 128, 128], 10, seed=9)
+    wide_mask = random_mask(wide, 0.05, seed=10)
+    yield ("128-wide MLP, 5% mask", apply_mask(wide, wide_mask), wide_mask,
+           (64, 41))
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(7))
 def test_kernels_match_reference_bit_for_bit(case):
-    name, net, mask, batch = list(_oracle_cases())[case]
+    name, net, mask, batches = list(_oracle_cases())[case]
     ref = net.clone()
+    zero = net.masked_out(mask) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(case)
-    for step in range(4):
+    for batch in batches:
         x = rng.normal(size=(batch, net.input_dim))
         y = rng.integers(0, classes, size=batch)
         x_before = x.copy()
@@ -435,13 +446,15 @@ def test_kernels_match_reference_bit_for_bit(case):
         assert_bitwise_equal(x, x_before)
         ref_logits, ref_cache = _ref_forward(ref, x, "train")
         assert_bitwise_equal(logits, ref_logits)
-        loss, grads = backward(net, logits, y, cache)
+        loss, grad = backward(net, logits, y, cache)
+        assert grad is net.grad
+        grads = net.grads()
         ref_loss, ref_grads = _ref_backward(ref, ref_logits, y, ref_cache)
         assert loss == ref_loss, name
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert_bitwise_equal(grads[key], ref_grads[key])
-        sgd_step(net, grads, 0.05, mask)
+        sgd_step(net, grad, 0.05, mask, zero)
         _ref_sgd_step(ref, ref_grads, 0.05, mask)
         for key, p in net.params().items():
             assert_bitwise_equal(p, ref.params()[key])
@@ -453,12 +466,13 @@ def test_kernels_match_reference_bit_for_bit(case):
         assert_bitwise_equal(x, x_before)
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(7))
 def test_refresh_and_eval_passes_match_reference_and_keep_the_input(case):
     # every tail of the network, as selection runs tails on a shared head's
     # output; the input must come back unchanged
-    _, net, _, batch = list(_oracle_cases())[case]
-    batch_x = np.random.default_rng(case).normal(size=(batch, net.input_dim))
+    _, net, _, batches = list(_oracle_cases())[case]
+    batch_x = np.random.default_rng(case).normal(
+        size=(batches[0], net.input_dim))
     for cut in range(len(net.layers)):
         head, tail = net.layers[:cut], net.layers[cut:]
         n_head = sum(layer.kind == "batchnorm" for layer in head)
