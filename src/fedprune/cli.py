@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except FloatingPointError as err:  # a diverged run, as its manifest says
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

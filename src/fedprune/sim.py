@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,8 @@ class ExperimentConfig:
     bits: int = 32
 
     def validate(self) -> None:
-        issues = []
+        issues = [f"{f.name}: must be finite" for f in fields(self)
+                  if f.type == "float" and not np.isfinite(getattr(self, f.name))]
         if self.data_kind not in ("blobs", "csv"):
             issues.append(f"data_kind: must be blobs or csv, got {self.data_kind!r}")
         if self.data_kind == "csv" and not self.csv_path:

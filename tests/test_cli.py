@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedprune.cli import (
@@ -234,6 +235,22 @@ def test_failed_partition_exits_1_with_one_error_line(tmp_path, capsys):
         "failed: ValueError: could not give every one of 168 clients")
 
 
+def test_diverged_run_exits_1_with_one_error_line(config_file, tmp_path,
+                                                 capsys):
+    # a finite but huge learning rate validates, then overflows the loss
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["run", "--config", str(config_file), "--out", str(out),
+                   "--set", "lr=1e200"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err == "error: FloatingPointError: non-finite loss\n"
+    cfg = apply_overrides(parse_config(config_file), ["lr=1e200"])
+    manifest = json.loads((out / run_id(cfg) / "manifest.json").read_text())
+    assert manifest["status"] == "failed: FloatingPointError: non-finite loss"
+
+
 def test_manifest_says_running_while_the_run_is_in_progress(
         config_file, tmp_path, monkeypatch):
     from fedprune import cli
@@ -273,14 +290,16 @@ def test_cmd_run_invalid_config(config_file, tmp_path):
     # each is rejected by validation, before the run directory exists:
     # a pruning algorithm with one hidden width has no prunable tensor,
     # pretraining needs server data (0.0001 of 160 blobs floors to none),
-    # 160 blobs leave too few training samples for 600 clients, and BN
-    # batch statistics need two samples
+    # 160 blobs leave too few training samples for 600 clients, BN batch
+    # statistics need two samples, and no float setting may be NaN or
+    # infinite (NaN fails every range check written as ``x <= 0``)
     for sets in (["density=7.0"],
                  ["algorithm=FedTiny", "hidden=64"],
                  ["pretrain_epochs=1", "server_ratio=0.0"],
                  ["server_ratio=0.0001"],
                  ["clients=600", "per_class=50"],
-                 ["batch_size=1"]):
+                 ["batch_size=1"],
+                 ["lr=nan"], ["lr=inf"], ["spread=nan"], ["alpha=nan"]):
         rc = main(["run", "--config", str(config_file), "--out",
                    str(tmp_path / "o")]
                   + [arg for s in sets for arg in ("--set", s)])
