@@ -196,8 +196,9 @@ def test_sgd_rejects_nonpositive_lr():
     x = np.zeros((2, 2))
     logits, cache = forward(net, x, "train")
     _, grad = backward(net, logits, np.array([0, 1]), cache)
-    with pytest.raises(ValueError):
-        sgd_step(net, grad, 0.0)
+    for lr in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sgd_step(net, grad, lr)
 
 
 def test_identical_seeds_give_identical_training():
@@ -256,6 +257,99 @@ def test_bn_state_validation():
         BatchNorm(np.zeros(2), np.ones(2), eps=0.0)
     with pytest.raises(ValueError):
         BatchNorm(np.zeros(2), -np.ones(2))
+
+
+# -- flat layout --------------------------------------------------------------
+
+def _offset(view, vec) -> int:
+    """Element offset of ``view``'s first element in the vector ``vec``."""
+    return (view.__array_interface__["data"][0]
+            - vec.__array_interface__["data"][0]) // vec.itemsize
+
+
+def _step(net, rng, batch=6):
+    x = rng.normal(size=(batch, net.input_dim))
+    y = rng.integers(0, 3, size=batch)
+    logits, cache = forward(net, x, "train")
+    return backward(net, logits, y, cache)[1]
+
+
+def test_params_tile_the_flat_vector_in_order():
+    rng = np.random.default_rng(1)
+    for net in (make_mlp(5, [7, 6], 3, seed=0), _bn_first_net(rng),
+                _relu_first_net(rng)):
+        assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+        start = 0
+        for key, p in net.params().items():
+            idx, name = key.split(".")
+            attr = getattr(net.layers[int(idx)], name)
+            for view in (p, attr):
+                assert np.shares_memory(view, net.flat), key
+                assert view.flags.c_contiguous
+                assert _offset(view, net.flat) == start, key
+            start += p.size
+        assert start == net.flat.size  # no gap at the end
+
+
+def test_clone_owns_its_vectors_and_statistics():
+    rng = np.random.default_rng(4)
+    net = make_mlp(4, [6, 5], 3, seed=1)
+    _step(net, rng)
+    twin = net.clone()
+    _step(twin, rng)
+    assert not np.shares_memory(twin.flat, net.flat)
+    assert not np.shares_memory(twin.grad, net.grad)
+    for (_, a), (_, b) in zip(net.bn_layers(), twin.bn_layers()):
+        assert not np.shares_memory(a.mean, b.mean)
+        assert not np.shares_memory(a.var, b.var)
+    for writer, other in ((twin, net), (net, twin)):
+        before, grad = snapshot(other), other.grad.copy()
+        writer.flat += 1.0
+        writer.grad[...] = 7.0
+        for _, bn in writer.bn_layers():
+            bn.mean += 1.0
+            bn.var *= 2.0
+        assert_same_state(before, snapshot(other))
+        assert_bitwise_equal(other.grad, grad)
+
+
+def test_set_param_and_checkpoint_load_write_through_to_flat(tmp_path):
+    from fedprune.sim import load_checkpoint, save_checkpoint
+
+    net = make_mlp(4, [6, 5], 3, seed=3)
+    key = net.prunable_keys()[0]
+    view = net.params()[key]
+    net.set_param(key, np.full(view.shape, 0.25))
+    start = _offset(view, net.flat)
+    np.testing.assert_array_equal(net.flat[start:start + view.size], 0.25)
+    np.testing.assert_array_equal(net.layers[int(key.split(".")[0])].weight,
+                                  0.25)
+    with pytest.raises(ValueError):
+        net.set_param(key, np.zeros(view.size))
+    save_checkpoint(tmp_path / "net.ckpt", net, None)
+    loaded, _, _ = load_checkpoint(tmp_path / "net.ckpt")
+    assert loaded.flat.tobytes() == net.flat.tobytes()
+    for key, p in loaded.params().items():
+        assert np.shares_memory(p, loaded.flat), key
+
+
+def test_second_backward_overwrites_the_gradients():
+    rng = np.random.default_rng(5)
+    net = make_mlp(4, [6, 5], 3, seed=2)
+    first = _step(net, rng).copy()
+    views = net.grads()
+    # gradients do not depend on the moving BN statistics, so a clone
+    # that never ran the first batch gives the second batch's alone
+    fresh = net.clone()
+    state = rng.bit_generator.state
+    grad = _step(net, rng)
+    rng.bit_generator.state = state
+    _step(fresh, rng)
+    assert grad is net.grad
+    assert_bitwise_equal(net.grad, fresh.grad)
+    assert not np.array_equal(net.grad, first)
+    for key, g in fresh.grads().items():
+        assert_bitwise_equal(views[key], g)
 
 
 # -- bitwise oracle -----------------------------------------------------------
