@@ -107,7 +107,11 @@ class Network:
         for key, p in self._params.items():
             idx, name = key.split(".")
             setattr(self.layers[int(idx)], name, p)
-        self.grad: Array | None = None
+        self.drop_grads()
+
+    def drop_grads(self) -> None:
+        """Free ``grad``; the next ``backward`` allocates it again."""
+        self.grad, self._grads = None, {}
 
     def _views(self, vec: Array) -> dict[str, Array]:
         """A vector laid out like ``flat`` as one view per parameter key."""
@@ -119,7 +123,7 @@ class Network:
 
     def grads(self) -> dict[str, Array]:
         """Live views of ``grad`` keyed like ``params()``, which each
-        ``backward`` overwrites; made by the first call, once per network."""
+        ``backward`` overwrites; made by the first call since ``drop_grads``."""
         if self.grad is None:
             self.grad = np.zeros_like(self.flat)
             self._grads = self._views(self.grad)

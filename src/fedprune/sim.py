@@ -237,6 +237,7 @@ def pretrain_server(net: Network, ds: Dataset | None, epochs: int,
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         _train_one_epoch(net, ds, None, batch_size, lr, rng)
+    net.drop_grads()  # clients train clones of it, not it
     return net
 
 

@@ -333,6 +333,19 @@ def test_set_param_and_checkpoint_load_write_through_to_flat(tmp_path):
         assert np.shares_memory(p, loaded.flat), key
 
 
+def test_gradient_vector_is_made_by_backward_and_freed_by_drop_grads():
+    rng = np.random.default_rng(6)
+    net = make_mlp(4, [6, 5], 3, seed=4)
+    assert net.grad is None  # a network that never trains holds none
+    first = _step(net, rng)
+    assert _step(net, rng) is first  # one vector per network, not per step
+    net.drop_grads()
+    assert net.grad is None
+    again = _step(net, rng)
+    assert again is net.grad and again is not first
+    assert net.clone().grad is None
+
+
 def test_second_backward_overwrites_the_gradients():
     rng = np.random.default_rng(5)
     net = make_mlp(4, [6, 5], 3, seed=2)

@@ -309,6 +309,7 @@ def test_evaluate_memorizing_model():
     ds = make_blobs(3, 30, 5, 0.2, seed=2)
     net = make_mlp(5, [32], 3, seed=0)
     pretrain_server(net, ds, 30, 0.1, seed=0)
+    assert net.grad is None  # clients train clones of the pretrained model
     acc, loss = evaluate_global(net, ds)
     assert acc > 0.95 and np.isfinite(loss)
 
