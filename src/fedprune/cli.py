@@ -15,6 +15,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, costs
 from .sim import POOL_ALGS, ConfigError, ExperimentConfig, load_checkpoint, \
     run_experiment
@@ -291,11 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverged run is reported once, as the FloatingPointError below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FloatingPointError as err:  # a diverged run, as its manifest says
+    except FloatingPointError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as err:

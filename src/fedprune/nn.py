@@ -75,10 +75,9 @@ class Network:
     from pruning; ``prunable_keys()`` lists the weight tensors that remain,
     in layer order, and the pruning schedule groups these keys.
 
-    Every parameter tensor, and the layer attribute holding it, is a view
-    into one contiguous float64 vector ``flat``, tiled in ``params()`` order;
-    the network rebinds the attributes of the layers it is given. ``grad``
-    is the gradient vector of the same layout that ``backward`` writes.
+    Every parameter tensor is a view into one float64 vector ``flat``, tiled
+    in ``params()`` order, and so is the layer attribute holding it; ``grad``
+    is the vector of the same layout that ``backward`` writes.
     """
 
     _PARAMS = {"linear": ("weight", "bias"), "batchnorm": ("scale", "shift")}
@@ -114,7 +113,6 @@ class Network:
         self.grad, self._grads = None, {}
 
     def _views(self, vec: Array) -> dict[str, Array]:
-        """A vector laid out like ``flat`` as one view per parameter key."""
         return {k: vec[s].reshape(shape) for k, (s, shape) in self._spans.items()}
 
     def params(self) -> dict[str, Array]:
@@ -130,10 +128,9 @@ class Network:
         return dict(self._grads)
 
     def set_param(self, key: str, value: Array) -> None:
-        p = self._params[key]
-        if p.shape != np.shape(value):
+        if self._params[key].shape != np.shape(value):
             raise ValueError(f"shape mismatch for {key}")
-        p[...] = value
+        self._params[key][...] = value
 
     def masked_out(self, mask: Mask) -> Array:
         """Boolean vector laid out like ``flat``, True where ``mask`` prunes."""
