@@ -296,12 +296,13 @@ def test_clone_owns_its_vectors_and_statistics():
     net = make_mlp(4, [6, 5], 3, seed=1)
     _step(net, rng)
     twin = net.clone()
-    _step(twin, rng)
-    assert not np.shares_memory(twin.flat, net.flat)
-    assert not np.shares_memory(twin.grad, net.grad)
+    # checked before twin trains: a train-mode forward rebinds the statistics
     for (_, a), (_, b) in zip(net.bn_layers(), twin.bn_layers()):
         assert not np.shares_memory(a.mean, b.mean)
         assert not np.shares_memory(a.var, b.var)
+    _step(twin, rng)
+    assert not np.shares_memory(twin.flat, net.flat)
+    assert not np.shares_memory(twin.grad, net.grad)
     for writer, other in ((twin, net), (net, twin)):
         before, grad = snapshot(other), other.grad.copy()
         writer.flat += 1.0

@@ -281,6 +281,20 @@ def test_fedavg_matches_bruteforce_weighted_average():
         assert np.max(np.abs(p - expected)) < 1e-12
 
 
+def test_fedavg_zeroes_masked_coordinates_of_any_upload():
+    # trained uploads are already zero where the mask prunes; fedavg must
+    # hold the global model to its mask even when one is not
+    state = setup_experiment(tiny_config(algorithm="StaticRandom",
+                                         rounds=1, local_epochs=1))
+    uploads = [_client_update(state, k, 1, {}) for k in range(2)]
+    uploads[0].flat += 1.0
+    fedavg(state, uploads)
+    zero = state.net.masked_out(state.mask)
+    assert zero.any()
+    assert state.net.flat[zero].tobytes() == np.zeros(zero.sum()).tobytes()
+    assert np.all(state.net.flat[~zero] != 0.0)
+
+
 def test_plan_round_pairs_each_adjusted_layer_with_its_pruned_indices():
     state = setup_experiment(tiny_config(algorithm="FedTiny",
                                          granularity="entire"))
