@@ -88,7 +88,7 @@ def model_storage(net: Network, mask: Mask | None = None,
 
 
 def dense_param_bytes(net: Network, bits: int = 32) -> float:
-    return sum(p.size for p in net.params().values()) * bits / 8.0
+    return net.flat.size * bits / 8.0
 
 
 # ---------------------------------------------------------------------------
