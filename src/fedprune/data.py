@@ -158,6 +158,8 @@ def load_csv(path, skip_header: bool = False) -> Dataset:
                 feats = [float(v) for v in row[:-1]]
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed numeric value")
+            if not np.all(np.isfinite(feats)):
+                raise ValueError(f"line {lineno}: non-finite feature value")
             try:
                 label = int(row[-1])
             except ValueError:

@@ -115,9 +115,13 @@ class Candidate:
 
 def apply_mask(net: Network, mask: Mask) -> Network:
     """Clone the network with masked-out weights set to exactly zero."""
-    out = net.clone()
-    np.copyto(out.flat, 0.0, where=out.masked_out(mask))
-    return out
+    return zero_masked(net.clone(), mask)
+
+
+def zero_masked(net: Network, mask: Mask) -> Network:
+    """Set ``net``'s weights where ``mask`` is 0 to exactly +0.0, in place."""
+    np.copyto(net.flat, 0.0, where=net.masked_out(mask))
+    return net
 
 
 def _prunable(net: Network) -> dict[str, Array]:
@@ -159,13 +163,15 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
     """Uniform-noise candidate pool: per-layer densities d_target + e with
     e ~ U[-noise * d_target, +noise * d_target], one draw per candidate, as
     shares of the global keep budget; each layer keeps its largest-magnitude
-    weights."""
+    weights: those ranked before its count in the layer's one stable
+    descending magnitude order, exactly the ones ``select_support`` keeps."""
     if count < 1:
         raise ValueError("pool size must be at least 1")
     if noise < 0.0:
         raise ValueError("noise scale must be nonnegative")
-    magnitudes = {k: np.abs(w) for k, w in _prunable(net).items()}
-    sizes = {k: m.size for k, m in magnitudes.items()}
+    ranks = {k: np.argsort(np.argsort(-np.abs(w), axis=None, kind="stable"))
+             .reshape(w.shape) for k, w in _prunable(net).items()}
+    sizes = {k: r.size for k, r in ranks.items()}
     budget = keep_budget(d_target, sum(sizes.values()))
 
     pool = []
@@ -174,7 +180,6 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
         e = rng.uniform(-noise * d_target, noise * d_target, size=len(sizes))
         shares = {k: float(d_target + e[i]) for i, k in enumerate(sizes)}
         counts = allocate_counts(shares, sizes, budget)
-        mask = Mask({k: select_support(m, counts[k])
-                     for k, m in magnitudes.items()})
+        mask = Mask({k: r < counts[k] for k, r in ranks.items()})
         pool.append(Candidate(shares, mask))
     return pool

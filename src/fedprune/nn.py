@@ -9,6 +9,8 @@ The passes compute in place only on arrays they allocated themselves: never
 on the caller's batch, an array cached for ``backward`` or a BN layer's
 array. Each in-place operation is the same floating-point operation, in the
 same order, as the expression it replaces, so results are bit-identical.
+Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
+weight gives ``(C, B, fan_out)``, one matrix product per candidate.
 """
 
 from __future__ import annotations
@@ -249,21 +251,22 @@ def bn_stats(net: Network) -> list[tuple[Array, Array]]:
 
 def batch_stats(x: Array) -> tuple[Array, Array, Array]:
     """Per-feature batch mean, the centred batch, and the biased batch
-    variance. The mean is the sum and division ``x.mean(axis=0)`` runs, and
-    the variance reuses the centred batch; they are bit-identical to
-    ``x.mean(axis=0)`` and ``x.var(axis=0)``."""
-    mu = np.add.reduce(x, axis=0) / x.shape[0]
-    centred = x - mu
-    return mu, centred, np.add.reduce(centred * centred, axis=0) / x.shape[0]
+    variance over the batch axis -2. The mean is the sum and division
+    ``x.mean(axis=-2)`` runs, and the variance reuses the centred batch;
+    they are bit-identical to ``x.mean(axis=-2)`` and ``x.var(axis=-2)``."""
+    mu = np.add.reduce(x, axis=-2) / x.shape[-2]
+    centred = x - mu[..., None, :]
+    return mu, centred, np.add.reduce(centred * centred, axis=-2) / x.shape[-2]
 
 
-def refresh_pass(layers, x: Array, stats: list) -> Array:
+def refresh_pass(layers, x: Array, stats: list, *,
+                 stats_only: bool = False) -> Array | None:
     """Statistics-refresh pass of ``x`` through ``layers``: every BN layer
     normalizes with batch statistics and advances its moving statistics.
     ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
-    order; each pair is replaced by the advanced one, and no layer is
-    changed. Returns the output of the last layer; ``x`` is never
-    written."""
+    order; each pair is replaced by the advanced one, and neither a layer
+    nor ``x`` is written. Returns the last layer's output, or with
+    ``stats_only`` None as soon as the last pair advances."""
     batch = x
     j = 0
     for layer in layers:
@@ -278,7 +281,9 @@ def refresh_pass(layers, x: Array, stats: list) -> Array:
             m = layer.momentum
             stats[j] = (m * mean + (1.0 - m) * mu, m * old_var + (1.0 - m) * var)
             j += 1
-            x /= np.sqrt(var + layer.eps)
+            if stats_only and j == len(stats):
+                return None
+            x /= np.sqrt(var + layer.eps)[..., None, :]
             x *= layer.scale
             x += layer.shift
     return x
@@ -300,8 +305,8 @@ def eval_pass(layers, x: Array, stats) -> Array:
             mean, var = stats[j]
             j += 1
             inv = 1.0 / np.sqrt(var + layer.eps)
-            x = x - mean
-            x *= inv
+            x = x - mean[..., None, :]
+            x *= inv[..., None, :]
             x *= layer.scale
             x += layer.shift
     return x
@@ -316,27 +321,30 @@ def _check_batch(net: Network, batch) -> Array:
 
 
 def log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _nll(logits: Array, labels) -> tuple[Array, float]:
-    """Log-softmax of ``logits`` and mean NLL of the integer ``labels``."""
+def _nll(logits: Array, labels) -> tuple[Array, float | Array]:
+    """Log-softmax of ``logits`` and mean NLL of the integer ``labels``: a
+    float, or one per candidate for stacked ``(C, B, classes)`` logits."""
     labels = np.asarray(labels)
-    n_classes = logits.shape[1]
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    n_classes = logits.shape[-1]
+    if labels.ndim != 1 or labels.shape[0] != logits.shape[-2]:
         raise ValueError("labels must be a vector matching the batch size")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
     logp = log_softmax(logits)
-    loss = float(-logp[np.arange(len(labels)), labels].mean())
-    if not np.isfinite(loss):
+    # contiguous, so each row's mean is the pairwise sum a 1-D mean runs
+    picked = np.ascontiguousarray(logp[..., np.arange(len(labels)), labels])
+    loss = -picked.mean(axis=-1)
+    if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite loss")
-    return logp, loss
+    return logp, loss if loss.ndim else float(loss)
 
 
-def cross_entropy(logits: Array, labels) -> float:
-    """Mean softmax cross-entropy of integer labels."""
+def cross_entropy(logits: Array, labels) -> float | Array:
+    """Mean softmax cross-entropy of integer labels, per stacked candidate."""
     return _nll(logits, labels)[1]
 
 

@@ -8,23 +8,26 @@ candidate with the lowest weighted loss wins. ``vanilla_select`` is the
 ablation that skips the statistics refresh.
 
 The layers before the first masked tensor are the same in every candidate,
-so both selectors run them once per client batch and only the rest per
-candidate; only the winner becomes a network. No operation in this module
-ever changes a parameter value.
+so both selectors run them once per client batch, and the rest once per
+chunk of ``CHUNK`` stacked candidates; only the winner becomes a network.
+No operation in this module ever changes a parameter value.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .masking import Candidate, apply_mask
+from .masking import Candidate, zero_masked
 # ``forward`` and ``update_bn_stats`` are not called here; bench/tracer.py
 # patches them as attributes of this module
-from .nn import Array, Linear, Network, bn_stats, cross_entropy, eval_pass, \
+from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, \
     forward, refresh_pass, update_bn_stats  # noqa: F401
+
+CHUNK = 8  # candidates scored together, each as one slice of stacked arrays
 
 
 @dataclass
@@ -53,19 +56,17 @@ def iter_batches(ds: Dataset, batch_size: int):
 def client_bn_pass(layers, batches, stats) -> BNReport:
     """Refresh the BN moving statistics ``stats`` (one ``(mean, var)`` pair
     per BN layer of ``layers``) over the ``(x, y)`` batches with frozen
-    weights. Neither the layers nor ``stats`` change. The pass stops at the
-    last BN layer: no statistic depends on the layers after it."""
+    weights. Neither the layers nor ``stats`` change. The pass stops once
+    the last pair advances: no statistic depends on what follows."""
     stats = list(stats)
-    bn = [i for i, layer in enumerate(layers) if layer.kind == "batchnorm"]
-    layers = layers[:bn[-1] + 1] if bn else []
-    for x, _ in batches:
-        refresh_pass(layers, x, stats)
+    for x, _ in batches if stats else ():
+        refresh_pass(layers, x, stats, stats_only=True)
     return BNReport(stats, _samples(batches))
 
 
-def client_score(layers, batches, stats) -> float:
-    """Eval-mode cross-entropy of ``layers`` over the ``(x, y)`` batches,
-    with ``stats`` in place of the BN layers' own statistics."""
+def client_score(layers, batches, stats) -> float | Array:
+    """Eval-mode cross-entropy of ``layers`` over the ``(x, y)`` batches, with
+    ``stats`` for the BN layers' statistics; one per stacked candidate."""
     total = 0.0
     for x, y in batches:
         total += cross_entropy(eval_pass(layers, x, stats), y) * len(y)
@@ -117,25 +118,35 @@ def adaptive_select(net: Network, pool: list[Candidate],
     the winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
     aggregated scores."""
-    head, tails = _split(net, pool)
+    head, chunks = _split(net, pool)
+    # cloned before the per-client head outputs, which are freed before the
+    # winner's statistics: no long-lived array then pins their heap memory
+    winner_net = net.clone()
     stats = bn_stats(net)
-    n_head = _n_bn(head)
+    n_head = sum(layer.kind == "batchnorm" for layer in head)
     clients = _client_batches(dev_sets, batch_size)
-    head_reports = []
-    tail_reports: list[list[BNReport]] = [[] for _ in tails]
+    head_reports, refreshed = [], []
     for batches in clients:
         head_stats = stats[:n_head]
-        acts = [(refresh_pass(head, x, head_stats), y) for x, y in batches]
+        refreshed.append([(refresh_pass(head, x, head_stats), y)
+                          for x, y in batches])
         head_reports.append(BNReport(head_stats, _samples(batches)))
-        for tail, reports in zip(tails, tail_reports):
-            reports.append(client_bn_pass(tail, acts, stats[n_head:]))
     # aggregation is per layer, so the head's global statistics are shared
     head_global = aggregate_bn(head_reports)
-    tail_global = [aggregate_bn(reports) for reports in tail_reports]
-    scores = _score(head, head_global, tails, tail_global, clients)
+    acts = [[(eval_pass(head, x, head_global), y) for x, y in batches]
+            for batches in clients]
+    losses, tail_global = [], []
+    for tail in chunks:
+        tail_global.append(aggregate_bn(
+            [client_bn_pass(tail, a, stats[n_head:]) for a in refreshed]))
+        losses += _score(tail, tail_global[-1], acts)
+    del refreshed, acts
+    scores = dict(enumerate(losses))
     winner = _winner(scores)
-    winner_net = apply_mask(net, pool[winner].mask)
-    install_bn(winner_net, head_global + tail_global[winner])
+    chunk, row = divmod(winner, CHUNK)
+    zero_masked(winner_net, pool[winner].mask)
+    install_bn(winner_net, head_global + [(mean[row], var[row]) for mean, var
+                                          in tail_global[chunk]])
     return winner, winner_net, scores
 
 
@@ -143,37 +154,43 @@ def vanilla_select(net: Network, pool: list[Candidate],
                    dev_sets: list[Dataset], batch_size: int = 64):
     """Ablation variant: score candidates with the pretrained BN statistics
     (no refresh, no aggregation)."""
-    head, tails = _split(net, pool)
+    head, chunks = _split(net, pool)
+    winner_net = net.clone()  # before the head outputs, as adaptive_select
     stats = bn_stats(net)
-    n_head = _n_bn(head)
-    scores = _score(head, stats[:n_head], tails, [stats[n_head:]] * len(tails),
-                    _client_batches(dev_sets, batch_size))
+    n_head = sum(layer.kind == "batchnorm" for layer in head)
+    acts = [[(eval_pass(head, x, stats[:n_head]), y) for x, y in batches]
+            for batches in _client_batches(dev_sets, batch_size)]
+    scores = dict(enumerate(s for tail in chunks
+                            for s in _score(tail, stats[n_head:], acts)))
     winner = _winner(scores)
-    return winner, apply_mask(net, pool[winner].mask), scores
+    zero_masked(winner_net, pool[winner].mask)
+    return winner, winner_net, scores
 
 
 def _split(net: Network, pool: list[Candidate]):
-    """The layers before the first one any candidate masks (the shared
-    head), and each candidate's layers from there on. A masked weight is a
-    copy with +0.0 where the mask is 0, as ``apply_mask`` writes; every
-    other layer is ``net``'s own, shared and never changed."""
+    """The layers before the first masked one (the shared head), and a
+    generator of each ``CHUNK`` candidates' layers from there on. A masked
+    weight stacks the chunk's copies, +0.0 where the mask is 0 as in
+    ``apply_mask``; every other layer is ``net``'s own and never changed."""
     if not pool:
         raise ValueError("no candidates to select from")
-    cut = min((net.layer_of_key(key) for c in pool for key in c.mask.slices),
-              default=len(net.layers))
-    tails = []
-    for c in pool:
+    keys = pool[0].mask.slices.keys()
+    if not keys or any(c.mask.slices.keys() != keys for c in pool):
+        raise ValueError("candidates must all mask one non-empty set of tensors")
+    cut = min(map(net.layer_of_key, keys))
+
+    def chunk_tail(chunk):
         tail = net.layers[cut:]
-        for key, m in c.mask.slices.items():
+        for key in keys:
             i = net.layer_of_key(key) - cut
-            tail[i] = Linear(np.where(m == 0, 0.0, tail[i].weight),
-                             tail[i].bias)
-        tails.append(tail)
-    return net.layers[:cut], tails
+            masks = np.stack([c.mask.slices[key] for c in chunk])
+            tail[i] = copy.copy(tail[i])
+            tail[i].weight = np.where(masks == 0, 0.0, tail[i].weight)
+        return tail
 
+    return net.layers[:cut], (chunk_tail(pool[start:start + CHUNK])
+                              for start in range(0, len(pool), CHUNK))
 
-def _n_bn(layers) -> int:
-    return sum(layer.kind == "batchnorm" for layer in layers)
 
 
 def _client_batches(dev_sets: list[Dataset], batch_size: int):
@@ -187,19 +204,15 @@ def _samples(batches) -> int:
     return sum(len(y) for _, y in batches)
 
 
-def _score(head, head_stats, tails, tail_stats, clients):
-    """Dev-size-weighted eval-mode dev loss of every candidate, keyed by its
-    position: ``tails[c]`` scored with ``tail_stats[c]`` on the head's
-    output. The head runs once per client batch."""
-    losses: list[list[float]] = [[] for _ in tails]
-    for batches in clients:
-        acts = [(eval_pass(head, x, head_stats), y) for x, y in batches]
-        for tail, st, per_client in zip(tails, tail_stats, losses):
-            per_client.append(client_score(tail, acts, st))
+def _score(tail, tail_stats, clients) -> list[float]:
+    """Dev-size-weighted eval-mode dev loss of each candidate of one chunk:
+    its stacked ``tail`` scored with ``tail_stats`` on the ``(x, y)`` batches
+    of every client, ``x`` the head's eval-mode output."""
     sizes = [_samples(batches) for batches in clients]
     total = sum(sizes)
-    return {c: sum(n / total * s for n, s in zip(sizes, per_client))
-            for c, per_client in enumerate(losses)}
+    loss = sum(n / total * client_score(tail, batches, tail_stats)
+               for n, batches in zip(sizes, clients))
+    return loss.tolist()
 
 
 def _winner(scores: dict[int, float]) -> int:

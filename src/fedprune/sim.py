@@ -20,8 +20,8 @@ import numpy as np
 from . import costs
 from .data import Dataset, dev_indices, dirichlet_partition, load_csv, \
     make_blobs, split_indices, split_sizes
-from .masking import Mask, apply_mask, generate_candidate_pool, \
-    magnitude_mask, random_mask
+from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
+    generate_candidate_pool, keep_budget, magnitude_mask, random_mask
 from .nn import Array, BatchNorm, Linear, Network, ReLU, backward, \
     bn_stats, cross_entropy, forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
@@ -121,12 +121,15 @@ class ExperimentConfig:
             issues.append("alpha: must be positive")
         if not 0.0 < self.dev_ratio <= 1.0:
             issues.append("dev_ratio: must lie in (0, 1]")
+        prunable = []  # sizes of the prunable tensors: hidden fixes them
         if not self.hidden or any(int(h) < 1 for h in self.hidden):
             issues.append("hidden: needs positive layer widths")
         elif self.algorithm != "DenseFedAvg" and len(self.hidden) < 2:
             # the first and last linear layers are never pruned
             issues.append(f"hidden: {self.algorithm} needs at least two "
                           f"hidden widths to have a prunable tensor")
+        elif self.algorithm != "DenseFedAvg":
+            prunable = [int(a) * int(b) for a, b in zip(self.hidden, self.hidden[1:])]
         if self.algorithm not in ALGORITHMS:
             issues.append(f"algorithm: must be one of {ALGORITHMS}, "
                           f"got {self.algorithm!r}")
@@ -140,6 +143,10 @@ class ExperimentConfig:
                           "(a non-empty server split)")
         if not 0.0 < self.density <= 1.0:
             issues.append("density: must lie in (0, 1]")
+        elif prunable and keep_budget(self.density, sum(prunable)) < sum(
+                min(MIN_KEPT_PER_LAYER, n) for n in prunable):
+            issues.append(f"density: too low to keep {MIN_KEPT_PER_LAYER} "
+                          f"weights in every prunable layer")
         if self.pool_size < 0:
             issues.append("pool_size: must be nonnegative (0 = auto)")
         if self.algorithm in PROGRESSIVE_ALGS:

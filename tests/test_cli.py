@@ -293,9 +293,10 @@ def test_cmd_run_invalid_config(config_file, tmp_path):
     # a pruning algorithm with one hidden width has no prunable tensor,
     # pretraining needs server data (0.0001 of 160 blobs floors to none),
     # 160 blobs leave too few training samples for 600 clients, BN batch
-    # statistics need two samples, and no float setting may be NaN or
-    # infinite (NaN fails every range check written as ``x <= 0``)
-    for sets in (["density=7.0"],
+    # statistics need two samples, no float setting may be NaN or
+    # infinite (NaN fails every range check written as ``x <= 0``), and
+    # density 0.01 keeps 5 of the 512 prunable weights, below 10 per layer
+    for sets in (["density=7.0"], ["density=0.01"],
                  ["algorithm=FedTiny", "hidden=64"],
                  ["pretrain_epochs=1", "server_ratio=0.0"],
                  ["server_ratio=0.0001"],

@@ -160,6 +160,14 @@ def test_csv_errors(tmp_path):
         load_csv(ragged)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_csv_rejects_non_finite_features(tmp_path, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"1.0,2.0,0\n1.0,{value},1\n")
+    with pytest.raises(ValueError, match="line 2: non-finite feature value"):
+        load_csv(path)
+
+
 def test_csv_header_flag(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("a,b,label\n1.0,2.0,0\n")

@@ -273,6 +273,30 @@ def test_pool_is_deterministic():
                                           cb.mask.slices[key])
 
 
+def test_pool_masks_match_per_candidate_support():
+    # one sort per layer, then a prefix per candidate: the support must be
+    # the one ``select_support`` picks for the candidate's own counts,
+    # also where magnitudes tie (+w and -w, and repeated values)
+    net = pool_net(seed=5, hidden=(20, 30, 20))
+    for key in net.prunable_keys():
+        w = net.params()[key]
+        signs = np.where(np.arange(w.size) % 2, -1.0, 1.0).reshape(w.shape)
+        net.set_param(key, np.round(np.abs(w), 1) * signs)
+    weights = {k: net.params()[k] for k in net.prunable_keys()}
+    assert all(len(np.unique(np.abs(w))) < w.size / 10
+               for w in weights.values())
+    sizes = {k: w.size for k, w in weights.items()}
+    budget = keep_budget(0.1, sum(sizes.values()))
+    pool = generate_candidate_pool(net, 0.1, 12, noise=0.5, seed=4)
+    assert len({tuple(c.mask.nonzeros().values()) for c in pool}) > 1
+    for cand in pool:
+        counts = allocate_counts(cand.layer_densities, sizes, budget)
+        for key, w in weights.items():
+            want = select_support(np.abs(w), counts[key])
+            assert cand.mask.slices[key].dtype == want.dtype
+            np.testing.assert_array_equal(cand.mask.slices[key], want)
+
+
 def test_pool_infeasible_floor_raises():
     net = pool_net(seed=1, hidden=(12, 12, 12))  # 144-weight layers, floor 10
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -596,3 +597,45 @@ def test_refresh_and_eval_passes_match_reference_and_keep_the_input(case):
         assert_bitwise_equal(eval_pass(tail, x, stats),
                              _ref_eval_pass(tail, x, stats))
         assert_bitwise_equal(x, x_before)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_stacked_candidates_match_each_candidate_bit_for_bit(case):
+    # selection runs C candidates as the slices of stacked linear weights;
+    # each slice must compute what that candidate's layers compute alone
+    _, net, _, batches = list(_oracle_cases())[case]
+    rng = np.random.default_rng(case)
+    x = rng.normal(size=(batches[-1], net.input_dim))
+    y = rng.integers(0, net.layers[-1].weight.shape[1], size=len(x))
+    singles = [[copy.copy(layer) for layer in net.layers] for _ in range(3)]
+    for layers in singles:
+        for layer in layers:
+            if layer.kind == "linear":
+                keep = rng.random(layer.weight.shape) < 0.6
+                layer.weight = np.where(keep, layer.weight, 0.0)
+    stacked = [copy.copy(layer) for layer in net.layers]
+    for i, layer in enumerate(stacked):
+        if layer.kind == "linear":
+            layer.weight = np.stack([layers[i].weight for layers in singles])
+
+    def row(a, c):  # statistics of a BN layer before any stacked weight
+        return a[c] if a.ndim == 2 else a
+
+    stats, only = bn_stats(net), bn_stats(net)
+    out = refresh_pass(stacked, x, stats)
+    last = refresh_pass(stacked, x, only, stats_only=True)
+    assert (last is None) == bool(only)  # None once the last pair advanced
+    logits = eval_pass(stacked, x, stats)
+    pretrained = eval_pass(stacked, x, bn_stats(net))
+    for c, layers in enumerate(singles):
+        want = bn_stats(net)
+        assert_bitwise_equal(out[c], refresh_pass(layers, x, want))
+        for got, got_only, pair in zip(stats, only, want):
+            for a, b, w in zip(got, got_only, pair):
+                assert_bitwise_equal(row(a, c), w)
+                assert_bitwise_equal(row(b, c), w)
+        alone = eval_pass(layers, x, want)
+        assert_bitwise_equal(logits[c], alone)
+        assert cross_entropy(logits, y)[c] == cross_entropy(alone, y)
+        assert_bitwise_equal(pretrained[c],
+                             eval_pass(layers, x, bn_stats(net)))

@@ -6,9 +6,11 @@ import pytest
 from fedprune.data import Dataset, make_blobs
 from fedprune.masking import Candidate, Mask, apply_mask, \
     generate_candidate_pool
-from fedprune.nn import BatchNorm, Linear, Network, bn_stats, \
+from fedprune import selection
+from fedprune.nn import BatchNorm, Linear, Network, ReLU, bn_stats, \
     cross_entropy, make_mlp, refresh_pass
 from fedprune.selection import (
+    CHUNK,
     BNReport,
     _split,
     _winner,
@@ -443,6 +445,63 @@ def test_selectors_match_oracles_with_a_single_candidate():
     check_both(*oracle_fixture(8, pool=1))
 
 
+@pytest.mark.parametrize("size", [CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_selectors_match_oracles_across_chunk_edges(size):
+    # one full chunk, a full chunk and a singleton, two full chunks and a
+    # partial one; reversed, a winner from the first chunk lands in a later
+    # one
+    net, pool, devs = oracle_fixture(11, pool=size)
+    for candidates in (pool, pool[::-1]):
+        check_both(net, candidates, devs)
+
+
+def bn_head_fixture(seed=12, pool=CHUNK + 2):
+    """A hand-built network whose shared head ends in a BN layer, with
+    affine BN parameters and moving statistics away from their defaults."""
+    rng = np.random.default_rng(seed)
+
+    def bn(width):
+        return BatchNorm(rng.normal(size=width), rng.uniform(0.5, 2.0, width),
+                         scale=rng.uniform(0.5, 1.5, width),
+                         shift=rng.normal(size=width))
+
+    def linear(fan_in, fan_out):
+        return Linear(rng.normal(0.0, 0.5, (fan_in, fan_out)),
+                      rng.normal(0.0, 0.1, fan_out))
+
+    net = Network([linear(5, 14), ReLU(), bn(14),
+                   linear(14, 12), bn(12), ReLU(),
+                   linear(12, 10), ReLU(), bn(10),
+                   linear(10, 4)])
+    candidates = generate_candidate_pool(net, 0.3, pool, seed=seed)
+    _, _, devs = oracle_fixture(seed)
+    return net, candidates, devs
+
+
+def test_selectors_match_oracles_with_a_head_ending_in_batch_norm():
+    net, pool, devs = bn_head_fixture()
+    head = _split(net, pool)[0]
+    assert [layer.kind for layer in head] == ["linear", "relu", "batchnorm"]
+    assert net.layers[-2].kind == "batchnorm"
+    check_both(net, pool, devs)
+
+
+def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
+    # bench/tracer.py counts these calls
+    net, pool, devs = oracle_fixture(13, pool=2 * CHUNK + 1)
+    calls = []
+    for name in ("client_bn_pass", "client_score"):
+        fn = getattr(selection, name)
+        monkeypatch.setattr(selection, name,
+                            lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    adaptive_select(net, pool, devs, batch_size=8)
+    assert sorted(calls) == (["client_bn_pass"] * 9 + ["client_score"] * 9)
+    calls.clear()
+    vanilla_select(net, pool, devs, batch_size=8)
+    assert calls == ["client_score"] * 9
+
+
 def test_identical_candidates_tie_to_the_lowest_id():
     # zero noise: every candidate draws the same mask, so all scores tie
     net, pool, devs = oracle_fixture(10, pool=4, noise=0.0)
@@ -460,6 +519,13 @@ def test_selectors_reject_an_empty_pool():
         adaptive_select(net, [], devs)
     with pytest.raises(ValueError):
         vanilla_select(net, [], devs)
+    # candidates are stacked tensor by tensor, so they must mask the same
+    # tensors, and at least one
+    pool = generate_candidate_pool(net, 0.2, 2)
+    for odd in (Mask({}), Mask(dict(list(pool[0].mask.slices.items())[:1]))):
+        for select in (adaptive_select, vanilla_select):
+            with pytest.raises(ValueError, match="non-empty set of tensors"):
+                select(net, pool + [Candidate({}, odd)], devs)
 
 
 def test_selection_clones_only_the_winner(monkeypatch):
