@@ -1,5 +1,5 @@
-"""Command line entry point: run experiments, sweep a config axis, and
-report model costs from a checkpoint.
+"""Command line entry point: run experiments, sweep a grid of config values,
+and report model costs from a checkpoint.
 
 Config files are INI-style ``key = value`` sections; any field can be
 overridden on the command line with ``--set key=value`` (bare keys work when
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import itertools
 import json
 import sys
 from dataclasses import fields, replace
@@ -35,8 +37,6 @@ SECTIONS = {
 _FIELD_SECTION = {name: section for section, names in SECTIONS.items()
                   for name in names}
 _FIELD_TYPE = {f.name: f.type for f in fields(ExperimentConfig)}
-
-SWEEP_AXES = ("density", "alpha", "pool_size", "granularity", "seed")
 
 
 def _parse_value(name: str, raw: str):
@@ -99,22 +99,27 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
+def _parse_override(item: str):
+    """The field and parsed value of one ``key=value`` item."""
+    if "=" not in item:
+        raise ConfigError([f"override {item!r} is not key=value"])
+    key, raw = item.split("=", 1)
+    key = key.strip()
+    if "." in key:
+        section, key = key.split(".", 1)
+        if _FIELD_SECTION.get(key) != section:
+            raise ConfigError([f"unknown override {section}.{key}"])
+    elif key not in _FIELD_SECTION:
+        raise ConfigError([f"unknown override key {key!r}"])
+    try:
+        return key, _parse_value(key, raw)
+    except ValueError as err:
+        raise ConfigError([str(err)])
+
+
 def apply_overrides(cfg: ExperimentConfig, sets: list[str]) -> ExperimentConfig:
     for item in sets:
-        if "=" not in item:
-            raise ConfigError([f"override {item!r} is not key=value"])
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if "." in key:
-            section, key = key.split(".", 1)
-            if _FIELD_SECTION.get(key) != section:
-                raise ConfigError([f"unknown override {section}.{key}"])
-        elif key not in _FIELD_SECTION:
-            raise ConfigError([f"unknown override key {key!r}"])
-        try:
-            setattr(cfg, key, _parse_value(key, raw))
-        except ValueError as err:
-            raise ConfigError([str(err)])
+        setattr(cfg, *_parse_override(item))
     return cfg
 
 
@@ -179,45 +184,38 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in SWEEP_AXES:
-        print(f"error: sweep axis must be one of {SWEEP_AXES}",
-              file=sys.stderr)
-        return 2
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw_values:
-        print("error: sweep needs at least one value", file=sys.stderr)
-        return 2
-    base = parse_config(args.config)
-    apply_overrides(base, args.set or [])
-    runs = {}  # parsed axis value -> (raw value, config)
-    for raw in raw_values:
-        cfg = apply_overrides(replace(base), [f"{args.axis}={raw}"])
+    base = apply_overrides(parse_config(args.config), args.set or [])
+    axes = {}  # field -> its --axis items; fields in order of first use
+    for item in args.axis:
+        axes.setdefault(_parse_override(item)[0], []).append(item)
+    points = {}  # run directory name -> (axis items, axis values, config)
+    for items in itertools.product(*axes.values()):
+        cfg = apply_overrides(replace(base), items)
         cfg.validate()
-        value = getattr(cfg, args.axis)
-        if value in runs:
-            print(f"error: sweep values {runs[value][0]!r} and {raw!r} are "
-                  f"the same {args.axis}", file=sys.stderr)
-            return 2
-        runs[value] = (raw, cfg)
+        values = [_format_value(key, getattr(cfg, key)) for key in axes]
+        name = "-".join(f"{key}={value}" for key, value in zip(axes, values))
+        if Path(name).name != name:
+            raise ConfigError([f"sweep point {name!r}: not a directory name"])
+        if name in points:
+            raise ConfigError([f"sweep point {name!r}: given twice"])
+        points[name] = (list(items), values, cfg)
     sweep_dir = Path(args.out)
     sweep_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for raw, cfg in runs.values():
-        override = f"{args.axis}={raw}"
-        # the run id does not encode every axis, so it names the value too
-        rid = f"{run_id(cfg)}-{override}"
-        final = run_with_manifest(sweep_dir / rid, cfg,
-                                  (args.set or []) + [override])
-        rows.append((rid, raw, final))
-        print(f"{rid}: final accuracy {final.accuracy:.4f}")
     summary = sweep_dir / "summary.csv"
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("run_id,axis,value,accuracy,loss,density,peak_flops,"
-                 "memory_bytes\n")
-        for rid, value, final in rows:
-            fh.write(f"{rid},{args.axis},{value},{final.accuracy!r},"
-                     f"{final.loss!r},{final.density!r},{final.peak_flops!r},"
-                     f"{final.memory_bytes!r}\n")
+    with open(summary, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["run_id", *axes, "accuracy", "loss", "density",
+                         "peak_flops", "memory_bytes"])
+        for name, (items, values, cfg) in points.items():
+            final = run_with_manifest(sweep_dir / name, cfg,
+                                      (args.set or []) + items)
+            # written as each point ends, so a failed point keeps the rows
+            # of the points before it
+            writer.writerow([name, *values, final.accuracy, final.loss,
+                             final.density, final.peak_flops,
+                             final.memory_bytes])
+            fh.flush()
+            print(f"{name}: final accuracy {final.accuracy:.4f}")
     print(f"summary in {summary}")
     return 0
 
@@ -269,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default="runs", help="output directory root")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="run one experiment per axis value")
+    sweep = sub.add_parser("sweep", help="run one experiment per grid point")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--axis", required=True,
-                       help=f"one of {', '.join(SWEEP_AXES)}")
-    sweep.add_argument("--values", required=True,
-                       help="comma-separated axis values")
+    sweep.add_argument("--axis", action="append", required=True,
+                       metavar="KEY=VALUE",
+                       help="one value of a grid axis; items naming one key "
+                            "make up its axis (repeatable)")
     sweep.add_argument("--set", action="append", metavar="KEY=VALUE")
     sweep.add_argument("--out", default="sweeps")
     sweep.set_defaults(func=cmd_sweep)

@@ -106,15 +106,19 @@ class ExperimentConfig:
             issues.append("server_ratio: must lie in [0, 1)")
         if self.test_ratio + self.server_ratio >= 1.0:
             issues.append("test_ratio + server_ratio: must leave client data")
-        # blob split sizes are known before the run; CSV ones only once
-        # the file is loaded
         server = None
-        if self.data_kind == "blobs" and not issues:
-            _, server, train = split_sizes(self.classes * self.per_class,
-                                           [self.test_ratio, self.server_ratio])
-            if train < self.clients:
-                issues.append(f"clients: {train} training samples cannot "
-                              f"give each of {self.clients} clients one")
+        if not issues:
+            try:
+                n = (self.classes * self.per_class if self.data_kind == "blobs"
+                     else len(load_csv(self.csv_path, self.csv_header)))
+            except (OSError, ValueError) as err:
+                issues.append(f"csv_path: {err}")
+            else:
+                _, server, train = split_sizes(
+                    n, [self.test_ratio, self.server_ratio])
+                if train < self.clients:
+                    issues.append(f"clients: {train} training samples cannot "
+                                  f"give each of {self.clients} clients one")
         if not 0.0 < self.client_fraction <= 1.0:
             issues.append("client_fraction: must lie in (0, 1]")
         if self.alpha <= 0:
@@ -272,9 +276,6 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     test_idx, server_idx, pool_idx = split_indices(
         len(ds), [cfg.test_ratio, cfg.server_ratio],
         seed=_subseed(cfg.seed, _T_SPLIT))
-    if len(pool_idx) < cfg.clients:
-        raise ConfigError(["clients: not enough training samples left for "
-                           f"{cfg.clients} clients"])
     server_set = ds.subset(server_idx) if len(server_idx) else None
     train_pool = ds.subset(pool_idx)
     # with no held-out split, evaluation falls back to the training pool

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -310,19 +311,27 @@ def test_cmd_run_invalid_config(config_file, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
-    # four shifted classes of 60 rows under a header line
-    rows = ["x0,x1,x2,label"]
-    for i in range(240):
-        c = i % 4
-        rows.append(f"{c + 0.1 * (i % 7)},{-c + 0.05 * (i % 11)},"
-                    f"{0.3 * (i % 5)},{c}")
+def _toy_rows(n):
+    """``n`` CSV rows of four shifted classes."""
+    return [f"{i % 4 + 0.1 * (i % 7)},{-(i % 4) + 0.05 * (i % 11)},"
+            f"{0.3 * (i % 5)},{i % 4}" for i in range(n)]
+
+
+def _csv_config(tmp_path, rows):
+    """SMALL_CONFIG reading ``rows`` under a header line, or a missing file
+    if ``rows`` is None."""
     data = tmp_path / "toy.csv"
-    data.write_text("\n".join(rows) + "\n")
+    if rows is not None:
+        data.write_text("\n".join(["x0,x1,x2,label"] + rows) + "\n")
     config = tmp_path / "csv.ini"
     config.write_text(SMALL_CONFIG.replace(
         "[data]\n", f"[data]\ndata_kind = csv\ncsv_path = {data}\n"
                     f"csv_header = true\n"))
+    return config
+
+
+def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
+    config = _csv_config(tmp_path, _toy_rows(240))
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -340,16 +349,44 @@ def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
     assert any(rec["grow_count"] > 0 for rec in records)
 
 
+@pytest.mark.parametrize("rows, sets, issue", [
+    (_toy_rows(239) + ["nan,0.0,0.0,1"], [],
+     "csv_path: line 241: non-finite feature value"),
+    # 12 rows leave 12 - 2 test - 1 server = 9 training samples
+    (_toy_rows(12), ["clients=10"],
+     "clients: 9 training samples cannot give each of 10 clients one"),
+    # 0.1 of 9 rows floors to no server sample
+    (_toy_rows(9), [], "pretraining needs server data"),
+    (None, [], "csv_path: [Errno 2] No such file or directory"),
+], ids=["non-finite-feature", "too-few-rows-for-clients",
+        "empty-server-split", "missing-file"])
+def test_cmd_run_rejects_csv_defects_before_the_run(tmp_path, capsys, rows,
+                                                    sets, issue):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(_csv_config(tmp_path, rows)), "--out",
+               str(out)] + [arg for s in sets for arg in ("--set", s)])
+    assert rc == 2
+    assert issue in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- sweep command ------------------------------------------------------------------
+
+def _sweep(config_file, out, *items, sets=()):
+    """``fedprune sweep`` with one ``--axis`` per item."""
+    return main(["sweep", "--config", str(config_file), "--out", str(out)]
+                + [arg for item in items for arg in ("--axis", item)]
+                + [arg for item in sets for arg in ("--set", item)])
+
 
 def test_cmd_sweep_density_axis(config_file, tmp_path):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(config_file), "--axis", "density",
-               "--values", "0.1,0.2", "--out", str(out)])
-    assert rc == 0
+    assert _sweep(config_file, out, "density=0.1", "density=0.2") == 0
     summary = (out / "summary.csv").read_text().strip().splitlines()
-    assert summary[0].startswith("run_id,axis,value")
-    assert len(summary) == 3
+    assert summary[0] == ("run_id,density,accuracy,loss,density,peak_flops,"
+                          "memory_bytes")
+    assert [row.split(",")[:2] for row in summary[1:]] == [
+        ["density=0.1", "0.1"], ["density=0.2", "0.2"]]
     metric_files = list(out.glob("*/metrics.csv"))
     assert len(metric_files) == 2
     assert [json.loads(path.read_text())["status"]
@@ -358,20 +395,16 @@ def test_cmd_sweep_density_axis(config_file, tmp_path):
 
 def test_cmd_sweep_seed_axis(config_file, tmp_path):
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(config_file), "--axis", "seed",
-               "--values", "1,2,3", "--out", str(out)])
-    assert rc == 0
+    assert _sweep(config_file, out, "seed=1", "seed=2", "seed=3") == 0
     assert len(list(out.glob("*/final.ckpt"))) == 3
 
 
 def test_cmd_sweep_pool_size_axis_keeps_every_run(config_file, tmp_path):
-    # the run id does not encode pool_size; each value still needs its own
-    # run directory and summary row
+    # the run id does not encode pool_size; the directory name does, so
+    # each value gets its own run directory and summary row
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(config_file), "--axis", "pool_size",
-               "--values", "2,3", "--set", "algorithm=AdaptiveBNOnly",
-               "--out", str(out)])
-    assert rc == 0
+    assert _sweep(config_file, out, "pool_size=2", "pool_size=3",
+                  sets=["algorithm=AdaptiveBNOnly"]) == 0
     manifests = [json.loads(path.read_text())
                  for path in sorted(out.glob("*/manifest.json"))]
     assert [m["overrides"] for m in manifests] == [
@@ -384,25 +417,103 @@ def test_cmd_sweep_pool_size_axis_keeps_every_run(config_file, tmp_path):
 
 
 def test_cmd_sweep_unknown_axis(config_file, tmp_path):
-    rc = main(["sweep", "--config", str(config_file), "--axis", "wat",
-               "--values", "1", "--out", str(tmp_path / "s")])
-    assert rc == 2
+    for item in ("wat=1", "pruning.seed=1"):
+        assert _sweep(config_file, tmp_path / "s", item) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_cmd_sweep_empty_values(config_file, tmp_path):
-    rc = main(["sweep", "--config", str(config_file), "--axis", "seed",
-               "--values", ",", "--out", str(tmp_path / "s")])
-    assert rc == 2
+    for item in ("seed=", "seed", ","):
+        assert _sweep(config_file, tmp_path / "s", item) == 2
+    assert not (tmp_path / "s").exists()
 
 
 def test_cmd_sweep_rejects_values_that_parse_equal(config_file, tmp_path,
                                                   capsys):
     out = tmp_path / "s"
-    rc = main(["sweep", "--config", str(config_file), "--axis", "density",
-               "--values", "0.1,0.10,0.1", "--out", str(out)])
-    assert rc == 2
-    assert "'0.1' and '0.10' are the same density" in capsys.readouterr().err
+    assert _sweep(config_file, out, "density=0.1", "density=0.10",
+                  "density=0.1") == 2
+    assert "sweep point 'density=0.1': given twice" in \
+        capsys.readouterr().err
     assert not out.exists()  # rejected before any run starts
+
+
+def test_cmd_sweep_runs_the_product_of_the_axes_in_grid_order(config_file,
+                                                              tmp_path):
+    # axes in the order their keys first appear, values in the order given
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "algorithm=StaticRandom", "seed=1",
+                  "algorithm=DenseFedAvg", "seed=2") == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["run_id", "algorithm", "seed", "accuracy", "loss",
+                       "density", "peak_flops", "memory_bytes"]
+    points = [(alg, seed) for alg in ("StaticRandom", "DenseFedAvg")
+              for seed in ("1", "2")]
+    assert [row[:3] for row in rows[1:]] == [
+        [f"algorithm={alg}-seed={seed}", alg, seed] for alg, seed in points]
+    assert len([path for path in out.iterdir() if path.is_dir()]) == 4
+    for row in rows[1:]:
+        manifest = json.loads((out / row[0] / "manifest.json").read_text())
+        assert manifest["config"]["training"]["algorithm"] == row[1]
+        assert manifest["config"]["run"]["seed"] == int(row[2])
+        # the summary repeats the final metrics.csv row, byte for byte
+        final = (out / row[0] / "metrics.csv").read_text().splitlines()[-1]
+        assert row[3:] == final.split(",")[1:]
+
+
+def test_cmd_sweep_hidden_axis_round_trips_through_csv_reader(config_file,
+                                                              tmp_path):
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "hidden=32,32", "hidden=16,16,16") == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:2] for row in rows[1:]] == [["hidden=32,32", "32,32"],
+                                             ["hidden=16,16,16", "16,16,16"]]
+    manifest = json.loads((out / "hidden=32,32" / "manifest.json").read_text())
+    assert manifest["config"]["model"]["hidden"] == [32, 32]
+
+
+def test_cmd_sweep_bare_and_sectioned_keys_make_one_axis(config_file,
+                                                         tmp_path):
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "interval=1", "pruning.interval=2") == 0
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert rows[0].startswith("run_id,interval,accuracy,")
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["interval=1", "1"], ["interval=2", "2"]]
+    manifest = json.loads((out / "interval=2" / "manifest.json").read_text())
+    assert manifest["overrides"] == ["pruning.interval=2"]
+
+
+@pytest.mark.parametrize("densities", [("7.0", "0.1"), ("0.1", "7.0")])
+def test_cmd_sweep_rejects_an_invalid_point_before_any_run(config_file,
+                                                           tmp_path,
+                                                           densities):
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "seed=1", "seed=2",
+                  *(f"density={d}" for d in densities)) == 2
+    assert not out.exists()
+
+
+def test_cmd_sweep_rejects_a_value_with_a_path_separator(config_file,
+                                                         tmp_path, capsys):
+    # blob data ignores csv_path, so the point itself is valid
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "csv_path=sub/data.csv") == 2
+    assert "'csv_path=sub/data.csv': not a directory name" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_sweep_keeps_the_rows_of_points_before_a_failed_one(config_file,
+                                                                tmp_path):
+    out = tmp_path / "s"
+    assert _sweep(config_file, out, "lr=0.05", "lr=1e200") == 1
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["lr=0.05", "0.05"]]
+    manifest = json.loads((out / "lr=1e+200" / "manifest.json").read_text())
+    assert manifest["status"] == "failed: FloatingPointError: non-finite loss"
 
 
 # -- cost command ------------------------------------------------------------------
