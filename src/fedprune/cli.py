@@ -13,6 +13,7 @@ import configparser
 import csv
 import itertools
 import json
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -188,6 +189,11 @@ def cmd_sweep(args) -> int:
     axes = {}  # field -> its --axis items; fields in order of first use
     for item in args.axis:
         axes.setdefault(_parse_override(item)[0], []).append(item)
+    sweep_dir = Path(args.out)
+    # the name limit of the file system the point directories will be made on
+    existing = next(p for p in (sweep_dir, *sweep_dir.absolute().parents)
+                    if p.is_dir())
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
     points = {}  # run directory name -> (axis items, axis values, config)
     for items in itertools.product(*axes.values()):
         cfg = apply_overrides(replace(base), items)
@@ -196,10 +202,12 @@ def cmd_sweep(args) -> int:
         name = "-".join(f"{key}={value}" for key, value in zip(axes, values))
         if Path(name).name != name:
             raise ConfigError([f"sweep point {name!r}: not a directory name"])
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError([f"sweep point {name!r}: longer than the "
+                               f"{name_max}-byte limit of a directory name"])
         if name in points:
             raise ConfigError([f"sweep point {name!r}: given twice"])
         points[name] = (list(items), values, cfg)
-    sweep_dir = Path(args.out)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     summary = sweep_dir / "summary.csv"
     with open(summary, "w", encoding="utf-8", newline="") as fh:

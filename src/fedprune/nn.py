@@ -7,8 +7,9 @@ and eval-mode passes never mutate state.
 
 The passes compute in place only on arrays they allocated themselves: never
 on the caller's batch, an array cached for ``backward`` or a BN layer's
-array. Each in-place operation is the same floating-point operation, in the
-same order, as the expression it replaces, so results are bit-identical.
+array. They are bit-identical to the reference kernels in ``tests/test_nn``,
+which make one new array per operation. A BN layer folds its normalization
+into one per-feature product ``g = scale / sqrt(var + eps)`` and one sum.
 Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
 weight gives ``(C, B, fan_out)``, one matrix product per candidate.
 """
@@ -214,14 +215,14 @@ def forward(net: Network, batch, mode: str = "train"):
             cache.append((x,))
             own = False
         else:  # batchnorm
-            mu, xhat, var = batch_stats(x)
-            inv = 1.0 / np.sqrt(var + layer.eps)
-            xhat *= inv
+            mu, centred, var = batch_stats(x)
+            inv = (var + layer.eps) ** -0.5
+            g = inv * layer.scale
             m = layer.momentum
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
-            cache.append((xhat, inv))
-            x = xhat * layer.scale
+            cache.append((centred, inv, g))
+            x = centred * g
             x += layer.shift
             own = True
     return x, cache
@@ -283,8 +284,7 @@ def refresh_pass(layers, x: Array, stats: list, *,
             j += 1
             if stats_only and j == len(stats):
                 return None
-            x /= np.sqrt(var + layer.eps)[..., None, :]
-            x *= layer.scale
+            x *= (layer.scale * (var + layer.eps) ** -0.5)[..., None, :]
             x += layer.shift
     return x
 
@@ -304,11 +304,10 @@ def eval_pass(layers, x: Array, stats) -> Array:
         else:
             mean, var = stats[j]
             j += 1
-            inv = 1.0 / np.sqrt(var + layer.eps)
-            x = x - mean[..., None, :]
-            x *= inv[..., None, :]
-            x *= layer.scale
-            x += layer.shift
+            # (x - mean) * g + shift, as one product and one sum
+            g = layer.scale * (var + layer.eps) ** -0.5
+            x = np.multiply(x, g[..., None, :], out=None if x is batch else x)
+            x += (layer.shift - mean * g)[..., None, :]
     return x
 
 
@@ -379,22 +378,19 @@ def backward(net: Network, logits: Array, labels, cache):
             (y,) = cache[i]
             delta *= y > 0.0
         else:
-            xhat, inv = cache[i]
-            b = xhat.shape[0]
-            tmp = delta * xhat
-            np.add.reduce(delta, axis=0, out=grads.pop())  # shift
-            np.add.reduce(tmp, axis=0, out=grads.pop())  # scale
-            # delta becomes dxhat, then (inv / b) * (b * dxhat - sum(dxhat)
-            # - xhat * sum(dxhat * xhat)), one operation at a time
-            delta *= layer.scale
-            s1 = np.add.reduce(delta, axis=0)
-            np.multiply(delta, xhat, out=tmp)
-            s2 = np.add.reduce(tmp, axis=0)
-            delta *= b
-            delta -= s1
-            np.multiply(xhat, s2, out=tmp)
-            delta -= tmp
-            delta *= inv / b
+            centred, inv, g = cache[i]
+            b = centred.shape[0]
+            dshift = np.add.reduce(delta, axis=0, out=grads.pop())
+            tmp = delta * centred
+            dscale = np.add.reduce(tmp, axis=0, out=grads.pop())
+            dscale *= inv
+            if i > 0:
+                # dx = g * (delta - dshift / b - centred * (inv * dscale / b)),
+                # the BN input gradient with xhat = centred * inv
+                delta -= dshift / b
+                np.multiply(centred, inv * dscale / b, out=tmp)
+                delta -= tmp
+                delta *= g
     return loss, net.grad
 
 

@@ -506,6 +506,19 @@ def test_cmd_sweep_rejects_a_value_with_a_path_separator(config_file,
     assert not out.exists()
 
 
+def test_cmd_sweep_rejects_a_name_too_long_before_any_run(config_file,
+                                                         tmp_path, capsys):
+    # the first point is valid and short; the second's name is over the
+    # limit, so no point may run
+    out = tmp_path / "new" / "s"
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    long_csv = "x" * limit + ".csv"
+    assert _sweep(config_file, out, "seed=1", "seed=2", "csv_path=short.csv",
+                  f"csv_path={long_csv}") == 2
+    assert "-byte limit of a directory name" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_cmd_sweep_keeps_the_rows_of_points_before_a_failed_one(config_file,
                                                                 tmp_path):
     out = tmp_path / "s"

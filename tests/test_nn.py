@@ -370,7 +370,8 @@ def test_second_backward_overwrites_the_gradients():
 # -- bitwise oracle -----------------------------------------------------------
 # The straightforward kernels, one new array per operation. The engine's
 # kernels compute in place on arrays they allocate; they must agree with
-# these bit for bit, signs of zero included.
+# these bit for bit, signs of zero included. A BN layer normalizes with
+# g = scale * (var + eps) ** -0.5, as centred * g + shift.
 
 def _ref_forward(net: Network, batch, mode: str = "train"):
     if mode not in ("train", "eval"):
@@ -390,13 +391,13 @@ def _ref_forward(net: Network, batch, mode: str = "train"):
             x = np.maximum(x, 0.0)
         else:  # batchnorm
             mu, centred, var = _ref_batch_stats(x)
-            inv = 1.0 / np.sqrt(var + layer.eps)
-            xhat = centred * inv
+            inv = (var + layer.eps) ** -0.5
+            g = inv * layer.scale
             m = layer.momentum
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
-            cache.append((xhat, inv))
-            x = layer.scale * xhat + layer.shift
+            cache.append((centred, inv, g))
+            x = centred * g + layer.shift
     return x, cache
 
 
@@ -420,7 +421,7 @@ def _ref_refresh_pass(layers, x, stats):
             stats[j] = (m * mean + (1.0 - m) * mu,
                         m * old_var + (1.0 - m) * var)
             j += 1
-            x = (layer.scale * (centred / np.sqrt(var + layer.eps))
+            x = (centred * (layer.scale * (var + layer.eps) ** -0.5)
                  + layer.shift)
     return x
 
@@ -435,8 +436,8 @@ def _ref_eval_pass(layers, x, stats):
         else:
             mean, var = stats[j]
             j += 1
-            inv = 1.0 / np.sqrt(var + layer.eps)
-            x = layer.scale * ((x - mean) * inv) + layer.shift
+            g = layer.scale * (var + layer.eps) ** -0.5
+            x = x * g + (layer.shift - mean * g)
     return x
 
 
@@ -471,13 +472,12 @@ def _ref_backward(net: Network, logits, labels, cache):
             (x,) = cache[i]
             delta = delta * (x > 0.0)
         else:
-            xhat, inv = cache[i]
-            grads[f"{i}.scale"] = (delta * xhat).sum(axis=0)
-            grads[f"{i}.shift"] = delta.sum(axis=0)
-            dxhat = delta * layer.scale
-            b = xhat.shape[0]
-            delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
-                                 - xhat * (dxhat * xhat).sum(axis=0))
+            centred, inv, g = cache[i]
+            b = centred.shape[0]
+            dshift = delta.sum(axis=0)
+            dscale = inv * (delta * centred).sum(axis=0)
+            grads[f"{i}.scale"], grads[f"{i}.shift"] = dscale, dshift
+            delta = g * (delta - dshift / b - centred * (inv * dscale / b))
     return loss, grads
 
 
@@ -639,3 +639,156 @@ def test_stacked_candidates_match_each_candidate_bit_for_bit(case):
         assert cross_entropy(logits, y)[c] == cross_entropy(alone, y)
         assert_bitwise_equal(pretrained[c],
                              eval_pass(layers, x, bn_stats(net)))
+
+
+# -- the prior order, frozen ---------------------------------------------------
+# The kernels as they were before the BN fold: normalize to xhat, then scale
+# and shift; the backward recomputes both sums on dxhat = delta * scale.
+# They are kept unchanged to bound how far the fold moved the results.
+
+def _prior_forward(net: Network, batch, mode: str = "train"):
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    x = _check_batch(net, batch)
+    if mode == "eval":
+        return _prior_eval_pass(net.layers, x, bn_stats(net)), None
+    if x.shape[0] < 2:
+        raise ValueError("train-mode batches need at least 2 samples")
+    cache: list = []
+    for layer in net.layers:
+        if layer.kind == "linear":
+            cache.append((x,))
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            cache.append((x,))
+            x = np.maximum(x, 0.0)
+        else:  # batchnorm
+            mu, centred, var = _ref_batch_stats(x)
+            inv = 1.0 / np.sqrt(var + layer.eps)
+            xhat = centred * inv
+            m = layer.momentum
+            layer.mean = m * layer.mean + (1.0 - m) * mu
+            layer.var = m * layer.var + (1.0 - m) * var
+            cache.append((xhat, inv))
+            x = layer.scale * xhat + layer.shift
+    return x, cache
+
+
+def _prior_refresh_pass(layers, x, stats):
+    j = 0
+    for layer in layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            mu, centred, var = _ref_batch_stats(x)
+            mean, old_var = stats[j]
+            m = layer.momentum
+            stats[j] = (m * mean + (1.0 - m) * mu,
+                        m * old_var + (1.0 - m) * var)
+            j += 1
+            x = (layer.scale * (centred / np.sqrt(var + layer.eps))
+                 + layer.shift)
+    return x
+
+
+def _prior_eval_pass(layers, x, stats):
+    j = 0
+    for layer in layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        else:
+            mean, var = stats[j]
+            j += 1
+            inv = 1.0 / np.sqrt(var + layer.eps)
+            x = layer.scale * ((x - mean) * inv) + layer.shift
+    return x
+
+
+def _prior_backward(net: Network, logits, labels, cache):
+    if cache is None:
+        raise ValueError("backward needs the cache from a train-mode forward")
+    if len(cache) != len(net.layers):
+        raise ValueError("cache does not match this network")
+    labels = np.asarray(labels)
+    n = logits.shape[0]
+    n_classes = logits.shape[1]
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in [0, {n_classes})")
+
+    logp = log_softmax(logits)
+    loss = float(-logp[np.arange(n), labels].mean())
+    if not np.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+    delta = np.exp(logp)
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+
+    grads = {}
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.kind == "linear":
+            (x,) = cache[i]
+            grads[f"{i}.weight"] = x.T @ delta
+            grads[f"{i}.bias"] = delta.sum(axis=0)
+            delta = delta @ layer.weight.T
+        elif layer.kind == "relu":
+            (x,) = cache[i]
+            delta = delta * (x > 0.0)
+        else:
+            xhat, inv = cache[i]
+            grads[f"{i}.scale"] = (delta * xhat).sum(axis=0)
+            grads[f"{i}.shift"] = delta.sum(axis=0)
+            dxhat = delta * layer.scale
+            b = xhat.shape[0]
+            delta = (inv / b) * (b * dxhat - dxhat.sum(axis=0)
+                                 - xhat * (dxhat * xhat).sum(axis=0))
+    return loss, grads
+
+
+def assert_within(a, b, rel=1e-12):
+    """``a`` is within ``rel`` of ``b``, relative to the largest ``|b|``."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b), initial=0.0) <= rel * np.max(np.abs(b),
+                                                              initial=0.0)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_kernels_stay_within_1e_12_of_the_prior_order(case):
+    # four steps from one start, each side on its own copy: the deviation
+    # each step adds and what the earlier steps carried into it
+    name, net, mask, batches = list(_oracle_cases())[case]
+    prior = net.clone()
+    zero = net.masked_out(mask) if mask is not None else None
+    classes = net.params()[f"{len(net.layers) - 1}.bias"].size
+    rng = np.random.default_rng(100 + case)
+    for step in range(4):
+        batch = batches[step % len(batches)]
+        x = rng.normal(size=(batch, net.input_dim))
+        y = rng.integers(0, classes, size=batch)
+        logits, cache = forward(net, x, "train")
+        prior_logits, prior_cache = _prior_forward(prior, x, "train")
+        assert_within(logits, prior_logits)
+        loss, grad = backward(net, logits, y, cache)
+        prior_loss, prior_grads = _prior_backward(prior, prior_logits, y,
+                                                  prior_cache)
+        assert loss == pytest.approx(prior_loss, rel=1e-12, abs=0.0), name
+        # relative to the whole vector: the bias gradient of a linear layer
+        # that feeds a BN layer is zero but for rounding
+        assert_within(grad, np.concatenate([prior_grads[key].reshape(-1)
+                                            for key in net.params()]))
+        sgd_step(net, grad, 0.05, mask, zero)
+        _ref_sgd_step(prior, prior_grads, 0.05, mask)
+        assert_within(net.flat, prior.flat)
+        stats, prior_stats = bn_stats(net), bn_stats(prior)
+        for pair, prior_pair in zip(stats, prior_stats):
+            for a, b in zip(pair, prior_pair):
+                assert_within(a, b)
+        assert_within(eval_pass(net.layers, x, stats),
+                      _prior_eval_pass(prior.layers, x, prior_stats))
+        assert_within(refresh_pass(net.layers, x, list(stats)),
+                      _prior_refresh_pass(prior.layers, x, list(prior_stats)))

@@ -28,7 +28,8 @@ from fedprune.selection import (
 # The selectors as they were before candidates became masks: every candidate
 # a full masked network, one probe clone per (candidate, client), one
 # refreshed network per candidate, every pass through the whole network, and
-# the variance from ``x.var``. The selectors must reproduce them exactly.
+# the variance from ``x.var``. A BN layer normalizes as the kernels do, with
+# g = scale * (var + eps) ** -0.5. The selectors must reproduce them exactly.
 
 def oracle_update_bn_stats(net, x):
     for layer in net.layers:
@@ -42,7 +43,7 @@ def oracle_update_bn_stats(net, x):
             m = layer.momentum
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
-            x = (layer.scale * ((x - mu) / np.sqrt(var + layer.eps))
+            x = ((x - mu) * (layer.scale * (var + layer.eps) ** -0.5)
                  + layer.shift)
 
 
@@ -53,8 +54,8 @@ def oracle_forward_eval(net, x):
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
-            inv = 1.0 / np.sqrt(layer.var + layer.eps)
-            x = layer.scale * ((x - layer.mean) * inv) + layer.shift
+            g = layer.scale * (layer.var + layer.eps) ** -0.5
+            x = x * g + (layer.shift - layer.mean * g)
     return x
 
 
