@@ -564,12 +564,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
 
 CKPT_VERSION = 1
+# Parameter and mask values are written CKPT_CHUNK at a time: one ``tolist``
+# and JSON text of a whole 128-wide network are over 4 MiB of short-lived
+# objects, the largest allocation of a run
+CKPT_CHUNK = 4096
+_FLAT_SLOT = "\x00flat"
 
 
 def save_checkpoint(path, net: Network, mask: Mask | None,
                     extra: dict | None = None) -> None:
     """Versioned JSON snapshot: layer structure, parameter values, BN moving
-    statistics, and the mask."""
+    statistics, and the mask. The bytes are those of ``json.dumps`` of the
+    whole record."""
+    flats = []
+
+    def deferred(array: Array) -> str:
+        flats.append(array.reshape(-1))
+        return _FLAT_SLOT
+
     layers = []
     for layer in net.layers:
         if layer.kind == "linear":
@@ -584,17 +596,23 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
     record = {
         "version": CKPT_VERSION,
         "layers": layers,
-        "params": {key: {"shape": list(p.shape),
-                         "data": p.reshape(-1).tolist()}
+        "params": {key: {"shape": list(p.shape), "data": deferred(p)}
                    for key, p in net.params().items()},
         "bn_stats": [{"mean": mean.tolist(), "var": var.tolist()}
                      for mean, var in bn_stats(net)],
-        "mask": ({key: sl.reshape(-1).tolist()
-                  for key, sl in mask.slices.items()}
+        "mask": ({key: deferred(sl) for key, sl in mask.slices.items()}
                  if mask is not None else None),
         "extra": extra or {},
     }
-    Path(path).write_text(json.dumps(record), encoding="utf-8")
+    head, *tails = json.dumps(record).split(json.dumps(_FLAT_SLOT))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head)
+        for flat, tail in zip(flats, tails, strict=True):
+            fh.write("[")
+            for start in range(0, flat.size, CKPT_CHUNK):
+                chunk = json.dumps(flat[start:start + CKPT_CHUNK].tolist())
+                fh.write((", " if start else "") + chunk[1:-1])
+            fh.write("]" + tail)
 
 
 def load_checkpoint(path):

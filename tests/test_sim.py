@@ -360,6 +360,28 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 32, 4096])
+def test_checkpoint_bytes_are_json_dumps_of_the_whole_record(
+        tmp_path, monkeypatch, chunk):
+    from fedprune import sim
+
+    # chunk 32 splits every weight into whole chunks, 7 leaves remainders
+    monkeypatch.setattr(sim, "CKPT_CHUNK", chunk)
+    state = setup_experiment(tiny_config(algorithm="FedTiny", hidden=(32, 32)))
+    run_round(state, 1)
+    extra = {"algorithm": "FedTiny", "note": [1.5, None, "x"]}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, state.net, state.mask, extra)
+    saved = json.loads(path.read_text(encoding="utf-8"))
+    record = dict(saved, params={
+        key: {"shape": list(p.shape), "data": p.reshape(-1).tolist()}
+        for key, p in state.net.params().items()}, mask={
+        key: m.reshape(-1).tolist() for key, m in state.mask.slices.items()})
+    assert path.read_text(encoding="utf-8") == json.dumps(record)
+    save_checkpoint(path, state.net, None)
+    assert json.loads(path.read_text(encoding="utf-8"))["mask"] is None
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_text("{not json")
