@@ -21,17 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, costs
-from .sim import POOL_ALGS, ConfigError, ExperimentConfig, load_checkpoint, \
-    run_experiment
+from .sim import CSV_COLUMNS, POOL_ALGS, ConfigError, ExperimentConfig, \
+    load_checkpoint, run_experiment
 
 SECTIONS = {
-    "data": ("data_kind", "classes", "per_class", "dim", "spread", "csv_path",
+    "data": ("classes", "per_class", "dim", "spread", "csv_path",
              "csv_header", "test_ratio", "server_ratio"),
     "federation": ("clients", "client_fraction", "alpha", "dev_ratio"),
     "model": ("hidden",),
     "training": ("algorithm", "rounds", "local_epochs", "batch_size", "lr",
                  "pretrain_epochs"),
-    "pruning": ("density", "pool_size", "granularity", "blocks", "interval",
+    "pruning": ("density", "pool_size", "granularity", "interval",
                 "stop_round", "growth_fraction"),
     "run": ("seed", "bits"),
 }
@@ -50,7 +50,7 @@ def _parse_value(name: str, raw: str):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"{name}: expected a boolean, got {raw!r}")
+        raise ValueError(f"expected a boolean, got {raw!r}")
     if kind == "int":
         return int(raw)
     if kind == "float":
@@ -86,7 +86,7 @@ def parse_config(path) -> ExperimentConfig:
             try:
                 values[key] = _parse_value(key, raw)
             except ValueError as err:
-                raise ConfigError([str(err)])
+                raise ConfigError([f"{key}: {err}"])
     return ExperimentConfig(**values)
 
 
@@ -115,7 +115,7 @@ def _parse_override(item: str):
     try:
         return key, _parse_value(key, raw)
     except ValueError as err:
-        raise ConfigError([str(err)])
+        raise ConfigError([f"{key}: {err}"])
 
 
 def apply_overrides(cfg: ExperimentConfig, sets: list[str]) -> ExperimentConfig:
@@ -210,18 +210,18 @@ def cmd_sweep(args) -> int:
         points[name] = (list(items), values, cfg)
     sweep_dir.mkdir(parents=True, exist_ok=True)
     summary = sweep_dir / "summary.csv"
+    # the final round's metrics.csv columns, named apart from the axes
+    columns = CSV_COLUMNS[1:]
     with open(summary, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run_id", *axes, "accuracy", "loss", "density",
-                         "peak_flops", "memory_bytes"])
+        writer.writerow(["run_id", *axes, *(f"final_{c}" for c in columns)])
         for name, (items, values, cfg) in points.items():
             final = run_with_manifest(sweep_dir / name, cfg,
                                       (args.set or []) + items)
             # written as each point ends, so a failed point keeps the rows
             # of the points before it
-            writer.writerow([name, *values, final.accuracy, final.loss,
-                             final.density, final.peak_flops,
-                             final.memory_bytes])
+            writer.writerow([name, *values,
+                             *(getattr(final, c) for c in columns)])
             fh.flush()
             print(f"{name}: final accuracy {final.accuracy:.4f}")
     print(f"summary in {summary}")

@@ -17,6 +17,7 @@ import numpy as np
 from .nn import Array, Network
 
 MIN_KEPT_PER_LAYER = 10   # floor that keeps every pruned layer connected
+POOL_NOISE = 0.5          # candidate densities vary by this share of d_target
 
 
 def keep_budget(density: float, n: int) -> int:
@@ -158,17 +159,15 @@ def random_mask(net: Network, d_target: float, seed: int = 0) -> Mask:
 
 
 def generate_candidate_pool(net: Network, d_target: float, count: int,
-                            noise: float = 0.5,
                             seed: int = 0) -> list[Candidate]:
     """Uniform-noise candidate pool: per-layer densities d_target + e with
-    e ~ U[-noise * d_target, +noise * d_target], one draw per candidate, as
-    shares of the global keep budget; each layer keeps its largest-magnitude
-    weights: those ranked before its count in the layer's one stable
-    descending magnitude order, exactly the ones ``select_support`` keeps."""
+    e ~ U[-POOL_NOISE * d_target, +POOL_NOISE * d_target], one draw per
+    candidate, as shares of the global keep budget; each layer keeps its
+    largest-magnitude weights: those ranked before its count in the layer's
+    one stable descending magnitude order, exactly the ones
+    ``select_support`` keeps."""
     if count < 1:
         raise ValueError("pool size must be at least 1")
-    if noise < 0.0:
-        raise ValueError("noise scale must be nonnegative")
     ranks = {k: np.argsort(np.argsort(-np.abs(w), axis=None, kind="stable"))
              .reshape(w.shape) for k, w in _prunable(net).items()}
     sizes = {k: r.size for k, r in ranks.items()}
@@ -177,7 +176,8 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
     pool = []
     for cid in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, cid)))
-        e = rng.uniform(-noise * d_target, noise * d_target, size=len(sizes))
+        e = rng.uniform(-POOL_NOISE * d_target, POOL_NOISE * d_target,
+                        size=len(sizes))
         shares = {k: float(d_target + e[i]) for i, k in enumerate(sizes)}
         counts = allocate_counts(shares, sizes, budget)
         mask = Mask({k: r < counts[k] for k, r in ranks.items()})

@@ -9,7 +9,7 @@ The passes compute in place only on arrays they allocated themselves: never
 on the caller's batch, an array cached for ``backward`` or a BN layer's
 array. They are bit-identical to the reference kernels in ``tests/test_nn``,
 which make one new array per operation. A BN layer folds its normalization
-into one per-feature product ``g = scale / sqrt(var + eps)`` and one sum.
+into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
 Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
 weight gives ``(C, B, fan_out)``, one matrix product per candidate.
 """
@@ -25,6 +25,11 @@ if TYPE_CHECKING:
     from .masking import Mask
 
 Array = np.ndarray
+
+# every BN layer's momentum and epsilon; the momentum weights the previous
+# moving value: ``mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu``
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 
 
 class Linear:
@@ -44,28 +49,18 @@ class ReLU:
 
 
 class BatchNorm:
-    """Per-feature moving statistics plus the affine transform of one BN layer.
-
-    ``momentum`` weights the previous moving value, i.e. the moving update is
-    ``mean = momentum * mean + (1 - momentum) * batch_mean``.
-    """
+    """Per-feature moving statistics plus the affine transform of one BN
+    layer; its momentum and epsilon are ``BN_MOMENTUM`` and ``BN_EPS``."""
 
     kind = "batchnorm"
 
-    def __init__(self, mean, var, momentum: float = 0.9, eps: float = 1e-5,
-                 scale=None, shift=None):
+    def __init__(self, mean, var, scale=None, shift=None):
         self.mean = np.asarray(mean, dtype=np.float64).copy()
         self.var = np.asarray(var, dtype=np.float64).copy()
-        self.momentum = float(momentum)
-        self.eps = float(eps)
         self.scale = (np.ones_like(self.mean) if scale is None
                       else np.asarray(scale, dtype=np.float64).copy())
         self.shift = (np.zeros_like(self.mean) if shift is None
                       else np.asarray(shift, dtype=np.float64).copy())
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"BN momentum must lie in (0, 1), got {self.momentum}")
-        if self.eps <= 0.0:
-            raise ValueError(f"BN epsilon must be positive, got {self.eps}")
         if np.any(self.var < 0.0):
             raise ValueError("BN variance must be nonnegative")
 
@@ -216,9 +211,9 @@ def forward(net: Network, batch, mode: str = "train"):
             own = False
         else:  # batchnorm
             mu, centred, var = batch_stats(x)
-            inv = (var + layer.eps) ** -0.5
+            inv = (var + BN_EPS) ** -0.5
             g = inv * layer.scale
-            m = layer.momentum
+            m = BN_MOMENTUM
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
             cache.append((centred, inv, g))
@@ -279,12 +274,12 @@ def refresh_pass(layers, x: Array, stats: list, *,
         else:
             mu, x, var = batch_stats(x)
             mean, old_var = stats[j]
-            m = layer.momentum
+            m = BN_MOMENTUM
             stats[j] = (m * mean + (1.0 - m) * mu, m * old_var + (1.0 - m) * var)
             j += 1
             if stats_only and j == len(stats):
                 return None
-            x *= (layer.scale * (var + layer.eps) ** -0.5)[..., None, :]
+            x *= (layer.scale * (var + BN_EPS) ** -0.5)[..., None, :]
             x += layer.shift
     return x
 
@@ -305,7 +300,7 @@ def eval_pass(layers, x: Array, stats) -> Array:
             mean, var = stats[j]
             j += 1
             # (x - mean) * g + shift, as one product and one sum
-            g = layer.scale * (var + layer.eps) ** -0.5
+            g = layer.scale * (var + BN_EPS) ** -0.5
             x = np.multiply(x, g[..., None, :], out=None if x is batch else x)
             x += (layer.shift - mean * g)[..., None, :]
     return x

@@ -17,6 +17,7 @@ import numpy as np
 from .nn import Array, Network
 
 GRANULARITIES = ("layer", "block", "entire")
+BLOCKS = 5  # the paper's five blocks: prunable-tensor groups at block level
 # top-K input is read in chunks of this many times the buffer capacity
 CHUNK_FACTOR = 16
 
@@ -24,7 +25,6 @@ CHUNK_FACTOR = 16
 @dataclass
 class PruneSchedule:
     granularity: str = "block"
-    blocks: int = 5             # prunable-tensor groups at block granularity
     interval: int = 10          # fine-tuning rounds between two prunes
     stop_round: int = 100       # last round on which pruning may happen
     growth_fraction: float = 0.15
@@ -32,14 +32,12 @@ class PruneSchedule:
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(f"granularity must be one of {GRANULARITIES}")
-        if self.blocks < 1:
-            raise ValueError("blocks must be at least 1")
         if self.interval < 1:
-            raise ValueError("pruning interval must be positive")
+            raise ValueError("interval must be at least 1")
         if self.stop_round < self.interval:
-            raise ValueError("stop round must be at least one interval")
+            raise ValueError("stop_round must be at least interval")
         if not 0.0 < self.growth_fraction < 1.0:
-            raise ValueError("growth fraction must lie in (0, 1)")
+            raise ValueError("growth_fraction must lie in (0, 1)")
 
 
 class TopKBuffer:
@@ -220,7 +218,7 @@ def target_layers(round_index: int, schedule: PruneSchedule,
     Pruning happens on rounds that are multiples of the interval, up to and
     including the stop round. The prunable keys, in layer order, are cut
     into G contiguous, equal-as-possible groups: one per key at layer
-    granularity, ``min(blocks, #keys)`` at block granularity, one at entire.
+    granularity, ``min(BLOCKS, #keys)`` at block granularity, one at entire.
     Pruning round k (0-based) targets group ``G - 1 - (k mod G)``, so the
     last group goes first and every pruning round targets a tensor; keys
     within a group stay in layer order.
@@ -232,7 +230,7 @@ def target_layers(round_index: int, schedule: PruneSchedule,
     keys = net.prunable_keys()
     if not keys:
         return []
-    n_groups = {"layer": len(keys), "block": min(schedule.blocks, len(keys)),
+    n_groups = {"layer": len(keys), "block": min(BLOCKS, len(keys)),
                 "entire": 1}[schedule.granularity]
     ordinal = round_index // schedule.interval - 1  # 0-based pruning counter
     group = np.array_split(np.arange(len(keys)), n_groups)[

@@ -22,12 +22,12 @@ from .data import Dataset, dev_indices, dirichlet_partition, load_csv, \
     make_blobs, split_indices, split_sizes
 from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
     generate_candidate_pool, keep_budget, magnitude_mask, random_mask
-from .nn import Array, BatchNorm, Linear, Network, ReLU, backward, \
-    bn_stats, cross_entropy, forward, make_mlp, sgd_step
+from .nn import BN_EPS, BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
+    ReLU, backward, bn_stats, cross_entropy, forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
-    vanilla_select
+    iter_batches, vanilla_select
 
 ALGORITHMS = ("FedTiny", "StaticRandom", "StaticMagnitude", "DenseFedAvg",
               "ProgressiveOnly", "AdaptiveBNOnly")
@@ -47,8 +47,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    # data
-    data_kind: str = "blobs"          # blobs | csv
+    # data: the CSV file at csv_path if it is set, else Gaussian blobs
     classes: int = 10
     per_class: int = 500
     dim: int = 32
@@ -75,7 +74,6 @@ class ExperimentConfig:
     density: float = 0.05
     pool_size: int = 0                # 0 -> 0.1 / density
     granularity: str = "block"
-    blocks: int = 5
     interval: int = 10
     stop_round: int = 100
     growth_fraction: float = 0.15
@@ -86,13 +84,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         issues = [f"{f.name}: must be finite" for f in fields(self)
                   if f.type == "float" and not np.isfinite(getattr(self, f.name))]
-        if self.data_kind not in ("blobs", "csv"):
-            issues.append(f"data_kind: must be blobs or csv, got {self.data_kind!r}")
-        if self.data_kind == "csv" and not self.csv_path:
-            issues.append("csv_path: required when data_kind is csv")
         for name in ("classes", "per_class", "dim", "clients", "rounds",
-                     "local_epochs", "blocks", "interval", "stop_round",
-                     "bits"):
+                     "local_epochs", "interval", "stop_round", "bits"):
             if getattr(self, name) < 1:
                 issues.append(f"{name}: must be at least 1")
         if self.batch_size < 2:
@@ -109,8 +102,8 @@ class ExperimentConfig:
         server = None
         if not issues:
             try:
-                n = (self.classes * self.per_class if self.data_kind == "blobs"
-                     else len(load_csv(self.csv_path, self.csv_header)))
+                n = (len(load_csv(self.csv_path, self.csv_header))
+                     if self.csv_path else self.classes * self.per_class)
             except (OSError, ValueError) as err:
                 issues.append(f"csv_path: {err}")
             else:
@@ -162,7 +155,7 @@ class ExperimentConfig:
             raise ConfigError(issues)
 
     def schedule(self) -> PruneSchedule:
-        return PruneSchedule(granularity=self.granularity, blocks=self.blocks,
+        return PruneSchedule(granularity=self.granularity,
                              interval=self.interval, stop_round=self.stop_round,
                              growth_fraction=self.growth_fraction)
 
@@ -229,7 +222,7 @@ def _subseed(master: int, *tags: int) -> int:
 # ---------------------------------------------------------------------------
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.data_kind == "csv":
+    if cfg.csv_path:
         return load_csv(cfg.csv_path, skip_header=cfg.csv_header)
     return make_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread,
                       seed=_subseed(cfg.seed, _T_DATA))
@@ -510,9 +503,7 @@ def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
         raise ValueError("evaluation dataset is empty")
     correct = 0
     total_loss = 0.0
-    for start in range(0, len(ds), batch_size):
-        x = ds.features[start:start + batch_size]
-        y = ds.labels[start:start + batch_size]
+    for x, y in iter_batches(ds, batch_size):
         logits, _ = forward(net, x, "eval")
         correct += int((np.argmax(logits, axis=1) == y).sum())
         total_loss += cross_entropy(logits, y) * len(y)
@@ -589,8 +580,7 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
                            "shape": list(layer.weight.shape)})
         elif layer.kind == "batchnorm":
             layers.append({"kind": "batchnorm",
-                           "features": int(layer.mean.size),
-                           "momentum": layer.momentum, "eps": layer.eps})
+                           "features": int(layer.mean.size)})
         else:
             layers.append({"kind": "relu"})
     record = {
@@ -663,10 +653,14 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
                                  f"positive integers")
             layers.append(Linear(np.zeros(shape), np.zeros(shape[1])))
         elif kind == "batchnorm":
+            # older checkpoints record the BN constants; no other value loads
+            for name, value in (("momentum", BN_MOMENTUM), ("eps", BN_EPS)):
+                if spec.get(name, value) != value:
+                    raise ValueError(f"layer {i}: BN {name} {spec[name]!r} "
+                                     f"is not {value}")
             entry = next(stats)
-            layers.append(BatchNorm(
-                np.array(entry["mean"]), np.array(entry["var"]),
-                momentum=spec["momentum"], eps=spec["eps"]))
+            layers.append(BatchNorm(np.array(entry["mean"]),
+                                    np.array(entry["var"])))
         elif kind == "relu":
             layers.append(ReLU())
         else:

@@ -80,22 +80,11 @@ def test_unknown_section_rejected(tmp_path):
         parse_config(path)
 
 
-def test_pruning_blocks_round_trip(tmp_path):
-    path = tmp_path / "blocks.ini"
-    path.write_text("[pruning]\nblocks = 3\n")
-    cfg = parse_config(path)
-    assert cfg.blocks == 3
-    text = serialize_config(cfg)
-    assert "blocks = 3" in text.split("[pruning]")[1].split("[run]")[0]
-    again = tmp_path / "again.ini"
-    again.write_text(text)
-    assert parse_config(again) == cfg
-
-
 def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
     # removed keys: order, [model] blocks, aggregate_std (BN statistics
-    # are always aggregated as standard deviations), and bn_momentum, bn_eps
-    # and pool_noise (fixed at 0.9, 1e-5 and 0.5)
+    # are always aggregated as standard deviations), bn_momentum, bn_eps
+    # and pool_noise (fixed at 0.9, 1e-5 and 0.5), [pruning] blocks (the
+    # paper's five) and data_kind (CSV data exactly when csv_path is set)
     out = str(tmp_path / "out")
     for i, text in enumerate(("[pruning]\norder = forward\n",
                               "[pruning]\norder = backward\n",
@@ -103,14 +92,19 @@ def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
                               "[pruning]\naggregate_std = false\n",
                               "[model]\nbn_momentum = 0.9\n",
                               "[model]\nbn_eps = 1e-5\n",
-                              "[pruning]\npool_noise = 0.5\n")):
+                              "[pruning]\npool_noise = 0.5\n",
+                              "[pruning]\nblocks = 5\n",
+                              "[data]\ndata_kind = blobs\n",
+                              "[data]\ndata_kind = csv\n")):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
         assert main(["run", "--config", str(path), "--out", out]) == 2
     for override in ("order=forward", "pruning.order=backward",
                      "model.blocks=3", "aggregate_std=true",
                      "pruning.aggregate_std=false", "bn_momentum=1.5",
-                     "bn_eps=0", "pool_noise=0.5", "model.bn_eps=1e-5"):
+                     "bn_eps=0", "pool_noise=0.5", "model.bn_eps=1e-5",
+                     "blocks=5", "pruning.blocks=3", "data_kind=blobs",
+                     "data.data_kind=csv"):
         assert main(["run", "--config", str(config_file), "--out", out,
                      "--set", override]) == 2
     assert not (tmp_path / "out").exists()
@@ -311,6 +305,62 @@ def test_cmd_run_invalid_config(config_file, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def _config_issue(case, sets, issue, text=SMALL_CONFIG):
+    return pytest.param(text, sets, issue, id=case)
+
+
+@pytest.mark.parametrize("text, sets, issue", [
+    *(_config_issue(f"{name}=0", [f"{name}=0"], f"{name}: must be at least 1")
+      for name in ("classes", "per_class", "dim", "clients", "rounds",
+                   "local_epochs", "interval", "stop_round", "bits")),
+    _config_issue("spread", ["spread=-1"], "spread: must be nonnegative"),
+    _config_issue("test_ratio", ["test_ratio=1.0"],
+                  "test_ratio: must lie in [0, 1)"),
+    _config_issue("server_ratio", ["server_ratio=-0.1"],
+                  "server_ratio: must lie in [0, 1)"),
+    _config_issue("ratio sum", ["test_ratio=0.5", "server_ratio=0.5"],
+                  "test_ratio + server_ratio: must leave client data"),
+    _config_issue("client_fraction", ["client_fraction=0"],
+                  "client_fraction: must lie in (0, 1]"),
+    _config_issue("alpha", ["alpha=0"], "alpha: must be positive"),
+    _config_issue("dev_ratio", ["dev_ratio=0"],
+                  "dev_ratio: must lie in (0, 1]"),
+    _config_issue("hidden", ["hidden=16,0,16"],
+                  "hidden: needs positive layer widths"),
+    _config_issue("pretrain_epochs", ["pretrain_epochs=-1"],
+                  "pretrain_epochs: must be nonnegative"),
+    _config_issue("pool_size", ["pool_size=-1"],
+                  "pool_size: must be nonnegative"),
+    _config_issue("stop_round < interval",
+                  ["algorithm=FedTiny", "interval=5", "stop_round=2"],
+                  "schedule: stop_round must be at least interval"),
+    _config_issue("growth_fraction", ["algorithm=FedTiny",
+                                      "growth_fraction=1.5"],
+                  "schedule: growth_fraction must lie in (0, 1)"),
+    _config_issue("granularity", ["algorithm=FedTiny", "granularity=weird"],
+                  "schedule: granularity must be one of"),
+    _config_issue("bad boolean", [], "csv_header: expected a boolean",
+                  SMALL_CONFIG.replace("[data]\n",
+                                       "[data]\ncsv_header = maybe\n")),
+    # SMALL_CONFIG sets classes already
+    _config_issue("parse error", [], "option 'classes' in section 'data' "
+                  "already exists",
+                  SMALL_CONFIG.replace("[data]\n", "[data]\nclasses = 5\n")),
+    _config_issue("bad int", [], "rounds: invalid literal for int()",
+                  SMALL_CONFIG.replace("rounds = 2", "rounds = ten")),
+])
+def test_cmd_run_reports_each_config_issue_by_key(tmp_path, capsys, text,
+                                                  sets, issue):
+    config = tmp_path / "exp.ini"
+    config.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(config), "--out", str(out)]
+              + [arg for s in sets for arg in ("--set", s)])
+    assert rc == 2
+    assert issue in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _toy_rows(n):
     """``n`` CSV rows of four shifted classes."""
     return [f"{i % 4 + 0.1 * (i % 7)},{-(i % 4) + 0.05 * (i % 11)},"
@@ -325,8 +375,7 @@ def _csv_config(tmp_path, rows):
         data.write_text("\n".join(["x0,x1,x2,label"] + rows) + "\n")
     config = tmp_path / "csv.ini"
     config.write_text(SMALL_CONFIG.replace(
-        "[data]\n", f"[data]\ndata_kind = csv\ncsv_path = {data}\n"
-                    f"csv_header = true\n"))
+        "[data]\n", f"[data]\ncsv_path = {data}\ncsv_header = true\n"))
     return config
 
 
@@ -383,8 +432,8 @@ def test_cmd_sweep_density_axis(config_file, tmp_path):
     out = tmp_path / "sweep"
     assert _sweep(config_file, out, "density=0.1", "density=0.2") == 0
     summary = (out / "summary.csv").read_text().strip().splitlines()
-    assert summary[0] == ("run_id,density,accuracy,loss,density,peak_flops,"
-                          "memory_bytes")
+    assert summary[0] == ("run_id,density,final_accuracy,final_loss,"
+                          "final_density,final_peak_flops,final_memory_bytes")
     assert [row.split(",")[:2] for row in summary[1:]] == [
         ["density=0.1", "0.1"], ["density=0.2", "0.2"]]
     metric_files = list(out.glob("*/metrics.csv"))
@@ -446,8 +495,9 @@ def test_cmd_sweep_runs_the_product_of_the_axes_in_grid_order(config_file,
                   "algorithm=DenseFedAvg", "seed=2") == 0
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["run_id", "algorithm", "seed", "accuracy", "loss",
-                       "density", "peak_flops", "memory_bytes"]
+    assert rows[0] == ["run_id", "algorithm", "seed", "final_accuracy",
+                       "final_loss", "final_density", "final_peak_flops",
+                       "final_memory_bytes"]
     points = [(alg, seed) for alg in ("StaticRandom", "DenseFedAvg")
               for seed in ("1", "2")]
     assert [row[:3] for row in rows[1:]] == [
@@ -479,7 +529,7 @@ def test_cmd_sweep_bare_and_sectioned_keys_make_one_axis(config_file,
     out = tmp_path / "s"
     assert _sweep(config_file, out, "interval=1", "pruning.interval=2") == 0
     rows = (out / "summary.csv").read_text().splitlines()
-    assert rows[0].startswith("run_id,interval,accuracy,")
+    assert rows[0].startswith("run_id,interval,final_accuracy,")
     assert [row.split(",")[:2] for row in rows[1:]] == [
         ["interval=1", "1"], ["interval=2", "2"]]
     manifest = json.loads((out / "interval=2" / "manifest.json").read_text())
@@ -497,8 +547,12 @@ def test_cmd_sweep_rejects_an_invalid_point_before_any_run(config_file,
 
 
 def test_cmd_sweep_rejects_a_value_with_a_path_separator(config_file,
-                                                         tmp_path, capsys):
-    # blob data ignores csv_path, so the point itself is valid
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    # the file exists, so the point itself is valid
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "data.csv").write_text("\n".join(_toy_rows(240)))
     out = tmp_path / "s"
     assert _sweep(config_file, out, "csv_path=sub/data.csv") == 2
     assert "'csv_path=sub/data.csv': not a directory name" in \
@@ -512,9 +566,9 @@ def test_cmd_sweep_rejects_a_name_too_long_before_any_run(config_file,
     # limit, so no point may run
     out = tmp_path / "new" / "s"
     limit = os.pathconf(tmp_path, "PC_NAME_MAX")
-    long_csv = "x" * limit + ".csv"
-    assert _sweep(config_file, out, "seed=1", "seed=2", "csv_path=short.csv",
-                  f"csv_path={long_csv}") == 2
+    long_hidden = ",".join(["16"] * (limit // 3 + 1))
+    assert _sweep(config_file, out, "seed=1", "seed=2", "hidden=16,16",
+                  f"hidden={long_hidden}") == 2
     assert "-byte limit of a directory name" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
@@ -583,8 +637,7 @@ def _checkpoint_record(**changes):
     record = {
         "version": 1,
         "layers": [{"kind": "linear", "shape": [2, 3]},
-                   {"kind": "batchnorm", "features": 3, "momentum": 0.9,
-                    "eps": 1e-5},
+                   {"kind": "batchnorm", "features": 3},
                    {"kind": "relu"},
                    {"kind": "linear", "shape": [3, 2]}],
         "params": {"0.weight": {"shape": [2, 3], "data": [0.5] * 6},
@@ -646,6 +699,40 @@ def test_cmd_cost_rejects_a_malformed_checkpoint_record(tmp_path, capsys,
         **MALFORMED_CHECKPOINTS[case])))
     assert main(["cost", "--ckpt", str(bad)]) == 1
     assert "error: unreadable checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_bn_layers_record_no_constants_and_load_only_theirs(
+        tmp_path, capsys):
+    # save_checkpoint writes no BN momentum or epsilon; checkpoints written
+    # before they became constants carry both, and load only at their values
+    from fedprune.nn import make_mlp
+    from fedprune.sim import load_checkpoint, save_checkpoint
+    ckpt = tmp_path / "new.ckpt"
+    save_checkpoint(ckpt, make_mlp(3, [4], 2, seed=0), None)
+    assert [spec for spec in json.loads(ckpt.read_text())["layers"]
+            if spec["kind"] == "batchnorm"] == [{"kind": "batchnorm",
+                                                 "features": 4}]
+    old = tmp_path / "old.ckpt"
+    old.write_text(json.dumps(_checkpoint_record(layers=_with_layer(
+        1, {"kind": "batchnorm", "features": 3, "momentum": 0.9,
+            "eps": 1e-5}))))
+    new = tmp_path / "ok.ckpt"
+    new.write_text(json.dumps(_checkpoint_record()))
+    (net, mask, _), (again, again_mask, _) = map(load_checkpoint, (old, new))
+    assert net.flat.tobytes() == again.flat.tobytes()
+    assert mask.slices.keys() == again_mask.slices.keys()
+    for key, sl in mask.slices.items():
+        assert sl.tobytes() == again_mask.slices[key].tobytes()
+    for name, value in (("momentum", 0.5), ("eps", 1e-3)):
+        spec = {"kind": "batchnorm", "features": 3, "momentum": 0.9,
+                "eps": 1e-5, name: value}
+        bad = tmp_path / f"bad-{name}.ckpt"
+        bad.write_text(json.dumps(_checkpoint_record(
+            layers=_with_layer(1, spec))))
+        assert main(["cost", "--ckpt", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "error: unreadable checkpoint" in err
+        assert f"layer 1: BN {name} {value}" in err
 
 
 def test_cmd_cost_reads_a_checkpoint_with_a_block_partition(config_file,

@@ -6,6 +6,7 @@ import pytest
 
 from fedprune.masking import (
     MIN_KEPT_PER_LAYER,
+    POOL_NOISE,
     Mask,
     allocate_counts,
     apply_mask,
@@ -237,22 +238,20 @@ def test_random_mask_seeds_differ():
 
 # -- candidate pool ---------------------------------------------------------------
 
-def test_pool_zero_noise_is_uniform():
-    net = pool_net()
-    pool = generate_candidate_pool(net, 0.01, 5, noise=0.0, seed=1)
-    assert len(pool) == 5
-    reference = magnitude_mask(net, 0.01)
-    values = set()
-    for cand in pool:
-        for key, sl in cand.mask.slices.items():
-            np.testing.assert_array_equal(sl, reference.slices[key])
-        values.update(cand.layer_densities.values())
-    assert values == {0.01}  # identical per-layer density everywhere
+def test_pool_shares_lie_within_the_noise_band():
+    d = 0.01
+    pool = generate_candidate_pool(pool_net(), d, 20, seed=1)
+    assert len(pool) == 20
+    shares = [s for cand in pool for s in cand.layer_densities.values()]
+    assert all(d - POOL_NOISE * d <= s <= d + POOL_NOISE * d for s in shares)
+    # one draw per candidate and layer, spread over the band
+    assert len(set(shares)) == len(shares)
+    assert max(shares) - min(shares) > POOL_NOISE * d
 
 
 def test_pool_candidates_respect_target():
     net = pool_net(seed=2)
-    pool = generate_candidate_pool(net, 0.01, 50, noise=0.5, seed=9)
+    pool = generate_candidate_pool(net, 0.01, 50, seed=9)
     assert len(pool) == 50
     for cand in pool:
         kept, total = cand.mask.counts()
@@ -264,8 +263,8 @@ def test_pool_candidates_respect_target():
 
 def test_pool_is_deterministic():
     net = pool_net(seed=3)
-    a = generate_candidate_pool(net, 0.02, 4, noise=0.5, seed=7)
-    b = generate_candidate_pool(net, 0.02, 4, noise=0.5, seed=7)
+    a = generate_candidate_pool(net, 0.02, 4, seed=7)
+    b = generate_candidate_pool(net, 0.02, 4, seed=7)
     for ca, cb in zip(a, b):
         assert ca.layer_densities == cb.layer_densities
         for key in ca.mask.slices:
@@ -287,7 +286,7 @@ def test_pool_masks_match_per_candidate_support():
                for w in weights.values())
     sizes = {k: w.size for k, w in weights.items()}
     budget = keep_budget(0.1, sum(sizes.values()))
-    pool = generate_candidate_pool(net, 0.1, 12, noise=0.5, seed=4)
+    pool = generate_candidate_pool(net, 0.1, 12, seed=4)
     assert len({tuple(c.mask.nonzeros().values()) for c in pool}) > 1
     for cand in pool:
         counts = allocate_counts(cand.layer_densities, sizes, budget)
@@ -300,7 +299,7 @@ def test_pool_masks_match_per_candidate_support():
 def test_pool_infeasible_floor_raises():
     net = pool_net(seed=1, hidden=(12, 12, 12))  # 144-weight layers, floor 10
     with pytest.raises(ValueError):
-        generate_candidate_pool(net, 0.001, 1, noise=0.0, seed=0)
+        generate_candidate_pool(net, 0.001, 1, seed=0)
 
 
 # -- masks over networks --------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from fedprune.masking import Mask, apply_mask, random_mask
 from fedprune.nn import (
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNorm,
     Linear,
     Network,
@@ -65,21 +67,23 @@ def rel_close(a, b, tol=1e-4):
 # -- forward --------------------------------------------------------------
 
 def test_bn_identity_eval():
-    # identity BN (mean 0, var 1, eps -> 0) maps x to x in eval mode
-    net = Network([BatchNorm(np.zeros(1), np.ones(1), eps=1e-12),
+    # BN with mean 0, var 1, scale 1 and shift 0 divides x by sqrt(1 + eps)
+    net = Network([BatchNorm(np.zeros(1), np.ones(1)),
                    Linear(np.eye(1), np.zeros(1))])
     x = np.array([[0.5], [-2.0], [3.25]])
     logits, _ = forward(net, x, "eval")
-    np.testing.assert_allclose(logits, x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(logits, x / np.sqrt(1.0 + BN_EPS), rtol=1e-15,
+                               atol=0)
 
 
 def test_bn_moving_mean_update():
-    bn = BatchNorm(np.zeros(1), np.ones(1), momentum=0.9)
+    bn = BatchNorm(np.zeros(1), np.ones(1))
     net = Network([bn, Linear(np.eye(1), np.zeros(1))])
     forward(net, np.array([[2.0], [4.0]]), "train")
-    # new moving mean = 0.9 * 0 + 0.1 * 3
-    np.testing.assert_allclose(bn.mean, [0.3])
-    np.testing.assert_allclose(bn.var, 0.9 * 1.0 + 0.1 * 1.0)
+    # batch mean 3 and variance 1 move the moving mean 0 and variance 1
+    m = BN_MOMENTUM
+    np.testing.assert_allclose(bn.mean, [m * 0.0 + (1.0 - m) * 3.0])
+    np.testing.assert_allclose(bn.var, m * 1.0 + (1.0 - m) * 1.0)
 
 
 def test_eval_mode_is_pure():
@@ -253,10 +257,6 @@ def test_prunable_excludes_first_and_last_linear():
 
 def test_bn_state_validation():
     with pytest.raises(ValueError):
-        BatchNorm(np.zeros(2), np.ones(2), momentum=1.5)
-    with pytest.raises(ValueError):
-        BatchNorm(np.zeros(2), np.ones(2), eps=0.0)
-    with pytest.raises(ValueError):
         BatchNorm(np.zeros(2), -np.ones(2))
 
 
@@ -371,7 +371,7 @@ def test_second_backward_overwrites_the_gradients():
 # The straightforward kernels, one new array per operation. The engine's
 # kernels compute in place on arrays they allocate; they must agree with
 # these bit for bit, signs of zero included. A BN layer normalizes with
-# g = scale * (var + eps) ** -0.5, as centred * g + shift.
+# g = scale * (var + BN_EPS) ** -0.5, as centred * g + shift.
 
 def _ref_forward(net: Network, batch, mode: str = "train"):
     if mode not in ("train", "eval"):
@@ -391,9 +391,9 @@ def _ref_forward(net: Network, batch, mode: str = "train"):
             x = np.maximum(x, 0.0)
         else:  # batchnorm
             mu, centred, var = _ref_batch_stats(x)
-            inv = (var + layer.eps) ** -0.5
+            inv = (var + BN_EPS) ** -0.5
             g = inv * layer.scale
-            m = layer.momentum
+            m = BN_MOMENTUM
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
             cache.append((centred, inv, g))
@@ -417,11 +417,11 @@ def _ref_refresh_pass(layers, x, stats):
         else:
             mu, centred, var = _ref_batch_stats(x)
             mean, old_var = stats[j]
-            m = layer.momentum
+            m = BN_MOMENTUM
             stats[j] = (m * mean + (1.0 - m) * mu,
                         m * old_var + (1.0 - m) * var)
             j += 1
-            x = (centred * (layer.scale * (var + layer.eps) ** -0.5)
+            x = (centred * (layer.scale * (var + BN_EPS) ** -0.5)
                  + layer.shift)
     return x
 
@@ -436,7 +436,7 @@ def _ref_eval_pass(layers, x, stats):
         else:
             mean, var = stats[j]
             j += 1
-            g = layer.scale * (var + layer.eps) ** -0.5
+            g = layer.scale * (var + BN_EPS) ** -0.5
             x = x * g + (layer.shift - mean * g)
     return x
 
@@ -664,9 +664,9 @@ def _prior_forward(net: Network, batch, mode: str = "train"):
             x = np.maximum(x, 0.0)
         else:  # batchnorm
             mu, centred, var = _ref_batch_stats(x)
-            inv = 1.0 / np.sqrt(var + layer.eps)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
             xhat = centred * inv
-            m = layer.momentum
+            m = BN_MOMENTUM
             layer.mean = m * layer.mean + (1.0 - m) * mu
             layer.var = m * layer.var + (1.0 - m) * var
             cache.append((xhat, inv))
@@ -684,11 +684,11 @@ def _prior_refresh_pass(layers, x, stats):
         else:
             mu, centred, var = _ref_batch_stats(x)
             mean, old_var = stats[j]
-            m = layer.momentum
+            m = BN_MOMENTUM
             stats[j] = (m * mean + (1.0 - m) * mu,
                         m * old_var + (1.0 - m) * var)
             j += 1
-            x = (layer.scale * (centred / np.sqrt(var + layer.eps))
+            x = (layer.scale * (centred / np.sqrt(var + BN_EPS))
                  + layer.shift)
     return x
 
@@ -703,7 +703,7 @@ def _prior_eval_pass(layers, x, stats):
         else:
             mean, var = stats[j]
             j += 1
-            inv = 1.0 / np.sqrt(var + layer.eps)
+            inv = 1.0 / np.sqrt(var + BN_EPS)
             x = layer.scale * ((x - mean) * inv) + layer.shift
     return x
 

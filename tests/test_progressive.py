@@ -5,6 +5,7 @@ import pytest
 
 from fedprune.nn import make_mlp
 from fedprune.progressive import (
+    BLOCKS,
     CHUNK_FACTOR,
     GrowPrunePlan,
     PruneSchedule,
@@ -443,7 +444,7 @@ def test_plan_validates_disjointness():
 # -- target_layers -----------------------------------------------------------------
 
 def test_block_backward_cycles_from_last_block():
-    # 2 prunable keys, so blocks=5 makes min(5, 2) = 2 groups of one key
+    # 2 prunable keys, so BLOCKS = 5 makes min(5, 2) = 2 groups of one key
     net = make_mlp(8, [8, 8, 8], 4, seed=0)
     k0, k1 = net.prunable_keys()
     sched = schedule(interval=10, stop_round=100)
@@ -459,32 +460,39 @@ def test_block_backward_cycles_from_last_block():
 
 
 def test_block_order_is_backward_by_block_id():
-    # 5 prunable keys in 3 groups: [k0, k1], [k2, k3], [k4]
-    net = make_mlp(8, [8] * 6, 4, seed=0)
-    keys = net.prunable_keys()
-    sched = schedule(blocks=3, interval=1, stop_round=6)
-    order = [target_layers(r, sched, net) for r in range(1, 7)]
+    # 7 prunable keys in BLOCKS = 5 groups: [k0, k1], [k2, k3], [k4], [k5],
+    # [k6]
+    net = make_mlp(8, [8] * 8, 4, seed=0)
+    k = net.prunable_keys()
+    assert len(k) == 7 and BLOCKS == 5
+    sched = schedule(interval=1, stop_round=10)
+    order = [target_layers(r, sched, net) for r in range(1, 11)]
     assert all(order)  # no pruning round is empty
-    groups = [[keys[4]], [keys[2], keys[3]], [keys[0], keys[1]]]
+    groups = [[k[6]], [k[5]], [k[4]], [k[2], k[3]], [k[0], k[1]]]
     assert order == groups * 2  # descending groups, keys in layer order
 
 
 def test_blocks_cut_prunable_keys_into_contiguous_groups():
-    net = make_mlp(8, [8] * 6, 4, seed=0)
-    k = list(net.prunable_keys())
-    assert len(k) == 5
-
-    def rounds(**kw):
-        sched = schedule(interval=1, stop_round=10, **kw)
+    def rounds(net, granularity="block"):
+        sched = schedule(granularity=granularity, interval=1, stop_round=10)
         return [target_layers(r, sched, net) for r in range(1, 11)]
 
-    # groups [k0, k1, k2] and [k3, k4], the last one first
-    assert rounds(blocks=2) == [k[3:], k[:3]] * 5
-    layer = rounds(granularity="layer")
-    assert layer == [[key] for key in reversed(k)] * 2
-    for blocks in (5, 6, 50):
-        assert rounds(blocks=blocks) == layer
-    assert rounds(granularity="entire") == [k] * 10
+    # up to BLOCKS prunable keys, each block is one key, as at layer
+    # granularity
+    for n in (1, 3, BLOCKS):
+        net = make_mlp(8, [8] * (n + 1), 4, seed=0)
+        k = list(net.prunable_keys())
+        assert len(k) == n
+        layer = rounds(net, "layer")
+        assert layer == ([[key] for key in reversed(k)] * 10)[:10]
+        assert rounds(net) == layer
+        assert rounds(net, "entire") == [k] * 10
+    # 12 keys in groups of 3, 3, 2, 2 and 2, the last one first
+    net = make_mlp(8, [8] * 13, 4, seed=0)
+    k = list(net.prunable_keys())
+    assert len(k) == 12
+    assert rounds(net) == [k[10:], k[8:10], k[6:8], k[3:6], k[:3]] * 2
+    assert rounds(net, "entire") == [k] * 10
 
 
 def test_layer_granularity_cycles_each_layer_once():
@@ -521,8 +529,6 @@ def test_network_without_prunable_tensors_targets_nothing():
 def test_schedule_validation():
     with pytest.raises(ValueError):
         PruneSchedule(granularity="weird")
-    with pytest.raises(ValueError):
-        PruneSchedule(blocks=0)
     with pytest.raises(ValueError):
         PruneSchedule(interval=10, stop_round=5)
     with pytest.raises(ValueError):

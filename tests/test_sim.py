@@ -14,6 +14,7 @@ from fedprune.sim import (
     ExperimentConfig,
     _client_update,
     _local_batches,
+    adjust,
     evaluate_global,
     fedavg,
     load_checkpoint,
@@ -305,6 +306,26 @@ def test_plan_round_pairs_each_adjusted_layer_with_its_pruned_indices():
         sl = state.mask.slices[key].reshape(-1)
         np.testing.assert_array_equal(pruned, np.flatnonzero(sl == 0))
         assert 0 < a <= len(pruned)
+
+
+def test_adjust_skips_a_layer_no_participant_uploaded_gradients_for():
+    # a one-sample client trains no batch and collects no gradients (BN
+    # batch statistics need two samples), so a targeted layer gets none
+    state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                         granularity="entire"))
+    state.clients = [client.subset([0]) for client in state.clients]
+    collect, _ = plan_round(state, 2)
+    assert collect
+    results = [_client_update(state, k, 2, collect)
+               for k in range(len(state.clients))]
+    assert not any(res.buffers for res in results)
+    before, kept = state.mask.copy(), state.mask.counts()
+    fedavg(state, results)
+    layers = adjust(state, results, collect)
+    assert layers == {}  # every key of collect is skipped
+    assert state.mask.counts() == kept
+    for key, sl in state.mask.slices.items():
+        assert sl.tobytes() == before.slices[key].tobytes()
 
 
 # -- determinism -----------------------------------------------------------------------
