@@ -190,7 +190,8 @@ def training_memory(algorithm: str, param_dense: float, param_sparse: float,
         dense          2*Mp_d + 2*Ma
         static_sparse  2*Mp_s + 2*Ma
         prunefl        Mp_d + Mp_s + 2*Ma
-        fedtiny        2*Mp_s + 2*Ma + 3*(b/8)*sum_l a_l
+        fedtiny        2*Mp_s + 2*Ma + 3*(b/8)*sum_l a_l, with a device-side
+                       buffer of a_l entries per targeted layer l
     """
     if min(param_dense, param_sparse, activations, topk_total) < 0:
         raise ValueError("inputs must be nonnegative")

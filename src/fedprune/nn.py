@@ -87,7 +87,18 @@ class Network:
         linear_ix = [i for i, l in enumerate(self.layers) if l.kind == "linear"]
         if not linear_ix:
             raise ValueError("network needs at least one linear layer")
-        self.input_dim = self.layers[linear_ix[0]].weight.shape[0]
+        self.input_dim = width = self.layers[linear_ix[0]].weight.shape[0]
+        for i, layer in enumerate(self.layers):
+            if layer.kind == "linear":
+                if layer.weight.shape[0] != width:
+                    raise ValueError(f"layer {i}: fan_in {layer.weight.shape[0]}"
+                                     f" after a {width}-wide layer")
+                width = layer.weight.shape[1]
+            elif layer.kind == "batchnorm" and any(
+                    getattr(layer, name).shape != (width,)
+                    for name in ("mean", "var", "scale", "shift")):
+                raise ValueError(f"layer {i}: BN statistics, scale and shift "
+                                 f"must have the {width} features of its input")
         self._prunable = tuple(f"{i}.weight" for i in linear_ix[1:-1])
         tensors = {f"{i}.{name}": getattr(l, name)
                    for i, l in enumerate(self.layers)

@@ -1,10 +1,11 @@
-"""Progressive grow/prune adjustment with bounded-memory gradient buffers.
+"""Progressive grow/prune adjustment from clients' top-K gradients.
 
-Clients stream the gradients of pruned coordinates through a capacity-``a``
-min-magnitude-evicting buffer, the server aggregates the surviving entries,
-grows the pruned coordinates with the largest aggregated gradient magnitude,
-and prunes the same number of unpruned coordinates with the smallest weight
-magnitude. Density is conserved exactly by every adjustment.
+Each client uploads the ``a`` largest-magnitude gradients of a layer's pruned
+coordinates, the server aggregates them, grows the pruned coordinates with
+the largest aggregated gradient magnitude, and prunes the same number of
+unpruned coordinates with the smallest weight magnitude. The client's top-K
+and the server's grow choice share one ordering rule, ``_first``. Density is
+conserved exactly by every adjustment.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .nn import Array, Network
 
 GRANULARITIES = ("layer", "block", "entire")
 BLOCKS = 5  # the paper's five blocks: prunable-tensor groups at block level
-# top-K input is read in chunks of this many times the buffer capacity
-CHUNK_FACTOR = 16
 
 
 @dataclass
@@ -40,76 +39,54 @@ class PruneSchedule:
             raise ValueError("growth_fraction must lie in (0, 1)")
 
 
+@dataclass
 class TopKBuffer:
-    """Bounded store of the ``capacity`` largest-magnitude gradients seen.
+    """One client's top-K upload for a layer: the kept (flat index,
+    gradient) pairs, in the order of ``_first``."""
 
-    ``index`` and ``value`` hold the retained (flat index, gradient) pairs in
-    entry order: |gradient| descending, magnitude ties by lower index first.
-    ``peak_size`` instruments the memory bound: the most entries retained at
-    once, never more than ``capacity``.
-    """
-
-    __slots__ = ("capacity", "index", "value", "peak_size")
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("buffer capacity must be nonnegative")
-        self.capacity = capacity
-        self.index = np.zeros(0, dtype=np.int64)
-        self.value = np.zeros(0, dtype=np.float64)
-        self.peak_size = 0
+    index: Array
+    value: Array
 
     def __len__(self) -> int:
         return len(self.index)
 
     def entries(self) -> list[tuple[int, float]]:
-        """(index, gradient) pairs ordered by |gradient| descending, magnitude
-        ties by lower index first."""
+        """The kept pairs as (index, gradient) tuples, in order."""
         return list(zip(self.index.tolist(), self.value.tolist()))
 
 
-def topk_collect(indices, values, capacity: int) -> TopKBuffer:
-    """Stream (index, gradient) pairs through a bounded buffer.
+def _first(index: Array, value: Array, k: int) -> Array:
+    """Positions of the ``k`` pairs (all, if fewer) first in the order
+    (|g| desc, index asc, g desc): one ``np.partition`` cut at the ``k``-th
+    largest |g|, ties kept, then one ``lexsort`` of the pairs at or above."""
+    if k < len(value):
+        mag = np.abs(value)
+        kth = len(value) - k
+        cand = np.flatnonzero(mag >= np.partition(mag, kth)[kth])
+        del mag  # before the small arrays below, which would pin the heap top
+    else:
+        cand = np.arange(len(value))
+    val = value[cand]
+    order = np.lexsort((-val, index[cand], -np.abs(val)))
+    return cand[order[:k]]
 
-    The input is read in chunks of ``CHUNK_FACTOR * capacity`` pairs. A
-    chunk's pairs below a cut cannot reach the result and are dropped (ties
-    at the cut survive): the cut is the chunk's own ``capacity``-th largest
-    magnitude, found by one ``np.partition``, or the smallest retained
-    magnitude of a full buffer if that is higher. The rest are merged with
-    the retained entries by one sort on (|g| desc, index asc, g desc), which
-    keeps the first ``capacity``. At most ``capacity`` entries are retained
-    and at most ``CHUNK_FACTOR * capacity`` more are in flight, so memory is
-    O(capacity) however long the input. The result equals streaming the
-    pairs one at a time through a min-magnitude-evicting heap. A
-    zero-capacity buffer reads no values.
-    """
+
+def topk_collect(indices, values, capacity: int) -> TopKBuffer:
+    """The ``capacity`` (index, gradient) pairs of largest |gradient|, ties
+    by lower index; this equals streaming the pairs one at a time through a
+    min-magnitude-evicting heap. A zero-capacity call reads no values."""
     indices = np.asarray(indices, dtype=np.int64).reshape(-1)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if len(indices) != len(values):
         raise ValueError(f"{len(indices)} indices but {len(values)} values")
-    buf = TopKBuffer(capacity)
+    if capacity < 0:
+        raise ValueError("buffer capacity must be nonnegative")
     if capacity == 0:
-        return buf
-    step = CHUNK_FACTOR * capacity
-    for start in range(0, len(values), step):
-        val = values[start:start + step]
-        mag = np.abs(val)
-        top = mag.max()
-        if not top < np.inf:  # NaN fails every comparison
-            raise FloatingPointError("non-finite gradient in top-K input")
-        cut = abs(buf.value[-1]) if len(buf) == capacity else 0.0
-        if top < cut:
-            continue
-        if len(val) > capacity:
-            kth = len(val) - capacity
-            cut = max(cut, np.partition(mag, kth)[kth])
-        keep = mag >= cut
-        idx = np.concatenate((buf.index, indices[start:start + step][keep]))
-        val = np.concatenate((buf.value, val[keep]))
-        order = np.lexsort((-val, idx, -np.abs(val)))[:capacity]
-        buf.index, buf.value = idx[order], val[order]
-        buf.peak_size = max(buf.peak_size, len(buf.index))
-    return buf
+        return TopKBuffer(indices[:0], values[:0])
+    if not np.isfinite(values).all():
+        raise FloatingPointError("non-finite gradient in top-K input")
+    keep = _first(indices, values, capacity)
+    return TopKBuffer(indices[keep], values[keep])
 
 
 def pruning_number(t: int, schedule: PruneSchedule, local_iters: int,
@@ -170,9 +147,10 @@ def plan_grow_prune(index: Array, grads: Array, mask_slice: Array,
     """Choose ``count`` pruned coordinates to grow (largest aggregated
     gradient ``grads[i]`` at flat index ``index[i]``) and ``count`` unpruned
     coordinates to drop (smallest weight magnitude, never a just-grown
-    coordinate). Ties go to the lower flat index. If fewer than ``count``
-    pruned coordinates were reported, the remainder is filled with the
-    lowest pruned indices and flagged."""
+    coordinate). Ties go to the lower flat index; the grow choice is
+    ``topk_collect``'s order. If fewer than ``count`` pruned coordinates
+    were reported, the remainder is filled with the lowest pruned indices
+    and flagged."""
     flat_mask = mask_slice.reshape(-1)
     pruned = np.flatnonzero(flat_mask == 0)
     unpruned = np.flatnonzero(flat_mask == 1)
@@ -184,7 +162,7 @@ def plan_grow_prune(index: Array, grads: Array, mask_slice: Array,
 
     reported = np.isin(index, pruned)
     index, grads = index[reported], grads[reported]
-    grow = index[np.lexsort((index, -np.abs(grads)))[:count]]
+    grow = index[_first(index, grads, count)]
     shortfall = count - len(grow)
     if shortfall > 0:
         fill = np.setdiff1d(pruned, grow, assume_unique=True)[:shortfall]

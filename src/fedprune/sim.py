@@ -84,14 +84,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         issues = [f"{f.name}: must be finite" for f in fields(self)
                   if f.type == "float" and not np.isfinite(getattr(self, f.name))]
-        for name in ("classes", "per_class", "dim", "clients", "rounds",
-                     "local_epochs", "interval", "stop_round", "bits"):
+        # the blob keys are unused when the data come from csv_path
+        blobs = () if self.csv_path else ("classes", "per_class", "dim")
+        for name in (*blobs, "clients", "rounds", "local_epochs", "interval",
+                     "stop_round", "bits"):
             if getattr(self, name) < 1:
                 issues.append(f"{name}: must be at least 1")
         if self.batch_size < 2:
             issues.append("batch_size: must be at least 2 (BN batch "
                           "statistics need two samples)")
-        if self.spread < 0:
+        if blobs and self.spread < 0:
             issues.append("spread: must be nonnegative")
         if not 0.0 <= self.test_ratio < 1.0:
             issues.append("test_ratio: must lie in [0, 1)")
@@ -374,10 +376,8 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
             backward(local, logits, client.labels[idx], cache)
             for key, (a, pruned) in collect.items():
                 values = local.grads()[key].reshape(-1)[pruned]
-                buf = topk_collect(pruned, values, a)
-                if buf.peak_size > a:
-                    violations += 1
-                buffers[key] = buf
+                buffers[key] = topk_collect(pruned, values, a)
+                violations += len(buffers[key]) > a
     return ClientResult(flat, bn, buffers, violations)
 
 
@@ -659,14 +659,20 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
                     raise ValueError(f"layer {i}: BN {name} {spec[name]!r} "
                                      f"is not {value}")
             entry = next(stats)
-            layers.append(BatchNorm(np.array(entry["mean"]),
-                                    np.array(entry["var"])))
+            bn = BatchNorm(np.array(entry["mean"]), np.array(entry["var"]))
+            if [spec.get("features")] != list(bn.mean.shape):
+                raise ValueError(f"layer {i}: {spec.get('features')!r} "
+                                 f"features but {bn.mean.size} statistics")
+            layers.append(bn)
         elif kind == "relu":
             layers.append(ReLU())
         else:
             raise ValueError(f"layer {i}: unknown kind {kind!r}")
     net = Network(layers)
     params = net.params()
+    missing = [key for key in params if key not in record["params"]]
+    if missing:
+        raise ValueError(f"no values for param {', '.join(missing)}")
     for key, entry in record["params"].items():
         value = _tensor("param", key, entry["data"], params)
         if entry["shape"] != list(value.shape):
@@ -675,18 +681,20 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
         net.set_param(key, value)
     if record["mask"] is None:
         return net, None
-    # Mask checks every entry is 0 or 1 before its uint8 cast
-    return net, Mask({key: _tensor("mask", key, flat, params)
+    # a mask covers prunable tensors only; Mask checks every entry is 0 or 1
+    # before its uint8 cast
+    prunable = {key: params[key] for key in net.prunable_keys()}
+    return net, Mask({key: _tensor("mask", key, flat, prunable)
                       for key, flat in record["mask"].items()})
 
 
-def _tensor(what: str, key: str, flat, params: dict[str, Array]) -> Array:
-    """The flat checkpoint list ``flat`` as a float64 array shaped like the
-    network's parameter ``key``."""
-    if key not in params:
-        raise ValueError(f"{what} {key!r} is not a parameter of the network")
+def _tensor(what: str, key: str, flat, tensors: dict[str, Array]) -> Array:
+    """The flat checkpoint list ``flat`` as a float64 array shaped like
+    ``tensors[key]``."""
+    if key not in tensors:
+        raise ValueError(f"{what} {key!r} is not one of {', '.join(tensors)}")
     value = np.array(flat, dtype=np.float64)
-    if value.shape != (params[key].size,):
+    if value.shape != (tensors[key].size,):
         raise ValueError(f"{what} {key!r}: {value.size} values for shape "
-                         f"{list(params[key].shape)}")
-    return value.reshape(params[key].shape)
+                         f"{list(tensors[key].shape)}")
+    return value.reshape(tensors[key].shape)

@@ -398,6 +398,16 @@ def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
     assert any(rec["grow_count"] > 0 for rec in records)
 
 
+def test_cmd_run_on_csv_data_ignores_the_blob_keys(tmp_path, capsys):
+    # classes, per_class, dim and spread shape only the Gaussian blobs
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(_csv_config(tmp_path, _toy_rows(240))),
+               "--out", str(out), "--set", "per_class=0", "--set", "spread=-1",
+               "--set", "classes=0", "--set", "dim=-3"])
+    assert rc == 0, capsys.readouterr().err
+    assert len(list(out.glob("*/metrics.csv"))) == 1
+
+
 @pytest.mark.parametrize("rows, sets, issue", [
     (_toy_rows(239) + ["nan,0.0,0.0,1"], [],
      "csv_path: line 241: non-finite feature value"),
@@ -639,11 +649,19 @@ def _checkpoint_record(**changes):
         "layers": [{"kind": "linear", "shape": [2, 3]},
                    {"kind": "batchnorm", "features": 3},
                    {"kind": "relu"},
+                   {"kind": "linear", "shape": [3, 3]},
+                   {"kind": "relu"},
                    {"kind": "linear", "shape": [3, 2]}],
         "params": {"0.weight": {"shape": [2, 3], "data": [0.5] * 6},
-                   "1.scale": {"shape": [3], "data": [2.0] * 3}},
+                   "0.bias": {"shape": [3], "data": [0.0] * 3},
+                   "1.scale": {"shape": [3], "data": [2.0] * 3},
+                   "1.shift": {"shape": [3], "data": [0.0] * 3},
+                   "3.weight": {"shape": [3, 3], "data": [1.0, 0.0, 1.0] * 3},
+                   "3.bias": {"shape": [3], "data": [0.0] * 3},
+                   "5.weight": {"shape": [3, 2], "data": [0.25] * 6},
+                   "5.bias": {"shape": [2], "data": [0.0] * 2}},
         "bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}],
-        "mask": {"0.weight": [1, 0, 1, 0, 1, 0]},
+        "mask": {"3.weight": [1, 0, 1] * 3},
     }
     record.update(changes)
     return record
@@ -653,6 +671,17 @@ def _with_layer(i, spec):
     layers = _checkpoint_record()["layers"]
     layers[i] = spec
     return layers
+
+
+def _with_params(entries):
+    """The record's params with ``entries`` set, or deleted where None."""
+    params = _checkpoint_record()["params"]
+    for key, entry in entries.items():
+        if entry is None:
+            del params[key]
+        else:
+            params[key] = entry
+    return params
 
 
 MALFORMED_CHECKPOINTS = {
@@ -667,16 +696,30 @@ MALFORMED_CHECKPOINTS = {
                                                    "shape": [2.5, 3]})},
     "extra bn_stats": {"bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}] * 2},
     "missing bn_stats": {"bn_stats": []},
-    "param not in the network": {"params": {"5.weight": {"shape": [2, 3],
-                                                         "data": [0.5] * 6}}},
-    "param of a ReLU layer": {"params": {"2.weight": {"shape": [2, 3],
-                                                      "data": [0.5] * 6}}},
-    "param data too short": {"params": {"0.weight": {"shape": [2, 3],
-                                                     "data": [0.5] * 5}}},
-    "mask of no param": {"mask": {"9.weight": [1] * 6}},
-    "mask too long": {"mask": {"0.weight": [1, 0] * 4}},
-    "negative mask entry": {"mask": {"0.weight": [1, -1, 1, 0, 1, 0]}},
-    "fractional mask entry": {"mask": {"0.weight": [1, 0.5, 1, 0, 1, 0]}},
+    "param not in the network": {"params": _with_params({"7.weight": {
+        "shape": [2, 3], "data": [0.5] * 6}})},
+    "param of a ReLU layer": {"params": _with_params({"2.weight": {
+        "shape": [2, 3], "data": [0.5] * 6}})},
+    "param data too short": {"params": _with_params({"0.weight": {
+        "shape": [2, 3], "data": [0.5] * 5}})},
+    "missing param": {"params": _with_params({"3.bias": None})},
+    "BN features not its statistics": {"layers": _with_layer(
+        1, {"kind": "batchnorm", "features": 4})},
+    "BN wider than its input": {
+        "layers": _with_layer(1, {"kind": "batchnorm", "features": 5}),
+        "bn_stats": [{"mean": [0.0] * 5, "var": [1.0] * 5}],
+        "params": _with_params({"1.scale": {"shape": [5], "data": [1.0] * 5},
+                                "1.shift": {"shape": [5], "data": [0.0] * 5}})},
+    "linear fan_in not the width before it": {
+        "layers": _with_layer(5, {"kind": "linear", "shape": [2, 2]}),
+        "params": _with_params({"5.weight": {"shape": [2, 2],
+                                             "data": [0.25] * 4}})},
+    "mask of no param": {"mask": {"9.weight": [1] * 9}},
+    "mask on a bias": {"mask": {"3.weight": [1] * 9, "0.bias": [1, 0, 1]}},
+    "mask on the first linear layer": {"mask": {"0.weight": [1, 0] * 3}},
+    "mask too long": {"mask": {"3.weight": [1, 0] * 5}},
+    "negative mask entry": {"mask": {"3.weight": [1, -1, 1] * 3}},
+    "fractional mask entry": {"mask": {"3.weight": [1, 0.5, 1] * 3}},
 }
 
 
@@ -688,7 +731,7 @@ def test_cmd_cost_reads_the_well_formed_record(tmp_path):
     from fedprune.sim import load_checkpoint
     net, mask, _ = load_checkpoint(ckpt)
     assert net.params()["1.scale"].tolist() == [2.0] * 3
-    assert mask.counts() == (3, 6)
+    assert mask.counts() == (6, 9)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))

@@ -260,6 +260,25 @@ def test_bn_state_validation():
         BatchNorm(np.zeros(2), -np.ones(2))
 
 
+def test_network_rejects_layers_that_do_not_chain():
+    def linear(fan_in, fan_out):
+        return Linear(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
+
+    with pytest.raises(ValueError, match="layer 2: fan_in 4 after a 3-wide"):
+        Network([linear(2, 3), ReLU(), linear(4, 2)])
+    # a BN layer before the first linear layer has its input's width
+    with pytest.raises(ValueError, match="layer 0: BN"):
+        Network([BatchNorm(np.zeros(3), np.ones(3)), linear(2, 3)])
+    for name in ("mean", "var", "scale", "shift"):
+        parts = dict(mean=np.zeros(3), var=np.ones(3), scale=np.ones(3),
+                     shift=np.zeros(3))
+        parts[name] = np.ones(4)
+        with pytest.raises(ValueError, match="layer 1: BN"):
+            Network([linear(2, 3), BatchNorm(**parts), linear(3, 2)])
+    Network([BatchNorm(np.zeros(2), np.ones(2)), linear(2, 3), ReLU(),
+             BatchNorm(np.zeros(3), np.ones(3)), linear(3, 2)])
+
+
 # -- flat layout --------------------------------------------------------------
 
 def _offset(view, vec) -> int:

@@ -6,10 +6,8 @@ import pytest
 from fedprune.nn import make_mlp
 from fedprune.progressive import (
     BLOCKS,
-    CHUNK_FACTOR,
     GrowPrunePlan,
     PruneSchedule,
-    TopKBuffer,
     aggregate_topk,
     apply_plan,
     plan_grow_prune,
@@ -20,8 +18,8 @@ from fedprune.progressive import (
 
 
 # -- reference oracles ----------------------------------------------------------
-# The per-element heap implementation the array-backed top-K path replaced.
-# The array path must reproduce it exactly, ties and signed zeros included.
+# A per-element heap that streams the pairs through a bounded buffer. The
+# array-backed top-K must reproduce it exactly, ties and signed zeros included.
 
 class HeapTopKBuffer:
     """Min-heap of (|g|, -index, g): an incoming gradient replaces the
@@ -30,7 +28,6 @@ class HeapTopKBuffer:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._heap: list[tuple[float, int, float]] = []
-        self.peak_size = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -43,7 +40,6 @@ class HeapTopKBuffer:
             heapq.heappush(self._heap, item)
         elif item > self._heap[0]:
             heapq.heapreplace(self._heap, item)
-        self.peak_size = max(self.peak_size, len(self._heap))
 
     def entries(self) -> list[tuple[int, float]]:
         ordered = sorted(self._heap, reverse=True)
@@ -160,7 +156,7 @@ def test_topk_magnitude_order():
 def test_topk_capacity_at_least_count_keeps_all():
     buf = topk_collect(range(5), [1.0, 2.0, 3.0, 4.0, 5.0], 10)
     assert len(buf) == 5
-    assert buf.peak_size == 5
+    assert buf.entries() == [(4, 5.0), (3, 4.0), (2, 3.0), (1, 2.0), (0, 1.0)]
 
 
 def test_topk_zero_capacity_empty():
@@ -183,7 +179,7 @@ def test_topk_matches_sort_oracle_and_memory_bound():
         buf = topk_collect(idx, vals, a)
         oracle = sorted(range(n), key=lambda i: (-abs(vals[i]), i))[:a]
         assert [i for i, _ in buf.entries()] == oracle
-        assert buf.peak_size <= a
+        assert len(buf) <= a
 
 
 def test_topk_matches_heap_oracle_with_ties_and_shuffled_indices():
@@ -203,13 +199,24 @@ def test_topk_matches_heap_oracle_with_ties_and_shuffled_indices():
         assert buf.entries() == ref.entries()
         assert [np.signbit(g) for _, g in buf.entries()] == \
             [np.signbit(g) for _, g in ref.entries()]
-        assert buf.peak_size <= a
-        assert buf.peak_size == ref.peak_size
+        assert len(buf) <= a
 
 
 def test_topk_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         topk_collect([0, 1, 2], [1.0, 2.0], 2)
+
+
+def test_topk_rejects_negative_capacity():
+    with pytest.raises(ValueError, match="nonnegative"):
+        topk_collect(range(4), np.ones(4), -1)
+
+
+def test_topk_empty_input_and_zero_capacity_read_no_values():
+    buf = topk_collect([], [], 3)
+    assert len(buf) == 0 and buf.index.dtype == np.int64
+    # a zero capacity returns before the finiteness check
+    assert len(topk_collect(range(3), [np.nan, 1.0, np.inf], 0)) == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -221,11 +228,11 @@ def test_topk_rejects_non_finite_gradients(bad):
 
 
 def test_topk_matches_heap_oracle_across_several_chunks():
-    # k whole chunks of CHUNK_FACTOR * a pairs, and one pair fewer or more,
-    # so the per-chunk partition cut and the merge across chunks both run
+    # long inputs against the capacity: k multiples of 16 * a pairs, and one
+    # pair fewer or more
     rng = np.random.default_rng(31)
     for a in (1, 2, 7, 33):
-        step = CHUNK_FACTOR * a
+        step = 16 * a
         for k in (1, 2, 3):
             for n in (k * step - 1, k * step, k * step + 1):
                 for tied in (True, False):
@@ -237,15 +244,14 @@ def test_topk_matches_heap_oracle_across_several_chunks():
                     assert buf.entries() == ref.entries()
                     assert [np.signbit(g) for _, g in buf.entries()] == \
                         [np.signbit(g) for _, g in ref.entries()]
-                    assert buf.peak_size <= a
-                    assert buf.peak_size == ref.peak_size
+                    assert len(buf) <= a
 
 
 def test_topk_rejects_nan_in_the_last_chunk():
     a = 3
-    n = 3 * CHUNK_FACTOR * a + 5
+    n = 3 * 16 * a + 5
     values = np.linspace(1.0, 2.0, n)
-    values[-1] = np.nan  # the buffer is full long before the last chunk
+    values[-1] = np.nan  # the last pair of a long input
     with pytest.raises(FloatingPointError):
         topk_collect(np.arange(n), values, a)
 
@@ -381,6 +387,23 @@ def test_plan_matches_heap_oracle_exactly_including_shortfall():
             (ref.grow.tolist(), ref.drop.tolist(), ref.shortfall)
         shortfalls += plan.shortfall > 0
     assert shortfalls > 10
+
+
+def test_plan_grow_is_the_topk_of_the_same_pairs():
+    # the server's grow choice and a client's top-K share one ordering rule
+    rng = np.random.default_rng(43)
+    for case in range(200):
+        n = int(rng.integers(1, 120))
+        index = rng.permutation(3 * n)[:n]
+        grads = (rng.choice(TIE_GRID, size=n) if case % 2
+                 else rng.normal(size=n))
+        mask = np.ones(3 * n + 1, dtype=np.uint8)
+        mask[index] = 0  # every reported index is pruned
+        count = int(rng.integers(0, min(n, int(mask.sum())) + 1))
+        plan = plan_grow_prune(index, grads, mask, np.ones(mask.size), count)
+        assert plan.shortfall == 0
+        assert plan.grow.tolist() == \
+            topk_collect(index, grads, count).index.tolist()
 
 
 def test_plan_count_too_large():
