@@ -1,8 +1,9 @@
 """Command line entry point: run experiments, sweep a grid of config values,
 and report model costs from a checkpoint.
 
-Config files are INI-style ``key = value`` sections; any field can be
-overridden on the command line with ``--set key=value`` (bare keys work when
+Config files are INI-style ``key = value`` sections of literal values (no
+``%`` interpolation, no ``[DEFAULT]`` section); any field can be overridden
+on the command line with ``--set key=value`` (bare keys work when
 unambiguous, ``section.key`` always works).
 """
 
@@ -66,11 +67,26 @@ def _format_value(name: str, value) -> str:
     return str(value)
 
 
+def _config_item(section: str | None, key: str, raw: str):
+    """The field and parsed value of ``key = raw``: an item of a config
+    file's ``[section]``, or a ``--set``/``--axis`` item, whose section is
+    ``None`` unless it is written ``section.key``."""
+    if key not in _FIELD_SECTION or section not in (None, _FIELD_SECTION[key]):
+        where = "" if section is None else f" in section [{section}]"
+        raise ConfigError([f"unknown key {key!r}{where}"])
+    try:
+        return key, _parse_value(key, raw)
+    except ValueError as err:
+        raise ConfigError([f"{key}: {err}"])
+
+
 def parse_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
-    parser = configparser.ConfigParser()
+    # values are literal text, with no % interpolation; no section header
+    # can name the empty default section, so [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read(path, encoding="utf-8")
     except configparser.Error as err:
@@ -79,14 +95,8 @@ def parse_config(path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in SECTIONS:
             raise ConfigError([f"unknown config section [{section}]"])
-        for key, raw in parser.items(section):
-            if key not in SECTIONS[section]:
-                raise ConfigError([f"unknown key {key!r} in section "
-                                   f"[{section}]"])
-            try:
-                values[key] = _parse_value(key, raw)
-            except ValueError as err:
-                raise ConfigError([f"{key}: {err}"])
+        values.update(_config_item(section, key, raw)
+                      for key, raw in parser.items(section))
     return ExperimentConfig(**values)
 
 
@@ -105,17 +115,8 @@ def _parse_override(item: str):
     if "=" not in item:
         raise ConfigError([f"override {item!r} is not key=value"])
     key, raw = item.split("=", 1)
-    key = key.strip()
-    if "." in key:
-        section, key = key.split(".", 1)
-        if _FIELD_SECTION.get(key) != section:
-            raise ConfigError([f"unknown override {section}.{key}"])
-    elif key not in _FIELD_SECTION:
-        raise ConfigError([f"unknown override key {key!r}"])
-    try:
-        return key, _parse_value(key, raw)
-    except ValueError as err:
-        raise ConfigError([f"{key}: {err}"])
+    section, dot, key = key.strip().rpartition(".")
+    return _config_item(section if dot else None, key, raw)
 
 
 def apply_overrides(cfg: ExperimentConfig, sets: list[str]) -> ExperimentConfig:

@@ -89,18 +89,18 @@ def topk_collect(indices, values, capacity: int) -> TopKBuffer:
     return TopKBuffer(indices[keep], values[keep])
 
 
-def pruning_number(t: int, schedule: PruneSchedule, local_iters: int,
-                   n_unpruned: int) -> int:
-    """Cosine-decayed adjustment size for one layer at iteration ``t``:
-    floor(beta * (1 + cos(t * pi / (stop_round * iters))) * n_unpruned),
-    zero past the stop point and at most ``n_unpruned``."""
+def pruning_number(t: int, schedule: PruneSchedule, n_unpruned: int) -> int:
+    """Cosine-decayed adjustment size for one layer ``t`` rounds after the
+    first pruning round:
+    floor(beta * (1 + cos(t * pi / stop_round)) * n_unpruned), zero past
+    ``stop_round`` and at most ``n_unpruned``."""
     if t < 0:
-        raise ValueError("iteration must be nonnegative")
-    horizon = schedule.stop_round * local_iters
-    if t > horizon:
+        raise ValueError("t must be nonnegative")
+    if t > schedule.stop_round:
         return 0
     raw = math.floor(schedule.growth_fraction
-                     * (1.0 + math.cos(t * math.pi / horizon)) * n_unpruned)
+                     * (1.0 + math.cos(t * math.pi / schedule.stop_round))
+                     * n_unpruned)
     return max(0, min(raw, n_unpruned))
 
 

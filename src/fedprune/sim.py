@@ -21,7 +21,8 @@ from . import costs
 from .data import Dataset, dev_indices, dirichlet_partition, load_csv, \
     make_blobs, split_indices, split_sizes
 from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
-    generate_candidate_pool, keep_budget, magnitude_mask, random_mask
+    generate_candidate_pool, keep_budget, magnitude_mask, random_mask, \
+    zero_masked
 from .nn import BN_EPS, BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
     ReLU, backward, bn_stats, cross_entropy, forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
@@ -86,8 +87,7 @@ class ExperimentConfig:
                   if f.type == "float" and not np.isfinite(getattr(self, f.name))]
         # the blob keys are unused when the data come from csv_path
         blobs = () if self.csv_path else ("classes", "per_class", "dim")
-        for name in (*blobs, "clients", "rounds", "local_epochs", "interval",
-                     "stop_round", "bits"):
+        for name in (*blobs, "clients", "rounds", "local_epochs", "bits"):
             if getattr(self, name) < 1:
                 issues.append(f"{name}: must be at least 1")
         if self.batch_size < 2:
@@ -284,9 +284,8 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
 
     net = make_mlp(ds.dim, list(cfg.hidden), ds.classes,
                    seed=_subseed(cfg.seed, _T_MODEL))
-    if cfg.pretrain_epochs > 0:
-        pretrain_server(net, server_set, cfg.pretrain_epochs, cfg.lr,
-                        cfg.batch_size, seed=_subseed(cfg.seed, _T_PRETRAIN))
+    pretrain_server(net, server_set, cfg.pretrain_epochs, cfg.lr,
+                    cfg.batch_size, seed=_subseed(cfg.seed, _T_PRETRAIN))
 
     mask = None
     record = None
@@ -390,11 +389,11 @@ def plan_round(state: ExperimentState, round_index: int):
     clamped = False
     if cfg.algorithm in PROGRESSIVE_ALGS and state.mask is not None:
         sched = cfg.schedule()
-        t_iter = (round_index - sched.interval) * cfg.local_epochs
         for key in target_layers(round_index, sched, state.net):
             sl = state.mask.slices[key]
             n_unpruned = int(sl.sum())
-            full = pruning_number(t_iter, sched, cfg.local_epochs, n_unpruned)
+            full = pruning_number(round_index - sched.interval, sched,
+                                  n_unpruned)
             # a layer cannot grow more coordinates than it has pruned
             a = min(full, sl.size - n_unpruned)
             clamped |= a < full
@@ -437,7 +436,7 @@ def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
     for res in results:
         flat += (res.bn.samples / total) * res.flat
     if state.mask is not None:
-        np.copyto(flat, 0.0, where=state.net.masked_out(state.mask))
+        zero_masked(state.net, state.mask)
     install_bn(state.net, aggregate_bn([res.bn for res in results]))
 
 
@@ -514,43 +513,34 @@ def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
 # Experiment driver and artifacts
 # ---------------------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
-    """Run the full pipeline. With ``out_dir`` set, metrics are appended to
-    metrics.jsonl, mirrored to metrics.csv, and the final model is written
-    to final.ckpt; pool algorithms also write selection.json before the
-    first round. Returns (metrics list, final state)."""
+def run_experiment(cfg: ExperimentConfig, out_dir):
+    """Run the full pipeline into ``out_dir``: pool algorithms write
+    selection.json before the first round, each round's metrics are
+    appended to metrics.jsonl and mirrored to metrics.csv, and the final
+    model is written to final.ckpt. Returns (metrics list, final state)."""
     state = setup_experiment(cfg)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if state.selection is not None:
+        (out_dir / "selection.json").write_text(
+            json.dumps(state.selection, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
     metrics: list[RoundMetrics] = []
-    csv_fh = jsonl_fh = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if state.selection is not None:
-            (out_dir / "selection.json").write_text(
-                json.dumps(state.selection, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-        csv_fh = open(out_dir / "metrics.csv", "w", encoding="utf-8",
-                      newline="\n")
+    with (open(out_dir / "metrics.csv", "w", encoding="utf-8",
+               newline="\n") as csv_fh,
+          open(out_dir / "metrics.jsonl", "w", encoding="utf-8",
+               newline="\n") as jsonl_fh):
         csv_fh.write(",".join(CSV_COLUMNS) + "\n")
-        jsonl_fh = open(out_dir / "metrics.jsonl", "w", encoding="utf-8",
-                        newline="\n")
-    try:
         for r in range(1, cfg.rounds + 1):
             rm = run_round(state, r)
             metrics.append(rm)
-            if csv_fh is not None:
-                csv_fh.write(rm.csv_row() + "\n")
-                jsonl_fh.write(json.dumps(asdict(rm), sort_keys=True) + "\n")
-    finally:
-        if csv_fh is not None:
-            csv_fh.close()
-            jsonl_fh.close()
-    if out_dir is not None:
-        save_checkpoint(out_dir / "final.ckpt", state.net, state.mask,
-                        {"algorithm": cfg.algorithm, "seed": cfg.seed,
-                         "rounds": cfg.rounds,
-                         "selected_candidate": (state.selection["winner"]
-                                                if state.selection else None)})
+            csv_fh.write(rm.csv_row() + "\n")
+            jsonl_fh.write(json.dumps(asdict(rm), sort_keys=True) + "\n")
+    save_checkpoint(out_dir / "final.ckpt", state.net, state.mask,
+                    {"algorithm": cfg.algorithm, "seed": cfg.seed,
+                     "rounds": cfg.rounds,
+                     "selected_candidate": (state.selection["winner"]
+                                            if state.selection else None)})
     return metrics, state
 
 

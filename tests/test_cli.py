@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -78,6 +79,30 @@ def test_unknown_section_rejected(tmp_path):
     path.write_text("[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # read as configparser's defaults, a [DEFAULT]-only file would set no
+    # field and run the built-in config
+    path, out = tmp_path / "bad.ini", tmp_path / "out"
+    path.write_text("[DEFAULT]\nrounds = 1\nalgorithm = DenseFedAvg\n")
+    with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+        parse_config(path)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_file_and_override_keys_share_one_message(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text("[pruning]\nseed = 1\n")
+    in_section = re.escape("unknown key 'seed' in section [pruning]")
+    with pytest.raises(ConfigError, match=in_section):
+        parse_config(path)
+    with pytest.raises(ConfigError, match=in_section):
+        apply_overrides(ExperimentConfig(), ["pruning.seed=1"])
+    with pytest.raises(ConfigError, match="unknown key 'wat'$"):
+        apply_overrides(ExperimentConfig(), ["wat=1"])
 
 
 def test_order_and_model_blocks_are_rejected(config_file, tmp_path):
@@ -312,7 +337,12 @@ def _config_issue(case, sets, issue, text=SMALL_CONFIG):
 @pytest.mark.parametrize("text, sets, issue", [
     *(_config_issue(f"{name}=0", [f"{name}=0"], f"{name}: must be at least 1")
       for name in ("classes", "per_class", "dim", "clients", "rounds",
-                   "local_epochs", "interval", "stop_round", "bits")),
+                   "local_epochs", "bits")),
+    # only the progressive algorithms have a schedule to check
+    _config_issue("interval=0", ["algorithm=FedTiny", "interval=0"],
+                  "schedule: interval must be at least 1"),
+    _config_issue("stop_round=0", ["algorithm=FedTiny", "stop_round=0"],
+                  "schedule: stop_round must be at least interval"),
     _config_issue("spread", ["spread=-1"], "spread: must be nonnegative"),
     _config_issue("test_ratio", ["test_ratio=1.0"],
                   "test_ratio: must lie in [0, 1)"),
@@ -361,6 +391,31 @@ def test_cmd_run_reports_each_config_issue_by_key(tmp_path, capsys, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("item, issue", [
+    ("interval=0", "interval must be at least 1"),
+    ("stop_round=0", "stop_round must be at least interval"),
+], ids=["interval=0", "stop_round=0"])
+def test_a_schedule_fault_is_reported_once(config_file, tmp_path, capsys,
+                                           item, issue):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_file), "--out", str(out),
+                 "--set", "algorithm=FedTiny", "--set", item]) == 2
+    assert capsys.readouterr().err == \
+        f"error: invalid config:\n  schedule: {issue}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["DenseFedAvg", "AdaptiveBNOnly"])
+def test_algorithms_without_a_schedule_ignore_its_keys(config_file, tmp_path,
+                                                       capsys, algorithm):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(config_file), "--out", str(out),
+               "--set", f"algorithm={algorithm}", "--set", "interval=0",
+               "--set", "stop_round=0"])
+    assert rc == 0, capsys.readouterr().err
+    assert len(list(out.glob("*/final.ckpt"))) == 1
+
+
 def _toy_rows(n):
     """``n`` CSV rows of four shifted classes."""
     return [f"{i % 4 + 0.1 * (i % 7)},{-(i % 4) + 0.05 * (i % 11)},"
@@ -406,6 +461,21 @@ def test_cmd_run_on_csv_data_ignores_the_blob_keys(tmp_path, capsys):
                "--set", "classes=0", "--set", "dim=-3"])
     assert rc == 0, capsys.readouterr().err
     assert len(list(out.glob("*/metrics.csv"))) == 1
+
+
+def test_config_values_are_literal_text(tmp_path):
+    # a % in a value is a character, not configparser interpolation
+    data_dir = tmp_path / "100%"
+    data_dir.mkdir()
+    config = _csv_config(data_dir, _toy_rows(240))
+    cfg = parse_config(config)
+    assert cfg.csv_path == str(data_dir / "toy.csv")
+    again = tmp_path / "again.ini"
+    again.write_text(serialize_config(cfg))
+    assert parse_config(again) == cfg
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert len(list(out.glob("*/final.ckpt"))) == 1
 
 
 @pytest.mark.parametrize("rows, sets, issue", [

@@ -114,14 +114,14 @@ def schedule(**kw):
 
 def test_pruning_number_cosine_endpoints():
     sched = schedule()
-    assert pruning_number(0, sched, 5, 1000) == 300          # cos 0 = 1
-    assert pruning_number(100 * 5, sched, 5, 1000) == 0      # cos pi = -1
-    assert pruning_number(100 * 5 // 2, sched, 5, 1000) == 150  # cos pi/2 = 0
+    assert pruning_number(0, sched, 1000) == 300     # cos 0 = 1
+    assert pruning_number(100, sched, 1000) == 0     # cos pi = -1
+    assert pruning_number(50, sched, 1000) == 150    # cos pi/2 = 0
 
 
 def test_pruning_number_untargeted_and_past_stop():
     sched = schedule()
-    assert pruning_number(100 * 5 + 1, sched, 5, 1000) == 0
+    assert pruning_number(101, sched, 1000) == 0
 
 
 def test_pruning_number_clamps_to_available_coordinates():
@@ -136,8 +136,7 @@ def test_pruning_number_clamps_to_available_coordinates():
     pruned = {key: int((m == 0).sum())
               for key, m in state.mask.slices.items()}
     sched = state.cfg.schedule()
-    assert all(pruning_number(0, sched, state.cfg.local_epochs,
-                              m.size - pruned[key]) > pruned[key]
+    assert all(pruning_number(0, sched, m.size - pruned[key]) > pruned[key]
                for key, m in state.mask.slices.items())
     rm = run_round(state, 1)
     assert rm.clamped

@@ -143,9 +143,27 @@ def test_pruning_round_conserves_density_exactly():
 
 
 @pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
-def test_every_pruning_round_of_a_long_run_adjusts(algorithm):
+def test_every_pruning_round_of_a_long_run_adjusts(algorithm, monkeypatch):
+    from fedprune import sim
+
     cfg = tiny_config(algorithm=algorithm, granularity="block", rounds=100,
                       interval=10, stop_round=100, local_epochs=1)
+    uploads = []
+    client_update = sim._client_update
+
+    def checked(state, k, round_index, collect):
+        # each upload holds at most ``a`` distinct pruned coordinates of
+        # its layer in this round
+        res = client_update(state, k, round_index, collect)
+        for key, buf in res.buffers.items():
+            a, pruned = collect[key]
+            assert len(buf) <= a
+            assert len(np.unique(buf.index)) == len(buf)
+            assert np.isin(buf.index, pruned).all()
+            uploads.append(len(buf))
+        return res
+
+    monkeypatch.setattr(sim, "_client_update", checked)
     state = setup_experiment(cfg)
     total = state.mask.counts()[1]
     grown = []
@@ -163,6 +181,7 @@ def test_every_pruning_round_of_a_long_run_adjusts(algorithm):
             grown.append(rm.grow_count)
     # round 100's cosine count floors to 0 at this size
     assert len(grown) == 10 and all(g > 0 for g in grown[:9])
+    assert uploads and min(uploads) > 0
 
 
 def test_single_client_aggregation_is_identity():
@@ -218,22 +237,22 @@ def test_activation_memory_is_sized_by_the_largest_client():
     assert run_round(state, 1).memory_bytes == expected > client_0
 
 
-def test_dense_fedavg_learns_blobs():
+def test_dense_fedavg_learns_blobs(tmp_path):
     # sanity: dense training reaches high train-pool accuracy quickly
     hits = 0
     for seed in range(3):
         cfg = tiny_config(algorithm="DenseFedAvg", rounds=15, seed=seed,
                           spread=0.5, test_ratio=0.0, server_ratio=0.1)
-        metrics, _ = run_experiment(cfg)
+        metrics, _ = run_experiment(cfg, tmp_path / str(seed))
         if metrics[-1].accuracy > 0.9:
             hits += 1
     assert hits == 3
 
 
-def test_client_fraction_sampling_deterministic():
+def test_client_fraction_sampling_deterministic(tmp_path):
     cfg = tiny_config(algorithm="DenseFedAvg", client_fraction=0.5, rounds=2)
-    a = run_experiment(cfg)[0]
-    b = run_experiment(cfg)[0]
+    a = run_experiment(cfg, tmp_path / "a")[0]
+    b = run_experiment(cfg, tmp_path / "b")[0]
     assert [m.accuracy for m in a] == [m.accuracy for m in b]
 
 
