@@ -174,8 +174,7 @@ def run_with_manifest(run_dir: Path, cfg: ExperimentConfig,
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    apply_overrides(cfg, args.set or [])
+    cfg = apply_overrides(parse_config(args.config), args.set or [])
     cfg.validate()
     run_dir = Path(args.out) / run_id(cfg)
     final = run_with_manifest(run_dir, cfg, args.set or [])
@@ -198,7 +197,7 @@ def cmd_sweep(args) -> int:
     points = {}  # run directory name -> (axis items, axis values, config)
     for items in itertools.product(*axes.values()):
         cfg = apply_overrides(replace(base), items)
-        cfg.validate()
+        replace(cfg).validate()  # a copy: no point holds data until it runs
         values = [_format_value(key, getattr(cfg, key)) for key in axes]
         name = "-".join(f"{key}={value}" for key, value in zip(axes, values))
         if Path(name).name != name:

@@ -12,11 +12,17 @@ which make one new array per operation. A BN layer folds its normalization
 into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
 Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
 weight gives ``(C, B, fan_out)``, one matrix product per candidate.
+
+A linear layer that feeds a BN layer has no bias, which BN would cancel. A
+train-mode forward writes each BN layer's batch mean and variance into a row
+of moments, and ``advance_bn_stats`` advances the moving statistics over a
+run of steps in closed form; ``backward`` makes one ``exp`` of the logits.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,20 +33,26 @@ if TYPE_CHECKING:
 Array = np.ndarray
 
 # every BN layer's momentum and epsilon; the momentum weights the previous
-# moving value: ``mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu``
+# moving value: ``mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * mu`` per
+# batch. Training advances the statistics once for a run of steps, by the
+# closed form of that rule (``advance_bn_stats``); the statistics refresh
+# advances them batch by batch.
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
 
 class Linear:
-    """Affine layer ``y = x @ weight + bias`` with weight shape (fan_in, fan_out)."""
+    """Affine layer ``y = x @ weight + bias`` with weight shape (fan_in, fan_out),
+    or ``y = x @ weight`` with ``bias=None``."""
 
     kind = "linear"
 
-    def __init__(self, weight, bias):
+    def __init__(self, weight, bias=None):
         self.weight = np.asarray(weight, dtype=np.float64).copy()
-        self.bias = np.asarray(bias, dtype=np.float64).copy()
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
+        self.bias = (None if bias is None
+                     else np.asarray(bias, dtype=np.float64).copy())
+        if self.weight.ndim != 2 or (self.bias is not None and
+                                     self.bias.shape != (self.weight.shape[1],)):
             raise ValueError("linear layer needs a 2-D weight and a matching bias")
 
 
@@ -75,7 +87,8 @@ class Network:
 
     Every parameter tensor is a view into one float64 vector ``flat``, tiled
     in ``params()`` order, and so is the layer attribute holding it; ``grad``
-    is the vector of the same layout that ``backward`` writes.
+    is the vector of the same layout that ``backward`` writes. A linear
+    layer without a bias has no ``bias`` tensor.
     """
 
     _PARAMS = {"linear": ("weight", "bias"), "batchnorm": ("scale", "shift")}
@@ -102,7 +115,8 @@ class Network:
         self._prunable = tuple(f"{i}.weight" for i in linear_ix[1:-1])
         tensors = {f"{i}.{name}": getattr(l, name)
                    for i, l in enumerate(self.layers)
-                   for name in self._PARAMS.get(l.kind, ())}
+                   for name in self._PARAMS.get(l.kind, ())
+                   if getattr(l, name) is not None}
         ends = np.cumsum([p.size for p in tensors.values()])
         self._spans = {key: (slice(end - p.size, end), p.shape)
                        for (key, p), end in zip(tensors.items(), ends)}
@@ -171,13 +185,15 @@ class Network:
 
 def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
              seed: int = 0) -> Network:
-    """He-initialized MLP: [Linear, BN, ReLU] per hidden width, then a Linear head."""
+    """He-initialized MLP: [Linear, BN, ReLU] per hidden width, then a Linear
+    head. Only the linear layers before BN have no bias: BN's batch mean
+    cancels it (Ioffe and Szegedy, 2015, section 3.2)."""
     rng = np.random.default_rng(seed)
     layers: list = []
     fan_in = in_dim
     for width in hidden:
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, width))
-        layers.append(Linear(w, np.zeros(width)))
+        layers.append(Linear(w, None if batch_norm else np.zeros(width)))
         if batch_norm:
             layers.append(BatchNorm(np.zeros(width), np.ones(width)))
         layers.append(ReLU())
@@ -191,13 +207,15 @@ def make_mlp(in_dim: int, hidden, classes: int, *, batch_norm: bool = True,
 # Forward / backward / SGD
 # ---------------------------------------------------------------------------
 
-def forward(net: Network, batch, mode: str = "train"):
+def forward(net: Network, batch, mode: str = "train", moments=None):
     """Run the network on a (B, d_in) batch.
 
-    Train mode normalizes BN layers with batch statistics and advances the
-    moving statistics; eval mode uses the stored statistics and mutates
-    nothing. Returns ``(logits, cache)`` where the cache feeds ``backward``
-    (``None`` in eval mode). The batch itself is never written.
+    Train mode normalizes BN layers with batch statistics and writes each
+    BN layer's batch mean and variance, in layer order, into ``moments`` (a
+    row of ``bn_moments``) when it is given; it never writes the moving
+    statistics. Eval mode uses the stored statistics and mutates nothing.
+    Returns ``(logits, cache)`` where the cache feeds ``backward`` (``None``
+    in eval mode). The batch itself is never written.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -208,11 +226,13 @@ def forward(net: Network, batch, mode: str = "train"):
         raise ValueError("train-mode batches need at least 2 samples")
     cache: list = []
     own = False  # x was allocated by this pass and is not cached
+    at = 0  # where the next BN layer's moments go
     for layer in net.layers:
         if layer.kind == "linear":
             cache.append((x,))
             x = x @ layer.weight
-            x += layer.bias
+            if layer.bias is not None:
+                x += layer.bias
             own = True
         elif layer.kind == "relu":
             # the output is positive exactly where the input is, so
@@ -221,17 +241,37 @@ def forward(net: Network, batch, mode: str = "train"):
             cache.append((x,))
             own = False
         else:  # batchnorm
-            mu, centred, var = batch_stats(x)
+            end = at + 2 * x.shape[1]
+            _, centred, var = batch_stats(
+                x, None if moments is None else moments[at:end])
+            at = end
             inv = (var + BN_EPS) ** -0.5
             g = inv * layer.scale
-            m = BN_MOMENTUM
-            layer.mean = m * layer.mean + (1.0 - m) * mu
-            layer.var = m * layer.var + (1.0 - m) * var
             cache.append((centred, inv, g))
             x = centred * g
             x += layer.shift
             own = True
     return x, cache
+
+
+def bn_moments(net: Network, rows: int) -> Array:
+    """Zeroed rows of batch moments of the BN layers: each layer's mean,
+    then its variance, in layer order."""
+    return np.zeros((rows, 2 * sum(bn.mean.size for _, bn in net.bn_layers())))
+
+
+def advance_bn_stats(net: Network, total: Array, steps: int) -> None:
+    """Advance every BN layer's moving statistics over ``steps`` train steps
+    by the closed form of as many momentum updates, ``m**T * start + (1 - m)
+    * total`` with ``m = BN_MOMENTUM``, where ``total`` is the row of the
+    steps' discounted batch moments ``sum_t m**(T - t) * x_t``."""
+    m = BN_MOMENTUM
+    for _, bn in net.bn_layers():
+        n = bn.mean.size
+        # m**T underflows to 0 in long runs, and the start is forgotten
+        bn.mean = m ** steps * bn.mean + (1.0 - m) * total[:n]
+        bn.var = m ** steps * bn.var + (1.0 - m) * total[n:2 * n]
+        total = total[2 * n:]
 
 
 def update_bn_stats(net: Network, batch) -> None:
@@ -256,14 +296,20 @@ def bn_stats(net: Network) -> list[tuple[Array, Array]]:
     return [(bn.mean, bn.var) for _, bn in net.bn_layers()]
 
 
-def batch_stats(x: Array) -> tuple[Array, Array, Array]:
+def batch_stats(x: Array, out: Array | None = None
+                ) -> tuple[Array, Array, Array]:
     """Per-feature batch mean, the centred batch, and the biased batch
     variance over the batch axis -2. The mean is the sum and division
     ``x.mean(axis=-2)`` runs, and the variance reuses the centred batch;
-    they are bit-identical to ``x.mean(axis=-2)`` and ``x.var(axis=-2)``."""
-    mu = np.add.reduce(x, axis=-2) / x.shape[-2]
+    they are bit-identical to ``x.mean(axis=-2)`` and ``x.var(axis=-2)``.
+    With ``out``, a vector of twice the feature count, the mean is written
+    into its first half and the variance into its second."""
+    n, width = x.shape[-2:]
+    mu = np.divide(np.add.reduce(x, axis=-2), n,
+                   out=None if out is None else out[:width])
     centred = x - mu[..., None, :]
-    return mu, centred, np.add.reduce(centred * centred, axis=-2) / x.shape[-2]
+    return mu, centred, np.divide(np.add.reduce(centred * centred, axis=-2), n,
+                                  out=None if out is None else out[width:])
 
 
 def refresh_pass(layers, x: Array, stats: list, *,
@@ -279,7 +325,8 @@ def refresh_pass(layers, x: Array, stats: list, *,
     for layer in layers:
         if layer.kind == "linear":
             x = x @ layer.weight
-            x += layer.bias
+            if layer.bias is not None:
+                x += layer.bias
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
@@ -304,7 +351,8 @@ def eval_pass(layers, x: Array, stats) -> Array:
     for layer in layers:
         if layer.kind == "linear":
             x = x @ layer.weight
-            x += layer.bias
+            if layer.bias is not None:
+                x += layer.bias
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
@@ -325,32 +373,33 @@ def _check_batch(net: Network, batch) -> Array:
     return x
 
 
-def log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _nll(logits: Array, labels) -> tuple[Array, float | Array]:
-    """Log-softmax of ``logits`` and mean NLL of the integer ``labels``: a
-    float, or one per candidate for stacked ``(C, B, classes)`` logits."""
+def _check_labels(logits: Array, labels) -> Array:
+    """``labels`` as an array, if it holds one class of ``logits`` per row."""
     labels = np.asarray(labels)
     n_classes = logits.shape[-1]
     if labels.ndim != 1 or labels.shape[0] != logits.shape[-2]:
         raise ValueError("labels must be a vector matching the batch size")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
+    return labels
+
+
+def log_softmax(logits: Array) -> Array:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy(logits: Array, labels) -> float | Array:
+    """Mean softmax cross-entropy of the integer ``labels``: a float, or one
+    per candidate for stacked ``(C, B, classes)`` logits."""
+    labels = _check_labels(logits, labels)
     logp = log_softmax(logits)
     # contiguous, so each row's mean is the pairwise sum a 1-D mean runs
     picked = np.ascontiguousarray(logp[..., np.arange(len(labels)), labels])
     loss = -picked.mean(axis=-1)
     if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite loss")
-    return logp, loss if loss.ndim else float(loss)
-
-
-def cross_entropy(logits: Array, labels) -> float | Array:
-    """Mean softmax cross-entropy of integer labels, per stacked candidate."""
-    return _nll(logits, labels)[1]
+    return loss if loss.ndim else float(loss)
 
 
 def backward(net: Network, logits: Array, labels, cache):
@@ -359,16 +408,24 @@ def backward(net: Network, logits: Array, labels, cache):
     Requires the cache of a train-mode forward on the same batch. Returns
     the loss and ``net.grad``, which the next ``backward`` on ``net``
     overwrites. Gradients are dense; any masking is the caller's concern.
+    The loss, with the bits ``cross_entropy`` gives, and the logit gradient
+    come from one ``exp`` of the shifted logits.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward")
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match this network")
-    logp, loss = _nll(logits, labels)
+    labels = _check_labels(logits, labels)
     n = logits.shape[0]
-    delta = np.exp(logp)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    delta = np.exp(shifted)
+    sums = np.add.reduce(delta, axis=1, keepdims=True)
+    loss = -float((shifted[rows, labels] - np.log(sums[:, 0])).mean())
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite loss")
+    delta /= sums * n  # (softmax - onehot) / n
+    delta[rows, labels] -= 1.0 / n
 
     # views in flat order, which the walk from the last layer pops
     grads = list(net.grads().values())
@@ -376,7 +433,8 @@ def backward(net: Network, logits: Array, labels, cache):
         layer = net.layers[i]
         if layer.kind == "linear":
             (x,) = cache[i]
-            np.add.reduce(delta, axis=0, out=grads.pop())  # bias
+            if layer.bias is not None:
+                np.add.reduce(delta, axis=0, out=grads.pop())  # bias
             np.matmul(x.T, delta, out=grads.pop())  # weight
             if i > 0:  # nothing reads the gradient of the network input
                 delta = delta @ layer.weight.T

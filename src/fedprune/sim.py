@@ -24,7 +24,8 @@ from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
     generate_candidate_pool, keep_budget, magnitude_mask, random_mask, \
     zero_masked
 from .nn import BN_EPS, BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
-    ReLU, backward, bn_stats, cross_entropy, forward, make_mlp, sgd_step
+    ReLU, advance_bn_stats, backward, bn_moments, bn_stats, cross_entropy, \
+    forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
@@ -95,17 +96,19 @@ class ExperimentConfig:
                           "statistics need two samples)")
         if blobs and self.spread < 0:
             issues.append("spread: must be nonnegative")
-        if not 0.0 <= self.test_ratio < 1.0:
-            issues.append("test_ratio: must lie in [0, 1)")
-        if not 0.0 <= self.server_ratio < 1.0:
-            issues.append("server_ratio: must lie in [0, 1)")
-        if self.test_ratio + self.server_ratio >= 1.0:
+        ratios = [f"{name}: must lie in [0, 1)"
+                  for name in ("test_ratio", "server_ratio")
+                  if not 0.0 <= getattr(self, name) < 1.0]
+        issues += ratios
+        # the sum is a fault of its own only when both ratios are in range
+        if not ratios and self.test_ratio + self.server_ratio >= 1.0:
             issues.append("test_ratio + server_ratio: must leave client data")
         server = None
         if not issues:
             try:
-                n = (len(load_csv(self.csv_path, self.csv_header))
-                     if self.csv_path else self.classes * self.per_class)
+                if self.csv_path:  # taken by this config's next build_dataset
+                    self._csv = load_csv(self.csv_path, self.csv_header)
+                n = len(self._csv) if self.csv_path else self.classes * self.per_class
             except (OSError, ValueError) as err:
                 issues.append(f"csv_path: {err}")
             else:
@@ -224,8 +227,9 @@ def _subseed(master: int, *tags: int) -> int:
 # ---------------------------------------------------------------------------
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
-    if cfg.csv_path:
-        return load_csv(cfg.csv_path, skip_header=cfg.csv_header)
+    if cfg.csv_path:  # the rows validate() parsed, so a run parses them once
+        return vars(cfg).pop("_csv", None) or load_csv(cfg.csv_path,
+                                                       cfg.csv_header)
     return make_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread,
                       seed=_subseed(cfg.seed, _T_DATA))
 
@@ -255,17 +259,24 @@ def _local_batches(n: int, batch_size: int) -> int:
 
 
 def _train_one_epoch(net, ds, mask, batch_size, lr, rng) -> None:
+    """One epoch of SGD, which advances the BN statistics once, at its end:
+    each step adds its batch moments to one discounted sum."""
     perm = rng.permutation(len(ds))
     zero = net.masked_out(mask) if mask is not None else None
-    for b in range(_local_batches(len(ds), batch_size)):
+    steps = _local_batches(len(ds), batch_size)
+    moments, total = bn_moments(net, 2)
+    for b in range(steps):
         idx = perm[b * batch_size:(b + 1) * batch_size]
-        logits, cache = forward(net, ds.features[idx], "train")
+        logits, cache = forward(net, ds.features[idx], "train",
+                                moments=moments)
         _, grad = backward(net, logits, ds.labels[idx], cache)
         sgd_step(net, grad, lr, mask, zero)
+        total *= BN_MOMENTUM  # sum_t m**(T - t) * x_t, by Horner's rule
+        total += moments
+    advance_bn_stats(net, total, steps)
 
 
 def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
-    cfg.validate()
     ds = build_dataset(cfg)
 
     test_idx, server_idx, pool_idx = split_indices(
@@ -358,8 +369,8 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
         _train_one_epoch(local, client, state.mask, cfg.batch_size, cfg.lr,
                          rng)
 
-    # uploaded without copies: the collection pass below writes no
-    # parameter and rebinds, rather than writes, the BN statistics
+    # uploaded without copies: the collection pass below writes neither a
+    # parameter nor a BN statistic
     flat, bn = local.flat, BNReport(bn_stats(local), len(client))
     buffers = {}
     violations = 0
@@ -514,7 +525,7 @@ def evaluate_global(net: Network, ds: Dataset, batch_size: int = 64):
 # ---------------------------------------------------------------------------
 
 def run_experiment(cfg: ExperimentConfig, out_dir):
-    """Run the full pipeline into ``out_dir``: pool algorithms write
+    """Run a validated config into ``out_dir``: pool algorithms write
     selection.json before the first round, each round's metrics are
     appended to metrics.jsonl and mirrored to metrics.csv, and the final
     model is written to final.ckpt. Returns (metrics list, final state)."""
@@ -567,7 +578,8 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
     for layer in net.layers:
         if layer.kind == "linear":
             layers.append({"kind": "linear",
-                           "shape": list(layer.weight.shape)})
+                           "shape": list(layer.weight.shape),
+                           "bias": layer.bias is not None})
         elif layer.kind == "batchnorm":
             layers.append({"kind": "batchnorm",
                            "features": int(layer.mean.size)})
@@ -637,11 +649,15 @@ def _rebuild(record: dict) -> tuple[Network, Mask | None]:
     for i, (spec, kind) in enumerate(zip(specs, kinds)):
         if kind == "linear":
             shape = spec.get("shape")
+            bias = spec.get("bias", True)  # as in files written without it
             if not (isinstance(shape, list) and len(shape) == 2
                     and all(type(d) is int and d > 0 for d in shape)):
                 raise ValueError(f"layer {i}: shape {shape!r} is not two "
                                  f"positive integers")
-            layers.append(Linear(np.zeros(shape), np.zeros(shape[1])))
+            if not isinstance(bias, bool):
+                raise ValueError(f"layer {i}: bias {bias!r} is not a boolean")
+            layers.append(Linear(np.zeros(shape),
+                                 np.zeros(shape[1]) if bias else None))
         elif kind == "batchnorm":
             # older checkpoints record the BN constants; no other value loads
             for name, value in (("momentum", BN_MOMENTUM), ("eps", BN_EPS)):

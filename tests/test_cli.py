@@ -387,7 +387,10 @@ def test_cmd_run_reports_each_config_issue_by_key(tmp_path, capsys, text,
     rc = main(["run", "--config", str(config), "--out", str(out)]
               + [arg for s in sets for arg in ("--set", s)])
     assert rc == 2
-    assert issue in capsys.readouterr().err
+    # one line names the fault, and no other line follows it
+    head, *lines = capsys.readouterr().err.splitlines()
+    assert head == "error: invalid config:"
+    assert len(lines) == 1 and issue in lines[0], lines
     assert not out.exists()
 
 
@@ -451,6 +454,30 @@ def test_cmd_run_fedtiny_on_csv_data_repeats(tmp_path):
     records = [json.loads(line) for line in
                (runs[0] / "metrics.jsonl").read_text().splitlines()]
     assert any(rec["grow_count"] > 0 for rec in records)
+
+
+def test_cmd_run_parses_the_csv_file_once_and_validates_once(
+        tmp_path, monkeypatch):
+    from fedprune import sim
+
+    calls = []
+    load_csv, validate = sim.load_csv, ExperimentConfig.validate
+    monkeypatch.setattr(sim, "load_csv", lambda *a, **kw:
+                        calls.append("parse") or load_csv(*a, **kw))
+    monkeypatch.setattr(ExperimentConfig, "validate",
+                        lambda cfg: calls.append("validate") or validate(cfg))
+    config = _csv_config(tmp_path, _toy_rows(240))
+    assert main(["run", "--config", str(config), "--out",
+                 str(tmp_path / "run")]) == 0
+    assert calls == ["validate", "parse"]
+    # a sweep validates every point before the first runs, and a point
+    # parses the file again when it runs, since no point holds its data
+    # until then
+    calls.clear()
+    assert main(["sweep", "--config", str(config), "--out",
+                 str(tmp_path / "sweep"), "--axis", "seed=1",
+                 "--axis", "seed=2"]) == 0
+    assert calls == ["validate", "parse"] * 2 + ["parse"] * 2
 
 
 def test_cmd_run_on_csv_data_ignores_the_blob_keys(tmp_path, capsys):
@@ -784,6 +811,14 @@ MALFORMED_CHECKPOINTS = {
         "layers": _with_layer(5, {"kind": "linear", "shape": [2, 2]}),
         "params": _with_params({"5.weight": {"shape": [2, 2],
                                              "data": [0.25] * 4}})},
+    "bias value for a layer without one": {"layers": _with_layer(
+        0, {"kind": "linear", "shape": [2, 3], "bias": False})},
+    "declared bias without a value": {
+        "layers": _with_layer(0, {"kind": "linear", "shape": [2, 3],
+                                  "bias": True}),
+        "params": _with_params({"0.bias": None})},
+    "bias flag not a boolean": {"layers": _with_layer(
+        0, {"kind": "linear", "shape": [2, 3], "bias": 1})},
     "mask of no param": {"mask": {"9.weight": [1] * 9}},
     "mask on a bias": {"mask": {"3.weight": [1] * 9, "0.bias": [1, 0, 1]}},
     "mask on the first linear layer": {"mask": {"0.weight": [1, 0] * 3}},
@@ -802,6 +837,22 @@ def test_cmd_cost_reads_the_well_formed_record(tmp_path):
     net, mask, _ = load_checkpoint(ckpt)
     assert net.params()["1.scale"].tolist() == [2.0] * 3
     assert mask.counts() == (6, 9)
+
+
+def test_cmd_cost_reads_a_linear_layer_declared_without_a_bias(tmp_path):
+    # a spec without the key (every record above) has a bias
+    from fedprune.sim import load_checkpoint
+    ckpt = tmp_path / "ok.ckpt"
+    ckpt.write_text(json.dumps(_checkpoint_record(
+        layers=_with_layer(0, {"kind": "linear", "shape": [2, 3],
+                               "bias": False}),
+        params=_with_params({"0.bias": None}))))
+    assert main(["cost", "--ckpt", str(ckpt), "--out",
+                 str(tmp_path / "cost.json")]) == 0
+    net, _, _ = load_checkpoint(ckpt)
+    assert net.layers[0].bias is None
+    assert net.layers[3].bias.tolist() == [0.0] * 3
+    assert "0.bias" not in net.params()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))

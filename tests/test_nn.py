@@ -13,7 +13,9 @@ from fedprune.nn import (
     Network,
     ReLU,
     _check_batch,
+    advance_bn_stats,
     backward,
+    bn_moments,
     bn_stats,
     cross_entropy,
     eval_pass,
@@ -79,11 +81,75 @@ def test_bn_identity_eval():
 def test_bn_moving_mean_update():
     bn = BatchNorm(np.zeros(1), np.ones(1))
     net = Network([bn, Linear(np.eye(1), np.zeros(1))])
-    forward(net, np.array([[2.0], [4.0]]), "train")
-    # batch mean 3 and variance 1 move the moving mean 0 and variance 1
+    moments = bn_moments(net, 1)
+    forward(net, np.array([[2.0], [4.0]]), "train", moments=moments[0])
+    # the forward hands over the batch mean 3 and variance 1 and leaves the
+    # moving statistics as they are
+    np.testing.assert_array_equal(moments, [[3.0, 1.0]])
+    np.testing.assert_array_equal(bn.mean, [0.0])
+    np.testing.assert_array_equal(bn.var, [1.0])
+    # a run of one step moves the moving mean 0 and variance 1
+    advance_bn_stats(net, moments[0], 1)
     m = BN_MOMENTUM
     np.testing.assert_allclose(bn.mean, [m * 0.0 + (1.0 - m) * 3.0])
     np.testing.assert_allclose(bn.var, m * 1.0 + (1.0 - m) * 1.0)
+
+
+def test_train_forward_without_moments_writes_no_statistics():
+    net = make_mlp(4, [8, 8], 3, seed=1)
+    before = snapshot(net)
+    forward(net, np.random.default_rng(0).normal(size=(6, 4)), "train")
+    assert_same_state(before, snapshot(net))
+
+
+def _per_step(start, rows):
+    """The moving statistics after one momentum update per row."""
+    m, s = BN_MOMENTUM, start
+    for x in rows:
+        s = m * s + (1.0 - m) * x
+    return s
+
+
+def _discounted(rows):
+    """``sum_t m**(T - t) * x_t`` over the rows, as one weighted sum."""
+    return BN_MOMENTUM ** np.arange(len(rows) - 1, -1, -1.0) @ rows
+
+
+@pytest.mark.parametrize("steps, parts", [
+    (1, [1]), (2, [2]), (2, [1, 1]), (40, [40]), (40, [8, 8, 8, 8, 8]),
+    (40, [3, 37]), (8000, [8000]), (8000, [8] * 1000)])
+def test_closed_form_matches_the_per_step_rule(steps, parts):
+    # parts are the epochs a run advances the statistics after; at 8,000
+    # steps BN_MOMENTUM ** steps underflows to 0 and the start is forgotten
+    net = make_mlp(3, [5, 4], 2, seed=0)
+    rng = np.random.default_rng(steps + len(parts))
+    for _, bn in net.bn_layers():
+        bn.mean, bn.var = rng.normal(size=bn.mean.size), rng.random(bn.var.size)
+    start = np.concatenate([np.concatenate(pair) for pair in bn_stats(net)])
+    rows = bn_moments(net, steps)
+    rows[...] = rng.normal(size=rows.shape)
+    rows[:, 5:10] = rows[:, 14:18] = 0.0  # the variance entries, nonnegative
+    rows[:, 5:10] += rng.random((steps, 5))
+    rows[:, 14:18] += rng.random((steps, 4))
+    want = _per_step(start, rows)
+    at = 0
+    for part in parts:
+        advance_bn_stats(net, _discounted(rows[at:at + part]), part)
+        at += part
+    got = np.concatenate([np.concatenate(pair) for pair in bn_stats(net)])
+    assert (BN_MOMENTUM ** steps == 0.0) == (steps == 8000)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_make_mlp_drops_only_the_biases_before_bn():
+    net = make_mlp(4, [6, 5], 3, seed=0)
+    assert [key for key in net.params() if key.endswith(".bias")] == ["6.bias"]
+    assert [layer.bias is None for layer in net.layers
+            if layer.kind == "linear"] == [True, True, False]
+    assert net.flat.size == 4 * 6 + 6 * 5 + 5 * 3 + 3 + 2 * (6 + 5)
+    plain = make_mlp(4, [6, 5], 3, batch_norm=False, seed=0)
+    assert [key for key in plain.params() if key.endswith(".bias")] == [
+        "0.bias", "2.bias", "4.bias"]
 
 
 def test_eval_mode_is_pure():
@@ -152,6 +218,20 @@ def test_backward_label_range_and_cache_errors():
         backward(net, logits, np.array([0, 1, 2]), cache)
     with pytest.raises(ValueError):
         backward(net, logits, np.array([0, 1, 1]), None)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_loss_raises(bad):
+    net = make_mlp(3, [4], 2, seed=0)
+    x = np.random.default_rng(0).normal(size=(3, 3))
+    logits, cache = forward(net, x, "train")
+    logits[1, 0] = bad  # row 1's label, so its loss is not finite
+    y = np.array([0, 0, 1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            cross_entropy(logits, y)
+        with pytest.raises(FloatingPointError, match="non-finite loss"):
+            backward(net, logits, y, cache)
 
 
 # -- sgd_step -------------------------------------------------------------
@@ -316,7 +396,7 @@ def test_clone_owns_its_vectors_and_statistics():
     net = make_mlp(4, [6, 5], 3, seed=1)
     _step(net, rng)
     twin = net.clone()
-    # checked before twin trains: a train-mode forward rebinds the statistics
+    # the clone's statistics are arrays of its own
     for (_, a), (_, b) in zip(net.bn_layers(), twin.bn_layers()):
         assert not np.shares_memory(a.mean, b.mean)
         assert not np.shares_memory(a.var, b.var)
@@ -390,34 +470,39 @@ def test_second_backward_overwrites_the_gradients():
 # The straightforward kernels, one new array per operation. The engine's
 # kernels compute in place on arrays they allocate; they must agree with
 # these bit for bit, signs of zero included. A BN layer normalizes with
-# g = scale * (var + BN_EPS) ** -0.5, as centred * g + shift.
+# g = scale * (var + BN_EPS) ** -0.5, as centred * g + shift. A train-mode
+# forward returns the BN layers' batch moments beside the cache and leaves
+# the moving statistics alone.
+
+def _ref_linear(x, layer):
+    return x @ layer.weight if layer.bias is None else x @ layer.weight + layer.bias
+
 
 def _ref_forward(net: Network, batch, mode: str = "train"):
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = _check_batch(net, batch)
     if mode == "eval":
-        return _ref_eval_pass(net.layers, x, bn_stats(net)), None
+        return _ref_eval_pass(net.layers, x, bn_stats(net)), None, None
     if x.shape[0] < 2:
         raise ValueError("train-mode batches need at least 2 samples")
     cache: list = []
+    moments: list = []
     for layer in net.layers:
         if layer.kind == "linear":
             cache.append((x,))
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             cache.append((x,))
             x = np.maximum(x, 0.0)
         else:  # batchnorm
             mu, centred, var = _ref_batch_stats(x)
+            moments += [mu, var]
             inv = (var + BN_EPS) ** -0.5
             g = inv * layer.scale
-            m = BN_MOMENTUM
-            layer.mean = m * layer.mean + (1.0 - m) * mu
-            layer.var = m * layer.var + (1.0 - m) * var
             cache.append((centred, inv, g))
             x = centred * g + layer.shift
-    return x, cache
+    return x, cache, np.concatenate([np.zeros(0)] + moments)
 
 
 def _ref_batch_stats(x):
@@ -430,7 +515,7 @@ def _ref_refresh_pass(layers, x, stats):
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
@@ -449,7 +534,7 @@ def _ref_eval_pass(layers, x, stats):
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
@@ -471,13 +556,16 @@ def _ref_backward(net: Network, logits, labels, cache):
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
-    logp = log_softmax(logits)
-    loss = float(-logp[np.arange(n), labels].mean())
+    # one exp of the shifted logits gives the loss and the softmax
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    sums = e.sum(axis=1, keepdims=True)
+    loss = float(-(shifted[rows, labels] - np.log(sums[:, 0])).mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
-    delta = np.exp(logp)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta = e / (sums * n)
+    delta[rows, labels] -= 1.0 / n
 
     grads = {}
     for i in range(len(net.layers) - 1, -1, -1):
@@ -485,7 +573,8 @@ def _ref_backward(net: Network, logits, labels, cache):
         if layer.kind == "linear":
             (x,) = cache[i]
             grads[f"{i}.weight"] = x.T @ delta
-            grads[f"{i}.bias"] = delta.sum(axis=0)
+            if layer.bias is not None:
+                grads[f"{i}.bias"] = delta.sum(axis=0)
             delta = delta @ layer.weight.T
         elif layer.kind == "relu":
             (x,) = cache[i]
@@ -566,19 +655,21 @@ def test_kernels_match_reference_bit_for_bit(case):
     zero = net.masked_out(mask) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(case)
-    for batch in batches:
+    moments = bn_moments(net, len(batches))
+    for batch, row in zip(batches, moments):
         x = rng.normal(size=(batch, net.input_dim))
         y = rng.integers(0, classes, size=batch)
         x_before = x.copy()
-        logits, cache = forward(net, x, "train")
+        logits, cache = forward(net, x, "train", moments=row)
         assert_bitwise_equal(x, x_before)
-        ref_logits, ref_cache = _ref_forward(ref, x, "train")
+        ref_logits, ref_cache, ref_moments = _ref_forward(ref, x, "train")
         assert_bitwise_equal(logits, ref_logits)
+        assert_bitwise_equal(row, ref_moments)
         loss, grad = backward(net, logits, y, cache)
         assert grad is net.grad
         grads = net.grads()
         ref_loss, ref_grads = _ref_backward(ref, ref_logits, y, ref_cache)
-        assert loss == ref_loss, name
+        assert loss == ref_loss == cross_entropy(logits, y), name
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert_bitwise_equal(grads[key], ref_grads[key])
@@ -677,7 +768,7 @@ def _prior_forward(net: Network, batch, mode: str = "train"):
     for layer in net.layers:
         if layer.kind == "linear":
             cache.append((x,))
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             cache.append((x,))
             x = np.maximum(x, 0.0)
@@ -697,7 +788,7 @@ def _prior_refresh_pass(layers, x, stats):
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
@@ -716,7 +807,7 @@ def _prior_eval_pass(layers, x, stats):
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = _ref_linear(x, layer)
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
@@ -752,7 +843,8 @@ def _prior_backward(net: Network, logits, labels, cache):
         if layer.kind == "linear":
             (x,) = cache[i]
             grads[f"{i}.weight"] = x.T @ delta
-            grads[f"{i}.bias"] = delta.sum(axis=0)
+            if layer.bias is not None:
+                grads[f"{i}.bias"] = delta.sum(axis=0)
             delta = delta @ layer.weight.T
         elif layer.kind == "relu":
             (x,) = cache[i]
@@ -779,17 +871,20 @@ def assert_within(a, b, rel=1e-12):
 @pytest.mark.parametrize("case", range(7))
 def test_kernels_stay_within_1e_12_of_the_prior_order(case):
     # four steps from one start, each side on its own copy: the deviation
-    # each step adds and what the earlier steps carried into it
+    # each step adds and what the earlier steps carried into it; the prior
+    # advances the moving statistics every step, the kernels once for the
+    # four steps
     name, net, mask, batches = list(_oracle_cases())[case]
     prior = net.clone()
     zero = net.masked_out(mask) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(100 + case)
-    for step in range(4):
+    moments = bn_moments(net, 4)
+    for step, row in enumerate(moments):
         batch = batches[step % len(batches)]
         x = rng.normal(size=(batch, net.input_dim))
         y = rng.integers(0, classes, size=batch)
-        logits, cache = forward(net, x, "train")
+        logits, cache = forward(net, x, "train", moments=row)
         prior_logits, prior_cache = _prior_forward(prior, x, "train")
         assert_within(logits, prior_logits)
         loss, grad = backward(net, logits, y, cache)
@@ -803,11 +898,16 @@ def test_kernels_stay_within_1e_12_of_the_prior_order(case):
         sgd_step(net, grad, 0.05, mask, zero)
         _ref_sgd_step(prior, prior_grads, 0.05, mask)
         assert_within(net.flat, prior.flat)
-        stats, prior_stats = bn_stats(net), bn_stats(prior)
-        for pair, prior_pair in zip(stats, prior_stats):
-            for a, b in zip(pair, prior_pair):
-                assert_within(a, b)
-        assert_within(eval_pass(net.layers, x, stats),
+        # the passes on the same statistics
+        prior_stats = bn_stats(prior)
+        assert_within(eval_pass(net.layers, x, prior_stats),
                       _prior_eval_pass(prior.layers, x, prior_stats))
-        assert_within(refresh_pass(net.layers, x, list(stats)),
+        assert_within(refresh_pass(net.layers, x, list(prior_stats)),
                       _prior_refresh_pass(prior.layers, x, list(prior_stats)))
+    advance_bn_stats(net, _discounted(moments), len(moments))
+    stats, prior_stats = bn_stats(net), bn_stats(prior)
+    for pair, prior_pair in zip(stats, prior_stats):
+        for a, b in zip(pair, prior_pair):
+            assert_within(a, b)
+    assert_within(eval_pass(net.layers, x, stats),
+                  _prior_eval_pass(prior.layers, x, prior_stats))

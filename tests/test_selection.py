@@ -35,7 +35,9 @@ from fedprune.selection import (
 def oracle_update_bn_stats(net, x):
     for layer in net.layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = x @ layer.weight
+            if layer.bias is not None:
+                x = x + layer.bias
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:
@@ -51,7 +53,9 @@ def oracle_update_bn_stats(net, x):
 def oracle_forward_eval(net, x):
     for layer in net.layers:
         if layer.kind == "linear":
-            x = x @ layer.weight + layer.bias
+            x = x @ layer.weight
+            if layer.bias is not None:
+                x = x + layer.bias
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0)
         else:

@@ -116,6 +116,41 @@ def test_pretrain_deterministic():
         np.testing.assert_array_equal(nets[0].params()[k], nets[1].params()[k])
 
 
+@pytest.mark.parametrize("epochs, batch_size", [(1, 48), (2, 48), (5, 6),
+                                               (1000, 6)])
+def test_pretraining_statistics_follow_the_per_step_rule(epochs, batch_size):
+    # runs of 1, 2 (one step per epoch, so across an epoch boundary), 40 and
+    # 8,000 steps: the same steps with one momentum update after each give
+    # the same parameters, and moving statistics within 1e-12
+    from fedprune.nn import BN_MOMENTUM, backward, bn_moments, sgd_step
+
+    ds = make_blobs(3, 16, 4, 1.0, seed=0)
+    net = make_mlp(4, [8, 8], 3, seed=1)
+    ref = net.clone()
+    pretrain_server(net, ds, epochs, 0.05, batch_size, seed=2)
+    rng, m, steps = np.random.default_rng(2), BN_MOMENTUM, 0
+    for _ in range(epochs):
+        perm = rng.permutation(len(ds))
+        for b in range(_local_batches(len(ds), batch_size)):
+            idx = perm[b * batch_size:(b + 1) * batch_size]
+            row = bn_moments(ref, 1)[0]
+            logits, cache = forward(ref, ds.features[idx], "train",
+                                    moments=row)
+            sgd_step(ref, backward(ref, logits, ds.labels[idx], cache)[1],
+                     0.05)
+            for _, bn in ref.bn_layers():
+                n = bn.mean.size
+                bn.mean = m * bn.mean + (1.0 - m) * row[:n]
+                bn.var = m * bn.var + (1.0 - m) * row[n:2 * n]
+                row = row[2 * n:]
+            steps += 1
+    assert steps == {1: 1, 2: 2, 5: 40, 1000: 8000}[epochs]
+    assert net.flat.tobytes() == ref.flat.tobytes()
+    for (_, bn), (_, want) in zip(net.bn_layers(), ref.bn_layers()):
+        for got, value in ((bn.mean, want.mean), (bn.var, want.var)):
+            assert np.all(np.abs(got - value) <= 1e-12 * np.abs(value))
+
+
 # -- rounds ------------------------------------------------------------------------
 
 def test_non_pruning_round_leaves_mask_bit_identical():
@@ -390,6 +425,12 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, state.net, state.mask, {"note": 1})
     net, mask, extra = load_checkpoint(path)
     assert extra == {"note": 1}
+    # each linear spec says whether the layer has a bias: only the head does
+    specs = json.loads(path.read_text(encoding="utf-8"))["layers"]
+    assert [spec["bias"] for spec in specs if spec["kind"] == "linear"] == [
+        False, False, False, True]
+    assert [layer.bias is None for layer in net.layers
+            if layer.kind == "linear"] == [True, True, True, False]
     for key, p in state.net.params().items():
         np.testing.assert_array_equal(p, net.params()[key])
     for key, m in state.mask.slices.items():
