@@ -163,6 +163,11 @@ class Network:
             np.equal(m, 0, out=views[key])
         return zero
 
+    def rate(self, mask: Mask, lr: float) -> Array:
+        """Step sizes laid out like ``flat``: ``lr`` where ``mask`` keeps,
+        +0.0 where it prunes."""
+        return np.where(self.masked_out(mask), 0.0, lr)
+
     def prunable_keys(self) -> tuple[str, ...]:
         return self._prunable
 
@@ -459,19 +464,19 @@ def backward(net: Network, logits: Array, labels, cache):
 
 
 def sgd_step(net: Network, grad: Array, lr: float, mask: Mask | None = None,
-             zero: Array | None = None) -> Network:
+             rate: Array | None = None) -> Network:
     """In-place SGD update ``flat -= lr * grad``, scaling ``grad`` in place.
-    Under ``mask``, the coordinates where ``zero = net.masked_out(mask)``
-    (built once while the mask holds) is True are then set to exactly +0.0;
-    since ``g * 1 == g`` exactly, this is the masked update, bit for bit."""
+    Under ``mask``, ``grad`` is scaled by ``rate = net.rate(mask, lr)`` (built
+    once while the mask holds): ``lr`` where the mask keeps, +0.0 where it
+    prunes. Masking, grow/prune and FedAvg leave every pruned coordinate of
+    ``flat`` at +0.0, and +0.0 - (+-0.0) is +0.0, so it stays there and this
+    is the masked update, bit for bit."""
     if not 0.0 < lr < np.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if grad.shape != net.flat.shape:
         raise ValueError("gradient does not match the parameter vector")
-    if (mask is None) != (zero is None):
-        raise ValueError("a mask needs its masked-out vector, and only a mask")
-    grad *= lr
+    if (mask is None) != (rate is None):
+        raise ValueError("a mask needs its rate vector, and only a mask")
+    grad *= lr if rate is None else rate
     net.flat -= grad
-    if zero is not None:
-        np.copyto(net.flat, 0.0, where=zero)
     return net

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .data import Dataset, dev_indices, dirichlet_partition, load_csv, \
 from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
     generate_candidate_pool, keep_budget, magnitude_mask, random_mask, \
     zero_masked
-from .nn import BN_EPS, BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
+from .nn import BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
     ReLU, advance_bn_stats, backward, bn_moments, bn_stats, cross_entropy, \
     forward, make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
@@ -84,8 +85,9 @@ class ExperimentConfig:
     bits: int = 32
 
     def validate(self) -> None:
-        issues = [f"{f.name}: must be finite" for f in fields(self)
-                  if f.type == "float" and not np.isfinite(getattr(self, f.name))]
+        nonfinite = [f.name for f in fields(self) if f.type == "float"
+                     and not np.isfinite(getattr(self, f.name))]
+        issues = []
         # the blob keys are unused when the data come from csv_path
         blobs = () if self.csv_path else ("classes", "per_class", "dim")
         for name in (*blobs, "clients", "rounds", "local_epochs", "bits"):
@@ -104,7 +106,7 @@ class ExperimentConfig:
         if not ratios and self.test_ratio + self.server_ratio >= 1.0:
             issues.append("test_ratio + server_ratio: must leave client data")
         server = None
-        if not issues:
+        if not issues and not nonfinite:
             try:
                 if self.csv_path:  # taken by this config's next build_dataset
                     self._csv = load_csv(self.csv_path, self.csv_header)
@@ -151,11 +153,15 @@ class ExperimentConfig:
                           f"weights in every prunable layer")
         if self.pool_size < 0:
             issues.append("pool_size: must be nonnegative (0 = auto)")
-        if self.algorithm in PROGRESSIVE_ALGS:
+        if (self.algorithm in PROGRESSIVE_ALGS
+                and "growth_fraction" not in nonfinite):
             try:
                 self.schedule()
             except ValueError as err:
                 issues.append(f"schedule: {err}")
+        # a non-finite float fails its range check too; one line names it
+        issues = [f"{name}: must be finite" for name in nonfinite] + [
+            m for m in issues if m.split(":")[0] not in nonfinite]
         if issues:
             raise ConfigError(issues)
 
@@ -246,7 +252,7 @@ def pretrain_server(net: Network, ds: Dataset | None, epochs: int,
         raise ValueError("pretraining needs a non-empty server dataset")
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
-        _train_one_epoch(net, ds, None, batch_size, lr, rng)
+        _train_one_epoch(net, ds, None, None, batch_size, lr, rng)
     net.drop_grads()  # clients train clones of it, not it
     return net
 
@@ -258,11 +264,11 @@ def _local_batches(n: int, batch_size: int) -> int:
     return full + (1 if rem >= 2 else 0)
 
 
-def _train_one_epoch(net, ds, mask, batch_size, lr, rng) -> None:
-    """One epoch of SGD, which advances the BN statistics once, at its end:
-    each step adds its batch moments to one discounted sum."""
+def _train_one_epoch(net, ds, mask, rate, batch_size, lr, rng) -> None:
+    """One epoch of SGD under ``mask`` and its ``net.rate(mask, lr)``, which
+    advances the BN statistics once, at its end: each step adds its batch
+    moments to one discounted sum."""
     perm = rng.permutation(len(ds))
-    zero = net.masked_out(mask) if mask is not None else None
     steps = _local_batches(len(ds), batch_size)
     moments, total = bn_moments(net, 2)
     for b in range(steps):
@@ -270,7 +276,7 @@ def _train_one_epoch(net, ds, mask, batch_size, lr, rng) -> None:
         logits, cache = forward(net, ds.features[idx], "train",
                                 moments=moments)
         _, grad = backward(net, logits, ds.labels[idx], cache)
-        sgd_step(net, grad, lr, mask, zero)
+        sgd_step(net, grad, lr, mask, rate)
         total *= BN_MOMENTUM  # sum_t m**(T - t) * x_t, by Horner's rule
         total += moments
     advance_bn_stats(net, total, steps)
@@ -349,7 +355,7 @@ def selection_record(method: str, pool, scores: dict[int, float],
 class ClientResult:
     """One client's upload: its trained ``Network.flat``, BN statistics, and
     (on pruning rounds) the targeted layers' top-K gradient buffers."""
-    flat: Array
+    flat: Array | None  # None once fedavg has added it in
     bn: BNReport
     buffers: dict[str, TopKBuffer]
     violations: int
@@ -365,9 +371,10 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
     client = state.clients[k]
     local = state.net.clone()
     rng = np.random.default_rng(_subseed(cfg.seed, _T_LOCAL, round_index, k))
+    rate = None if state.mask is None else local.rate(state.mask, cfg.lr)
     for _ in range(cfg.local_epochs):
-        _train_one_epoch(local, client, state.mask, cfg.batch_size, cfg.lr,
-                         rng)
+        _train_one_epoch(local, client, state.mask, rate, cfg.batch_size,
+                         cfg.lr, rng)
 
     # uploaded without copies: the collection pass below writes neither a
     # parameter nor a BN statistic
@@ -436,19 +443,26 @@ def round_costs(state: ExperimentState, participants, collect):
         topk_total=sum(a for a, _ in collect.values()))
 
 
-def fedavg(state: ExperimentState, results: list[ClientResult]) -> None:
-    """Sample-weighted FedAvg of the uploads into ``state.net``, in place:
-    the parameter vector is zeroed and the weighted uploads are added into
-    it in client order (masked coordinates stay exactly zero), then the BN
-    moving statistics are replaced."""
-    total = sum(res.bn.samples for res in results)
-    flat = state.net.flat
-    flat[...] = 0.0
+def fedavg(state: ExperimentState, results: Iterable[ClientResult],
+           total: int) -> list[ClientResult]:
+    """Streamed sample-weighted FedAvg into ``state.net``: each upload of
+    ``results`` (``total`` samples in all) is scaled in place by its share,
+    added into one sum from +0.0 in the order given and released before the
+    next result is made. The sum then replaces ``flat`` (masked coordinates
+    set to +0.0) and the aggregate of every BN report the moving
+    statistics. Returns the results, each ``flat`` released."""
+    flat = np.zeros_like(state.net.flat)
+    folded = []
     for res in results:
-        flat += (res.bn.samples / total) * res.flat
+        res.flat *= res.bn.samples / total
+        flat += res.flat
+        res.flat = None
+        folded.append(res)
+    state.net.flat[...] = flat
     if state.mask is not None:
         zero_masked(state.net, state.mask)
-    install_bn(state.net, aggregate_bn([res.bn for res in results]))
+    install_bn(state.net, aggregate_bn([res.bn for res in folded]))
+    return folded
 
 
 def adjust(state: ExperimentState, results: list[ClientResult], collect
@@ -481,11 +495,13 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
     participants = sorted(srng.choice(cfg.clients, size=m, replace=False))
     collect, clamped = plan_round(state, round_index)
     peak, memory = round_costs(state, participants, collect)
-    # clients reduced in fixed participant order; the mask does not change
-    # before adjust, so neither do the pruned indices in ``collect``
-    results = [_client_update(state, k, round_index, collect)
-               for k in participants]
-    fedavg(state, results)
+    # clients reduced in fixed participant order, each as it returns; they
+    # all clone the round's starting model, which fedavg replaces after the
+    # last. The mask does not change before adjust, so neither do the
+    # pruned indices in ``collect``
+    results = fedavg(state, (_client_update(state, k, round_index, collect)
+                             for k in participants),
+                     sum(len(state.clients[k]) for k in participants))
     layers = adjust(state, results, collect)
     accuracy, loss = evaluate_global(state.net, state.test_set, cfg.batch_size)
     if state.mask is not None:
@@ -555,152 +571,130 @@ def run_experiment(cfg: ExperimentConfig, out_dir):
     return metrics, state
 
 
-CKPT_VERSION = 1
-# Parameter and mask values are written CKPT_CHUNK at a time: one ``tolist``
-# and JSON text of a whole 128-wide network are over 4 MiB of short-lived
-# objects, the largest allocation of a run
-CKPT_CHUNK = 4096
-_FLAT_SLOT = "\x00flat"
+CKPT_VERSION = 2
+
+
+def _spec(layer) -> dict:
+    """A layer's checkpoint spec: its kind, its widths and, for a linear
+    layer, whether it has a bias."""
+    if layer.kind == "linear":
+        return {"kind": "linear", "shape": list(layer.weight.shape),
+                "bias": layer.bias is not None}
+    if layer.kind == "batchnorm":
+        return {"kind": "batchnorm", "features": int(layer.mean.size)}
+    return {"kind": "relu"}
+
+
+def _sections(net: Network) -> list[list]:
+    """The ``[name, dtype, length]`` of every section a checkpoint of
+    ``net`` can hold, in file order; a checkpoint without a mask holds the
+    first two."""
+    return [["flat", "<f8", net.flat.size],
+            ["bn_stats", "<f8", 2 * sum(bn.mean.size
+                                        for _, bn in net.bn_layers())],
+            ["mask", "|u1", sum(net.params()[key].size
+                                for key in net.prunable_keys())]]
 
 
 def save_checkpoint(path, net: Network, mask: Mask | None,
                     extra: dict | None = None) -> None:
-    """Versioned JSON snapshot: layer structure, parameter values, BN moving
-    statistics, and the mask. The bytes are those of ``json.dumps`` of the
-    whole record."""
-    flats = []
-
-    def deferred(array: Array) -> str:
-        flats.append(array.reshape(-1))
-        return _FLAT_SLOT
-
-    layers = []
-    for layer in net.layers:
-        if layer.kind == "linear":
-            layers.append({"kind": "linear",
-                           "shape": list(layer.weight.shape),
-                           "bias": layer.bias is not None})
-        elif layer.kind == "batchnorm":
-            layers.append({"kind": "batchnorm",
-                           "features": int(layer.mean.size)})
-        else:
-            layers.append({"kind": "relu"})
-    record = {
-        "version": CKPT_VERSION,
-        "layers": layers,
-        "params": {key: {"shape": list(p.shape), "data": deferred(p)}
-                   for key, p in net.params().items()},
-        "bn_stats": [{"mean": mean.tolist(), "var": var.tolist()}
-                     for mean, var in bn_stats(net)],
-        "mask": ({key: deferred(sl) for key, sl in mask.slices.items()}
-                 if mask is not None else None),
-        "extra": extra or {},
-    }
-    head, *tails = json.dumps(record).split(json.dumps(_FLAT_SLOT))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for flat, tail in zip(flats, tails, strict=True):
-            fh.write("[")
-            for start in range(0, flat.size, CKPT_CHUNK):
-                chunk = json.dumps(flat[start:start + CKPT_CHUNK].tolist())
-                fh.write((", " if start else "") + chunk[1:-1])
-            fh.write("]" + tail)
+    """Versioned binary snapshot: one JSON header line (the version, the
+    layer specs, ``extra`` and each section's dtype and length), then the
+    sections: ``flat``, every BN layer's moving mean and variance in layer
+    order, both as little-endian float64, and the mask as uint8 over
+    ``prunable_keys()`` in flat order. The bytes are a function of the
+    arguments alone."""
+    if mask is not None and set(mask.slices) != set(net.prunable_keys()):
+        raise ValueError("a checkpoint mask covers every prunable tensor")
+    header = {"version": CKPT_VERSION,
+              "layers": [_spec(layer) for layer in net.layers],
+              "extra": extra or {},
+              "sections": _sections(net)[:2 if mask is None else 3]}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        for vec in (net.flat, *(x for pair in bn_stats(net) for x in pair)):
+            fh.write(vec.astype("<f8", copy=False))
+        for key in net.prunable_keys() if mask is not None else ():
+            fh.write(np.ascontiguousarray(mask.slices[key], dtype=np.uint8))
 
 
 def load_checkpoint(path):
     """Rebuild (network, mask, extra) from a checkpoint file. A file that
     ``save_checkpoint`` could not have written raises ``ValueError``."""
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as err:
+        with open(path, "rb") as fh:
+            header, body = json.loads(fh.readline()), fh.read()
+    except (OSError, ValueError) as err:
         raise ValueError(f"unreadable checkpoint {path}: {err}")
-    if not isinstance(record, dict):
-        raise ValueError(f"unreadable checkpoint {path}: not a JSON object")
-    if record.get("version") != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{record.get('version')!r}")
-    missing = [k for k in ("layers", "params", "bn_stats", "mask")
-               if k not in record]
-    if missing:
-        raise ValueError(f"unreadable checkpoint {path}: missing "
-                         f"{', '.join(missing)}")
+    if not isinstance(header, dict):
+        raise ValueError(f"unreadable checkpoint {path}: the first line is "
+                         f"not a JSON object")
+    if header.get("version") != CKPT_VERSION:
+        raise ValueError(f"unreadable checkpoint {path}: unsupported "
+                         f"checkpoint version {header.get('version')!r}")
     try:
-        net, mask = _rebuild(record)
+        net, mask = _rebuild(header, body)
     except (KeyError, OverflowError, TypeError, ValueError) as err:
         raise ValueError(f"unreadable checkpoint {path}: {err}") from None
-    return net, mask, record.get("extra", {})
+    return net, mask, header["extra"]
 
 
-def _rebuild(record: dict) -> tuple[Network, Mask | None]:
-    """The network and mask of a checkpoint record, checking each entry
-    against the layers the record declares."""
-    specs, stats = record["layers"], record["bn_stats"]
-    if not (isinstance(specs, list) and isinstance(stats, list)
-            and isinstance(record["params"], dict)
-            and isinstance(record["mask"], (dict, type(None)))):
-        raise ValueError("layers, params, bn_stats or mask has the wrong type")
-    kinds = [spec.get("kind") if isinstance(spec, dict) else None
-             for spec in specs]
-    if kinds.count("batchnorm") != len(stats):
-        raise ValueError(f"{len(stats)} bn_stats entries for "
-                         f"{kinds.count('batchnorm')} BN layers")
+def _rebuild(header: dict, body: bytes) -> tuple[Network, Mask | None]:
+    """The network and mask of a checkpoint, checking the header's specs,
+    its sections and the body's length against each other."""
+    specs, sections = header["layers"], header["sections"]
+    if not (isinstance(specs, list) and isinstance(header["extra"], dict)):
+        raise ValueError("layers is not a list or extra not an object")
     layers = []
-    stats = iter(stats)
-    for i, (spec, kind) in enumerate(zip(specs, kinds)):
+    for i, spec in enumerate(specs):
+        kind = spec.get("kind") if isinstance(spec, dict) else None
         if kind == "linear":
             shape = spec.get("shape")
-            bias = spec.get("bias", True)  # as in files written without it
             if not (isinstance(shape, list) and len(shape) == 2
                     and all(type(d) is int and d > 0 for d in shape)):
                 raise ValueError(f"layer {i}: shape {shape!r} is not two "
                                  f"positive integers")
-            if not isinstance(bias, bool):
-                raise ValueError(f"layer {i}: bias {bias!r} is not a boolean")
-            layers.append(Linear(np.zeros(shape),
-                                 np.zeros(shape[1]) if bias else None))
+            layers.append(Linear(np.zeros(shape), np.zeros(shape[1])
+                                 if spec.get("bias") else None))
         elif kind == "batchnorm":
-            # older checkpoints record the BN constants; no other value loads
-            for name, value in (("momentum", BN_MOMENTUM), ("eps", BN_EPS)):
-                if spec.get(name, value) != value:
-                    raise ValueError(f"layer {i}: BN {name} {spec[name]!r} "
-                                     f"is not {value}")
-            entry = next(stats)
-            bn = BatchNorm(np.array(entry["mean"]), np.array(entry["var"]))
-            if [spec.get("features")] != list(bn.mean.shape):
-                raise ValueError(f"layer {i}: {spec.get('features')!r} "
-                                 f"features but {bn.mean.size} statistics")
-            layers.append(bn)
+            n = spec.get("features")
+            if not (type(n) is int and n > 0):
+                raise ValueError(f"layer {i}: {n!r} features is not a "
+                                 f"positive integer")
+            layers.append(BatchNorm(np.zeros(n), np.ones(n)))
         elif kind == "relu":
             layers.append(ReLU())
         else:
             raise ValueError(f"layer {i}: unknown kind {kind!r}")
+        # as text, so that 1 is not true and 2.0 not 2
+        if json.dumps(spec) != json.dumps(_spec(layers[-1])):
+            raise ValueError(f"layer {i}: {spec!r} is not a {kind} spec")
     net = Network(layers)
-    params = net.params()
-    missing = [key for key in params if key not in record["params"]]
-    if missing:
-        raise ValueError(f"no values for param {', '.join(missing)}")
-    for key, entry in record["params"].items():
-        value = _tensor("param", key, entry["data"], params)
-        if entry["shape"] != list(value.shape):
-            raise ValueError(f"param {key!r}: shape {entry['shape']!r} is "
-                             f"not {list(value.shape)}")
-        net.set_param(key, value)
-    if record["mask"] is None:
+    want = _sections(net)
+    if sections not in (want[:2], want):
+        raise ValueError(f"sections {sections!r} are not those of the "
+                         f"layers, {want!r}")
+    n_flat, n_bn, n_mask = (length for _, _, length in want)
+    size = 8 * (n_flat + n_bn) + (n_mask if len(sections) == 3 else 0)
+    if len(body) != size:
+        raise ValueError(f"{len(body)} bytes after the header, not {size}")
+    values = np.frombuffer(body, "<f8", n_flat + n_bn)
+    net.flat[...] = values[:n_flat]
+    stats = _split(values[n_flat:], [bn.mean.size for _, bn in net.bn_layers()
+                                     for _ in ("mean", "var")])
+    install_bn(net, list(zip(stats[::2], stats[1::2])))
+    if any(np.any(bn.var < 0.0) for _, bn in net.bn_layers()):
+        raise ValueError("a BN variance is negative")
+    if len(sections) == 2:
         return net, None
-    # a mask covers prunable tensors only; Mask checks every entry is 0 or 1
-    # before its uint8 cast
-    prunable = {key: params[key] for key in net.prunable_keys()}
-    return net, Mask({key: _tensor("mask", key, flat, prunable)
-                      for key, flat in record["mask"].items()})
+    params = {key: net.params()[key] for key in net.prunable_keys()}
+    parts = _split(np.frombuffer(body, np.uint8, offset=8 * (n_flat + n_bn)),
+                   [p.size for p in params.values()])
+    # Mask checks that every entry is 0 or 1
+    return net, Mask({key: part.reshape(p.shape).copy()
+                      for (key, p), part in zip(params.items(), parts)})
 
 
-def _tensor(what: str, key: str, flat, tensors: dict[str, Array]) -> Array:
-    """The flat checkpoint list ``flat`` as a float64 array shaped like
-    ``tensors[key]``."""
-    if key not in tensors:
-        raise ValueError(f"{what} {key!r} is not one of {', '.join(tensors)}")
-    value = np.array(flat, dtype=np.float64)
-    if value.shape != (tensors[key].size,):
-        raise ValueError(f"{what} {key!r}: {value.size} values for shape "
-                         f"{list(tensors[key].shape)}")
-    return value.reshape(tensors[key].shape)
+def _split(vec: Array, sizes: list[int]) -> list[Array]:
+    """``vec`` cut into consecutive pieces of ``sizes``."""
+    return np.split(vec, np.cumsum(sizes, dtype=int)[:-1])

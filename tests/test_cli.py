@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedprune.cli import (
@@ -17,7 +18,8 @@ from fedprune.cli import (
     run_id,
     serialize_config,
 )
-from fedprune.sim import ConfigError, ExperimentConfig
+from fedprune.sim import ConfigError, ExperimentConfig, load_checkpoint, \
+    save_checkpoint
 
 SMALL_CONFIG = """
 [data]
@@ -192,20 +194,22 @@ def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
             (runs[1] / artifact).read_bytes()
     record = json.loads((runs[0] / "selection.json").read_text())
     manifest = json.loads((runs[0] / "manifest.json").read_text())
-    ckpt = json.loads((runs[0] / "final.ckpt").read_text())
+    with open(runs[0] / "final.ckpt", "rb") as fh:
+        header = json.loads(fh.readline())
+    _, mask, _ = load_checkpoint(runs[0] / "final.ckpt")
     assert manifest["artifacts"]["selection"] == "selection.json"
     assert manifest["resolved"]["pool_size"] == 5
     assert record["method"] == method
     assert [c["id"] for c in record["candidates"]] == [0, 1, 2, 3, 4]
     losses = {c["id"]: c["dev_loss"] for c in record["candidates"]}
     winner = record["winner"]
-    assert winner == ckpt["extra"]["selected_candidate"]
+    assert winner == header["extra"]["selected_candidate"]
     assert losses[winner] == min(losses.values())
     assert record["margin"] == min(loss for cid, loss in losses.items()
                                    if cid != winner) - losses[winner]
     assert record["margin"] >= 0.0
     for c in record["candidates"]:
-        assert sorted(c["layer_shares"]) == sorted(ckpt["mask"])
+        assert sorted(c["layer_shares"]) == sorted(mask.slices)
 
 
 def test_failed_run_is_marked_in_the_manifest(config_file, tmp_path):
@@ -369,6 +373,12 @@ def _config_issue(case, sets, issue, text=SMALL_CONFIG):
                   "schedule: growth_fraction must lie in (0, 1)"),
     _config_issue("granularity", ["algorithm=FedTiny", "granularity=weird"],
                   "schedule: granularity must be one of"),
+    # a non-finite value fails the range check of its key as well; one line
+    # names the fault
+    *(_config_issue(f"{name}=nan", ["algorithm=FedTiny", f"{name}=nan"],
+                    f"{name}: must be finite")
+      for name in ("test_ratio", "server_ratio", "density", "client_fraction",
+                   "dev_ratio", "growth_fraction")),
     _config_issue("bad boolean", [], "csv_header: expected a boolean",
                   SMALL_CONFIG.replace("[data]\n",
                                        "[data]\ncsv_header = maybe\n")),
@@ -739,114 +749,136 @@ def test_cmd_cost_rejects_json_that_is_not_a_checkpoint(tmp_path, capsys,
     assert "error: unreadable checkpoint" in capsys.readouterr().err
 
 
-def _checkpoint_record(**changes):
-    """A small well-formed checkpoint record, with top-level changes."""
-    record = {
-        "version": 1,
-        "layers": [{"kind": "linear", "shape": [2, 3]},
+# the values of a small well-formed checkpoint, in params() order: 0.weight,
+# 0.bias, 1.scale, 1.shift, 3.weight, 3.bias, 5.weight, 5.bias
+FLAT = [0.5] * 6 + [0.0] * 3 + [2.0] * 3 + [0.0] * 3 + [1.0, 0.0, 1.0] * 3 \
+    + [0.0] * 3 + [0.25] * 6 + [0.0] * 2
+
+
+def _checkpoint_parts(**changes):
+    """The header keys and section values of a small well-formed checkpoint,
+    with changes."""
+    parts = {
+        "version": 2,
+        "layers": [{"kind": "linear", "shape": [2, 3], "bias": True},
                    {"kind": "batchnorm", "features": 3},
                    {"kind": "relu"},
-                   {"kind": "linear", "shape": [3, 3]},
+                   {"kind": "linear", "shape": [3, 3], "bias": True},
                    {"kind": "relu"},
-                   {"kind": "linear", "shape": [3, 2]}],
-        "params": {"0.weight": {"shape": [2, 3], "data": [0.5] * 6},
-                   "0.bias": {"shape": [3], "data": [0.0] * 3},
-                   "1.scale": {"shape": [3], "data": [2.0] * 3},
-                   "1.shift": {"shape": [3], "data": [0.0] * 3},
-                   "3.weight": {"shape": [3, 3], "data": [1.0, 0.0, 1.0] * 3},
-                   "3.bias": {"shape": [3], "data": [0.0] * 3},
-                   "5.weight": {"shape": [3, 2], "data": [0.25] * 6},
-                   "5.bias": {"shape": [2], "data": [0.0] * 2}},
-        "bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}],
-        "mask": {"3.weight": [1, 0, 1] * 3},
+                   {"kind": "linear", "shape": [3, 2], "bias": True}],
+        "extra": {},
+        "flat": FLAT,
+        "bn_stats": [0.0] * 3 + [1.0] * 3,
+        "mask": [1, 0, 1] * 3,   # None writes no mask section
+        "mask_dtype": "|u1",
+        "sections": None,        # None declares the sections as written
+        "tail": b"",             # bytes after the sections
+        "cut": 0,                # bytes cut from the end
+        "head": None,            # bytes in place of the header line
     }
-    record.update(changes)
-    return record
+    parts.update(changes)
+    return parts
+
+
+def _write_checkpoint(path, **changes):
+    """Write the checkpoint of ``_checkpoint_parts(**changes)``."""
+    parts = _checkpoint_parts(**changes)
+    values = [("flat", "<f8", parts["flat"]),
+              ("bn_stats", "<f8", parts["bn_stats"])]
+    if parts["mask"] is not None:
+        values.append(("mask", parts["mask_dtype"], parts["mask"]))
+    header = {key: parts[key] for key in ("version", "layers", "extra")}
+    header["sections"] = parts["sections"] or [
+        [name, dtype, len(v)] for name, dtype, v in values]
+    data = ((parts["head"] or json.dumps(header).encode()) + b"\n"
+            + b"".join(np.array(v, dtype=dtype).tobytes()
+                       for _, dtype, v in values) + parts["tail"])
+    path.write_bytes(data[:len(data) - parts["cut"]])
 
 
 def _with_layer(i, spec):
-    layers = _checkpoint_record()["layers"]
+    layers = _checkpoint_parts()["layers"]
     layers[i] = spec
     return layers
 
 
-def _with_params(entries):
-    """The record's params with ``entries`` set, or deleted where None."""
-    params = _checkpoint_record()["params"]
-    for key, entry in entries.items():
-        if entry is None:
-            del params[key]
-        else:
-            params[key] = entry
-    return params
+def _linear(shape, bias=True):
+    return {"kind": "linear", "shape": shape, "bias": bias}
 
 
 MALFORMED_CHECKPOINTS = {
-    "layer without kind": {"layers": [{}], "params": {}, "bn_stats": [],
+    "layer without kind": {"layers": [{}], "flat": [], "bn_stats": [],
                            "mask": None},
     "unknown kind": {"layers": _with_layer(2, {"kind": "conv"})},
-    "one-entry shape": {"layers": _with_layer(0, {"kind": "linear",
-                                                  "shape": [2]})},
-    "zero in shape": {"layers": _with_layer(0, {"kind": "linear",
-                                                "shape": [0, 3]})},
-    "fractional shape": {"layers": _with_layer(0, {"kind": "linear",
-                                                   "shape": [2.5, 3]})},
-    "extra bn_stats": {"bn_stats": [{"mean": [0.0] * 3, "var": [1.0] * 3}] * 2},
+    "one-entry shape": {"layers": _with_layer(0, _linear([2]))},
+    "zero in shape": {"layers": _with_layer(0, _linear([0, 3]))},
+    "fractional shape": {"layers": _with_layer(0, _linear([2.5, 3]))},
+    "extra bn_stats": {"bn_stats": [0.0] * 3 + [1.0] * 3 + [0.0] * 6},
     "missing bn_stats": {"bn_stats": []},
-    "param not in the network": {"params": _with_params({"7.weight": {
-        "shape": [2, 3], "data": [0.5] * 6}})},
-    "param of a ReLU layer": {"params": _with_params({"2.weight": {
-        "shape": [2, 3], "data": [0.5] * 6}})},
-    "param data too short": {"params": _with_params({"0.weight": {
-        "shape": [2, 3], "data": [0.5] * 5}})},
-    "missing param": {"params": _with_params({"3.bias": None})},
+    # values past every parameter the layers declare
+    "param not in the network": {"flat": FLAT + [0.5] * 6},
+    # a ReLU spec that declares a weight
+    "param of a ReLU layer": {"layers": _with_layer(
+        2, {"kind": "relu", "shape": [2, 3]})},
+    "param data too short": {"flat": FLAT[:-1]},
+    # a header without the flat section
+    "missing param": {"sections": [["bn_stats", "<f8", 6],
+                                   ["mask", "|u1", 9]]},
     "BN features not its statistics": {"layers": _with_layer(
         1, {"kind": "batchnorm", "features": 4})},
     "BN wider than its input": {
         "layers": _with_layer(1, {"kind": "batchnorm", "features": 5}),
-        "bn_stats": [{"mean": [0.0] * 5, "var": [1.0] * 5}],
-        "params": _with_params({"1.scale": {"shape": [5], "data": [1.0] * 5},
-                                "1.shift": {"shape": [5], "data": [0.0] * 5}})},
+        "bn_stats": [0.0] * 5 + [1.0] * 5,
+        "flat": FLAT[:9] + [1.0] * 5 + [0.0] * 5 + FLAT[15:]},
     "linear fan_in not the width before it": {
-        "layers": _with_layer(5, {"kind": "linear", "shape": [2, 2]}),
-        "params": _with_params({"5.weight": {"shape": [2, 2],
-                                             "data": [0.25] * 4}})},
+        "layers": _with_layer(5, _linear([2, 2])),
+        "flat": FLAT[:27] + [0.25] * 4 + [0.0] * 2},
     "bias value for a layer without one": {"layers": _with_layer(
-        0, {"kind": "linear", "shape": [2, 3], "bias": False})},
-    "declared bias without a value": {
-        "layers": _with_layer(0, {"kind": "linear", "shape": [2, 3],
-                                  "bias": True}),
-        "params": _with_params({"0.bias": None})},
+        0, _linear([2, 3], bias=False))},
+    "declared bias without a value": {"flat": FLAT[:6] + FLAT[9:]},
     "bias flag not a boolean": {"layers": _with_layer(
-        0, {"kind": "linear", "shape": [2, 3], "bias": 1})},
-    "mask of no param": {"mask": {"9.weight": [1] * 9}},
-    "mask on a bias": {"mask": {"3.weight": [1] * 9, "0.bias": [1, 0, 1]}},
-    "mask on the first linear layer": {"mask": {"0.weight": [1, 0] * 3}},
-    "mask too long": {"mask": {"3.weight": [1, 0] * 5}},
-    "negative mask entry": {"mask": {"3.weight": [1, -1, 1] * 3}},
-    "fractional mask entry": {"mask": {"3.weight": [1, 0.5, 1] * 3}},
+        0, _linear([2, 3], bias=1))},
+    "no bias flag": {"layers": _with_layer(0, {"kind": "linear",
+                                               "shape": [2, 3]})},
+    # a mask on a network without a prunable tensor
+    "mask of no param": {
+        "layers": [_linear([2, 3]), {"kind": "batchnorm", "features": 3},
+                   {"kind": "relu"}, _linear([3, 2])],
+        "flat": FLAT[:15] + FLAT[27:]},
+    # masks that cover more or other tensors than the prunable ones
+    "mask on a bias": {"mask": [1] * 9 + [1, 0, 1]},
+    "mask on the first linear layer": {"mask": [1, 0] * 3},
+    "mask too long": {"mask": [1, 0] * 5},
+    "negative mask entry": {"mask": [1, 255, 1] * 3},  # int8 -1
+    "fractional mask entry": {"mask": [1, 0.5, 1] * 3, "mask_dtype": "<f8"},
+    "truncated body": {"cut": 1},
+    "trailing bytes": {"tail": b"\0"},
+    # as long as the layers need in all, split otherwise
+    "header lengths disagree with the layers": {
+        "sections": [["flat", "<f8", 36], ["bn_stats", "<f8", 5],
+                     ["mask", "|u1", 9]]},
+    "non-JSON header": {"head": b"version 2"},
+    "header not UTF-8": {"head": b'{"version": 2, "\xff": 0}'},
+    "extra not an object": {"extra": [1]},
+    "negative BN variance": {"bn_stats": [0.0] * 3 + [1.0, -1.0, 1.0]},
 }
 
 
 def test_cmd_cost_reads_the_well_formed_record(tmp_path):
     ckpt = tmp_path / "ok.ckpt"
-    ckpt.write_text(json.dumps(_checkpoint_record()))
+    _write_checkpoint(ckpt)
     assert main(["cost", "--ckpt", str(ckpt), "--out",
                  str(tmp_path / "cost.json")]) == 0
-    from fedprune.sim import load_checkpoint
-    net, mask, _ = load_checkpoint(ckpt)
+    net, mask, extra = load_checkpoint(ckpt)
     assert net.params()["1.scale"].tolist() == [2.0] * 3
+    assert net.flat.tolist() == FLAT and extra == {}
     assert mask.counts() == (6, 9)
 
 
 def test_cmd_cost_reads_a_linear_layer_declared_without_a_bias(tmp_path):
-    # a spec without the key (every record above) has a bias
-    from fedprune.sim import load_checkpoint
     ckpt = tmp_path / "ok.ckpt"
-    ckpt.write_text(json.dumps(_checkpoint_record(
-        layers=_with_layer(0, {"kind": "linear", "shape": [2, 3],
-                               "bias": False}),
-        params=_with_params({"0.bias": None}))))
+    _write_checkpoint(ckpt, layers=_with_layer(0, _linear([2, 3], False)),
+                      flat=FLAT[:6] + FLAT[9:])
     assert main(["cost", "--ckpt", str(ckpt), "--out",
                  str(tmp_path / "cost.json")]) == 0
     net, _, _ = load_checkpoint(ckpt)
@@ -859,61 +891,67 @@ def test_cmd_cost_reads_a_linear_layer_declared_without_a_bias(tmp_path):
 def test_cmd_cost_rejects_a_malformed_checkpoint_record(tmp_path, capsys,
                                                         case):
     bad = tmp_path / "bad.ckpt"
-    bad.write_text(json.dumps(_checkpoint_record(
-        **MALFORMED_CHECKPOINTS[case])))
+    _write_checkpoint(bad, **MALFORMED_CHECKPOINTS[case])
     assert main(["cost", "--ckpt", str(bad)]) == 1
     assert "error: unreadable checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_cmd_cost_names_an_unsupported_checkpoint_version(tmp_path, capsys,
+                                                          version):
+    # version 1 was one JSON record of every value; no loader reads it now
+    old = tmp_path / "old.ckpt"
+    old.write_text(json.dumps({
+        "version": version, "layers": [_linear([2, 2])],
+        "params": {"0.weight": {"shape": [2, 2], "data": [0.5] * 4},
+                   "0.bias": {"shape": [2], "data": [0.0] * 2}},
+        "bn_stats": [], "mask": None, "extra": {}}))
+    assert main(["cost", "--ckpt", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert "error: unreadable checkpoint" in err
+    assert f"unsupported checkpoint version {version!r}" in err
+
+
 def test_checkpoint_bn_layers_record_no_constants_and_load_only_theirs(
         tmp_path, capsys):
-    # save_checkpoint writes no BN momentum or epsilon; checkpoints written
-    # before they became constants carry both, and load only at their values
+    # the header's BN specs carry only the width, and its linear specs the
+    # bias flag; a BN spec that carries the constants, as version 1 did, is
+    # not a spec of this format
     from fedprune.nn import make_mlp
-    from fedprune.sim import load_checkpoint, save_checkpoint
     ckpt = tmp_path / "new.ckpt"
     save_checkpoint(ckpt, make_mlp(3, [4], 2, seed=0), None)
-    assert [spec for spec in json.loads(ckpt.read_text())["layers"]
-            if spec["kind"] == "batchnorm"] == [{"kind": "batchnorm",
-                                                 "features": 4}]
-    old = tmp_path / "old.ckpt"
-    old.write_text(json.dumps(_checkpoint_record(layers=_with_layer(
-        1, {"kind": "batchnorm", "features": 3, "momentum": 0.9,
-            "eps": 1e-5}))))
-    new = tmp_path / "ok.ckpt"
-    new.write_text(json.dumps(_checkpoint_record()))
-    (net, mask, _), (again, again_mask, _) = map(load_checkpoint, (old, new))
-    assert net.flat.tobytes() == again.flat.tobytes()
-    assert mask.slices.keys() == again_mask.slices.keys()
-    for key, sl in mask.slices.items():
-        assert sl.tobytes() == again_mask.slices[key].tobytes()
-    for name, value in (("momentum", 0.5), ("eps", 1e-3)):
-        spec = {"kind": "batchnorm", "features": 3, "momentum": 0.9,
-                "eps": 1e-5, name: value}
+    with open(ckpt, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["layers"] == [_linear([3, 4], False),
+                                {"kind": "batchnorm", "features": 4},
+                                {"kind": "relu"}, _linear([4, 2])]
+    assert header["sections"] == [["flat", "<f8", 30], ["bn_stats", "<f8", 8]]
+    for name, value in (("momentum", 0.9), ("eps", 1e-5)):
         bad = tmp_path / f"bad-{name}.ckpt"
-        bad.write_text(json.dumps(_checkpoint_record(
-            layers=_with_layer(1, spec))))
+        _write_checkpoint(bad, layers=_with_layer(
+            1, {"kind": "batchnorm", "features": 3, name: value}))
         assert main(["cost", "--ckpt", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error: unreadable checkpoint" in err
-        assert f"layer 1: BN {name} {value}" in err
+        assert "layer 1: " in err and f"'{name}': {value}" in err
 
 
 def test_cmd_cost_reads_a_checkpoint_with_a_block_partition(config_file,
                                                              tmp_path):
-    # checkpoints written before the schedule moved to prunable tensors
-    # carry a "blocks" record; the loader ignores it
+    # the loader ignores a header key it does not read, such as the "blocks"
+    # record of checkpoints written before the schedule moved to prunable
+    # tensors
     out = tmp_path / "out"
     main(["run", "--config", str(config_file), "--out", str(out)])
     ckpt = next(out.glob("*/final.ckpt"))
-    record = json.loads(ckpt.read_text())
-    record["blocks"] = {"1": [0, 1], "2": [2, 3], "3": [4, 5], "4": [6, 7],
+    head, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header["blocks"] = {"1": [0, 1], "2": [2, 3], "3": [4, 5], "4": [6, 7],
                         "5": [8, 9]}
     old = tmp_path / "old.ckpt"
-    old.write_text(json.dumps(record))
+    old.write_bytes(json.dumps(header).encode() + b"\n" + body)
     assert main(["cost", "--ckpt", str(old), "--out",
                  str(tmp_path / "cost.json")]) == 0
-    from fedprune.sim import load_checkpoint
     net, mask, _ = load_checkpoint(old)
     again, again_mask, _ = load_checkpoint(ckpt)
     assert net.prunable_keys() == again.prunable_keys()

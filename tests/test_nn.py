@@ -248,7 +248,7 @@ def test_sgd_all_ones_mask_is_plain_sgd():
         logits, cache = forward(net, x, "train")
         _, grad = backward(net, logits, y, cache)
         sgd_step(net, grad, 0.1, mask,
-                 net.masked_out(mask) if mask is not None else None)
+                 net.rate(mask, 0.1) if mask is not None else None)
     for k in net_a.params():
         np.testing.assert_array_equal(net_a.params()[k], net_b.params()[k])
 
@@ -261,7 +261,10 @@ def test_masked_coordinates_stay_exactly_zero():
     m = (rng.random(net.params()[key].shape) < 0.5).astype(np.uint8)
     m[0] = 1
     mask = Mask({key: m})
-    zero = net.masked_out(mask)
+    rate, zero = net.rate(mask, 0.05), net.masked_out(mask)
+    assert zero.sum() == (m == 0).sum() > 0
+    assert rate[zero].tobytes() == bytes(8 * zero.sum())  # +0.0
+    assert np.all(rate[~zero] == 0.05)
     p = net.params()[key]
     p[m == 0] = 0.0
     for step in range(5):
@@ -272,8 +275,28 @@ def test_masked_coordinates_stay_exactly_zero():
         if step == 0:
             # gradient is dense
             assert np.any(net.grads()[key][m == 0] != 0.0)
-        sgd_step(net, grad, 0.05, mask, zero)
+        sgd_step(net, grad, 0.05, mask, rate)
         np.testing.assert_array_equal(net.params()[key][m == 0], 0.0)
+        assert not np.signbit(net.params()[key][m == 0]).any()
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_a_pruned_zero_keeps_its_positive_sign(sign):
+    # the rate turns a pruned coordinate's gradient into +0.0 or, where the
+    # gradient is negative, -0.0; +0.0 - (-0.0) is +0.0, so the two-pass
+    # step needs no third pass to restore the sign
+    net = make_mlp(3, [4, 4], 2, seed=1)
+    key = net.prunable_keys()[0]
+    m = np.ones(net.params()[key].shape, dtype=np.uint8)
+    m[:, 1] = 0
+    mask = Mask({key: m})
+    net.params()[key][m == 0] = 0.0
+    grad = np.full(net.flat.shape, sign * 3.0)
+    sgd_step(net, grad, 0.05, mask, net.rate(mask, 0.05))
+    pruned = net.params()[key][m == 0]
+    # the scaled gradient holds -0.0 there when it was negative
+    assert np.signbit(grad[net.masked_out(mask)]).all() == (sign < 0)
+    assert pruned.tobytes() == np.zeros(pruned.size).tobytes()
 
 
 def test_sgd_rejects_nonpositive_lr():
@@ -590,6 +613,10 @@ def _ref_backward(net: Network, logits, labels, cache):
 
 
 def _ref_sgd_step(net: Network, grads, lr: float, mask=None) -> Network:
+    """The masked SGD rule, tensor by tensor: a step on the masked gradient,
+    then +0.0 written at every pruned coordinate. ``sgd_step`` under
+    ``net.rate(mask, lr)`` writes nothing there and must match it bit for
+    bit, signs included, from a model whose pruned coordinates hold +0.0."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     slices = mask.slices if mask is not None else {}
@@ -652,7 +679,7 @@ def _oracle_cases():
 def test_kernels_match_reference_bit_for_bit(case):
     name, net, mask, batches = list(_oracle_cases())[case]
     ref = net.clone()
-    zero = net.masked_out(mask) if mask is not None else None
+    rate = net.rate(mask, 0.05) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(case)
     moments = bn_moments(net, len(batches))
@@ -673,7 +700,7 @@ def test_kernels_match_reference_bit_for_bit(case):
         assert grads.keys() == ref_grads.keys()
         for key in grads:
             assert_bitwise_equal(grads[key], ref_grads[key])
-        sgd_step(net, grad, 0.05, mask, zero)
+        sgd_step(net, grad, 0.05, mask, rate)
         _ref_sgd_step(ref, ref_grads, 0.05, mask)
         for key, p in net.params().items():
             assert_bitwise_equal(p, ref.params()[key])
@@ -876,7 +903,7 @@ def test_kernels_stay_within_1e_12_of_the_prior_order(case):
     # four steps
     name, net, mask, batches = list(_oracle_cases())[case]
     prior = net.clone()
-    zero = net.masked_out(mask) if mask is not None else None
+    rate = net.rate(mask, 0.05) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(100 + case)
     moments = bn_moments(net, 4)
@@ -895,7 +922,7 @@ def test_kernels_stay_within_1e_12_of_the_prior_order(case):
         # that feeds a BN layer is zero but for rounding
         assert_within(grad, np.concatenate([prior_grads[key].reshape(-1)
                                             for key in net.params()]))
-        sgd_step(net, grad, 0.05, mask, zero)
+        sgd_step(net, grad, 0.05, mask, rate)
         _ref_sgd_step(prior, prior_grads, 0.05, mask)
         assert_within(net.flat, prior.flat)
         # the passes on the same statistics

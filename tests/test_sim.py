@@ -1,4 +1,6 @@
 import json
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,8 +226,9 @@ def test_single_client_aggregation_is_identity():
                       local_epochs=1)
     state = setup_experiment(cfg)
     upload = _client_update(state, 0, 1, {})
-    fedavg(state, [upload])
-    np.testing.assert_allclose(state.net.flat, upload.flat, rtol=0, atol=1e-12)
+    flat = upload.flat.copy()
+    fedavg(state, [upload], upload.bn.samples)
+    np.testing.assert_allclose(state.net.flat, flat, rtol=0, atol=1e-12)
     for (_, bn), (mean, var) in zip(state.net.bn_layers(), upload.bn.stats):
         np.testing.assert_allclose(bn.mean, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(bn.var, var, rtol=1e-12, atol=0)
@@ -322,13 +325,26 @@ def test_each_participant_steps_once_per_local_batch(monkeypatch):
 # -- aggregation oracle --------------------------------------------------------------
 
 def test_fedavg_matches_bruteforce_weighted_average():
+    # the fold takes each upload as its client returns; every client still
+    # trains from the round's starting model
     cfg = tiny_config(algorithm="DenseFedAvg", rounds=1, local_epochs=1)
     state = setup_experiment(cfg)
-    uploads = [_client_update(state, k, 1, {}) for k in range(cfg.clients)]
+    eager = [_client_update(state, k, 1, {}).flat
+             for k in range(cfg.clients)]
+    copies = []
+
+    def uploads():
+        for k in range(cfg.clients):
+            res = _client_update(state, k, 1, {})
+            copies.append(res.flat.copy())
+            yield res
+
     weights = [len(c) for c in state.clients]
-    fedavg(state, uploads)
     total = sum(weights)
-    uploaded = [by_key(state.net, up.flat) for up in uploads]
+    results = fedavg(state, uploads(), total)
+    assert [res.flat for res in results] == [None] * cfg.clients
+    assert [c.tobytes() for c in copies] == [e.tobytes() for e in eager]
+    uploaded = [by_key(state.net, flat) for flat in copies]
     for key, p in state.net.params().items():
         expected = np.zeros_like(p)
         for up, w in zip(uploaded, weights):
@@ -343,7 +359,7 @@ def test_fedavg_zeroes_masked_coordinates_of_any_upload():
                                          rounds=1, local_epochs=1))
     uploads = [_client_update(state, k, 1, {}) for k in range(2)]
     uploads[0].flat += 1.0
-    fedavg(state, uploads)
+    fedavg(state, iter(uploads), sum(up.bn.samples for up in uploads))
     zero = state.net.masked_out(state.mask)
     assert zero.any()
     assert state.net.flat[zero].tobytes() == np.zeros(zero.sum()).tobytes()
@@ -374,7 +390,7 @@ def test_adjust_skips_a_layer_no_participant_uploaded_gradients_for():
                for k in range(len(state.clients))]
     assert not any(res.buffers for res in results)
     before, kept = state.mask.copy(), state.mask.counts()
-    fedavg(state, results)
+    results = fedavg(state, results, sum(len(c) for c in state.clients))
     layers = adjust(state, results, collect)
     assert layers == {}  # every key of collect is skipped
     assert state.mask.counts() == kept
@@ -425,8 +441,10 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, state.net, state.mask, {"note": 1})
     net, mask, extra = load_checkpoint(path)
     assert extra == {"note": 1}
-    # each linear spec says whether the layer has a bias: only the head does
-    specs = json.loads(path.read_text(encoding="utf-8"))["layers"]
+    # each linear spec of the header says whether the layer has a bias:
+    # only the head does
+    with open(path, "rb") as fh:
+        specs = json.loads(fh.readline())["layers"]
     assert [spec["bias"] for spec in specs if spec["kind"] == "linear"] == [
         False, False, False, True]
     assert [layer.bias is None for layer in net.layers
@@ -441,32 +459,51 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 32, 4096])
-def test_checkpoint_bytes_are_json_dumps_of_the_whole_record(
-        tmp_path, monkeypatch, chunk):
-    from fedprune import sim
-
-    # chunk 32 splits every weight into whole chunks, 7 leaves remainders
-    monkeypatch.setattr(sim, "CKPT_CHUNK", chunk)
+def test_checkpoint_save_then_load_returns_every_bit(tmp_path):
+    # signed zeros, subnormals, infinities and NaN included; two saves of the
+    # same model are byte-equal, and the sections follow the header line in
+    # order as little-endian float64 and uint8
     state = setup_experiment(tiny_config(algorithm="FedTiny", hidden=(32, 32)))
     run_round(state, 1)
+    state.net.flat[:5] = [-0.0, 5e-324, -np.inf, np.inf, np.nan]
+    state.net.bn_layers()[0][1].mean[0] = -0.0
     extra = {"algorithm": "FedTiny", "note": [1.5, None, "x"]}
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(path, state.net, state.mask, extra)
-    saved = json.loads(path.read_text(encoding="utf-8"))
-    record = dict(saved, params={
-        key: {"shape": list(p.shape), "data": p.reshape(-1).tolist()}
-        for key, p in state.net.params().items()}, mask={
-        key: m.reshape(-1).tolist() for key, m in state.mask.slices.items()})
-    assert path.read_text(encoding="utf-8") == json.dumps(record)
-    save_checkpoint(path, state.net, None)
-    assert json.loads(path.read_text(encoding="utf-8"))["mask"] is None
+    paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+    for path in paths:
+        save_checkpoint(path, state.net, state.mask, extra)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    net, mask, got = load_checkpoint(paths[0])
+    assert got == extra
+    assert net.flat.tobytes() == state.net.flat.tobytes()
+    for (_, a), (_, b) in zip(net.bn_layers(), state.net.bn_layers(),
+                              strict=True):
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.var.tobytes() == b.var.tobytes()
+    assert list(mask.slices) == list(state.mask.slices)
+    for key, sl in state.mask.slices.items():
+        assert mask.slices[key].dtype == np.uint8
+        assert mask.slices[key].tobytes() == sl.tobytes()
+    head, body = paths[0].read_bytes().split(b"\n", 1)
+    stats = [x for _, bn in state.net.bn_layers() for x in (bn.mean, bn.var)]
+    assert body == (state.net.flat.astype("<f8").tobytes()
+                    + np.concatenate(stats).astype("<f8").tobytes()
+                    + np.concatenate([state.mask.slices[key].reshape(-1)
+                                      for key in state.net.prunable_keys()]
+                                     ).astype(np.uint8).tobytes())
+    assert [name for name, _, _ in json.loads(head)["sections"]] == [
+        "flat", "bn_stats", "mask"]
+    # without a mask, the same bytes up to the mask section
+    save_checkpoint(paths[1], state.net, None)
+    bare_head, bare_body = paths[1].read_bytes().split(b"\n", 1)
+    assert json.loads(bare_head)["sections"] == json.loads(head)["sections"][:2]
+    assert bare_body == body[:8 * (net.flat.size + sum(x.size for x in stats))]
+    assert load_checkpoint(paths[1])[1] is None
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_text("{not json")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unreadable checkpoint"):
         load_checkpoint(bad)
 
 
@@ -605,3 +642,63 @@ def test_collection_pass_never_reaches_the_upload():
     for (mean, var), (want_mean, want_var) in zip(got, want):
         assert mean.tobytes() == want_mean.tobytes()
         assert var.tobytes() == want_var.tobytes()
+    # and what the fold makes of either upload is the same global model
+    folded = [replace(state, net=state.net.clone()) for _ in range(2)]
+    for each, res in zip(folded, (with_pass, without)):
+        fedavg(each, [res], res.bn.samples)
+    assert folded[0].net.flat.tobytes() == folded[1].net.flat.tobytes()
+    for (_, bn), (_, other) in zip(folded[0].net.bn_layers(),
+                                   folded[1].net.bn_layers()):
+        assert bn.mean.tobytes() == other.mean.tobytes()
+        assert bn.var.tobytes() == other.var.tobytes()
+
+
+def test_a_round_holds_one_upload_at_a_time(monkeypatch):
+    # the previous client's uploaded vector is freed once it is folded in,
+    # before the next client's update starts, on a round that also keeps
+    # every client's top-K buffers
+    from fedprune import sim
+
+    state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                         granularity="entire"))
+    client_update, refs = sim._client_update, []
+
+    def update(state, k, *args):
+        assert all(ref() is None for ref in refs)
+        res = client_update(state, k, *args)
+        refs.append(weakref.ref(res.flat))
+        return res
+
+    monkeypatch.setattr(sim, "_client_update", update)
+    assert run_round(state, 2).grow_count > 0
+    assert len(refs) == state.cfg.clients
+    assert all(ref() is None for ref in refs)
+
+
+def test_pruned_coordinates_hold_positive_zero_through_a_run(monkeypatch):
+    # the two-pass step leaves a pruned coordinate at +0.0 only if it holds
+    # +0.0 before the step: every upload and the global model must keep it
+    # there through training, FedAvg and grow/prune
+    from fedprune import sim
+
+    state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                         granularity="entire", interval=1))
+    client_update, checked = sim._client_update, []
+
+    def positive_zeros(vec):
+        pruned = vec[state.net.masked_out(state.mask)]
+        return pruned.size > 0 and pruned.tobytes() == bytes(8 * pruned.size)
+
+    def update(state, k, *args):
+        res = client_update(state, k, *args)
+        assert positive_zeros(res.flat)
+        checked.append(k)
+        return res
+
+    monkeypatch.setattr(sim, "_client_update", update)
+    assert positive_zeros(state.net.flat)
+    grown = 0
+    for r in range(1, state.cfg.rounds + 1):
+        grown += run_round(state, r).grow_count
+        assert positive_zeros(state.net.flat)
+    assert grown > 0 and len(checked) == state.cfg.clients * state.cfg.rounds
