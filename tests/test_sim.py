@@ -459,11 +459,15 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
-def test_checkpoint_save_then_load_returns_every_bit(tmp_path):
+@pytest.mark.parametrize("width", [1, 7, 32, 4096])
+def test_checkpoint_save_then_load_returns_every_bit(tmp_path, width):
     # signed zeros, subnormals, infinities and NaN included; two saves of the
     # same model are byte-equal, and the sections follow the header line in
-    # order as little-endian float64 and uint8
-    state = setup_experiment(tiny_config(algorithm="FedTiny", hidden=(32, 32)))
+    # order as little-endian float64 and uint8. The first hidden layer runs
+    # from one unit through odd widths to one far wider than the rest; half
+    # the weights are kept, so that a one-unit layer still keeps enough
+    state = setup_experiment(tiny_config(algorithm="FedTiny", density=0.5,
+                                         hidden=(width, 32)))
     run_round(state, 1)
     state.net.flat[:5] = [-0.0, 5e-324, -np.inf, np.inf, np.nan]
     state.net.bn_layers()[0][1].mean[0] = -0.0
