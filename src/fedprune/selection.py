@@ -9,7 +9,9 @@ ablation that skips the statistics refresh.
 
 The layers before the first masked tensor are the same in every candidate,
 so both selectors run them once per client batch, and the rest once per
-chunk of ``CHUNK`` stacked candidates; only the winner becomes a network.
+chunk of ``CHUNK`` stacked distinct masks: candidates whose masks keep the
+same weights are one network, refreshed and scored once, and each keeps its
+own position and that score. Only the winner becomes a network.
 No operation in this module ever changes a parameter value.
 """
 
@@ -118,7 +120,8 @@ def adaptive_select(net: Network, pool: list[Candidate],
     the winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
     aggregated scores."""
-    head, chunks = _split(net, pool)
+    firsts, index = _distinct(pool)
+    head, chunks = _split(net, [pool[i] for i in firsts])
     # cloned before the per-client head outputs, which are freed before the
     # winner's statistics: no long-lived array then pins their heap memory
     winner_net = net.clone()
@@ -141,9 +144,9 @@ def adaptive_select(net: Network, pool: list[Candidate],
             [client_bn_pass(tail, a, stats[n_head:]) for a in refreshed]))
         losses += _score(tail, tail_global[-1], acts)
     del refreshed, acts
-    scores = dict(enumerate(losses))
+    scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
-    chunk, row = divmod(winner, CHUNK)
+    chunk, row = divmod(index[winner], CHUNK)
     zero_masked(winner_net, pool[winner].mask)
     install_bn(winner_net, head_global + [(mean[row], var[row]) for mean, var
                                           in tail_global[chunk]])
@@ -154,17 +157,34 @@ def vanilla_select(net: Network, pool: list[Candidate],
                    dev_sets: list[Dataset], batch_size: int = 64):
     """Ablation variant: score candidates with the pretrained BN statistics
     (no refresh, no aggregation)."""
-    head, chunks = _split(net, pool)
+    firsts, index = _distinct(pool)
+    head, chunks = _split(net, [pool[i] for i in firsts])
     winner_net = net.clone()  # before the head outputs, as adaptive_select
     stats = bn_stats(net)
     n_head = sum(layer.kind == "batchnorm" for layer in head)
     acts = [[(eval_pass(head, x, stats[:n_head]), y) for x, y in batches]
             for batches in _client_batches(dev_sets, batch_size)]
-    scores = dict(enumerate(s for tail in chunks
-                            for s in _score(tail, stats[n_head:], acts)))
+    losses = [s for tail in chunks for s in _score(tail, stats[n_head:], acts)]
+    scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
     zero_masked(winner_net, pool[winner].mask)
     return winner, winner_net, scores
+
+
+def _distinct(pool: list[Candidate]):
+    """The first position of each distinct mask in ``pool``, and each
+    candidate's index into that list. Masks are told apart by the tensors
+    they cover and their kept/pruned patterns, never by the drawn shares:
+    two draws can round to the same keep counts."""
+    firsts, seen, index = [], {}, []
+    for i, c in enumerate(pool):
+        key = tuple(sorted((k, m.shape, m.view(bool).tobytes())
+                           for k, m in c.mask.slices.items()))
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(i)
+        index.append(seen[key])
+    return firsts, index
 
 
 def _split(net: Network, pool: list[Candidate]):
@@ -190,7 +210,6 @@ def _split(net: Network, pool: list[Candidate]):
 
     return net.layers[:cut], (chunk_tail(pool[start:start + CHUNK])
                               for start in range(0, len(pool), CHUNK))
-
 
 
 def _client_batches(dev_sets: list[Dataset], batch_size: int):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from fedprune.sim import ALGORITHMS
+from fedprune import sim
+from fedprune.selection import CHUNK
+from fedprune.sim import ALGORITHMS, ExperimentConfig
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
 _spec = importlib.util.spec_from_file_location("golden", _SCRIPT)
@@ -22,6 +24,22 @@ def test_smoke_run_matches_its_golden_record(algorithm, tmp_path):
         encoding="utf-8"))
     got = golden.record(algorithm, tmp_path / algorithm)
     assert golden.compare(want, got) == []
+
+
+def test_the_smoke_pool_spans_two_selection_chunks(monkeypatch):
+    # selection stacks each distinct mask once, so the smoke pool spans two
+    # chunks only while its candidates' masks all differ
+    pools = []
+    draw = sim.generate_candidate_pool
+    monkeypatch.setattr(sim, "generate_candidate_pool",
+                        lambda *a, **kw: pools.append(draw(*a, **kw))
+                        or pools[-1])
+    sim.setup_experiment(ExperimentConfig(algorithm="AdaptiveBNOnly",
+                                          **golden.SMOKE))
+    [pool] = pools
+    masks = {tuple((key, m.tobytes()) for key, m in
+                   sorted(c.mask.slices.items())) for c in pool}
+    assert len(pool) == len(masks) == golden.SMOKE["pool_size"] > CHUNK
 
 
 def test_compare_is_exact_but_for_float_rounding():

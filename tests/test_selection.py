@@ -450,13 +450,71 @@ def test_selectors_match_oracles_with_a_single_candidate():
     check_both(*oracle_fixture(8, pool=1))
 
 
+def mask_bytes(candidate):
+    """What tells two candidates' masks apart: each tensor's kept pattern."""
+    return tuple((key, m.tobytes())
+                 for key, m in sorted(candidate.mask.slices.items()))
+
+
+def distinct_fixture(seed, size):
+    """``oracle_fixture`` with ``size`` candidates of pairwise different
+    masks: the first ``size`` distinct ones of a larger pool, in pool order
+    (selection scores each distinct mask once, so copies would shrink the
+    chunks a test means to build)."""
+    net, pool, devs = oracle_fixture(seed, pool=3 * size)
+    first = {}
+    for c in pool:
+        first.setdefault(mask_bytes(c), c)
+    pool = list(first.values())[:size]
+    assert len(pool) == size
+    return net, pool, devs
+
+
 @pytest.mark.parametrize("size", [CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 def test_selectors_match_oracles_across_chunk_edges(size):
     # one full chunk, a full chunk and a singleton, two full chunks and a
     # partial one; reversed, a winner from the first chunk lands in a later
     # one
-    net, pool, devs = oracle_fixture(11, pool=size)
+    net, pool, devs = distinct_fixture(11, size)
+    assert len({mask_bytes(c) for c in pool}) == size
     for candidates in (pool, pool[::-1]):
+        check_both(net, candidates, devs)
+
+
+def count_passes(monkeypatch):
+    """The names of the selection passes called, in call order; the bench
+    tracer counts these calls."""
+    calls = []
+    for name in ("client_bn_pass", "client_score"):
+        fn = getattr(selection, name)
+        monkeypatch.setattr(selection, name,
+                            lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    return calls
+
+
+def test_copies_of_a_mask_are_scored_once_and_tie_to_the_first(monkeypatch):
+    # 2 * CHUNK + 3 candidates from 5 masks, each mask's copies spread over
+    # what would be different chunks were every candidate stacked
+    net, masks, devs = distinct_fixture(14, 5)
+    which = np.random.default_rng(14).permutation(np.arange(2 * CHUNK + 3) % 5)
+    pool = [Candidate(dict(masks[m].layer_densities), masks[m].mask.copy())
+            for m in which]
+    for m in range(5):
+        assert len({i // CHUNK for i in np.flatnonzero(which == m)}) > 1
+    passes = len(devs) * math.ceil(5 / CHUNK)  # per client, per chunk
+    calls = count_passes(monkeypatch)
+    for candidates in (pool, pool[::-1]):
+        keys = [mask_bytes(c) for c in candidates]
+        first = [keys.index(key) for key in keys]
+        for select, bn_passes in ((adaptive_select, passes),
+                                  (vanilla_select, 0)):
+            calls.clear()
+            winner, _, scores = select(net, candidates, devs, 8)
+            assert sorted(calls) == (["client_bn_pass"] * bn_passes
+                                     + ["client_score"] * passes)
+            assert all(scores[i] == scores[first[i]] for i in scores)
+            assert winner == first[winner]
         check_both(net, candidates, devs)
 
 
@@ -492,14 +550,10 @@ def test_selectors_match_oracles_with_a_head_ending_in_batch_norm():
 
 
 def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
-    # bench/tracer.py counts these calls
-    net, pool, devs = oracle_fixture(13, pool=2 * CHUNK + 1)
-    calls = []
-    for name in ("client_bn_pass", "client_score"):
-        fn = getattr(selection, name)
-        monkeypatch.setattr(selection, name,
-                            lambda *a, fn=fn, name=name:
-                            calls.append(name) or fn(*a))
+    # 2 * CHUNK + 1 distinct masks make three chunks
+    net, pool, devs = distinct_fixture(13, 2 * CHUNK + 1)
+    assert len({mask_bytes(c) for c in pool}) == 2 * CHUNK + 1
+    calls = count_passes(monkeypatch)
     adaptive_select(net, pool, devs, batch_size=8)
     assert sorted(calls) == (["client_bn_pass"] * 9 + ["client_score"] * 9)
     calls.clear()
