@@ -14,9 +14,12 @@ Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
 weight gives ``(C, B, fan_out)``, one matrix product per candidate.
 
 A linear layer that feeds a BN layer has no bias, which BN would cancel. A
-train-mode forward writes each BN layer's batch mean and variance into a row
-of moments, and ``advance_bn_stats`` advances the moving statistics over a
-run of steps in closed form; ``backward`` makes one ``exp`` of the logits.
+network keeps its parameters in one vector, ``flat``, and its BN moving
+statistics in another, ``stats``: each BN layer's mean, then its variance,
+in layer order. A train-mode forward writes each BN layer's batch mean and
+variance into a row of moments laid out like ``stats``, and
+``advance_bn_stats`` advances ``stats`` over a run of steps in closed form;
+``backward`` makes one ``exp`` of the logits.
 """
 
 from __future__ import annotations
@@ -88,7 +91,10 @@ class Network:
     Every parameter tensor is a view into one float64 vector ``flat``, tiled
     in ``params()`` order, and so is the layer attribute holding it; ``grad``
     is the vector of the same layout that ``backward`` writes. A linear
-    layer without a bias has no ``bias`` tensor.
+    layer without a bias has no ``bias`` tensor. Every BN layer's ``mean``
+    and ``var`` are views into a second float64 vector ``stats``, each
+    layer's mean then its variance, in layer order. Code writes into these
+    views in place and never rebinds them.
     """
 
     _PARAMS = {"linear": ("weight", "bias"), "batchnorm": ("scale", "shift")}
@@ -121,14 +127,22 @@ class Network:
         self._spans = {key: (slice(end - p.size, end), p.shape)
                        for (key, p), end in zip(tensors.items(), ends)}
         self.flat = np.concatenate([p.reshape(-1) for p in tensors.values()])
+        self.stats = np.concatenate([np.zeros(0)] + [
+            v for _, bn in self.bn_layers() for v in (bn.mean, bn.var)])
         self._bind()
 
     def _bind(self) -> None:
-        """Point every parameter attribute at its view of ``flat``."""
+        """Point every parameter attribute at its view of ``flat``, and every
+        BN layer's ``mean`` and ``var`` at theirs of ``stats``."""
         self._params = self._views(self.flat)
         for key, p in self._params.items():
             idx, name = key.split(".")
             setattr(self.layers[int(idx)], name, p)
+        at = 0
+        for _, bn in self.bn_layers():
+            n = bn.mean.size
+            bn.mean, bn.var = self.stats[at:at + 2 * n].reshape(2, n)
+            at += 2 * n
         self.drop_grads()
 
     def drop_grads(self) -> None:
@@ -149,11 +163,6 @@ class Network:
             self.grad = np.zeros_like(self.flat)
             self._grads = self._views(self.grad)
         return dict(self._grads)
-
-    def set_param(self, key: str, value: Array) -> None:
-        if self._params[key].shape != np.shape(value):
-            raise ValueError(f"shape mismatch for {key}")
-        self._params[key][...] = value
 
     def masked_out(self, mask: Mask) -> Array:
         """Boolean vector laid out like ``flat``, True where ``mask`` prunes."""
@@ -178,12 +187,10 @@ class Network:
         return int(key.split(".")[0])
 
     def clone(self) -> "Network":
-        """An independent copy, with its own ``flat`` and BN statistics."""
+        """An independent copy, with its own ``flat`` and ``stats``."""
         out = copy.copy(self)
         out.layers = [copy.copy(layer) for layer in self.layers]
-        for _, bn in out.bn_layers():
-            bn.mean, bn.var = bn.mean.copy(), bn.var.copy()
-        out.flat = self.flat.copy()
+        out.flat, out.stats = self.flat.copy(), self.stats.copy()
         out._bind()
         return out
 
@@ -216,8 +223,8 @@ def forward(net: Network, batch, mode: str = "train", moments=None):
     """Run the network on a (B, d_in) batch.
 
     Train mode normalizes BN layers with batch statistics and writes each
-    BN layer's batch mean and variance, in layer order, into ``moments`` (a
-    row of ``bn_moments``) when it is given; it never writes the moving
+    BN layer's batch mean and variance into ``moments``, a vector laid out
+    like ``net.stats``, when it is given; it never writes the moving
     statistics. Eval mode uses the stored statistics and mutates nothing.
     Returns ``(logits, cache)`` where the cache feeds ``backward`` (``None``
     in eval mode). The batch itself is never written.
@@ -259,24 +266,14 @@ def forward(net: Network, batch, mode: str = "train", moments=None):
     return x, cache
 
 
-def bn_moments(net: Network, rows: int) -> Array:
-    """Zeroed rows of batch moments of the BN layers: each layer's mean,
-    then its variance, in layer order."""
-    return np.zeros((rows, 2 * sum(bn.mean.size for _, bn in net.bn_layers())))
-
-
 def advance_bn_stats(net: Network, total: Array, steps: int) -> None:
-    """Advance every BN layer's moving statistics over ``steps`` train steps
-    by the closed form of as many momentum updates, ``m**T * start + (1 - m)
-    * total`` with ``m = BN_MOMENTUM``, where ``total`` is the row of the
+    """Advance ``net.stats`` over ``steps`` train steps by the closed form of
+    as many momentum updates, ``m**T * start + (1 - m) * total`` with
+    ``m = BN_MOMENTUM``, where ``total``, laid out like ``stats``, holds the
     steps' discounted batch moments ``sum_t m**(T - t) * x_t``."""
-    m = BN_MOMENTUM
-    for _, bn in net.bn_layers():
-        n = bn.mean.size
-        # m**T underflows to 0 in long runs, and the start is forgotten
-        bn.mean = m ** steps * bn.mean + (1.0 - m) * total[:n]
-        bn.var = m ** steps * bn.var + (1.0 - m) * total[n:2 * n]
-        total = total[2 * n:]
+    # m**T underflows to 0 in long runs, and the start is forgotten
+    net.stats *= BN_MOMENTUM ** steps
+    net.stats += (1.0 - BN_MOMENTUM) * total
 
 
 def update_bn_stats(net: Network, batch) -> None:
@@ -292,12 +289,12 @@ def update_bn_stats(net: Network, batch) -> None:
     stats = bn_stats(net)
     refresh_pass(net.layers, x, stats)
     for (_, bn), (mean, var) in zip(net.bn_layers(), stats):
-        bn.mean, bn.var = mean, var
+        bn.mean[...], bn.var[...] = mean, var
 
 
 def bn_stats(net: Network) -> list[tuple[Array, Array]]:
     """The ``(mean, var)`` moving statistics of every BN layer, in order
-    (live references, not copies)."""
+    (views of ``net.stats``, not copies)."""
     return [(bn.mean, bn.var) for _, bn in net.bn_layers()]
 
 

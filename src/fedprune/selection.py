@@ -86,8 +86,8 @@ def aggregate_bn(reports: list[BNReport]) -> list[tuple[Array, Array]]:
     for rep in reports:
         if len(rep.stats) != len(first):
             raise ValueError("BN reports disagree on layer count")
-        for (a, _), (b, _) in zip(rep.stats, first):
-            if a.shape != b.shape:
+        for (a, v), (b, _) in zip(rep.stats, first):
+            if not a.shape == v.shape == b.shape:
                 raise ValueError("BN reports disagree on layer shapes")
     total = sum(rep.samples for rep in reports)
     weights = [rep.samples / total for rep in reports]
@@ -101,17 +101,16 @@ def aggregate_bn(reports: list[BNReport]) -> list[tuple[Array, Array]]:
 
 
 def install_bn(net: Network, stats: list[tuple[Array, Array]]) -> None:
-    """Overwrite the running statistics of every BN layer with the matching
-    ``(mean, var)`` pair (statistics only; the affine parameters stay as
-    they are)."""
+    """Write the matching ``(mean, var)`` pair into the running statistics
+    of every BN layer, in place (statistics only; the affine parameters stay
+    as they are). Statistics that do not fit change nothing."""
     bn = net.bn_layers()
-    if len(bn) != len(stats):
+    if len(bn) != len(stats) or any(
+            not layer.mean.shape == np.shape(mu) == np.shape(var)
+            for (_, layer), (mu, var) in zip(bn, stats)):
         raise ValueError("statistics do not match the network's BN layers")
     for (_, layer), (mu, var) in zip(bn, stats):
-        if layer.mean.shape != mu.shape:
-            raise ValueError("BN statistics shape mismatch")
-        layer.mean = np.asarray(mu, dtype=np.float64).copy()
-        layer.var = np.asarray(var, dtype=np.float64).copy()
+        layer.mean[...], layer.var[...] = mu, var
 
 
 def adaptive_select(net: Network, pool: list[Candidate],

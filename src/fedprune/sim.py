@@ -25,8 +25,8 @@ from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
     generate_candidate_pool, keep_budget, magnitude_mask, random_mask, \
     zero_masked
 from .nn import BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
-    ReLU, advance_bn_stats, backward, bn_moments, bn_stats, cross_entropy, \
-    forward, make_mlp, sgd_step
+    ReLU, advance_bn_stats, backward, bn_stats, cross_entropy, forward, \
+    make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
 from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
@@ -270,7 +270,7 @@ def _train_one_epoch(net, ds, mask, rate, batch_size, lr, rng) -> None:
     moments to one discounted sum."""
     perm = rng.permutation(len(ds))
     steps = _local_batches(len(ds), batch_size)
-    moments, total = bn_moments(net, 2)
+    moments, total = np.zeros((2, net.stats.size))
     for b in range(steps):
         idx = perm[b * batch_size:(b + 1) * batch_size]
         logits, cache = forward(net, ds.features[idx], "train",
@@ -590,8 +590,7 @@ def _sections(net: Network) -> list[list]:
     ``net`` can hold, in file order; a checkpoint without a mask holds the
     first two."""
     return [["flat", "<f8", net.flat.size],
-            ["bn_stats", "<f8", 2 * sum(bn.mean.size
-                                        for _, bn in net.bn_layers())],
+            ["bn_stats", "<f8", net.stats.size],
             ["mask", "|u1", sum(net.params()[key].size
                                 for key in net.prunable_keys())]]
 
@@ -600,9 +599,9 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
                     extra: dict | None = None) -> None:
     """Versioned binary snapshot: one JSON header line (the version, the
     layer specs, ``extra`` and each section's dtype and length), then the
-    sections: ``flat``, every BN layer's moving mean and variance in layer
-    order, both as little-endian float64, and the mask as uint8 over
-    ``prunable_keys()`` in flat order. The bytes are a function of the
+    sections: ``flat`` and ``stats`` (every BN layer's moving mean and
+    variance in layer order), both as little-endian float64, and the mask
+    as uint8 over ``prunable_keys()`` in flat order. The bytes are a function of the
     arguments alone."""
     if mask is not None and set(mask.slices) != set(net.prunable_keys()):
         raise ValueError("a checkpoint mask covers every prunable tensor")
@@ -612,7 +611,7 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
               "sections": _sections(net)[:2 if mask is None else 3]}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
-        for vec in (net.flat, *(x for pair in bn_stats(net) for x in pair)):
+        for vec in (net.flat, net.stats):
             fh.write(vec.astype("<f8", copy=False))
         for key in net.prunable_keys() if mask is not None else ():
             fh.write(np.ascontiguousarray(mask.slices[key], dtype=np.uint8))
@@ -679,10 +678,7 @@ def _rebuild(header: dict, body: bytes) -> tuple[Network, Mask | None]:
     if len(body) != size:
         raise ValueError(f"{len(body)} bytes after the header, not {size}")
     values = np.frombuffer(body, "<f8", n_flat + n_bn)
-    net.flat[...] = values[:n_flat]
-    stats = _split(values[n_flat:], [bn.mean.size for _, bn in net.bn_layers()
-                                     for _ in ("mean", "var")])
-    install_bn(net, list(zip(stats[::2], stats[1::2])))
+    net.flat[...], net.stats[...] = values[:n_flat], values[n_flat:]
     if any(np.any(bn.var < 0.0) for _, bn in net.bn_layers()):
         raise ValueError("a BN variance is negative")
     if len(sections) == 2:

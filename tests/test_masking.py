@@ -280,7 +280,7 @@ def test_pool_masks_match_per_candidate_support():
     for key in net.prunable_keys():
         w = net.params()[key]
         signs = np.where(np.arange(w.size) % 2, -1.0, 1.0).reshape(w.shape)
-        net.set_param(key, np.round(np.abs(w), 1) * signs)
+        w[...] = np.round(np.abs(w), 1) * signs
     weights = {k: net.params()[k] for k in net.prunable_keys()}
     assert all(len(np.unique(np.abs(w))) < w.size / 10
                for w in weights.values())

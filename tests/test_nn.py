@@ -15,7 +15,6 @@ from fedprune.nn import (
     _check_batch,
     advance_bn_stats,
     backward,
-    bn_moments,
     bn_stats,
     cross_entropy,
     eval_pass,
@@ -81,7 +80,7 @@ def test_bn_identity_eval():
 def test_bn_moving_mean_update():
     bn = BatchNorm(np.zeros(1), np.ones(1))
     net = Network([bn, Linear(np.eye(1), np.zeros(1))])
-    moments = bn_moments(net, 1)
+    moments = np.zeros((1, net.stats.size))
     forward(net, np.array([[2.0], [4.0]]), "train", moments=moments[0])
     # the forward hands over the batch mean 3 and variance 1 and leaves the
     # moving statistics as they are
@@ -124,9 +123,10 @@ def test_closed_form_matches_the_per_step_rule(steps, parts):
     net = make_mlp(3, [5, 4], 2, seed=0)
     rng = np.random.default_rng(steps + len(parts))
     for _, bn in net.bn_layers():
-        bn.mean, bn.var = rng.normal(size=bn.mean.size), rng.random(bn.var.size)
+        bn.mean[...] = rng.normal(size=bn.mean.size)
+        bn.var[...] = rng.random(bn.var.size)
     start = np.concatenate([np.concatenate(pair) for pair in bn_stats(net)])
-    rows = bn_moments(net, steps)
+    rows = np.zeros((steps, net.stats.size))
     rows[...] = rng.normal(size=rows.shape)
     rows[:, 5:10] = rows[:, 14:18] = 0.0  # the variance entries, nonnegative
     rows[:, 5:10] += rng.random((steps, 5))
@@ -425,6 +425,7 @@ def test_clone_owns_its_vectors_and_statistics():
         assert not np.shares_memory(a.var, b.var)
     _step(twin, rng)
     assert not np.shares_memory(twin.flat, net.flat)
+    assert not np.shares_memory(twin.stats, net.stats)
     assert not np.shares_memory(twin.grad, net.grad)
     for writer, other in ((twin, net), (net, twin)):
         before, grad = snapshot(other), other.grad.copy()
@@ -437,24 +438,33 @@ def test_clone_owns_its_vectors_and_statistics():
         assert_bitwise_equal(other.grad, grad)
 
 
-def test_set_param_and_checkpoint_load_write_through_to_flat(tmp_path):
+def test_view_writes_and_checkpoint_load_write_through_to_the_vectors(
+        tmp_path):
     from fedprune.sim import load_checkpoint, save_checkpoint
 
     net = make_mlp(4, [6, 5], 3, seed=3)
     key = net.prunable_keys()[0]
     view = net.params()[key]
-    net.set_param(key, np.full(view.shape, 0.25))
+    view[...] = np.full(view.shape, 0.25)
     start = _offset(view, net.flat)
     np.testing.assert_array_equal(net.flat[start:start + view.size], 0.25)
     np.testing.assert_array_equal(net.layers[int(key.split(".")[0])].weight,
                                   0.25)
     with pytest.raises(ValueError):
-        net.set_param(key, np.zeros(view.size))
+        view[...] = np.zeros(view.size)
+    _, bn = net.bn_layers()[1]
+    bn.var[...] = 3.0
+    start = _offset(bn.var, net.stats)
+    np.testing.assert_array_equal(net.stats[start:start + bn.var.size], 3.0)
     save_checkpoint(tmp_path / "net.ckpt", net, None)
     loaded, _, _ = load_checkpoint(tmp_path / "net.ckpt")
     assert loaded.flat.tobytes() == net.flat.tobytes()
     for key, p in loaded.params().items():
         assert np.shares_memory(p, loaded.flat), key
+    assert loaded.stats.tobytes() == net.stats.tobytes()
+    for _, bn in loaded.bn_layers():
+        assert np.shares_memory(bn.mean, loaded.stats)
+        assert np.shares_memory(bn.var, loaded.stats)
 
 
 def test_gradient_vector_is_made_by_backward_and_freed_by_drop_grads():
@@ -682,7 +692,7 @@ def test_kernels_match_reference_bit_for_bit(case):
     rate = net.rate(mask, 0.05) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(case)
-    moments = bn_moments(net, len(batches))
+    moments = np.zeros((len(batches), net.stats.size))
     for batch, row in zip(batches, moments):
         x = rng.normal(size=(batch, net.input_dim))
         y = rng.integers(0, classes, size=batch)
@@ -804,8 +814,8 @@ def _prior_forward(net: Network, batch, mode: str = "train"):
             inv = 1.0 / np.sqrt(var + BN_EPS)
             xhat = centred * inv
             m = BN_MOMENTUM
-            layer.mean = m * layer.mean + (1.0 - m) * mu
-            layer.var = m * layer.var + (1.0 - m) * var
+            layer.mean[...] = m * layer.mean + (1.0 - m) * mu
+            layer.var[...] = m * layer.var + (1.0 - m) * var
             cache.append((xhat, inv))
             x = layer.scale * xhat + layer.shift
     return x, cache
@@ -906,7 +916,7 @@ def test_kernels_stay_within_1e_12_of_the_prior_order(case):
     rate = net.rate(mask, 0.05) if mask is not None else None
     classes = net.params()[f"{len(net.layers) - 1}.bias"].size
     rng = np.random.default_rng(100 + case)
-    moments = bn_moments(net, 4)
+    moments = np.zeros((4, net.stats.size))
     for step, row in enumerate(moments):
         batch = batches[step % len(batches)]
         x = rng.normal(size=(batch, net.input_dim))

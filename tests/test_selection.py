@@ -44,8 +44,8 @@ def oracle_update_bn_stats(net, x):
             mu = x.mean(axis=0)
             var = x.var(axis=0)
             m = BN_MOMENTUM
-            layer.mean = m * layer.mean + (1.0 - m) * mu
-            layer.var = m * layer.var + (1.0 - m) * var
+            layer.mean[...] = m * layer.mean + (1.0 - m) * mu
+            layer.var[...] = m * layer.var + (1.0 - m) * var
             x = ((x - mu) * (layer.scale * (var + BN_EPS) ** -0.5)
                  + layer.shift)
 
@@ -285,6 +285,15 @@ def test_aggregate_shape_mismatch():
         aggregate_bn([r1, r2])
 
 
+def test_aggregate_rejects_a_variance_shaped_unlike_its_mean():
+    # a (1,) variance would broadcast over every feature of the mean
+    full = BNReport([(np.zeros(5), np.ones(5))], 5)
+    short = BNReport([(np.zeros(5), np.ones(1))], 5)
+    for reports in ([short], [full, short], [short, full]):
+        with pytest.raises(ValueError):
+            aggregate_bn(reports)
+
+
 # -- scoring and selection ---------------------------------------------------------
 
 def test_uniform_model_scores_log_classes():
@@ -372,6 +381,18 @@ def test_install_bn_shape_check():
     net = make_mlp(4, [8], 3, seed=0)
     with pytest.raises(ValueError):
         install_bn(net, [(np.zeros(3), np.ones(3))])
+
+
+def test_install_bn_rejects_a_variance_shaped_unlike_its_layer():
+    net = make_mlp(4, [5, 3], 2, seed=0)
+    before = [x.copy() for pair in bn_stats(net) for x in pair]
+    for stats in ([(np.zeros(5), np.ones(1)), (np.zeros(3), np.ones(7))],
+                  [(np.zeros(5), np.ones(5)), (np.zeros(3), np.ones(1))]):
+        with pytest.raises(ValueError):
+            install_bn(net, stats)
+    # the check comes before any write
+    assert [x.tobytes() for pair in bn_stats(net) for x in pair] == [
+        x.tobytes() for x in before]
 
 
 # -- mask selectors against the clone-per-client oracles ------------------------

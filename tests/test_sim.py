@@ -124,7 +124,7 @@ def test_pretraining_statistics_follow_the_per_step_rule(epochs, batch_size):
     # runs of 1, 2 (one step per epoch, so across an epoch boundary), 40 and
     # 8,000 steps: the same steps with one momentum update after each give
     # the same parameters, and moving statistics within 1e-12
-    from fedprune.nn import BN_MOMENTUM, backward, bn_moments, sgd_step
+    from fedprune.nn import BN_MOMENTUM, backward, sgd_step
 
     ds = make_blobs(3, 16, 4, 1.0, seed=0)
     net = make_mlp(4, [8, 8], 3, seed=1)
@@ -135,15 +135,15 @@ def test_pretraining_statistics_follow_the_per_step_rule(epochs, batch_size):
         perm = rng.permutation(len(ds))
         for b in range(_local_batches(len(ds), batch_size)):
             idx = perm[b * batch_size:(b + 1) * batch_size]
-            row = bn_moments(ref, 1)[0]
+            row = np.zeros(ref.stats.size)
             logits, cache = forward(ref, ds.features[idx], "train",
                                     moments=row)
             sgd_step(ref, backward(ref, logits, ds.labels[idx], cache)[1],
                      0.05)
             for _, bn in ref.bn_layers():
                 n = bn.mean.size
-                bn.mean = m * bn.mean + (1.0 - m) * row[:n]
-                bn.var = m * bn.var + (1.0 - m) * row[n:2 * n]
+                bn.mean[...] = m * bn.mean + (1.0 - m) * row[:n]
+                bn.var[...] = m * bn.var + (1.0 - m) * row[n:2 * n]
                 row = row[2 * n:]
             steps += 1
     assert steps == {1: 1, 2: 2, 5: 40, 1000: 8000}[epochs]
@@ -502,6 +502,59 @@ def test_checkpoint_save_then_load_returns_every_bit(tmp_path, width):
     assert json.loads(bare_head)["sections"] == json.loads(head)["sections"][:2]
     assert bare_body == body[:8 * (net.flat.size + sum(x.size for x in stats))]
     assert load_checkpoint(paths[1])[1] is None
+
+
+def assert_stats_are_views(net):
+    """Every BN layer's mean and variance are the views of ``net.stats``
+    that tile it, each layer's mean then its variance, in layer order."""
+    at = 0
+    base = net.stats.__array_interface__["data"][0]
+    for _, bn in net.bn_layers():
+        for vec in (bn.mean, bn.var):
+            assert np.shares_memory(vec, net.stats)
+            assert vec.__array_interface__["data"][0] == base + 8 * at
+            assert vec.tobytes() == net.stats[at:at + vec.size].tobytes()
+            at += vec.size
+    assert at == net.stats.size
+
+
+def test_bn_statistics_stay_views_of_stats(tmp_path):
+    from fedprune.nn import update_bn_stats
+    from fedprune.sim import _train_one_epoch
+
+    state = setup_experiment(tiny_config(algorithm="FedTiny", rounds=1))
+    net = state.net
+    assert_stats_are_views(make_mlp(5, [4, 3], 2))
+    assert_stats_are_views(net)
+    twin = net.clone()
+    assert_stats_are_views(twin)
+    assert not np.shares_memory(twin.stats, net.stats)
+    before = twin.stats.copy()
+    _train_one_epoch(twin, state.clients[0], None, None, 16, 0.05,
+                     np.random.default_rng(0))
+    assert_stats_are_views(twin)
+    assert twin.stats.tobytes() != before.tobytes()
+    assert net.stats.tobytes() != twin.stats.tobytes()
+    before = twin.stats.copy()
+    update_bn_stats(twin, state.clients[0].features[:16])
+    assert_stats_are_views(twin)
+    assert twin.stats.tobytes() != before.tobytes()
+    before = net.stats.copy()
+    fedavg(state, (_client_update(state, k, 1, {}) for k in range(2)),
+           sum(len(state.clients[k]) for k in range(2)))
+    assert_stats_are_views(net)
+    assert net.stats.tobytes() != before.tobytes()
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net, state.mask)
+    loaded, _, _ = load_checkpoint(path)
+    assert_stats_are_views(loaded)
+    assert loaded.stats.tobytes() == net.stats.tobytes()
+    # the bn_stats section is ``stats`` as written
+    header, body = path.read_bytes().split(b"\n", 1)
+    (_, _, n_flat), (name, _, n_bn), _ = json.loads(header)["sections"]
+    assert (name, n_bn) == ("bn_stats", net.stats.size)
+    assert (body[8 * n_flat:8 * (n_flat + n_bn)]
+            == net.stats.astype("<f8").tobytes())
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
