@@ -404,19 +404,25 @@ def cross_entropy(logits: Array, labels) -> float | Array:
     return loss if loss.ndim else float(loss)
 
 
-def backward(net: Network, logits: Array, labels, cache):
-    """Softmax cross-entropy loss and exact gradients for every parameter.
+def backward(net: Network, logits: Array, labels, cache, lowest: int = 0):
+    """Softmax cross-entropy loss and exact gradients for every parameter
+    of layer ``lowest`` and above.
 
     Requires the cache of a train-mode forward on the same batch. Returns
     the loss and ``net.grad``, which the next ``backward`` on ``net``
     overwrites. Gradients are dense; any masking is the caller's concern.
     The loss, with the bits ``cross_entropy`` gives, and the logit gradient
-    come from one ``exp`` of the shifted logits.
+    come from one ``exp`` of the shifted logits. Below ``lowest`` the walk
+    propagates nothing and the gradients keep what they held; those it
+    writes are the bits of the full walk.
     """
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward")
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match this network")
+    if not 0 <= lowest < len(net.layers):
+        raise ValueError(f"lowest layer {lowest} is not one of the network's "
+                         f"{len(net.layers)} layers")
     labels = _check_labels(logits, labels)
     n = logits.shape[0]
     rows = np.arange(n)
@@ -431,14 +437,14 @@ def backward(net: Network, logits: Array, labels, cache):
 
     # views in flat order, which the walk from the last layer pops
     grads = list(net.grads().values())
-    for i in range(len(net.layers) - 1, -1, -1):
+    for i in range(len(net.layers) - 1, lowest - 1, -1):
         layer = net.layers[i]
         if layer.kind == "linear":
             (x,) = cache[i]
             if layer.bias is not None:
                 np.add.reduce(delta, axis=0, out=grads.pop())  # bias
             np.matmul(x.T, delta, out=grads.pop())  # weight
-            if i > 0:  # nothing reads the gradient of the network input
+            if i > lowest:  # nothing reads the gradient of its input
                 delta = delta @ layer.weight.T
         elif layer.kind == "relu":
             (y,) = cache[i]
@@ -450,7 +456,7 @@ def backward(net: Network, logits: Array, labels, cache):
             tmp = delta * centred
             dscale = np.add.reduce(tmp, axis=0, out=grads.pop())
             dscale *= inv
-            if i > 0:
+            if i > lowest:
                 # dx = g * (delta - dshift / b - centred * (inv * dscale / b)),
                 # the BN input gradient with xhat = centred * inv
                 delta -= dshift / b

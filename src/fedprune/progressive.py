@@ -50,10 +50,6 @@ class TopKBuffer:
     def __len__(self) -> int:
         return len(self.index)
 
-    def entries(self) -> list[tuple[int, float]]:
-        """The kept pairs as (index, gradient) tuples, in order."""
-        return list(zip(self.index.tolist(), self.value.tolist()))
-
 
 def _first(index: Array, value: Array, k: int) -> Array:
     """Positions of the ``k`` pairs (all, if fewer) first in the order

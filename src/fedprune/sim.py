@@ -353,8 +353,9 @@ def selection_record(method: str, pool, scores: dict[int, float],
 
 @dataclass
 class ClientResult:
-    """One client's upload: its trained ``Network.flat``, BN statistics, and
-    (on pruning rounds) the targeted layers' top-K gradient buffers."""
+    """One client's upload: the round worker's ``flat`` as its training left
+    it (the next client overwrites it), a copy of its BN statistics, and (on
+    pruning rounds) the targeted layers' top-K gradient buffers."""
     flat: Array | None  # None once fedavg has added it in
     bn: BNReport
     buffers: dict[str, TopKBuffer]
@@ -362,23 +363,30 @@ class ClientResult:
 
 
 def _client_update(state: ExperimentState, k: int, round_index: int,
-                   collect: dict[str, tuple[int, Array]]) -> ClientResult:
-    """One client's work item: E local epochs of masked SGD, then (on
-    pruning rounds) the top-K gradient collection for the targeted layers.
-    ``collect`` maps each targeted key to its buffer capacity and the flat
-    indices of its pruned coordinates."""
+                   collect: dict[str, tuple[int, Array]], worker: Network,
+                   rate: Array | None) -> ClientResult:
+    """One client's work item on ``worker``, the round's one scratch network
+    that it overwrites with the round's model: E local epochs of masked SGD
+    at the round's ``rate`` (``None`` when dense), then (on pruning rounds)
+    the top-K gradient collection. ``collect`` maps each targeted key to its
+    buffer capacity and the flat indices of its pruned coordinates. The
+    upload's ``flat`` is ``worker.flat``: it is folded before the next
+    client starts."""
     cfg = state.cfg
     client = state.clients[k]
-    local = state.net.clone()
+    worker.flat[...] = state.net.flat
+    worker.stats[...] = state.net.stats
     rng = np.random.default_rng(_subseed(cfg.seed, _T_LOCAL, round_index, k))
-    rate = None if state.mask is None else local.rate(state.mask, cfg.lr)
     for _ in range(cfg.local_epochs):
-        _train_one_epoch(local, client, state.mask, rate, cfg.batch_size,
+        _train_one_epoch(worker, client, state.mask, rate, cfg.batch_size,
                          cfg.lr, rng)
 
-    # uploaded without copies: the collection pass below writes neither a
-    # parameter nor a BN statistic
-    flat, bn = local.flat, BNReport(bn_stats(local), len(client))
+    # the parameters are uploaded without a copy: the collection pass below
+    # writes none of them, and fedavg folds them before the next client.
+    # The BN statistics are aggregated after the last client, so copied
+    flat = worker.flat
+    bn = BNReport([(mean.copy(), var.copy())
+                   for mean, var in bn_stats(worker)], len(client))
     buffers = {}
     violations = 0
     if collect:
@@ -388,11 +396,14 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
         if take >= 2:
             idx = crng.choice(len(client), size=take, replace=False)
             # train-mode BN uses batch statistics, so the gradients do not
-            # depend on the moving ones
-            logits, cache = forward(local, client.features[idx], "train")
-            backward(local, logits, client.labels[idx], cache)
+            # depend on the moving ones; no targeted gradient depends on a
+            # layer below the earliest targeted one
+            logits, cache = forward(worker, client.features[idx], "train")
+            backward(worker, logits, client.labels[idx], cache,
+                     lowest=min(worker.layer_of_key(key) for key in collect))
+            grads = worker.grads()
             for key, (a, pruned) in collect.items():
-                values = local.grads()[key].reshape(-1)[pruned]
+                values = grads[key].reshape(-1)[pruned]
                 buffers[key] = topk_collect(pruned, values, a)
                 violations += len(buffers[key]) > a
     return ClientResult(flat, bn, buffers, violations)
@@ -448,9 +459,10 @@ def fedavg(state: ExperimentState, results: Iterable[ClientResult],
     """Streamed sample-weighted FedAvg into ``state.net``: each upload of
     ``results`` (``total`` samples in all) is scaled in place by its share,
     added into one sum from +0.0 in the order given and released before the
-    next result is made. The sum then replaces ``flat`` (masked coordinates
-    set to +0.0) and the aggregate of every BN report the moving
-    statistics. Returns the results, each ``flat`` released."""
+    next result is made, which may reuse its vector (the round's worker
+    ``flat``). The sum then replaces ``flat`` (masked coordinates set to
+    +0.0) and the aggregate of every BN report the moving statistics.
+    Returns the results, each ``flat`` released."""
     flat = np.zeros_like(state.net.flat)
     folded = []
     for res in results:
@@ -495,11 +507,15 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
     participants = sorted(srng.choice(cfg.clients, size=m, replace=False))
     collect, clamped = plan_round(state, round_index)
     peak, memory = round_costs(state, participants, collect)
-    # clients reduced in fixed participant order, each as it returns; they
-    # all clone the round's starting model, which fedavg replaces after the
-    # last. The mask does not change before adjust, so neither do the
-    # pruned indices in ``collect``
-    results = fedavg(state, (_client_update(state, k, round_index, collect)
+    # clients train in fixed participant order on one worker network, each
+    # from the round's starting model, and are reduced as each returns,
+    # before the next overwrites the worker; fedavg replaces the model after
+    # the last. The mask does not change before adjust, so neither do the
+    # rate vector and the pruned indices in ``collect``
+    worker = state.net.clone()
+    rate = None if state.mask is None else state.net.rate(state.mask, cfg.lr)
+    results = fedavg(state, (_client_update(state, k, round_index, collect,
+                                            worker, rate)
                              for k in participants),
                      sum(len(state.clients[k]) for k in participants))
     layers = adjust(state, results, collect)

@@ -499,6 +499,35 @@ def test_second_backward_overwrites_the_gradients():
         assert_bitwise_equal(views[key], g)
 
 
+@pytest.mark.parametrize("batch_norm", [True, False])
+def test_a_backward_from_a_lowest_layer_writes_only_that_layer_and_above(
+        batch_norm):
+    # each layer at or above ``lowest`` gets the full walk's gradients bit
+    # for bit; the gradients below keep what they held
+    rng = np.random.default_rng(13)
+    net = make_mlp(5, [6, 7, 4], 3, batch_norm=batch_norm, seed=14)
+    x, y = rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)
+    logits, cache = forward(net, x, "train")
+    ref_logits, ref_cache, _ = _ref_forward(net, x, "train")
+    ref_loss, ref_grads = _ref_backward(net, ref_logits, y, ref_cache)
+    linear = [i for i, l in enumerate(net.layers) if l.kind == "linear"]
+    assert len(linear) == 4 and linear[0] == 0  # lowest=0 is the full walk
+    sentinel = -1234.5
+    for lowest in linear:
+        views = net.grads()
+        net.grad[...] = sentinel
+        loss, grad = backward(net, logits, y, cache, lowest=lowest)
+        assert loss == ref_loss and grad is net.grad
+        for key, g in views.items():
+            if net.layer_of_key(key) >= lowest:
+                assert_bitwise_equal(g, ref_grads[key])
+            else:
+                assert (g == sentinel).all(), key
+    for bad in (-1, len(net.layers)):
+        with pytest.raises(ValueError, match="lowest layer"):
+            backward(net, logits, y, cache, lowest=bad)
+
+
 # -- bitwise oracle -----------------------------------------------------------
 # The straightforward kernels, one new array per operation. The engine's
 # kernels compute in place on arrays they allocate; they must agree with

@@ -53,6 +53,15 @@ def oracle_topk_collect(indices, values, capacity: int) -> HeapTopKBuffer:
     return buf
 
 
+def assert_same_pairs(buf, ref: HeapTopKBuffer) -> None:
+    """``buf`` holds the oracle's (index, gradient) pairs in its order,
+    signs of zero included."""
+    want = ref.entries()
+    assert buf.index.tolist() == [i for i, _ in want]
+    assert buf.value.tobytes() == np.array([g for _, g in want],
+                                           dtype=np.float64).tobytes()
+
+
 def arrays(grads: dict[int, float]):
     """A {flat index: gradient} dict as an ascending (index, grads) pair."""
     keys = sorted(grads)
@@ -148,24 +157,25 @@ def test_pruning_number_clamps_to_available_coordinates():
 
 def test_topk_magnitude_order():
     buf = topk_collect([0, 1, 2, 3], [0.1, -0.5, 0.3, 0.05], 2)
-    assert {i for i, _ in buf.entries()} == {1, 2}
-    assert buf.entries()[0] == (1, -0.5)
+    assert set(buf.index.tolist()) == {1, 2}
+    assert (buf.index[0], buf.value[0]) == (1, -0.5)
 
 
 def test_topk_capacity_at_least_count_keeps_all():
     buf = topk_collect(range(5), [1.0, 2.0, 3.0, 4.0, 5.0], 10)
     assert len(buf) == 5
-    assert buf.entries() == [(4, 5.0), (3, 4.0), (2, 3.0), (1, 2.0), (0, 1.0)]
+    assert buf.index.tolist() == [4, 3, 2, 1, 0]
+    assert buf.value.tolist() == [5.0, 4.0, 3.0, 2.0, 1.0]
 
 
 def test_topk_zero_capacity_empty():
     buf = topk_collect(range(10), np.ones(10), 0)
-    assert len(buf) == 0 and buf.entries() == []
+    assert len(buf) == 0 and buf.index.size == buf.value.size == 0
 
 
 def test_topk_tie_prefers_lower_index():
     buf = topk_collect([5, 2, 9], [1.0, 1.0, 1.0], 2)
-    assert [i for i, _ in buf.entries()] == [2, 5]
+    assert buf.index.tolist() == [2, 5]
 
 
 def test_topk_matches_sort_oracle_and_memory_bound():
@@ -177,7 +187,7 @@ def test_topk_matches_sort_oracle_and_memory_bound():
         idx = np.arange(n)
         buf = topk_collect(idx, vals, a)
         oracle = sorted(range(n), key=lambda i: (-abs(vals[i]), i))[:a]
-        assert [i for i, _ in buf.entries()] == oracle
+        assert buf.index.tolist() == oracle
         assert len(buf) <= a
 
 
@@ -195,9 +205,7 @@ def test_topk_matches_heap_oracle_with_ties_and_shuffled_indices():
                   else rng.normal(size=n))
         buf = topk_collect(indices, values, a)
         ref = oracle_topk_collect(indices, values, a)
-        assert buf.entries() == ref.entries()
-        assert [np.signbit(g) for _, g in buf.entries()] == \
-            [np.signbit(g) for _, g in ref.entries()]
+        assert_same_pairs(buf, ref)
         assert len(buf) <= a
 
 
@@ -240,9 +248,7 @@ def test_topk_matches_heap_oracle_across_several_chunks():
                               else rng.normal(size=n))
                     buf = topk_collect(indices, values, a)
                     ref = oracle_topk_collect(indices, values, a)
-                    assert buf.entries() == ref.entries()
-                    assert [np.signbit(g) for _, g in buf.entries()] == \
-                        [np.signbit(g) for _, g in ref.entries()]
+                    assert_same_pairs(buf, ref)
                     assert len(buf) <= a
 
 
@@ -292,7 +298,7 @@ def test_aggregate_matches_bruteforce_within_1e12():
     total = sum(weights)
     expected: dict[int, float] = {}
     for buf, w in zip(buffers, weights):
-        for i, g in buf.entries():
+        for i, g in zip(buf.index.tolist(), buf.value.tolist()):
             expected[i] = expected.get(i, 0.0) + (w / total) * g
     assert set(agg) == set(expected)
     for i in agg:

@@ -1,5 +1,4 @@
 import json
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +35,15 @@ def tiny_config(**kw):
                 density=0.1, interval=2, stop_round=6, seed=0)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def own_update(state, k, round_index, collect):
+    """``_client_update`` on a worker network of its own, with the round's
+    rate vector, so that its upload outlives the next call."""
+    rate = (None if state.mask is None
+            else state.net.rate(state.mask, state.cfg.lr))
+    return _client_update(state, k, round_index, collect, state.net.clone(),
+                          rate)
 
 
 def by_key(net, vec):
@@ -188,10 +196,10 @@ def test_every_pruning_round_of_a_long_run_adjusts(algorithm, monkeypatch):
     uploads = []
     client_update = sim._client_update
 
-    def checked(state, k, round_index, collect):
+    def checked(state, k, round_index, collect, *args):
         # each upload holds at most ``a`` distinct pruned coordinates of
         # its layer in this round
-        res = client_update(state, k, round_index, collect)
+        res = client_update(state, k, round_index, collect, *args)
         for key, buf in res.buffers.items():
             a, pruned = collect[key]
             assert len(buf) <= a
@@ -225,7 +233,7 @@ def test_single_client_aggregation_is_identity():
     cfg = tiny_config(algorithm="DenseFedAvg", clients=1, rounds=1,
                       local_epochs=1)
     state = setup_experiment(cfg)
-    upload = _client_update(state, 0, 1, {})
+    upload = own_update(state, 0, 1, {})
     flat = upload.flat.copy()
     fedavg(state, [upload], upload.bn.samples)
     np.testing.assert_allclose(state.net.flat, flat, rtol=0, atol=1e-12)
@@ -326,16 +334,17 @@ def test_each_participant_steps_once_per_local_batch(monkeypatch):
 
 def test_fedavg_matches_bruteforce_weighted_average():
     # the fold takes each upload as its client returns; every client still
-    # trains from the round's starting model
+    # trains from the round's starting model, on one worker network as in
+    # a round, and uploads what a fresh clone of that model would
     cfg = tiny_config(algorithm="DenseFedAvg", rounds=1, local_epochs=1)
     state = setup_experiment(cfg)
-    eager = [_client_update(state, k, 1, {}).flat
-             for k in range(cfg.clients)]
+    eager = [own_update(state, k, 1, {}).flat for k in range(cfg.clients)]
     copies = []
+    worker = state.net.clone()
 
     def uploads():
         for k in range(cfg.clients):
-            res = _client_update(state, k, 1, {})
+            res = _client_update(state, k, 1, {}, worker, None)
             copies.append(res.flat.copy())
             yield res
 
@@ -357,7 +366,7 @@ def test_fedavg_zeroes_masked_coordinates_of_any_upload():
     # hold the global model to its mask even when one is not
     state = setup_experiment(tiny_config(algorithm="StaticRandom",
                                          rounds=1, local_epochs=1))
-    uploads = [_client_update(state, k, 1, {}) for k in range(2)]
+    uploads = [own_update(state, k, 1, {}) for k in range(2)]
     uploads[0].flat += 1.0
     fedavg(state, iter(uploads), sum(up.bn.samples for up in uploads))
     zero = state.net.masked_out(state.mask)
@@ -386,7 +395,7 @@ def test_adjust_skips_a_layer_no_participant_uploaded_gradients_for():
     state.clients = [client.subset([0]) for client in state.clients]
     collect, _ = plan_round(state, 2)
     assert collect
-    results = [_client_update(state, k, 2, collect)
+    results = [own_update(state, k, 2, collect)
                for k in range(len(state.clients))]
     assert not any(res.buffers for res in results)
     before, kept = state.mask.copy(), state.mask.counts()
@@ -540,7 +549,7 @@ def test_bn_statistics_stay_views_of_stats(tmp_path):
     assert_stats_are_views(twin)
     assert twin.stats.tobytes() != before.tobytes()
     before = net.stats.copy()
-    fedavg(state, (_client_update(state, k, 1, {}) for k in range(2)),
+    fedavg(state, (own_update(state, k, 1, {}) for k in range(2)),
            sum(len(state.clients[k]) for k in range(2)))
     assert_stats_are_views(net)
     assert net.stats.tobytes() != before.tobytes()
@@ -689,8 +698,8 @@ def test_collection_pass_never_reaches_the_upload():
     state = setup_experiment(tiny_config(algorithm="FedTiny"))
     collect = {key: (5, np.flatnonzero(m.reshape(-1) == 0))
                for key, m in state.mask.slices.items()}
-    with_pass = _client_update(state, 0, 2, collect)
-    without = _client_update(state, 0, 2, {})
+    with_pass = own_update(state, 0, 2, collect)
+    without = own_update(state, 0, 2, {})
     assert set(with_pass.buffers) == set(collect) and not without.buffers
     assert with_pass.flat.shape == without.flat.shape
     assert with_pass.flat.tobytes() == without.flat.tobytes()
@@ -710,26 +719,82 @@ def test_collection_pass_never_reaches_the_upload():
         assert bn.var.tobytes() == other.var.tobytes()
 
 
-def test_a_round_holds_one_upload_at_a_time(monkeypatch):
-    # the previous client's uploaded vector is freed once it is folded in,
-    # before the next client's update starts, on a round that also keeps
-    # every client's top-K buffers
+@pytest.mark.parametrize("granularity, earliest", [
+    ("layer", [9, 6, 3]), ("block", [9, 6, 3]), ("entire", [3])])
+def test_collection_matches_a_full_backward_oracle(monkeypatch, granularity,
+                                                   earliest):
+    # the collection's backward stops at the earliest targeted layer, which
+    # is the last, the middle or the first of the three prunable tensors;
+    # its top-K buffers are those a full backward gives, byte for byte
     from fedprune import sim
 
     state = setup_experiment(tiny_config(algorithm="FedTiny",
-                                         granularity="entire"))
-    client_update, refs = sim._client_update, []
+                                         hidden=(16, 16, 16, 16),
+                                         granularity=granularity, interval=1))
+    assert state.net.prunable_keys() == ("3.weight", "6.weight", "9.weight")
+    full, seen = sim.backward, []
 
-    def update(state, k, *args):
-        assert all(ref() is None for ref in refs)
-        res = client_update(state, k, *args)
-        refs.append(weakref.ref(res.flat))
+    def stopped(*args, **kwargs):
+        seen.append(kwargs.get("lowest"))  # None for a training step
+        return full(*args, **kwargs)
+
+    def oracle(net, logits, labels, cache, lowest=0):
+        return full(net, logits, labels, cache)
+
+    for r, want in enumerate(earliest, start=1):
+        collect, _ = plan_round(state, r)
+        assert min(state.net.layer_of_key(key) for key in collect) == want
+        for k in range(state.cfg.clients):
+            monkeypatch.setattr(sim, "backward", stopped)
+            got = own_update(state, k, r, collect).buffers
+            assert seen.pop() == want and set(seen) == {None}
+            seen.clear()
+            monkeypatch.setattr(sim, "backward", oracle)
+            ref = own_update(state, k, r, collect).buffers
+            assert got.keys() == ref.keys() == collect.keys()
+            for key, buf in got.items():
+                assert buf.index.tobytes() == ref[key].index.tobytes()
+                assert buf.value.tobytes() == ref[key].value.tobytes()
+
+
+def test_a_round_holds_one_upload_at_a_time(monkeypatch):
+    # a round clones one worker network and builds one rate vector; every
+    # client uploads the worker's vector, which is folded in and released
+    # before the next client's update starts, on a round that also keeps
+    # every client's top-K buffers
+    from fedprune import sim
+    from fedprune.nn import Network
+
+    state = setup_experiment(tiny_config(algorithm="FedTiny",
+                                         granularity="entire"))
+    calls = {"clone": 0, "rate": 0}
+
+    def counted(name):
+        original = getattr(Network, name)
+
+        def call(net, *args):
+            calls[name] += 1
+            return original(net, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(Network, name, counted(name))
+    client_update, results, workers = sim._client_update, [], []
+
+    def update(state, k, round_index, collect, worker, rate):
+        assert all(res.flat is None for res in results)
+        res = client_update(state, k, round_index, collect, worker, rate)
+        assert res.flat is worker.flat
+        results.append(res)
+        workers.append(worker)
         return res
 
     monkeypatch.setattr(sim, "_client_update", update)
     assert run_round(state, 2).grow_count > 0
-    assert len(refs) == state.cfg.clients
-    assert all(ref() is None for ref in refs)
+    assert calls == {"clone": 1, "rate": 1}
+    assert len(results) == state.cfg.clients
+    assert all(worker is workers[0] for worker in workers)
+    assert all(res.flat is None and res.buffers for res in results)
 
 
 def test_pruned_coordinates_hold_positive_zero_through_a_run(monkeypatch):
