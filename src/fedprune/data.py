@@ -40,8 +40,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(),
-                       self.classes)
+        # indexing with an array already returns new arrays
+        return Dataset(self.features[idx], self.labels[idx], self.classes)
 
 
 def make_blobs(classes: int, per_class: int, dim: int, spread: float,

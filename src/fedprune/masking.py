@@ -82,9 +82,10 @@ class Mask:
 
     def __post_init__(self):
         for key, m in self.slices.items():
-            # check before the cast, which would turn 0.5 into 0 and 256 into 0
+            # check before the cast, which would turn 0.5 into 0 and 256 into
+            # 0; a boolean array holds nothing else
             m = np.asarray(m)
-            if not np.all((m == 0) | (m == 1)):
+            if m.dtype != bool and not np.all((m == 0) | (m == 1)):
                 raise ValueError(f"mask entries for {key} must be 0 or 1")
             self.slices[key] = m.astype(np.uint8, copy=False)
 

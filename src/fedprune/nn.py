@@ -10,8 +10,9 @@ on the caller's batch, an array cached for ``backward`` or a BN layer's
 array. They are bit-identical to the reference kernels in ``tests/test_nn``,
 which make one new array per operation. A BN layer folds its normalization
 into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
-Selection passes also take C stacked candidates: a ``(C, fan_in, fan_out)``
-weight gives ``(C, B, fan_out)``, one matrix product per candidate.
+Selection passes also take C stacked candidates behind the batch axis: a
+``(C, fan_in, fan_out)`` weight gives ``(B, C, fan_out)``, one matrix product
+per candidate, and per-candidate BN statistics are ``(C, width)``.
 
 A linear layer that feeds a BN layer has no bias, which BN would cancel. A
 network keeps its parameters in one vector, ``flat``, and its BN moving
@@ -301,17 +302,34 @@ def bn_stats(net: Network) -> list[tuple[Array, Array]]:
 def batch_stats(x: Array, out: Array | None = None
                 ) -> tuple[Array, Array, Array]:
     """Per-feature batch mean, the centred batch, and the biased batch
-    variance over the batch axis -2. The mean is the sum and division
-    ``x.mean(axis=-2)`` runs, and the variance reuses the centred batch;
-    they are bit-identical to ``x.mean(axis=-2)`` and ``x.var(axis=-2)``.
-    With ``out``, a vector of twice the feature count, the mean is written
-    into its first half and the variance into its second."""
-    n, width = x.shape[-2:]
-    mu = np.divide(np.add.reduce(x, axis=-2), n,
+    variance over the batch axis 0, of a ``(B, width)`` batch or a
+    ``(B, C, width)`` stack (one ``(C, width)`` row per candidate). The
+    mean is the row-by-row sum and division ``x.mean(axis=0)`` runs, and the
+    variance reuses the centred batch; they are bit-identical to
+    ``x.mean(axis=0)`` and ``x.var(axis=0)``. With ``out``, a vector of
+    twice the feature count, the mean is written into its first half and
+    the variance into its second."""
+    n, width = x.shape[0], x.shape[-1]
+    mu = np.divide(np.add.reduce(x, axis=0), n,
                    out=None if out is None else out[:width])
-    centred = x - mu[..., None, :]
-    return mu, centred, np.divide(np.add.reduce(centred * centred, axis=-2), n,
+    centred = x - mu
+    return mu, centred, np.divide(np.add.reduce(centred * centred, axis=0), n,
                                   out=None if out is None else out[width:])
+
+
+def _stacked_linear(x: Array, weight: Array) -> Array:
+    """``x @ weight`` for a 2-D batch and weight, and otherwise batch first:
+    a ``(B, C, fan_in)`` stack or a ``(C, fan_in, fan_out)`` weight gives
+    ``(B, C, fan_out)``, where candidate ``c`` is the ``(B, fan_in) @
+    (fan_in, fan_out)`` product it has alone, written through a
+    ``(C, B, fan_out)`` view."""
+    if x.ndim == weight.ndim == 2:
+        return x @ weight
+    c = weight.shape[0] if weight.ndim == 3 else x.shape[1]
+    out = np.empty((x.shape[0], c, weight.shape[-1]))
+    np.matmul(x if x.ndim == 2 else x.swapaxes(0, 1), weight,
+              out=out.swapaxes(0, 1))
+    return out
 
 
 def refresh_pass(layers, x: Array, stats: list, *,
@@ -320,13 +338,15 @@ def refresh_pass(layers, x: Array, stats: list, *,
     normalizes with batch statistics and advances its moving statistics.
     ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
     order; each pair is replaced by the advanced one, and neither a layer
-    nor ``x`` is written. Returns the last layer's output, or with
-    ``stats_only`` None as soon as the last pair advances."""
+    nor ``x`` is written. Behind a stacked ``(C, fan_in, fan_out)`` weight
+    the activations are ``(B, C, width)`` and the pairs ``(C, width)``.
+    Returns the last layer's output, or with ``stats_only`` None as soon as
+    the last pair advances."""
     batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight
+            x = _stacked_linear(x, layer.weight)
             if layer.bias is not None:
                 x += layer.bias
         elif layer.kind == "relu":
@@ -339,7 +359,7 @@ def refresh_pass(layers, x: Array, stats: list, *,
             j += 1
             if stats_only and j == len(stats):
                 return None
-            x *= (layer.scale * (var + BN_EPS) ** -0.5)[..., None, :]
+            x *= layer.scale * (var + BN_EPS) ** -0.5
             x += layer.shift
     return x
 
@@ -347,12 +367,14 @@ def refresh_pass(layers, x: Array, stats: list, *,
 def eval_pass(layers, x: Array, stats) -> Array:
     """Eval-mode pass of ``x`` through ``layers``, normalizing every BN layer
     with the matching ``(mean, var)`` pair of ``stats`` in place of the
-    layer's own statistics. Mutates nothing, ``x`` included."""
+    layer's own statistics: ``(width,)``, or ``(C, width)`` per candidate
+    for the ``(B, C, width)`` activations behind a stacked weight, as in
+    ``refresh_pass``. Mutates nothing, ``x`` included."""
     batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = x @ layer.weight
+            x = _stacked_linear(x, layer.weight)
             if layer.bias is not None:
                 x += layer.bias
         elif layer.kind == "relu":
@@ -362,8 +384,8 @@ def eval_pass(layers, x: Array, stats) -> Array:
             j += 1
             # (x - mean) * g + shift, as one product and one sum
             g = layer.scale * (var + BN_EPS) ** -0.5
-            x = np.multiply(x, g[..., None, :], out=None if x is batch else x)
-            x += (layer.shift - mean * g)[..., None, :]
+            x = np.multiply(x, g, out=None if x is batch else x)
+            x += layer.shift - mean * g
     return x
 
 
@@ -376,29 +398,30 @@ def _check_batch(net: Network, batch) -> Array:
 
 
 def _check_labels(logits: Array, labels) -> Array:
-    """``labels`` as an array, if it holds one class of ``logits`` per row."""
+    """``labels`` as an array, if it holds one class of ``logits`` per
+    sample of the batch axis 0."""
     labels = np.asarray(labels)
     n_classes = logits.shape[-1]
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[-2]:
+    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ValueError("labels must be a vector matching the batch size")
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if (np.minimum.reduce(labels) < 0
+            or np.maximum.reduce(labels) >= n_classes):
         raise ValueError(f"labels must lie in [0, {n_classes})")
     return labels
 
 
-def log_softmax(logits: Array) -> Array:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def cross_entropy(logits: Array, labels) -> float | Array:
-    """Mean softmax cross-entropy of the integer ``labels``: a float, or one
-    per candidate for stacked ``(C, B, classes)`` logits."""
+    """Mean softmax cross-entropy of the integer ``labels``: a float for
+    ``(B, classes)`` logits, or for stacked ``(B, C, classes)`` logits one
+    per candidate, each the mean over its B samples."""
     labels = _check_labels(logits, labels)
-    logp = log_softmax(logits)
-    # contiguous, so each row's mean is the pairwise sum a 1-D mean runs
-    picked = np.ascontiguousarray(logp[..., np.arange(len(labels)), labels])
-    loss = -picked.mean(axis=-1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    sums = np.add.reduce(np.exp(shifted), axis=-1)
+    # each picked log-probability, as ``backward`` takes it
+    picked = shifted[np.arange(len(labels)), ..., labels] - np.log(sums)
+    # candidate first and contiguous, so each mean is the pairwise sum a
+    # 1-D mean runs
+    loss = -np.ascontiguousarray(picked.T).mean(axis=-1)
     if not np.isfinite(loss).all():
         raise FloatingPointError("non-finite loss")
     return loss if loss.ndim else float(loss)

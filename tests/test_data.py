@@ -106,6 +106,17 @@ def test_dev_split_size_and_membership():
     assert all(tuple(r) in rows for r in sub.features)
 
 
+def test_a_subset_holds_the_selected_rows_and_shares_no_memory():
+    ds = make_blobs(3, 10, 4, 1.0, seed=2)
+    idx = [7, 0, 29, 7]
+    sub = ds.subset(idx)
+    np.testing.assert_array_equal(sub.features, ds.features[idx])
+    np.testing.assert_array_equal(sub.labels, ds.labels[idx])
+    assert sub.classes == ds.classes
+    assert not np.shares_memory(sub.features, ds.features)
+    assert not np.shares_memory(sub.labels, ds.labels)
+
+
 def test_dev_split_seeds_differ_but_sizes_match():
     ds = make_blobs(2, 50, 3, 1.0, seed=1)
     a = ds.subset(dev_indices(len(ds), 0.2, seed=1))

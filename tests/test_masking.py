@@ -150,6 +150,16 @@ def test_mask_rejects_non_binary_entries():
         with pytest.raises(ValueError):
             Mask({"a": np.array(bad)})
     assert Mask({"a": np.array([1.0, 0.0])}).slices["a"].dtype == np.uint8
+    for bad in ([2, 1], [0.5, 0.0], [-1, 0]):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            Mask({"a": np.array(bad)})
+
+
+def test_a_boolean_mask_is_stored_as_its_uint8_indicators():
+    keep = np.array([[True, False, True], [False, False, True]])
+    stored = Mask({"a": keep}).slices["a"]
+    assert stored.dtype == np.uint8
+    np.testing.assert_array_equal(stored, keep)
 
 
 # -- select_support over magnitudes ------------------------------------------------

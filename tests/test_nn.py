@@ -19,7 +19,6 @@ from fedprune.nn import (
     cross_entropy,
     eval_pass,
     forward,
-    log_softmax,
     make_mlp,
     refresh_pass,
     sgd_step,
@@ -232,6 +231,25 @@ def test_a_non_finite_loss_raises(bad):
             cross_entropy(logits, y)
         with pytest.raises(FloatingPointError, match="non-finite loss"):
             backward(net, logits, y, cache)
+
+
+@pytest.mark.parametrize("batch", [1, 31, 64])
+def test_stacked_cross_entropy_is_each_candidates_loss_bit_for_bit(batch):
+    # (B, C, classes) logits give one loss per candidate, the bits of that
+    # candidate's (B, classes) loss and of the mean of its log-softmax picks
+    rng = np.random.default_rng(batch)
+    logits = 4.0 * rng.normal(size=(batch, 5, 10))
+    y = rng.integers(0, 10, size=batch)
+    losses = cross_entropy(logits, y)
+    assert losses.shape == (5,)
+    for c in range(5):
+        alone = np.ascontiguousarray(logits[:, c])
+        picked = _prior_log_softmax(alone)[np.arange(batch), y]
+        assert losses[c] == cross_entropy(alone, y) == -picked.mean()
+    with pytest.raises(ValueError, match="batch size"):
+        cross_entropy(logits, np.zeros(batch + 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="must lie in"):
+        cross_entropy(logits, np.full(batch, 10))
 
 
 # -- sgd_step -------------------------------------------------------------
@@ -777,43 +795,55 @@ def test_refresh_and_eval_passes_match_reference_and_keep_the_input(case):
 
 @pytest.mark.parametrize("case", range(7))
 def test_stacked_candidates_match_each_candidate_bit_for_bit(case):
-    # selection runs C candidates as the slices of stacked linear weights;
-    # each slice must compute what that candidate's layers compute alone
+    # selection runs C candidates as the slices of stacked linear weights,
+    # behind the batch axis; each slice must compute what that candidate's
+    # layers compute alone: on the case's batch, a one-sample batch and an
+    # odd one, with every linear layer stacked, and with an unstacked one
+    # after the stacked ones, as selection's shared output layer
     _, net, _, batches = list(_oracle_cases())[case]
     rng = np.random.default_rng(case)
-    x = rng.normal(size=(batches[-1], net.input_dim))
-    y = rng.integers(0, net.layers[-1].weight.shape[1], size=len(x))
-    singles = [[copy.copy(layer) for layer in net.layers] for _ in range(3)]
-    for layers in singles:
-        for layer in layers:
-            if layer.kind == "linear":
-                keep = rng.random(layer.weight.shape) < 0.6
-                layer.weight = np.where(keep, layer.weight, 0.0)
-    stacked = [copy.copy(layer) for layer in net.layers]
-    for i, layer in enumerate(stacked):
-        if layer.kind == "linear":
-            layer.weight = np.stack([layers[i].weight for layers in singles])
+    classes = net.layers[-1].weight.shape[1]
+    linear = [i for i, layer in enumerate(net.layers) if layer.kind == "linear"]
+    for stacked_ix in (linear, linear[:-1]):
+        singles = [[copy.copy(layer) for layer in net.layers] for _ in range(3)]
+        for layers in singles:
+            for i in stacked_ix:
+                keep = rng.random(layers[i].weight.shape) < 0.6
+                layers[i].weight = np.where(keep, layers[i].weight, 0.0)
+        stacked = [copy.copy(layer) for layer in net.layers]
+        for i in stacked_ix:
+            stacked[i].weight = np.stack([layers[i].weight
+                                          for layers in singles])
+        for size in (batches[-1], 1, 31):
+            x = rng.normal(size=(size, net.input_dim))
+            y = rng.integers(0, classes, size=size)
+            _check_stacked(net, stacked, singles, x, y)
 
+
+def _check_stacked(net, stacked, singles, x, y):
     def row(a, c):  # statistics of a BN layer before any stacked weight
         return a[c] if a.ndim == 2 else a
 
     stats, only = bn_stats(net), bn_stats(net)
     out = refresh_pass(stacked, x, stats)
+    assert out.shape == (len(x), len(singles), out.shape[-1])
     last = refresh_pass(stacked, x, only, stats_only=True)
     assert (last is None) == bool(only)  # None once the last pair advanced
     logits = eval_pass(stacked, x, stats)
+    losses = cross_entropy(logits, y)
+    assert losses.shape == (len(singles),)
     pretrained = eval_pass(stacked, x, bn_stats(net))
     for c, layers in enumerate(singles):
         want = bn_stats(net)
-        assert_bitwise_equal(out[c], refresh_pass(layers, x, want))
+        assert_bitwise_equal(out[:, c], refresh_pass(layers, x, want))
         for got, got_only, pair in zip(stats, only, want):
             for a, b, w in zip(got, got_only, pair):
                 assert_bitwise_equal(row(a, c), w)
                 assert_bitwise_equal(row(b, c), w)
         alone = eval_pass(layers, x, want)
-        assert_bitwise_equal(logits[c], alone)
-        assert cross_entropy(logits, y)[c] == cross_entropy(alone, y)
-        assert_bitwise_equal(pretrained[c],
+        assert_bitwise_equal(logits[:, c], alone)
+        assert losses[c] == cross_entropy(alone, y)
+        assert_bitwise_equal(pretrained[:, c],
                              eval_pass(layers, x, bn_stats(net)))
 
 
@@ -884,6 +914,11 @@ def _prior_eval_pass(layers, x, stats):
     return x
 
 
+def _prior_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def _prior_backward(net: Network, logits, labels, cache):
     if cache is None:
         raise ValueError("backward needs the cache from a train-mode forward")
@@ -895,7 +930,7 @@ def _prior_backward(net: Network, logits, labels, cache):
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in [0, {n_classes})")
 
-    logp = log_softmax(logits)
+    logp = _prior_log_softmax(logits)
     loss = float(-logp[np.arange(n), labels].mean())
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
