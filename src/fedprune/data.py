@@ -6,7 +6,9 @@ Every randomized operation here is a pure function of its inputs and seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,10 +56,13 @@ def make_blobs(classes: int, per_class: int, dim: int, spread: float,
         raise ValueError("spread must be nonnegative")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, 1.0, size=(classes, dim))
-    features = np.repeat(means, per_class, axis=0)
-    features = features + spread * rng.normal(size=features.shape)
+    # one features-sized array: the noise, scaled, then shifted by its
+    # class's mean (the bits of repeated means + spread * noise)
+    features = rng.normal(size=(classes, per_class, dim))
+    features *= spread
+    features += means[:, None]
     labels = np.repeat(np.arange(classes), per_class)
-    return Dataset(features, labels, classes)
+    return Dataset(features.reshape(-1, dim), labels, classes)
 
 
 def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
@@ -66,7 +71,8 @@ def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
 
     Each class's samples are divided by a fresh Dir(alpha * 1_K) draw; the
     whole assignment is redrawn (up to PARTITION_RETRIES times) until every
-    client holds at least one sample.
+    client holds at least one sample. Each client's rows keep their order
+    in ``ds``.
     """
     if clients < 1:
         raise ValueError("client count must be at least 1")
@@ -77,20 +83,21 @@ def dirichlet_partition(ds: Dataset, clients: int, alpha: float,
                          f"{clients} clients")
     rng = np.random.default_rng(seed)
     by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.classes)]
+    owner = np.empty(len(ds), dtype=np.int64)  # the client of each row
     for _ in range(PARTITION_RETRIES):
-        assignment: list[list[int]] = [[] for _ in range(clients)]
         for idx_c in by_class:
             if len(idx_c) == 0:
                 continue
             idx_c = rng.permutation(idx_c)
             p = rng.dirichlet(np.full(clients, alpha))
-            counts = _proportional_counts(p, len(idx_c))
-            start = 0
-            for client, take in enumerate(counts):
-                assignment[client].extend(idx_c[start:start + take].tolist())
-                start += take
-        if all(len(a) > 0 for a in assignment):
-            return [ds.subset(sorted(a)) for a in assignment]
+            owner[idx_c] = np.repeat(np.arange(clients),
+                                     _proportional_counts(p, len(idx_c)))
+        sizes = np.bincount(owner, minlength=clients)
+        if sizes.all():
+            # a stable sort by owner keeps each client's rows ascending
+            order = np.argsort(owner, kind="stable")
+            return [ds.subset(idx)
+                    for idx in np.split(order, np.cumsum(sizes)[:-1])]
     raise ValueError(
         f"could not give every one of {clients} clients a sample in "
         f"{PARTITION_RETRIES} draws; fewer clients or a larger dataset needed")
@@ -109,19 +116,26 @@ def _proportional_counts(p: Array, n: int) -> Array:
     return counts
 
 
+def floor_share(ratio: float, n: int) -> int:
+    """floor(ratio * n), evaluated on the decimal the float was written as:
+    ``floor_share(0.29, 100)`` is 29, where float arithmetic gives 28."""
+    return math.floor(Fraction(repr(float(ratio))) * n)
+
+
 def dev_indices(n: int, ratio: float, seed: int = 0) -> Array:
-    """Sorted indices of a uniform subset of size max(1, floor(ratio * n))."""
+    """Sorted indices of a uniform subset of size
+    max(1, ``floor_share(ratio, n)``)."""
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    size = max(1, int(ratio * n))
+    size = max(1, floor_share(ratio, n))
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
 def split_sizes(n: int, fractions: list[float]) -> list[int]:
-    """Group sizes of ``split_indices``: ``int(frac * n)`` per fraction, then
-    the remainder."""
-    sizes = [int(frac * n) for frac in fractions]
+    """Group sizes of ``split_indices``: ``floor_share(frac, n)`` per
+    fraction, then the remainder."""
+    sizes = [floor_share(frac, n) for frac in fractions]
     return sizes + [n - sum(sizes)]
 
 

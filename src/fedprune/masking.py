@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import floor_share
 from .nn import Array, Network
 
 MIN_KEPT_PER_LAYER = 10   # floor that keeps every pruned layer connected
@@ -21,11 +22,11 @@ POOL_NOISE = 0.5          # candidate densities vary by this share of d_target
 
 
 def keep_budget(density: float, n: int) -> int:
-    """floor(density * n), evaluated on the decimal the float was written as:
+    """``floor_share(density, n)``, the rule of the data splits too:
     ``keep_budget(0.29, 100)`` is 29, where float arithmetic gives 28."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must lie in [0, 1], got {density}")
-    return math.floor(Fraction(repr(float(density))) * n)
+    return floor_share(density, n)
 
 
 def allocate_counts(shares: dict[str, float], sizes: dict[str, int],

@@ -283,7 +283,11 @@ def _train_one_epoch(net, ds, mask, rate, batch_size, lr, rng) -> None:
 
 
 def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
+    # every row is held once: the full dataset goes once it is split, the
+    # training pool once it is partitioned and the server split once
+    # pretraining has read it
     ds = build_dataset(cfg)
+    dim, classes = ds.dim, ds.classes
 
     test_idx, server_idx, pool_idx = split_indices(
         len(ds), [cfg.test_ratio, cfg.server_ratio],
@@ -292,17 +296,20 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     train_pool = ds.subset(pool_idx)
     # with no held-out split, evaluation falls back to the training pool
     test_set = ds.subset(test_idx) if len(test_idx) else train_pool
+    del ds
 
     clients = dirichlet_partition(train_pool, cfg.clients, cfg.alpha,
                                   seed=_subseed(cfg.seed, _T_PART))
+    del train_pool
     dev_sets = [client.subset(dev_indices(len(client), cfg.dev_ratio,
                                           seed=_subseed(cfg.seed, _T_DEV, k)))
                 for k, client in enumerate(clients)]
 
-    net = make_mlp(ds.dim, list(cfg.hidden), ds.classes,
+    net = make_mlp(dim, list(cfg.hidden), classes,
                    seed=_subseed(cfg.seed, _T_MODEL))
     pretrain_server(net, server_set, cfg.pretrain_epochs, cfg.lr,
                     cfg.batch_size, seed=_subseed(cfg.seed, _T_PRETRAIN))
+    del server_set
 
     mask = None
     record = None

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fedprune import data
 from fedprune.data import (
     Dataset,
     dev_indices,
     dirichlet_partition,
+    floor_share,
     load_csv,
     make_blobs,
     split_indices,
     split_sizes,
 )
+from fedprune.masking import keep_budget
 
 
 # -- make_blobs -------------------------------------------------------------
@@ -32,6 +37,39 @@ def test_blobs_zero_spread_collapses_classes():
     for c in range(3):
         rows = ds.features[ds.labels == c]
         assert np.all(rows == rows[0])
+
+
+def _repeated_means_blobs(classes, per_class, dim, spread, seed):
+    """The reference construction: repeated class means plus scaled noise,
+    each a features-sized array of its own."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, size=(classes, dim))
+    features = np.repeat(means, per_class, axis=0)
+    return features + spread * rng.normal(size=features.shape)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1.0, 2.5])
+def test_blobs_equal_the_repeated_means_construction_bit_for_bit(spread):
+    for seed in range(5):
+        ds = make_blobs(4, 7, 3, spread, seed=seed)
+        want = _repeated_means_blobs(4, 7, 3, spread, seed)
+        assert ds.features.shape == want.shape
+        assert ds.features.tobytes() == want.tobytes()  # signs of zero too
+        np.testing.assert_array_equal(ds.labels, np.repeat(np.arange(4), 7))
+
+
+def test_blobs_peak_at_one_features_array():
+    make_blobs(10, 500, 32, 1.0, seed=0)  # first-call imports untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = make_blobs(10, 500, 32, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 1.28 MB of features, 40 kB of labels; the reference construction
+    # holds three features-sized arrays at once
+    assert peak <= ds.features.nbytes + ds.labels.nbytes + 64 * 1024
 
 
 # -- dirichlet_partition ------------------------------------------------------
@@ -62,6 +100,52 @@ def test_partition_near_uniform_at_huge_alpha():
         for p in parts:
             shares = np.bincount(p.labels, minlength=10) / len(p)
             assert np.all(np.abs(shares - 0.1) < 0.05)
+
+
+def _list_partition(ds, clients, alpha, seed):
+    """The reference partition: Python lists per client, sorted at the end.
+    Returns each client's indices and the number of draws it took."""
+    rng = np.random.default_rng(seed)
+    by_class = [np.flatnonzero(ds.labels == c) for c in range(ds.classes)]
+    for draw in range(1, data.PARTITION_RETRIES + 1):
+        assignment = [[] for _ in range(clients)]
+        for idx_c in by_class:
+            if len(idx_c) == 0:
+                continue
+            idx_c = rng.permutation(idx_c)
+            p = rng.dirichlet(np.full(clients, alpha))
+            counts = data._proportional_counts(p, len(idx_c))
+            start = 0
+            for client, take in enumerate(counts):
+                assignment[client].extend(idx_c[start:start + take].tolist())
+                start += take
+        if all(len(a) > 0 for a in assignment):
+            return [sorted(a) for a in assignment], draw
+    raise ValueError("no draw")
+
+
+def test_partition_matches_the_list_oracle_including_retried_draws():
+    blobs = make_blobs(4, 30, 2, 1.0, seed=3)
+    # class 2 has no sample: it takes no draw
+    gap = Dataset(blobs.features[blobs.labels != 2],
+                  blobs.labels[blobs.labels != 2], 4)
+    draws = []
+    for ds, clients, alpha in ((blobs, 5, 0.5), (blobs, 10, 0.1),
+                               (gap, 3, 1.0), (gap, 9, 0.1), (blobs, 1, 0.5)):
+        for seed in range(5):
+            want, n_draws = _list_partition(ds, clients, alpha, seed)
+            draws.append(n_draws)
+            parts = dirichlet_partition(ds, clients, alpha, seed=seed)
+            assert len(parts) == clients
+            for part, idx in zip(parts, want):
+                assert part.features.tobytes() == ds.features[idx].tobytes()
+                np.testing.assert_array_equal(part.labels, ds.labels[idx])
+    assert max(draws) > 1  # some case was redrawn
+    # every draw leaves a client empty: both give up
+    with pytest.raises(ValueError):
+        _list_partition(gap, 12, 0.05, 0)
+    with pytest.raises(ValueError, match="could not give every one of 12"):
+        dirichlet_partition(gap, 12, 0.05, seed=0)
 
 
 def test_partition_rejects_more_clients_than_samples():
@@ -134,9 +218,20 @@ def test_split_indices_cover_everything():
 
 def test_split_sizes_are_the_split_group_sizes():
     for n, fractions in ((100, [0.2, 0.1]), (5000, [0.2, 0.0001]),
-                         (7, [0.5]), (10, [])):
+                         (7, [0.5]), (10, []), (100, [0.29, 0.58])):
         groups = split_indices(n, fractions, seed=1)
         assert split_sizes(n, fractions) == [len(g) for g in groups]
+
+
+def test_split_and_dev_sizes_floor_the_ratio_as_written():
+    # float products give 28 and 57: 0.29 * 100 is 28.999999999999996
+    assert split_sizes(100, [0.29, 0.58]) == [29, 58, 13]
+    assert len(dev_indices(100, 0.29, seed=0)) == 29
+    assert len(dev_indices(100, 0.58, seed=0)) == 58
+    for ratio in (0.01, 0.07, 0.1, 0.2, 0.29, 0.5, 0.58, 1.0):
+        for n in (1, 7, 100, 199, 5000):
+            assert floor_share(ratio, n) == keep_budget(ratio, n)
+            assert len(dev_indices(n, ratio)) == max(1, floor_share(ratio, n))
 
 
 # -- load_csv ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,16 @@ def test_config_validation_checks_blob_split_sizes():
         assert [m.split(":")[0] for m in err.value.issues] == [field]
     # without pretraining an empty server split is allowed
     tiny_config(server_ratio=0.004, pretrain_epochs=0).validate()
+
+
+def test_config_validation_floors_the_split_ratios_as_written():
+    # 100 blobs: 29 test, not the 28 of float 0.29 * 100, and 10 server
+    # samples leave 61 for training
+    tiny_config(per_class=25, test_ratio=0.29, clients=61).validate()
+    with pytest.raises(ConfigError) as err:
+        tiny_config(per_class=25, test_ratio=0.29, clients=62).validate()
+    assert err.value.issues == ["clients: 61 training samples cannot give "
+                                "each of 62 clients one"]
 
 
 def test_auto_pool_size():
@@ -689,6 +700,48 @@ def test_setup_clones_only_the_winner(monkeypatch, algorithm):
     state = setup_experiment(tiny_config(algorithm=algorithm, pool_size=8))
     assert len(state.selection["candidates"]) == 8
     assert len(clones) == 1
+
+
+@pytest.mark.parametrize("test_ratio", [0.2, 0.0])
+def test_setup_holds_no_split_past_its_last_read(monkeypatch, test_ratio):
+    from fedprune import sim
+
+    refs, seen = {}, {}
+    build, partition = sim.build_dataset, sim.dirichlet_partition
+    pretrain, pool = sim.pretrain_server, sim.generate_candidate_pool
+
+    def live(*names):
+        return {name: refs[name]() is not None for name in names}
+
+    def built(cfg):
+        ds = build(cfg)
+        refs["dataset"] = weakref.ref(ds)
+        return ds
+
+    def partitioned(ds, *args, **kwargs):
+        refs["pool"] = weakref.ref(ds)
+        return partition(ds, *args, **kwargs)
+
+    def pretrained(net, ds, *args, **kwargs):
+        refs["server"] = weakref.ref(ds)
+        seen["pretrain"] = live("dataset", "pool")
+        return pretrain(net, ds, *args, **kwargs)
+
+    def pooled(*args, **kwargs):
+        seen["pool"] = live("dataset", "pool", "server")
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "build_dataset", built)
+    monkeypatch.setattr(sim, "dirichlet_partition", partitioned)
+    monkeypatch.setattr(sim, "pretrain_server", pretrained)
+    monkeypatch.setattr(sim, "generate_candidate_pool", pooled)
+    state = setup_experiment(tiny_config(test_ratio=test_ratio))
+    # with no held-out split the training pool is the test set
+    fallback = test_ratio == 0.0
+    assert seen["pretrain"] == {"dataset": False, "pool": fallback}
+    assert seen["pool"] == {"dataset": False, "pool": fallback,
+                            "server": False}
+    assert (refs["pool"]() is state.test_set) == fallback
 
 
 def test_collection_pass_never_reaches_the_upload():
