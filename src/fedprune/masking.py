@@ -64,6 +64,20 @@ def allocate_counts(shares: dict[str, float], sizes: dict[str, int],
     return counts
 
 
+def _smallest(key: Array, k: int) -> Array:
+    """Positions of the ``k`` smallest entries of the 1-D ``key`` (all, if
+    fewer) in ascending order, equal keys by lower position: exactly
+    ``np.argsort(key, kind="stable")[:k]``. One ``np.partition`` cut at the
+    ``k``-th key (ties at the cut kept), then one stable sort of only the
+    entries at or below it; NaN sorts last in both, as in ``np.sort``."""
+    if k < len(key):
+        above = key > np.partition(key, k - 1)[k - 1]
+        cand = np.flatnonzero(np.logical_not(above, out=above))
+    else:
+        cand = np.arange(len(key))
+    return cand[np.argsort(key[cand], kind="stable")[:k]]
+
+
 def select_support(scores: Array, count: int) -> Array:
     """uint8 mask of the ``count`` highest scores; ties keep the lower flat
     index."""
@@ -71,7 +85,7 @@ def select_support(scores: Array, count: int) -> Array:
     if not 0 <= count <= flat.size:
         raise ValueError(f"cannot keep {count} of {flat.size} entries")
     mask = np.zeros(flat.size, dtype=np.uint8)
-    mask[np.argsort(-flat, kind="stable")[:count]] = 1
+    mask[_smallest(-flat, count)] = 1
     return mask.reshape(np.shape(scores))
 
 
@@ -165,15 +179,17 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
     """Uniform-noise candidate pool: per-layer densities d_target + e with
     e ~ U[-POOL_NOISE * d_target, +POOL_NOISE * d_target], one draw per
     candidate, as shares of the global keep budget; each layer keeps its
-    largest-magnitude weights: those ranked before its count in the layer's
-    one stable descending magnitude order, exactly the ones
-    ``select_support`` keeps."""
+    largest-magnitude weights, exactly the ones ``select_support`` keeps:
+    a prefix of the layer's descending magnitude order. No layer can keep
+    more than the budget, so only its top ``min(size, budget)`` magnitudes
+    are ordered, once per layer."""
     if count < 1:
         raise ValueError("pool size must be at least 1")
-    ranks = {k: np.argsort(np.argsort(-np.abs(w), axis=None, kind="stable"))
-             .reshape(w.shape) for k, w in _prunable(net).items()}
-    sizes = {k: r.size for k, r in ranks.items()}
+    weights = _prunable(net)
+    sizes = {k: w.size for k, w in weights.items()}
     budget = keep_budget(d_target, sum(sizes.values()))
+    order = {k: _smallest(-np.abs(w.reshape(-1)), min(w.size, budget))
+             for k, w in weights.items()}
 
     pool = []
     for cid in range(count):
@@ -182,6 +198,10 @@ def generate_candidate_pool(net: Network, d_target: float, count: int,
                         size=len(sizes))
         shares = {k: float(d_target + e[i]) for i, k in enumerate(sizes)}
         counts = allocate_counts(shares, sizes, budget)
-        mask = Mask({k: r < counts[k] for k, r in ranks.items()})
-        pool.append(Candidate(shares, mask))
+        slices = {}
+        for k, w in weights.items():
+            kept = np.zeros(w.size, dtype=bool)  # boolean: Mask skips its scan
+            kept[order[k][:counts[k]]] = True
+            slices[k] = kept.reshape(w.shape)
+        pool.append(Candidate(shares, Mask(slices)))
     return pool

@@ -4,8 +4,9 @@ Each client uploads the ``a`` largest-magnitude gradients of a layer's pruned
 coordinates, the server aggregates them, grows the pruned coordinates with
 the largest aggregated gradient magnitude, and prunes the same number of
 unpruned coordinates with the smallest weight magnitude. The client's top-K
-and the server's grow choice share one ordering rule, ``_first``. Density is
-conserved exactly by every adjustment.
+and the server's grow choice share one ordering rule, ``_first``; the drop
+choice is ``masking._smallest``, the rule of the masks. Density is conserved
+exactly by every adjustment.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .masking import _smallest
 from .nn import Array, Network
 
 GRANULARITIES = ("layer", "block", "entire")
@@ -54,7 +56,9 @@ class TopKBuffer:
 def _first(index: Array, value: Array, k: int) -> Array:
     """Positions of the ``k`` pairs (all, if fewer) first in the order
     (|g| desc, index asc, g desc): one ``np.partition`` cut at the ``k``-th
-    largest |g|, ties kept, then one ``lexsort`` of the pairs at or above."""
+    largest |g|, ties kept, then one ``lexsort`` of the pairs at or above.
+    It cuts |g| itself, where ``masking._smallest``'s cut would need -|g|:
+    one more pass over every pruned coordinate of each upload."""
     if k < len(value):
         mag = np.abs(value)
         kth = len(value) - k
@@ -165,8 +169,7 @@ def plan_grow_prune(index: Array, grads: Array, mask_slice: Array,
         grow = np.concatenate((grow, fill))
 
     flat_w = np.abs(weight_slice.reshape(-1)[unpruned])
-    order = np.argsort(flat_w, kind="stable")
-    return GrowPrunePlan(grow, unpruned[order[:count]], shortfall)
+    return GrowPrunePlan(grow, unpruned[_smallest(flat_w, count)], shortfall)
 
 
 def apply_plan(mask_slice: Array, plan: GrowPrunePlan,

@@ -29,8 +29,8 @@ from .nn import BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
     make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
-from .selection import BNReport, adaptive_select, aggregate_bn, install_bn, \
-    iter_batches, vanilla_select
+from .selection import BNReport, _distinct, adaptive_select, aggregate_bn, \
+    install_bn, iter_batches, vanilla_select
 
 ALGORITHMS = ("FedTiny", "StaticRandom", "StaticMagnitude", "DenseFedAvg",
               "ProgressiveOnly", "AdaptiveBNOnly")
@@ -301,9 +301,11 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     clients = dirichlet_partition(train_pool, cfg.clients, cfg.alpha,
                                   seed=_subseed(cfg.seed, _T_PART))
     del train_pool
+    # only the selectors read dev sets; each draw has its own subseed
     dev_sets = [client.subset(dev_indices(len(client), cfg.dev_ratio,
                                           seed=_subseed(cfg.seed, _T_DEV, k)))
-                for k, client in enumerate(clients)]
+                for k, client in enumerate(clients)] \
+        if cfg.algorithm in POOL_ALGS else []
 
     net = make_mlp(dim, list(cfg.hidden), classes,
                    seed=_subseed(cfg.seed, _T_MODEL))
@@ -342,9 +344,12 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
 def selection_record(method: str, pool, scores: dict[int, float],
                      winner: int) -> dict:
     """What candidate selection saw: each candidate's drawn per-layer shares
-    and aggregated dev loss, the winner, and its margin to the runner-up
-    (``None`` for a pool of one)."""
-    rest = [loss for cid, loss in scores.items() if cid != winner]
+    and aggregated dev loss, the winner, and its margin to the runner-up:
+    the best candidate whose mask differs from the winner's, since copies
+    of a mask share its score (``None`` if no mask differs)."""
+    _, mask_of = _distinct(pool)
+    rest = [loss for cid, loss in scores.items()
+            if mask_of[cid] != mask_of[winner]]
     return {
         "method": method,
         "winner": winner,

@@ -18,6 +18,7 @@ from fedprune.cli import (
     run_id,
     serialize_config,
 )
+from fedprune.masking import allocate_counts
 from fedprune.sim import ConfigError, ExperimentConfig, load_checkpoint, \
     save_checkpoint
 
@@ -178,15 +179,21 @@ def test_cmd_run_writes_artifacts(config_file, tmp_path):
     assert manifest["resolved"]["pool_size"] == 0
 
 
-@pytest.mark.parametrize("algorithm, method", [("AdaptiveBNOnly", "adaptive"),
-                                               ("ProgressiveOnly", "vanilla")])
+# a pool of 30 holds copies of the winner's mask, a pool of 5 none
+@pytest.mark.parametrize("algorithm, method, pool_size", [
+    pytest.param(alg, method, size, id=f"{alg}-{method}{suffix}")
+    for size, suffix in ((5, ""), (30, "-copies"))
+    for alg, method in (("AdaptiveBNOnly", "adaptive"),
+                        ("ProgressiveOnly", "vanilla"))])
 def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
-                                                     algorithm, method):
+                                                     algorithm, method,
+                                                     pool_size):
     runs = []
     for name in ("a", "b"):
         out = tmp_path / name
         rc = main(["run", "--config", str(config_file), "--out", str(out),
-                   "--set", f"algorithm={algorithm}", "--set", "pool_size=5"])
+                   "--set", f"algorithm={algorithm}",
+                   "--set", f"pool_size={pool_size}"])
         assert rc == 0
         runs.append(next(out.iterdir()))
     for artifact in ("selection.json", "metrics.csv"):
@@ -198,16 +205,27 @@ def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
         header = json.loads(fh.readline())
     _, mask, _ = load_checkpoint(runs[0] / "final.ckpt")
     assert manifest["artifacts"]["selection"] == "selection.json"
-    assert manifest["resolved"]["pool_size"] == 5
+    assert manifest["resolved"]["pool_size"] == pool_size
     assert record["method"] == method
-    assert [c["id"] for c in record["candidates"]] == [0, 1, 2, 3, 4]
+    assert [c["id"] for c in record["candidates"]] == list(range(pool_size))
     losses = {c["id"]: c["dev_loss"] for c in record["candidates"]}
     winner = record["winner"]
     assert winner == header["extra"]["selected_candidate"]
     assert losses[winner] == min(losses.values())
-    assert record["margin"] == min(loss for cid, loss in losses.items()
-                                   if cid != winner) - losses[winner]
-    assert record["margin"] >= 0.0
+    # one network's masks are its layers' magnitude-order prefixes, so two
+    # candidates share a mask exactly when their keep counts agree; the
+    # margin skips the winner's copies, which share its loss
+    sizes = {k: m.size for k, m in mask.slices.items()}
+    budget = mask.counts()[0]
+    counts = {c["id"]: allocate_counts(c["layer_shares"], sizes, budget)
+              for c in record["candidates"]}
+    copies = [cid for cid in losses if counts[cid] == counts[winner]]
+    assert all(losses[cid] == losses[winner] for cid in copies)
+    assert (len(copies) > 1) == (pool_size == 30)
+    assert record["margin"] == min(
+        loss for cid, loss in losses.items()
+        if cid not in copies) - losses[winner]
+    assert record["margin"] > 0.0
     for c in record["candidates"]:
         assert sorted(c["layer_shares"]) == sorted(mask.slices)
 

@@ -8,6 +8,7 @@ from fedprune.masking import (
     MIN_KEPT_PER_LAYER,
     POOL_NOISE,
     Mask,
+    _smallest,
     allocate_counts,
     apply_mask,
     generate_candidate_pool,
@@ -162,6 +163,36 @@ def test_a_boolean_mask_is_stored_as_its_uint8_indicators():
     np.testing.assert_array_equal(stored, keep)
 
 
+# -- _smallest ------------------------------------------------------------------
+
+def tied_keys(rng, n):
+    """Heavy ties: exact zeros of both signs and a few repeated values."""
+    return rng.choice([0.0, -0.0, 0.0, -0.0, 0.25, -0.25, 1.5, -1.5], size=n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 301])
+def test_smallest_is_a_stable_argsort_prefix_for_every_k(n):
+    rng = np.random.default_rng(n)
+    mixed = tied_keys(rng, n)
+    mixed[::3] = rng.normal(size=len(mixed[::3]))
+    for key in (tied_keys(rng, n), -np.abs(tied_keys(rng, n)), mixed,
+                rng.normal(size=n)):
+        oracle = np.argsort(key, kind="stable")
+        for k in range(n + 1):
+            assert _smallest(key, k).tolist() == oracle[:k].tolist()
+    if n >= 64:
+        key = tied_keys(rng, n)
+        assert np.sum(key == 0.0) > n / 3
+        assert 0 < np.sum(np.signbit(key) & (key == 0.0)) < np.sum(key == 0.0)
+
+
+def test_smallest_sorts_nan_last_as_a_stable_argsort():
+    key = np.array([np.nan, 2.0, np.nan, 1.0, 2.0])
+    oracle = np.argsort(key, kind="stable")
+    for k in range(len(key) + 1):
+        assert _smallest(key, k).tolist() == oracle[:k].tolist()
+
+
 # -- select_support over magnitudes ------------------------------------------------
 
 def magnitude_support(w, d):
@@ -304,6 +335,46 @@ def test_pool_masks_match_per_candidate_support():
             want = select_support(np.abs(w), counts[key])
             assert cand.mask.slices[key].dtype == want.dtype
             np.testing.assert_array_equal(cand.mask.slices[key], want)
+
+
+def rank_pool_masks(net, d_target, pool):
+    """Each candidate's masks built as before partial ordering: the rank of
+    every weight in its layer's stable descending magnitude order, kept
+    below the candidate's count."""
+    weights = {k: net.params()[k] for k in net.prunable_keys()}
+    sizes = {k: w.size for k, w in weights.items()}
+    budget = keep_budget(d_target, sum(sizes.values()))
+    ranks = {k: np.argsort(np.argsort(-np.abs(w), axis=None, kind="stable"))
+             .reshape(w.shape) for k, w in weights.items()}
+    return [Mask({k: r < allocate_counts(c.layer_densities, sizes, budget)[k]
+                  for k, r in ranks.items()}) for c in pool]
+
+
+@pytest.mark.parametrize("hidden, d_target", [
+    ((50, 50, 50), 0.01), ((50, 50, 50), 0.3), ((20, 30, 20), 0.1),
+    # a 9-weight layer beside a 300-weight one: the budget (154, 30)
+    # exceeds the small layer, whose order then covers all of it
+    ((3, 3, 100), 0.5), ((3, 3, 100), 0.1)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pool_masks_equal_the_full_rank_construction(hidden, d_target, seed):
+    net = pool_net(seed=seed, hidden=hidden)
+    if seed == 2:  # heavy ties: rounded magnitudes, signs alternating
+        for key in net.prunable_keys():
+            w = net.params()[key]
+            signs = np.where(np.arange(w.size) % 2, -1.0, 1.0).reshape(w.shape)
+            w[...] = np.round(np.abs(w), 1) * signs
+    sizes = [net.params()[k].size for k in net.prunable_keys()]
+    budget = keep_budget(d_target, sum(sizes))
+    if hidden == (3, 3, 100):
+        assert min(sizes) < budget
+    pool = generate_candidate_pool(net, d_target, 6, seed=seed)
+    for cand, want in zip(pool, rank_pool_masks(net, d_target, pool),
+                          strict=True):
+        assert cand.mask.slices.keys() == want.slices.keys()
+        for key, m in cand.mask.slices.items():
+            assert (m.dtype, m.shape) == (want.slices[key].dtype,
+                                          want.slices[key].shape)
+            assert m.tobytes() == want.slices[key].tobytes()
 
 
 def test_pool_infeasible_floor_raises():

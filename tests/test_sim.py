@@ -7,7 +7,7 @@ import pytest
 
 from fedprune import costs
 from fedprune.data import make_blobs
-from fedprune.masking import keep_budget
+from fedprune.masking import Candidate, Mask, keep_budget
 from fedprune.nn import forward, make_mlp
 from fedprune.progressive import target_layers
 from fedprune.sim import (
@@ -25,6 +25,7 @@ from fedprune.sim import (
     run_experiment,
     run_round,
     save_checkpoint,
+    selection_record,
     setup_experiment,
 )
 
@@ -877,3 +878,37 @@ def test_pruned_coordinates_hold_positive_zero_through_a_run(monkeypatch):
         grown += run_round(state, r).grow_count
         assert positive_zeros(state.net.flat)
     assert grown > 0 and len(checked) == state.cfg.clients * state.cfg.rounds
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_dev_sets_are_drawn_only_for_the_selectors(monkeypatch, algorithm):
+    from fedprune import sim
+
+    calls = []
+    draw = sim.dev_indices
+    monkeypatch.setattr(sim, "dev_indices",
+                        lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    cfg = tiny_config(algorithm=algorithm)
+    setup_experiment(cfg)
+    assert len(calls) == (cfg.clients if algorithm in sim.POOL_ALGS else 0)
+
+
+def test_selection_margin_skips_copies_of_the_winners_mask():
+    def cand(*bits):
+        return Candidate({"w": 0.5}, Mask({"w": np.array(bits, dtype=bool)}))
+
+    a, b, c = (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0)
+    # copies of a mask share its score; the runner-up is the best other mask
+    pool = [cand(*b), cand(*a), cand(*a), cand(*c), cand(*a)]
+    scores = {0: 2.5, 1: 2.0, 2: 2.0, 3: 2.25, 4: 2.0}
+    record = selection_record("adaptive", pool, scores, 1)
+    assert record["winner"] == 1
+    assert record["margin"] == 0.25
+    # every candidate holds the winner's mask: there is no runner-up
+    assert selection_record("vanilla", [cand(*a)] * 3, dict.fromkeys(
+        range(3), 2.0), 0)["margin"] is None
+    assert selection_record("vanilla", pool[:1], {0: 2.5}, 0)["margin"] is None
+    # two different masks that tie exactly keep a zero margin
+    record = selection_record("adaptive", [cand(*a), cand(*b), cand(*a)],
+                              {0: 2.0, 1: 2.0, 2: 2.0}, 0)
+    assert record["margin"] == 0.0
