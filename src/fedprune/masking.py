@@ -2,8 +2,9 @@
 
 A target density d over N prune-eligible weights is one global budget of
 ``keep_budget(d, N)`` kept weights. ``allocate_counts`` splits that budget
-across layers and ``select_support`` turns each layer's count into a mask,
-so every mask built here keeps exactly its budget.
+across layers, and each layer keeps the first count positions of one order
+of its weights (``keep_prefix``), so every mask built here keeps exactly its
+budget, and a pool candidate is its row of keep counts (``Pool``).
 """
 
 from __future__ import annotations
@@ -78,15 +79,12 @@ def _smallest(key: Array, k: int) -> Array:
     return cand[np.argsort(key[cand], kind="stable")[:k]]
 
 
-def select_support(scores: Array, count: int) -> Array:
-    """uint8 mask of the ``count`` highest scores; ties keep the lower flat
-    index."""
-    flat = np.asarray(scores).reshape(-1)
-    if not 0 <= count <= flat.size:
-        raise ValueError(f"cannot keep {count} of {flat.size} entries")
-    mask = np.zeros(flat.size, dtype=np.uint8)
-    mask[_smallest(-flat, count)] = 1
-    return mask.reshape(np.shape(scores))
+def keep_prefix(order: Array, n: int, shape) -> Array:
+    """Boolean array of ``shape`` (so ``Mask`` skips its 0/1 scan) that is
+    True at exactly the first ``n`` flat positions of ``order``."""
+    kept = np.zeros(shape, dtype=bool)
+    kept.reshape(-1)[order[:n]] = True
+    return kept
 
 
 @dataclass
@@ -121,13 +119,24 @@ class Mask:
 
 
 @dataclass
-class Candidate:
-    """One coarse-pruned model: the drawn per-layer densities (shares of the
-    budget) plus the mask they produced. A candidate is identified by its
-    position in the pool."""
+class Pool:
+    """Coarse-pruned candidates, identified by position: candidate ``i`` drew
+    the per-layer shares ``shares[i]`` and keeps the first ``counts[i, j]``
+    positions of the ``j``-th tensor's ``order``, so two candidates keep the
+    same weights exactly when their count rows are equal."""
 
-    layer_densities: dict[str, float]
-    mask: Mask
+    order: dict[str, Array]          # flat positions, largest |w| first
+    shapes: dict[str, tuple[int, ...]]
+    shares: list[dict[str, float]]
+    counts: Array                    # (candidates, tensors) keep counts
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def mask(self, i: int) -> Mask:
+        return Mask({k: keep_prefix(order, n, self.shapes[k])
+                     for (k, order), n in zip(self.order.items(),
+                                              self.counts[i])})
 
 
 def apply_mask(net: Network, mask: Mask) -> Network:
@@ -149,59 +158,52 @@ def _prunable(net: Network) -> dict[str, Array]:
     return {k: params[k] for k in keys}
 
 
-def _uniform_counts(weights: dict[str, Array],
-                    d_target: float) -> dict[str, int]:
+def _uniform_mask(net: Network, d_target: float, score) -> Mask:
+    """Mask at uniform per-layer density that keeps each layer's highest
+    ``score(w)`` entries, ties to the lower flat index; ``score`` is called
+    once per prunable tensor, in key order."""
+    weights = _prunable(net)
     sizes = {k: w.size for k, w in weights.items()}
-    return allocate_counts({k: d_target for k in sizes}, sizes,
-                           keep_budget(d_target, sum(sizes.values())))
+    counts = allocate_counts(dict.fromkeys(sizes, d_target), sizes,
+                             keep_budget(d_target, sum(sizes.values())))
+    return Mask({k: keep_prefix(_smallest(-score(w).reshape(-1), counts[k]),
+                                counts[k], w.shape)
+                 for k, w in weights.items()})
 
 
 def magnitude_mask(net: Network, d_target: float) -> Mask:
     """One-shot server-side mask at uniform per-layer density that keeps the
     largest-magnitude weights of each layer."""
-    weights = _prunable(net)
-    counts = _uniform_counts(weights, d_target)
-    return Mask({k: select_support(np.abs(w), counts[k])
-                 for k, w in weights.items()})
+    return _uniform_mask(net, d_target, np.abs)
 
 
 def random_mask(net: Network, d_target: float, seed: int = 0) -> Mask:
     """Uniformly random support at uniform per-layer density."""
-    weights = _prunable(net)
-    counts = _uniform_counts(weights, d_target)
     rng = np.random.default_rng(seed)
-    return Mask({k: select_support(rng.random(w.shape), counts[k])
-                 for k, w in weights.items()})
+    return _uniform_mask(net, d_target, lambda w: rng.random(w.shape))
 
 
 def generate_candidate_pool(net: Network, d_target: float, count: int,
-                            seed: int = 0) -> list[Candidate]:
+                            seed: int = 0) -> Pool:
     """Uniform-noise candidate pool: per-layer densities d_target + e with
     e ~ U[-POOL_NOISE * d_target, +POOL_NOISE * d_target], one draw per
     candidate, as shares of the global keep budget; each layer keeps its
-    largest-magnitude weights, exactly the ones ``select_support`` keeps:
-    a prefix of the layer's descending magnitude order. No layer can keep
-    more than the budget, so only its top ``min(size, budget)`` magnitudes
-    are ordered, once per layer."""
+    largest-magnitude weights, a prefix of the layer's descending magnitude
+    order. No layer can keep more than the budget, so only its top
+    ``min(size, budget)`` magnitudes are ordered, once per layer."""
     if count < 1:
         raise ValueError("pool size must be at least 1")
     weights = _prunable(net)
     sizes = {k: w.size for k, w in weights.items()}
     budget = keep_budget(d_target, sum(sizes.values()))
-    order = {k: _smallest(-np.abs(w.reshape(-1)), min(w.size, budget))
-             for k, w in weights.items()}
-
-    pool = []
+    shares = []
     for cid in range(count):
         rng = np.random.default_rng(np.random.SeedSequence((seed, cid)))
         e = rng.uniform(-POOL_NOISE * d_target, POOL_NOISE * d_target,
                         size=len(sizes))
-        shares = {k: float(d_target + e[i]) for i, k in enumerate(sizes)}
-        counts = allocate_counts(shares, sizes, budget)
-        slices = {}
-        for k, w in weights.items():
-            kept = np.zeros(w.size, dtype=bool)  # boolean: Mask skips its scan
-            kept[order[k][:counts[k]]] = True
-            slices[k] = kept.reshape(w.shape)
-        pool.append(Candidate(shares, Mask(slices)))
-    return pool
+        shares.append({k: float(d_target + e[i]) for i, k in enumerate(sizes)})
+    counts = [list(allocate_counts(s, sizes, budget).values()) for s in shares]
+    return Pool({k: _smallest(-np.abs(w.reshape(-1)), min(w.size, budget))
+                 for k, w in weights.items()},
+                {k: w.shape for k, w in weights.items()}, shares,
+                np.array(counts))

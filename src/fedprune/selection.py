@@ -1,17 +1,18 @@
 """Adaptive batch-normalization candidate selection.
 
-A candidate is a mask over one pretrained network. Clients refresh the BN
-moving statistics of every masked sub-network on their local development
-data (weights frozen throughout), the server aggregates the statistics and
-redistributes them, clients score each candidate by eval-mode loss, and the
-candidate with the lowest weighted loss wins. ``vanilla_select`` is the
-ablation that skips the statistics refresh.
+A candidate is one keep-count row of a ``Pool`` over a pretrained network.
+Clients refresh the BN moving statistics of every masked sub-network on
+their local development data (weights frozen throughout), the server
+aggregates the statistics and redistributes them, clients score each
+candidate by eval-mode loss, and the candidate with the lowest weighted loss
+wins. ``vanilla_select`` is the ablation that skips the statistics refresh.
 
 The layers before the first masked tensor are the same in every candidate,
 so both selectors run them once per client batch, and the rest once per
-chunk of ``CHUNK`` stacked distinct masks: candidates whose masks keep the
-same weights are one network, refreshed and scored once, and each keeps its
-own position and that score. Only the winner becomes a network.
+chunk of ``CHUNK`` stacked distinct masks: candidates with equal count rows
+keep the same weights and are one network, refreshed and scored once, and
+each keeps its own position and that score. Masks are built only for the
+chunks and the winner, which alone becomes a network.
 No operation in this module ever changes a parameter value.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .masking import Candidate, zero_masked
+from .masking import Pool, keep_prefix, zero_masked
 # ``forward`` and ``update_bn_stats`` are not called here; bench/tracer.py
 # patches them as attributes of this module
 from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, \
@@ -113,14 +114,14 @@ def install_bn(net: Network, stats: list[tuple[Array, Array]]) -> None:
         layer.mean[...], layer.var[...] = mu, var
 
 
-def adaptive_select(net: Network, pool: list[Candidate],
-                    dev_sets: list[Dataset], batch_size: int = 64):
+def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
+                    batch_size: int = 64):
     """Full selection protocol over the candidate masks of ``net``. Returns
     the winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
     aggregated scores."""
     firsts, index = _distinct(pool)
-    head, chunks = _split(net, [pool[i] for i in firsts])
+    head, chunks = _split(net, pool, firsts)
     # cloned before the per-client head outputs, which are freed before the
     # winner's statistics: no long-lived array then pins their heap memory
     winner_net = net.clone()
@@ -146,18 +147,18 @@ def adaptive_select(net: Network, pool: list[Candidate],
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
     chunk, row = divmod(index[winner], CHUNK)
-    zero_masked(winner_net, pool[winner].mask)
+    zero_masked(winner_net, pool.mask(winner))
     install_bn(winner_net, head_global + [(mean[row], var[row]) for mean, var
                                           in tail_global[chunk]])
     return winner, winner_net, scores
 
 
-def vanilla_select(net: Network, pool: list[Candidate],
-                   dev_sets: list[Dataset], batch_size: int = 64):
+def vanilla_select(net: Network, pool: Pool, dev_sets: list[Dataset],
+                   batch_size: int = 64):
     """Ablation variant: score candidates with the pretrained BN statistics
     (no refresh, no aggregation)."""
     firsts, index = _distinct(pool)
-    head, chunks = _split(net, [pool[i] for i in firsts])
+    head, chunks = _split(net, pool, firsts)
     winner_net = net.clone()  # before the head outputs, as adaptive_select
     stats = bn_stats(net)
     n_head = sum(layer.kind == "batchnorm" for layer in head)
@@ -166,49 +167,42 @@ def vanilla_select(net: Network, pool: list[Candidate],
     losses = [s for tail in chunks for s in _score(tail, stats[n_head:], acts)]
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
-    zero_masked(winner_net, pool[winner].mask)
+    zero_masked(winner_net, pool.mask(winner))
     return winner, winner_net, scores
 
 
-def _distinct(pool: list[Candidate]):
+def _distinct(pool: Pool):
     """The first position of each distinct mask in ``pool``, and each
-    candidate's index into that list. Masks are told apart by the tensors
-    they cover and their kept/pruned patterns, never by the drawn shares:
-    two draws can round to the same keep counts."""
-    firsts, seen, index = [], {}, []
-    for i, c in enumerate(pool):
-        key = tuple(sorted((k, m.shape, m.view(bool).tobytes())
-                           for k, m in c.mask.slices.items()))
-        if key not in seen:
-            seen[key] = len(firsts)
-            firsts.append(i)
-        index.append(seen[key])
-    return firsts, index
+    candidate's index into that list. Masks are told apart by their count
+    rows, never by the drawn shares: two draws can round to the same keep
+    counts."""
+    seen: dict[tuple, int] = {}
+    index = [seen.setdefault(tuple(row), len(seen))
+             for row in pool.counts.tolist()]
+    return [index.index(d) for d in range(len(seen))], index
 
 
-def _split(net: Network, pool: list[Candidate]):
+def _split(net: Network, pool: Pool, firsts: list[int]):
     """The layers before the first masked one (the shared head), and a
-    generator of each ``CHUNK`` candidates' layers from there on. A masked
-    weight stacks the chunk's copies, +0.0 where the mask is 0 as in
-    ``apply_mask``; every other layer is ``net``'s own and never changed."""
-    if not pool:
+    generator of each ``CHUNK`` of the ``firsts`` candidates' layers from
+    there on. A masked weight stacks the chunk's copies, +0.0 where the mask
+    is 0 as in ``apply_mask``; every other layer is ``net``'s own."""
+    if not firsts:
         raise ValueError("no candidates to select from")
-    keys = pool[0].mask.slices.keys()
-    if not keys or any(c.mask.slices.keys() != keys for c in pool):
-        raise ValueError("candidates must all mask one non-empty set of tensors")
-    cut = min(map(net.layer_of_key, keys))
+    cut = min(map(net.layer_of_key, pool.order))
 
-    def chunk_tail(chunk):
+    def chunk_tail(rows):
         tail = net.layers[cut:]
-        for key in keys:
+        for j, (key, order) in enumerate(pool.order.items()):
             i = net.layer_of_key(key) - cut
-            masks = np.stack([c.mask.slices[key] for c in chunk])
+            kept = np.stack([keep_prefix(order, n, pool.shapes[key])
+                             for n in pool.counts[rows, j]])
             tail[i] = copy.copy(tail[i])
-            tail[i].weight = np.where(masks == 0, 0.0, tail[i].weight)
+            tail[i].weight = np.where(kept, tail[i].weight, 0.0)
         return tail
 
-    return net.layers[:cut], (chunk_tail(pool[start:start + CHUNK])
-                              for start in range(0, len(pool), CHUNK))
+    return net.layers[:cut], (chunk_tail(firsts[start:start + CHUNK])
+                              for start in range(0, len(firsts), CHUNK))
 
 
 def _client_batches(dev_sets: list[Dataset], batch_size: int):

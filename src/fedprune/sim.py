@@ -29,7 +29,7 @@ from .nn import BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
     make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
-from .selection import BNReport, _distinct, adaptive_select, aggregate_bn, \
+from .selection import BNReport, adaptive_select, aggregate_bn, \
     install_bn, iter_batches, vanilla_select
 
 ALGORITHMS = ("FedTiny", "StaticRandom", "StaticMagnitude", "DenseFedAvg",
@@ -327,7 +327,7 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
             method = "adaptive"
             selected, net, scores = adaptive_select(
                 net, pool, dev_sets, cfg.batch_size)
-        mask = pool[selected].mask.copy()
+        mask = pool.mask(selected)
         record = selection_record(method, pool, scores, selected)
     elif cfg.algorithm == "StaticRandom":
         mask = random_mask(net, cfg.density,
@@ -343,19 +343,22 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
 
 def selection_record(method: str, pool, scores: dict[int, float],
                      winner: int) -> dict:
-    """What candidate selection saw: each candidate's drawn per-layer shares
-    and aggregated dev loss, the winner, and its margin to the runner-up:
-    the best candidate whose mask differs from the winner's, since copies
-    of a mask share its score (``None`` if no mask differs)."""
-    _, mask_of = _distinct(pool)
+    """What candidate selection saw: each candidate's drawn per-layer shares,
+    the keep counts they rounded to and its aggregated dev loss, the number
+    of distinct masks, the winner, and its margin to the runner-up: the best
+    candidate whose mask differs from the winner's, since copies of a mask
+    share its score (``None`` if no mask differs)."""
+    counts = pool.counts.tolist()
     rest = [loss for cid, loss in scores.items()
-            if mask_of[cid] != mask_of[winner]]
+            if counts[cid] != counts[winner]]
     return {
         "method": method,
         "winner": winner,
         "margin": min(rest) - scores[winner] if rest else None,
-        "candidates": [{"id": i, "layer_shares": dict(c.layer_densities),
-                        "dev_loss": scores[i]} for i, c in enumerate(pool)],
+        "distinct": len(set(map(tuple, counts))),
+        "candidates": [{"id": i, "layer_shares": dict(shares),
+                        "counts": counts[i], "dev_loss": scores[i]}
+                       for i, shares in enumerate(pool.shares)],
     }
 
 

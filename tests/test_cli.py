@@ -213,12 +213,19 @@ def test_selection_json_records_the_pool_and_repeats(config_file, tmp_path,
     assert winner == header["extra"]["selected_candidate"]
     assert losses[winner] == min(losses.values())
     # one network's masks are its layers' magnitude-order prefixes, so two
-    # candidates share a mask exactly when their keep counts agree; the
-    # margin skips the winner's copies, which share its loss
+    # candidates share a mask exactly when their keep counts agree; each
+    # candidate records the counts its shares allocate, in key order (the
+    # final mask keeps the winner's: grow/prune conserves each layer's
+    # count), and the margin skips the winner's copies, which share its loss
     sizes = {k: m.size for k, m in mask.slices.items()}
     budget = mask.counts()[0]
-    counts = {c["id"]: allocate_counts(c["layer_shares"], sizes, budget)
-              for c in record["candidates"]}
+    counts = {c["id"]: c["counts"] for c in record["candidates"]}
+    for c in record["candidates"]:
+        assert c["counts"] == list(allocate_counts(c["layer_shares"], sizes,
+                                                   budget).values())
+    assert counts[winner] == list(mask.nonzeros().values())
+    assert record["distinct"] == len({tuple(n) for n in counts.values()})
+    assert (record["distinct"] < pool_size) == (pool_size == 30)
     copies = [cid for cid in losses if counts[cid] == counts[winner]]
     assert all(losses[cid] == losses[winner] for cid in copies)
     assert (len(copies) > 1) == (pool_size == 30)

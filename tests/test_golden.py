@@ -38,7 +38,8 @@ def test_the_smoke_pool_spans_two_selection_chunks(monkeypatch):
                                           **golden.SMOKE))
     [pool] = pools
     masks = {tuple((key, m.tobytes()) for key, m in
-                   sorted(c.mask.slices.items())) for c in pool}
+                   sorted(pool.mask(i).slices.items()))
+             for i in range(len(pool))}
     assert len(pool) == len(masks) == golden.SMOKE["pool_size"] > CHUNK
 
 

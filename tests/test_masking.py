@@ -13,9 +13,9 @@ from fedprune.masking import (
     apply_mask,
     generate_candidate_pool,
     keep_budget,
+    keep_prefix,
     magnitude_mask,
     random_mask,
-    select_support,
 )
 from fedprune.nn import forward, make_mlp
 
@@ -193,10 +193,13 @@ def test_smallest_sorts_nan_last_as_a_stable_argsort():
         assert _smallest(key, k).tolist() == oracle[:k].tolist()
 
 
-# -- select_support over magnitudes ------------------------------------------------
+# -- keep_prefix of the magnitude order -----------------------------------------
 
 def magnitude_support(w, d):
-    return select_support(np.abs(w), keep_budget(d, w.size))
+    """The ``keep_budget(d, w.size)`` largest magnitudes of ``w``, ties to the
+    lower flat index: the rule of the pool and of ``magnitude_mask``."""
+    n = keep_budget(d, w.size)
+    return keep_prefix(_smallest(-np.abs(w).reshape(-1), n), n, w.shape)
 
 
 def test_magnitude_keeps_largest():
@@ -244,8 +247,14 @@ def test_support_size_is_exact():
         w = rng.normal(size=n)
         for d in (0.01, 0.123, 0.5, 0.999):
             assert magnitude_support(w, d).sum() == keep_budget(d, n)
-    with pytest.raises(ValueError):
-        select_support(np.zeros(3), 4)
+
+
+def test_keep_prefix_keeps_the_first_positions_of_an_order():
+    order = np.array([5, 0, 3, 1])
+    for n in range(len(order) + 1):
+        kept = keep_prefix(order, n, (2, 3))
+        assert kept.dtype == bool and kept.shape == (2, 3)
+        assert sorted(np.flatnonzero(kept)) == sorted(order[:n])
 
 
 # -- random_mask ----------------------------------------------------------------
@@ -277,13 +286,26 @@ def test_random_mask_seeds_differ():
     assert any(np.any(a.slices[k] != b.slices[k]) for k in a.slices)
 
 
+def test_random_mask_keeps_the_highest_draws_of_each_tensor():
+    # one ``rng.random(w.shape)`` per prunable tensor, in key order, and its
+    # highest draws kept (ties to the lower flat index)
+    net = pool_net(hidden=(30, 10, 50))
+    mask = random_mask(net, 0.2, seed=3)
+    rng = np.random.default_rng(3)
+    for key, n in mask.nonzeros().items():
+        draw = rng.random(net.params()[key].shape)
+        want = np.zeros(draw.size, dtype=np.uint8)
+        want[np.argsort(-draw, axis=None, kind="stable")[:n]] = 1
+        assert mask.slices[key].tobytes() == want.tobytes()
+
+
 # -- candidate pool ---------------------------------------------------------------
 
 def test_pool_shares_lie_within_the_noise_band():
     d = 0.01
     pool = generate_candidate_pool(pool_net(), d, 20, seed=1)
-    assert len(pool) == 20
-    shares = [s for cand in pool for s in cand.layer_densities.values()]
+    assert len(pool) == len(pool.shares) == 20
+    shares = [s for drawn in pool.shares for s in drawn.values()]
     assert all(d - POOL_NOISE * d <= s <= d + POOL_NOISE * d for s in shares)
     # one draw per candidate and layer, spread over the band
     assert len(set(shares)) == len(shares)
@@ -294,29 +316,32 @@ def test_pool_candidates_respect_target():
     net = pool_net(seed=2)
     pool = generate_candidate_pool(net, 0.01, 50, seed=9)
     assert len(pool) == 50
-    for cand in pool:
-        kept, total = cand.mask.counts()
+    assert list(pool.order) == list(pool.shapes) == list(net.prunable_keys())
+    assert pool.counts.shape == (50, len(net.prunable_keys()))
+    for i in range(len(pool)):
+        mask = pool.mask(i)
+        kept, total = mask.counts()
         assert kept == keep_budget(0.01, total)
-        for n in cand.mask.nonzeros().values():
-            assert n >= MIN_KEPT_PER_LAYER
-    assert len({tuple(c.mask.nonzeros().values()) for c in pool}) > 1
+        assert list(mask.nonzeros().values()) == pool.counts[i].tolist()
+        assert all(n >= MIN_KEPT_PER_LAYER for n in pool.counts[i])
+    assert len({tuple(row) for row in pool.counts.tolist()}) > 1
 
 
 def test_pool_is_deterministic():
     net = pool_net(seed=3)
     a = generate_candidate_pool(net, 0.02, 4, seed=7)
     b = generate_candidate_pool(net, 0.02, 4, seed=7)
-    for ca, cb in zip(a, b):
-        assert ca.layer_densities == cb.layer_densities
-        for key in ca.mask.slices:
-            np.testing.assert_array_equal(ca.mask.slices[key],
-                                          cb.mask.slices[key])
+    assert a.shares == b.shares
+    assert a.counts.tolist() == b.counts.tolist()
+    for i in range(len(a)):
+        for key, m in a.mask(i).slices.items():
+            np.testing.assert_array_equal(m, b.mask(i).slices[key])
 
 
 def test_pool_masks_match_per_candidate_support():
     # one sort per layer, then a prefix per candidate: the support must be
-    # the one ``select_support`` picks for the candidate's own counts,
-    # also where magnitudes tie (+w and -w, and repeated values)
+    # the one the magnitude rule picks for the candidate's own counts, also
+    # where magnitudes tie (+w and -w, and repeated values)
     net = pool_net(seed=5, hidden=(20, 30, 20))
     for key in net.prunable_keys():
         w = net.params()[key]
@@ -325,16 +350,15 @@ def test_pool_masks_match_per_candidate_support():
     weights = {k: net.params()[k] for k in net.prunable_keys()}
     assert all(len(np.unique(np.abs(w))) < w.size / 10
                for w in weights.values())
-    sizes = {k: w.size for k, w in weights.items()}
-    budget = keep_budget(0.1, sum(sizes.values()))
     pool = generate_candidate_pool(net, 0.1, 12, seed=4)
-    assert len({tuple(c.mask.nonzeros().values()) for c in pool}) > 1
-    for cand in pool:
-        counts = allocate_counts(cand.layer_densities, sizes, budget)
-        for key, w in weights.items():
-            want = select_support(np.abs(w), counts[key])
-            assert cand.mask.slices[key].dtype == want.dtype
-            np.testing.assert_array_equal(cand.mask.slices[key], want)
+    assert len({tuple(row) for row in pool.counts.tolist()}) > 1
+    for i, row in enumerate(pool.counts):
+        mask = pool.mask(i)
+        for (key, w), n in zip(weights.items(), row, strict=True):
+            order = _smallest(-np.abs(w).reshape(-1), n)
+            want = Mask({key: keep_prefix(order, n, w.shape)}).slices[key]
+            assert mask.slices[key].dtype == want.dtype
+            np.testing.assert_array_equal(mask.slices[key], want)
 
 
 def rank_pool_masks(net, d_target, pool):
@@ -346,35 +370,65 @@ def rank_pool_masks(net, d_target, pool):
     budget = keep_budget(d_target, sum(sizes.values()))
     ranks = {k: np.argsort(np.argsort(-np.abs(w), axis=None, kind="stable"))
              .reshape(w.shape) for k, w in weights.items()}
-    return [Mask({k: r < allocate_counts(c.layer_densities, sizes, budget)[k]
-                  for k, r in ranks.items()}) for c in pool]
+    return [Mask({k: r < allocate_counts(shares, sizes, budget)[k]
+                  for k, r in ranks.items()}) for shares in pool.shares]
 
 
-@pytest.mark.parametrize("hidden, d_target", [
+def tie_magnitudes(net):
+    """Heavy ties: rounded magnitudes, signs alternating."""
+    for key in net.prunable_keys():
+        w = net.params()[key]
+        signs = np.where(np.arange(w.size) % 2, -1.0, 1.0).reshape(w.shape)
+        w[...] = np.round(np.abs(w), 1) * signs
+
+
+POOL_CASES = [
     ((50, 50, 50), 0.01), ((50, 50, 50), 0.3), ((20, 30, 20), 0.1),
     # a 9-weight layer beside a 300-weight one: the budget (154, 30)
     # exceeds the small layer, whose order then covers all of it
-    ((3, 3, 100), 0.5), ((3, 3, 100), 0.1)])
+    ((3, 3, 100), 0.5), ((3, 3, 100), 0.1)]
+
+
+@pytest.mark.parametrize("hidden, d_target", POOL_CASES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pool_masks_equal_the_full_rank_construction(hidden, d_target, seed):
     net = pool_net(seed=seed, hidden=hidden)
-    if seed == 2:  # heavy ties: rounded magnitudes, signs alternating
-        for key in net.prunable_keys():
-            w = net.params()[key]
-            signs = np.where(np.arange(w.size) % 2, -1.0, 1.0).reshape(w.shape)
-            w[...] = np.round(np.abs(w), 1) * signs
+    if seed == 2:
+        tie_magnitudes(net)
     sizes = [net.params()[k].size for k in net.prunable_keys()]
     budget = keep_budget(d_target, sum(sizes))
     if hidden == (3, 3, 100):
         assert min(sizes) < budget
     pool = generate_candidate_pool(net, d_target, 6, seed=seed)
-    for cand, want in zip(pool, rank_pool_masks(net, d_target, pool),
-                          strict=True):
-        assert cand.mask.slices.keys() == want.slices.keys()
-        for key, m in cand.mask.slices.items():
+    for i, want in enumerate(rank_pool_masks(net, d_target, pool)):
+        got = pool.mask(i)
+        assert got.slices.keys() == want.slices.keys()
+        for key, m in got.slices.items():
             assert (m.dtype, m.shape) == (want.slices[key].dtype,
                                           want.slices[key].shape)
             assert m.tobytes() == want.slices[key].tobytes()
+    assert i == 5
+
+
+def test_equal_count_rows_are_exactly_equal_masks():
+    # grouping candidates by count row and by mask bytes must agree: on
+    # pools with copies, with one row only (the (3, 3, 100) layers at
+    # d = 0.1 are pinned at 9 and at 21) and with none repeated
+    distinct = set()
+    for hidden, d_target in POOL_CASES:
+        for seed in (0, 2):
+            net = pool_net(seed=seed, hidden=hidden)
+            if seed == 2:
+                tie_magnitudes(net)
+            pool = generate_candidate_pool(net, d_target, 40, seed=seed)
+            by_counts = [tuple(row) for row in pool.counts.tolist()]
+            by_masks = [tuple(m.tobytes() for m in
+                              pool.mask(i).slices.values())
+                        for i in range(len(pool))]
+            assert ([by_counts.index(c) for c in by_counts]
+                    == [by_masks.index(m) for m in by_masks])
+            distinct.add(len(set(by_counts)))
+    assert 1 in distinct and 40 in distinct and len(distinct) > 2
 
 
 def test_pool_infeasible_floor_raises():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fedprune.data import Dataset, make_blobs
-from fedprune.masking import Candidate, Mask, apply_mask, \
-    generate_candidate_pool
+from fedprune.masking import Pool, apply_mask, generate_candidate_pool
 from fedprune import selection
 from fedprune.nn import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, Network, \
     ReLU, bn_stats, cross_entropy, make_mlp, refresh_pass
@@ -130,7 +129,18 @@ def oracle_vanilla_select(candidates, dev_sets, batch_size=64):
 
 def masked(net, pool):
     """The candidates as the oracles take them: one masked network each."""
-    return [(i, apply_mask(net, c.mask)) for i, c in enumerate(pool)]
+    return [(i, apply_mask(net, pool.mask(i))) for i in range(len(pool))]
+
+
+def subpool(pool, rows):
+    """The candidates at positions ``rows`` of ``pool``, in that order."""
+    rows = list(rows)
+    return Pool(pool.order, pool.shapes, [pool.shares[i] for i in rows],
+                pool.counts[rows])
+
+
+def reversed_pool(pool):
+    return subpool(pool, reversed(range(len(pool))))
 
 
 def bn_pass(net, dev, batch_size=64):
@@ -354,7 +364,7 @@ def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
     for (m0, v0), (m, v) in zip(stats, bn_stats(net)):
         assert bits(m) == bits(m0) and bits(v) == bits(v0)
     # the winner keeps its masked parameter values, only statistics moved
-    orig = apply_mask(net, pool[winner].mask)
+    orig = apply_mask(net, pool.mask(winner))
     for k, v in winner_net.params().items():
         assert bits(v) == bits(orig.params()[k])
 
@@ -438,7 +448,7 @@ def check_both(net, pool, devs, batch_size=8):
 def test_selectors_match_oracles_exactly(seed):
     net, pool, devs = oracle_fixture(seed)
     # Linear, BN and ReLU before the first prunable tensor
-    assert len(_split(net, pool)[0]) == 3
+    assert len(_split(net, pool, [0])[0]) == 3
     check_both(net, pool, devs)
 
 
@@ -455,11 +465,14 @@ def test_selectors_match_oracles_with_no_shared_prefix():
     net, pool, devs = oracle_fixture(5)
     net.layers[0].weight[0, :4] = [0.0, -0.0, 0.0, -0.0]
     rng = np.random.default_rng(5)
-    pool = [Candidate(c.layer_densities,
-                      Mask({"0.weight": (rng.random((5, 24)) < 0.5),
-                            **c.mask.slices}))
-            for c in pool]
-    assert _split(net, pool)[0] == []
+    pool = Pool({"0.weight": rng.permutation(5 * 24), **pool.order},
+                {"0.weight": (5, 24), **pool.shapes}, pool.shares,
+                np.column_stack([rng.integers(30, 90, len(pool)),
+                                 pool.counts]))
+    assert _split(net, pool, [0])[0] == []
+    zeros = [pool.mask(i).slices["0.weight"][0, :4] for i in range(len(pool))]
+    assert any(m[1] == 0 or m[3] == 0 for m in zeros)  # a -0.0 dropped
+    assert any(m[0] == 1 or m[2] == 1 for m in zeros)  # a +0.0 kept
     check_both(net, pool, devs)
 
 
@@ -471,10 +484,10 @@ def test_selectors_match_oracles_with_a_single_candidate():
     check_both(*oracle_fixture(8, pool=1))
 
 
-def mask_bytes(candidate):
-    """What tells two candidates' masks apart: each tensor's kept pattern."""
-    return tuple((key, m.tobytes())
-                 for key, m in sorted(candidate.mask.slices.items()))
+def mask_bytes(pool):
+    """What tells candidates' masks apart: each tensor's kept pattern."""
+    return [tuple((key, m.tobytes()) for key, m in sorted(
+        pool.mask(i).slices.items())) for i in range(len(pool))]
 
 
 def distinct_fixture(seed, size):
@@ -483,10 +496,9 @@ def distinct_fixture(seed, size):
     (selection scores each distinct mask once, so copies would shrink the
     chunks a test means to build)."""
     net, pool, devs = oracle_fixture(seed, pool=3 * size)
-    first = {}
-    for c in pool:
-        first.setdefault(mask_bytes(c), c)
-    pool = list(first.values())[:size]
+    keys = mask_bytes(pool)
+    pool = subpool(pool, [i for i, key in enumerate(keys)
+                          if keys.index(key) == i][:size])
     assert len(pool) == size
     return net, pool, devs
 
@@ -497,8 +509,8 @@ def test_selectors_match_oracles_across_chunk_edges(size):
     # partial one; reversed, a winner from the first chunk lands in a later
     # one
     net, pool, devs = distinct_fixture(11, size)
-    assert len({mask_bytes(c) for c in pool}) == size
-    for candidates in (pool, pool[::-1]):
+    assert len(set(mask_bytes(pool))) == size
+    for candidates in (pool, reversed_pool(pool)):
         check_both(net, candidates, devs)
 
 
@@ -516,17 +528,19 @@ def count_passes(monkeypatch):
 
 def test_copies_of_a_mask_are_scored_once_and_tie_to_the_first(monkeypatch):
     # 2 * CHUNK + 3 candidates from 5 masks, each mask's copies spread over
-    # what would be different chunks were every candidate stacked
+    # what would be different chunks were every candidate stacked; each
+    # copy has its own shares, as two draws that round alike do
     net, masks, devs = distinct_fixture(14, 5)
     which = np.random.default_rng(14).permutation(np.arange(2 * CHUNK + 3) % 5)
-    pool = [Candidate(dict(masks[m].layer_densities), masks[m].mask.copy())
-            for m in which]
+    pool = subpool(masks, which)
+    pool.shares = [{k: s + i for k, s in shares.items()}
+                   for i, shares in enumerate(pool.shares)]
     for m in range(5):
         assert len({i // CHUNK for i in np.flatnonzero(which == m)}) > 1
     passes = len(devs) * math.ceil(5 / CHUNK)  # per client, per chunk
     calls = count_passes(monkeypatch)
-    for candidates in (pool, pool[::-1]):
-        keys = [mask_bytes(c) for c in candidates]
+    for candidates in (pool, reversed_pool(pool)):
+        keys = mask_bytes(candidates)
         first = [keys.index(key) for key in keys]
         for select, bn_passes in ((adaptive_select, passes),
                                   (vanilla_select, 0)):
@@ -564,7 +578,7 @@ def bn_head_fixture(seed=12, pool=CHUNK + 2):
 
 def test_selectors_match_oracles_with_a_head_ending_in_batch_norm():
     net, pool, devs = bn_head_fixture()
-    head = _split(net, pool)[0]
+    head = _split(net, pool, [0])[0]
     assert [layer.kind for layer in head] == ["linear", "relu", "batchnorm"]
     assert net.layers[-2].kind == "batchnorm"
     check_both(net, pool, devs)
@@ -573,7 +587,7 @@ def test_selectors_match_oracles_with_a_head_ending_in_batch_norm():
 def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
     # 2 * CHUNK + 1 distinct masks make three chunks
     net, pool, devs = distinct_fixture(13, 2 * CHUNK + 1)
-    assert len({mask_bytes(c) for c in pool}) == 2 * CHUNK + 1
+    assert len(set(mask_bytes(pool))) == 2 * CHUNK + 1
     calls = count_passes(monkeypatch)
     adaptive_select(net, pool, devs, batch_size=8)
     assert sorted(calls) == (["client_bn_pass"] * 9 + ["client_score"] * 9)
@@ -584,9 +598,8 @@ def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
 
 def test_identical_candidates_tie_to_the_lowest_id():
     # four copies of one candidate: all scores tie
-    net, (first,), devs = oracle_fixture(10, pool=1)
-    pool = [Candidate(dict(first.layer_densities), first.mask.copy())
-            for _ in range(4)]
+    net, first, devs = oracle_fixture(10, pool=1)
+    pool = subpool(first, [0] * 4)
     for winner, _, scores in (adaptive_select(net, pool, devs, 8),
                               vanilla_select(net, pool, devs, 8)):
         assert winner == 0 and len(set(scores.values())) == 1
@@ -594,18 +607,12 @@ def test_identical_candidates_tie_to_the_lowest_id():
 
 
 def test_selectors_reject_an_empty_pool():
-    net, _, devs = oracle_fixture(0, pool=1)
-    with pytest.raises(ValueError):
-        adaptive_select(net, [], devs)
-    with pytest.raises(ValueError):
-        vanilla_select(net, [], devs)
-    # candidates are stacked tensor by tensor, so they must mask the same
-    # tensors, and at least one
-    pool = generate_candidate_pool(net, 0.2, 2)
-    for odd in (Mask({}), Mask(dict(list(pool[0].mask.slices.items())[:1]))):
-        for select in (adaptive_select, vanilla_select):
-            with pytest.raises(ValueError, match="non-empty set of tensors"):
-                select(net, pool + [Candidate({}, odd)], devs)
+    net, pool, devs = oracle_fixture(0, pool=1)
+    empty = subpool(pool, [])
+    assert len(empty) == 0 and empty.counts.shape == (0, len(pool.order))
+    for select in (adaptive_select, vanilla_select):
+        with pytest.raises(ValueError, match="no candidates"):
+            select(net, empty, devs)
 
 
 def test_selection_clones_only_the_winner(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from fedprune import costs
 from fedprune.data import make_blobs
-from fedprune.masking import Candidate, Mask, keep_budget
+from fedprune.masking import Pool, keep_budget
 from fedprune.nn import forward, make_mlp
 from fedprune.progressive import target_layers
 from fedprune.sim import (
@@ -894,21 +894,28 @@ def test_dev_sets_are_drawn_only_for_the_selectors(monkeypatch, algorithm):
 
 
 def test_selection_margin_skips_copies_of_the_winners_mask():
-    def cand(*bits):
-        return Candidate({"w": 0.5}, Mask({"w": np.array(bits, dtype=bool)}))
+    def pool(*rows):
+        # two 2x2 tensors, each keeping a prefix of its own order
+        return Pool({"u": np.array([3, 0, 2, 1]), "w": np.array([1, 2, 0, 3])},
+                    {"u": (2, 2), "w": (2, 2)},
+                    [{"u": 0.5, "w": 0.5}] * len(rows), np.array(rows))
 
-    a, b, c = (1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 0)
+    a, b, c = (1, 3), (2, 2), (3, 1)
     # copies of a mask share its score; the runner-up is the best other mask
-    pool = [cand(*b), cand(*a), cand(*a), cand(*c), cand(*a)]
+    candidates = pool(b, a, a, c, a)
     scores = {0: 2.5, 1: 2.0, 2: 2.0, 3: 2.25, 4: 2.0}
-    record = selection_record("adaptive", pool, scores, 1)
+    record = selection_record("adaptive", candidates, scores, 1)
     assert record["winner"] == 1
     assert record["margin"] == 0.25
+    assert record["distinct"] == 3
+    assert [c["counts"] for c in record["candidates"]] == [
+        list(row) for row in (b, a, a, c, a)]
     # every candidate holds the winner's mask: there is no runner-up
-    assert selection_record("vanilla", [cand(*a)] * 3, dict.fromkeys(
-        range(3), 2.0), 0)["margin"] is None
-    assert selection_record("vanilla", pool[:1], {0: 2.5}, 0)["margin"] is None
+    record = selection_record("vanilla", pool(a, a, a),
+                              dict.fromkeys(range(3), 2.0), 0)
+    assert record["margin"] is None and record["distinct"] == 1
+    assert selection_record("vanilla", pool(b), {0: 2.5}, 0)["margin"] is None
     # two different masks that tie exactly keep a zero margin
-    record = selection_record("adaptive", [cand(*a), cand(*b), cand(*a)],
+    record = selection_record("adaptive", pool(a, b, a),
                               {0: 2.0, 1: 2.0, 2: 2.0}, 0)
     assert record["margin"] == 0.0
