@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,24 +44,34 @@ def allocate_counts(shares: dict[str, float], sizes: dict[str, int],
         raise ValueError(
             f"cannot keep {budget} of {sum(sizes.values())} weights with "
             f"at least {MIN_KEPT_PER_LAYER} kept per layer")
-    weight = {k: min(max(Fraction(shares[k]) * n, low[k]), n)
-              for k, n in sizes.items()}
-    ideal: dict[str, Fraction] = {}
+    # share x size over one common denominator (float shares are dyadic),
+    # so every floor, bound check and remainder below is an integer compare
+    ratios = [shares[k].as_integer_ratio() for k in sizes]
+    denom = math.lcm(*(q for _, q in ratios))
+    weight = {k: min(max(p * (denom // q) * n, low[k] * denom), n * denom)
+              for (k, n), (p, q) in zip(sizes.items(), ratios)}
+    counts: dict[str, int] = {}
+    remainder = dict.fromkeys(sizes, 0)
     free = list(sizes)
     while free:
-        scale = (Fraction(budget - sum(ideal.values()))
-                 / sum(weight[k] for k in free))
-        part = {k: min(max(scale * weight[k], low[k]), sizes[k]) for k in free}
-        # weights lie within the bounds, so all crossings are on one side
-        # (scale < 1 or scale > 1) and stay pinned in the exact solution
-        pinned = {k: v for k, v in part.items() if v != scale * weight[k]}
-        ideal.update(pinned or part)
-        free = [k for k in free if k not in ideal]
-    counts = {k: math.floor(ideal[k]) for k in sizes}
-    by_remainder = sorted(sizes, key=lambda k: counts[k] - ideal[k])
+        # a free layer's exact part is left x weight / total
+        left = budget - sum(counts.values())
+        total = sum(weight[k] for k in free)
+        # weights lie within the bounds and every free one is scaled by one
+        # factor, so all crossings are on one side and stay pinned in the
+        # exact solution
+        pinned = {k: low[k] if left * weight[k] < low[k] * total else sizes[k]
+                  for k in free if not low[k] * total <= left * weight[k]
+                  <= sizes[k] * total}
+        if not pinned:
+            for k in free:
+                counts[k], remainder[k] = divmod(left * weight[k], total)
+        counts.update(pinned)
+        free = [k for k in free if k not in counts]
+    by_remainder = sorted(sizes, key=lambda k: -remainder[k])
     for k in by_remainder[:budget - sum(counts.values())]:
         counts[k] += 1
-    return counts
+    return {k: counts[k] for k in sizes}
 
 
 def _smallest(key: Array, k: int) -> Array:

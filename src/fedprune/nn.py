@@ -12,7 +12,9 @@ which make one new array per operation. A BN layer folds its normalization
 into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
 Selection passes also take C stacked candidates behind the batch axis: a
 ``(C, fan_in, fan_out)`` weight gives ``(B, C, fan_out)``, one matrix product
-per candidate, and per-candidate BN statistics are ``(C, width)``.
+per candidate, and per-candidate BN statistics are ``(C, width)``. A
+stack may hold V column variants in place of C candidates up to the linear
+layer whose ``pick`` gathers each candidate's columns from them.
 
 A linear layer that feeds a BN layer has no bias, which BN would cancel. A
 network keeps its parameters in one vector, ``flat``, and its BN moving
@@ -47,9 +49,12 @@ BN_EPS = 1e-5
 
 class Linear:
     """Affine layer ``y = x @ weight + bias`` with weight shape (fan_in, fan_out),
-    or ``y = x @ weight`` with ``bias=None``."""
+    or ``y = x @ weight`` with ``bias=None``. A selection tail's layer may
+    carry a ``pick`` that gathers its stacked input first (``_stacked_linear``);
+    a network's layers never do."""
 
     kind = "linear"
+    pick = None
 
     def __init__(self, weight, bias=None):
         self.weight = np.asarray(weight, dtype=np.float64).copy()
@@ -317,12 +322,20 @@ def batch_stats(x: Array, out: Array | None = None
                                   out=None if out is None else out[width:])
 
 
-def _stacked_linear(x: Array, weight: Array) -> Array:
+def _stacked_linear(x: Array, weight: Array, pick: Array | None = None
+                    ) -> Array:
     """``x @ weight`` for a 2-D batch and weight, and otherwise batch first:
     a ``(B, C, fan_in)`` stack or a ``(C, fan_in, fan_out)`` weight gives
     ``(B, C, fan_out)``, where candidate ``c`` is the ``(B, fan_in) @
     (fan_in, fan_out)`` product it has alone, written through a
-    ``(C, B, fan_out)`` view."""
+    ``(C, B, fan_out)`` view. A ``(C, fan_in)`` ``pick`` of flat column
+    indices first gathers the ``(B, C, fan_in)`` stack from ``x``'s
+    ``(B, V * fan_in)`` columns: candidate ``c``'s feature ``f`` is column
+    ``pick[c, f]``."""
+    if pick is not None:
+        # one C-contiguous gather: a strided stack would send the product
+        # off BLAS and move its last bits
+        x = np.take(x.reshape(len(x), -1), pick, axis=1)
     if x.ndim == weight.ndim == 2:
         return x @ weight
     c = weight.shape[0] if weight.ndim == 3 else x.shape[1]
@@ -339,14 +352,16 @@ def refresh_pass(layers, x: Array, stats: list, *,
     ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
     order; each pair is replaced by the advanced one, and neither a layer
     nor ``x`` is written. Behind a stacked ``(C, fan_in, fan_out)`` weight
-    the activations are ``(B, C, width)`` and the pairs ``(C, width)``.
+    the activations are ``(B, C, width)`` and the pairs ``(C, width)``, or
+    ``(B, V, width)`` and ``(V, width)`` for V column variants up to the
+    linear layer whose ``pick`` gathers each candidate's columns from them.
     Returns the last layer's output, or with ``stats_only`` None as soon as
     the last pair advances."""
     batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = _stacked_linear(x, layer.weight)
+            x = _stacked_linear(x, layer.weight, layer.pick)
             if layer.bias is not None:
                 x += layer.bias
         elif layer.kind == "relu":
@@ -368,13 +383,14 @@ def eval_pass(layers, x: Array, stats) -> Array:
     """Eval-mode pass of ``x`` through ``layers``, normalizing every BN layer
     with the matching ``(mean, var)`` pair of ``stats`` in place of the
     layer's own statistics: ``(width,)``, or ``(C, width)`` per candidate
-    for the ``(B, C, width)`` activations behind a stacked weight, as in
+    for the ``(B, C, width)`` activations behind a stacked weight, or
+    ``(V, width)`` per column variant before a ``pick``, as in
     ``refresh_pass``. Mutates nothing, ``x`` included."""
     batch = x
     j = 0
     for layer in layers:
         if layer.kind == "linear":
-            x = _stacked_linear(x, layer.weight)
+            x = _stacked_linear(x, layer.weight, layer.pick)
             if layer.bias is not None:
                 x += layer.bias
         elif layer.kind == "relu":

@@ -11,20 +11,26 @@ The layers before the first masked tensor are the same in every candidate,
 so both selectors run them once per client batch, and the rest once per
 chunk of ``CHUNK`` stacked distinct masks: candidates with equal count rows
 keep the same weights and are one network, refreshed and scored once, and
-each keeps its own position and that score. Masks are built only for the
-chunks and the winner, which alone becomes a network.
-No operation in this module ever changes a parameter value.
+each keeps its own position and that score. Chunks take the distinct rows
+in ascending order, so a chunk's candidates keep nearby prefixes of the
+first masked tensor's order, and many keep the same weights in a column of
+it. That layer and the BN and ReLU layers up to the next linear one act
+column by column, so they run once per column variant, not once per
+candidate, and the next linear layer gathers each candidate's columns.
+Masks are built only for the chunks and the winner, which alone becomes a
+network. No operation in this module ever changes a parameter value.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .masking import Pool, keep_prefix, zero_masked
+from .masking import Pool, zero_masked
 # ``forward`` and ``update_bn_stats`` are not called here; bench/tracer.py
 # patches them as attributes of this module
 from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, \
@@ -140,9 +146,10 @@ def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
             for batches in clients]
     losses, tail_global = [], []
     for tail in chunks:
-        tail_global.append(aggregate_bn(
-            [client_bn_pass(tail, a, stats[n_head:]) for a in refreshed]))
-        losses += _score(tail, tail_global[-1], acts)
+        chunk_global = aggregate_bn(
+            [client_bn_pass(tail, a, stats[n_head:]) for a in refreshed])
+        losses += _score(tail, chunk_global, acts)
+        tail_global.append(_by_candidate(tail, chunk_global))
     del refreshed, acts
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
@@ -172,37 +179,105 @@ def vanilla_select(net: Network, pool: Pool, dev_sets: list[Dataset],
 
 
 def _distinct(pool: Pool):
-    """The first position of each distinct mask in ``pool``, and each
-    candidate's index into that list. Masks are told apart by their count
-    rows, never by the drawn shares: two draws can round to the same keep
-    counts."""
-    seen: dict[tuple, int] = {}
-    index = [seen.setdefault(tuple(row), len(seen))
-             for row in pool.counts.tolist()]
-    return [index.index(d) for d in range(len(seen))], index
+    """The first position of each distinct mask in ``pool``, in ascending
+    order of count rows, and each candidate's index into that list. Masks
+    are told apart by their count rows, never by the drawn shares: two
+    draws can round to the same keep counts."""
+    rows = pool.counts.tolist()
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(rows):
+        first.setdefault(tuple(row), i)
+    keys = sorted(first)
+    at = {key: d for d, key in enumerate(keys)}
+    return [first[key] for key in keys], [at[tuple(row)] for row in rows]
 
 
 def _split(net: Network, pool: Pool, firsts: list[int]):
     """The layers before the first masked one (the shared head), and a
     generator of each ``CHUNK`` of the ``firsts`` candidates' layers from
     there on. A masked weight stacks the chunk's copies, +0.0 where the mask
-    is 0 as in ``apply_mask``; every other layer is ``net``'s own."""
+    is 0 as in ``apply_mask``; every other layer is ``net``'s own. Where a
+    chunk has fewer column variants of the first masked layer than
+    candidates, that layer stacks the variants (``_variants``), and the
+    next linear layer's ``pick`` gathers each candidate's columns."""
     if not firsts:
         raise ValueError("no candidates to select from")
     cut = min(map(net.layer_of_key, pool.order))
+    tail = net.layers[cut:]
+    # the next linear layer after the first masked one, if there is one
+    gather = next((i for i, layer in enumerate(tail)
+                   if i and layer.kind == "linear"), None)
 
     def chunk_tail(rows):
-        tail = net.layers[cut:]
+        layers = list(tail)
+        counts = pool.counts[rows]
         for j, (key, order) in enumerate(pool.order.items()):
             i = net.layer_of_key(key) - cut
-            kept = np.stack([keep_prefix(order, n, pool.shapes[key])
-                             for n in pool.counts[rows, j]])
-            tail[i] = copy.copy(tail[i])
-            tail[i].weight = np.where(kept, tail[i].weight, 0.0)
-        return tail
+            limits = counts[:, j, None]
+            if i == 0 and gather is not None:
+                found = _variants(order, pool.shapes[key][1], counts[:, j])
+                if found is not None:
+                    limits, pick = found
+                    layers[gather] = copy.copy(layers[gather])
+                    layers[gather].pick = pick
+            layers[i] = copy.copy(layers[i])
+            layers[i].weight = np.where(
+                _kept(order, pool.shapes[key], limits), layers[i].weight, 0.0)
+        return layers
 
     return net.layers[:cut], (chunk_tail(firsts[start:start + CHUNK])
                               for start in range(0, len(firsts), CHUNK))
+
+
+def _kept(order: Array, shape, limits: Array) -> Array:
+    """Boolean ``(S, *shape)`` stack whose slice ``s`` keeps ``order[r]``
+    wherever ``r < limits[s, r]``, one limit per slice broadcast over
+    ``order`` or one per position: with limit ``n``, slice ``s`` is
+    ``keep_prefix(order, n, shape)``."""
+    kept = np.zeros((len(limits), math.prod(shape)), dtype=bool)
+    at = np.arange(len(order))
+    for row, limit in zip(kept, limits):
+        row[order[at < limit]] = True
+    return kept.reshape(len(limits), *shape)
+
+
+def _variants(order: Array, width: int, counts: Array):
+    """The column variants of a ``width``-wide tensor whose candidates keep
+    the first ``counts`` positions of ``order``, or None where there are
+    as many as candidates. Column ``f``'s kept count only grows with the
+    count, so a candidate's variant in ``f`` is how often that count has
+    grown up to its own, and V is the most variants any column has.
+    Returns the ``_kept`` limits of V slices, slice ``v`` keeping in each
+    column what the candidates of variant ``v`` there keep, and the
+    ``(C, width)`` pick of each candidate's column ``f`` from the flattened
+    ``(V, width)`` variants, ``v * width + f``."""
+    ns = sorted(set(counts.tolist()))
+    cols = order % width
+    grown = np.zeros((len(ns), width), dtype=np.intp)
+    for k in range(1, len(ns)):
+        grown[k, cols[ns[k - 1]:ns[k]]] = 1
+    variant = np.cumsum(grown, axis=0)
+    n_variants = variant[-1].max() + 1
+    if n_variants == len(counts):
+        return None
+    keep = np.full((n_variants, width), ns[-1])
+    keep[variant, np.arange(width)] = np.array(ns)[:, None]
+    return (keep[:, cols],
+            variant[np.searchsorted(ns, counts)] * width + np.arange(width))
+
+
+def _by_candidate(tail, stats):
+    """A chunk's ``stats`` with one ``(C, width)`` row per candidate: the
+    BN layers before a linear layer's ``pick`` hold one row per column
+    variant, and that pick gathers each candidate's columns from them."""
+    out, j = list(stats), 0
+    for layer in tail:
+        if layer.kind == "batchnorm":
+            j += 1
+        elif layer.kind == "linear" and layer.pick is not None:
+            out[:j] = [(np.take(mean, layer.pick), np.take(var, layer.pick))
+                       for mean, var in out[:j]]
+    return out
 
 
 def _client_batches(dev_sets: list[Dataset], batch_size: int):

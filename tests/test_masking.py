@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,39 @@ def fraction_budget(text, total):
     return math.floor(Fraction(text) * total)
 
 
+def fraction_allocate_counts(shares, sizes, budget, seen=None):
+    """The reference ``allocate_counts``: the same rule in ``Fraction``
+    arithmetic. ``seen``, a set, gains "pinned" when a layer is pinned to a
+    bound and "tie" when equal remainders straddle the last extra weight,
+    so the tie rule decides the counts."""
+    low = {k: min(MIN_KEPT_PER_LAYER, n) for k, n in sizes.items()}
+    if not sum(low.values()) <= budget <= sum(sizes.values()):
+        raise ValueError("infeasible")
+    weight = {k: min(max(Fraction(shares[k]) * n, low[k]), n)
+              for k, n in sizes.items()}
+    ideal = {}
+    free = list(sizes)
+    while free:
+        scale = (Fraction(budget - sum(ideal.values()))
+                 / sum(weight[k] for k in free))
+        part = {k: min(max(scale * weight[k], low[k]), sizes[k]) for k in free}
+        pinned = {k: v for k, v in part.items() if v != scale * weight[k]}
+        ideal.update(pinned or part)
+        free = [k for k in free if k not in ideal]
+        if pinned and seen is not None:
+            seen.add("pinned")
+    counts = {k: math.floor(ideal[k]) for k in sizes}
+    by_remainder = sorted(sizes, key=lambda k: counts[k] - ideal[k])
+    extra = budget - sum(counts.values())
+    for k in by_remainder[:extra]:
+        counts[k] += 1
+    if (seen is not None and 0 < extra < len(sizes)
+            and ideal[by_remainder[extra - 1]] - counts[by_remainder[extra - 1]]
+            + 1 == ideal[by_remainder[extra]] - counts[by_remainder[extra]]):
+        seen.add("tie")
+    return counts
+
+
 def test_allocate_counts_sum_matches_fraction_oracle():
     rng = np.random.default_rng(0)
     checked = 0
@@ -69,13 +103,59 @@ def test_allocate_counts_sum_matches_fraction_oracle():
         assert budget == fraction_budget(text, total)
         if budget < sum(min(MIN_KEPT_PER_LAYER, n) for n in sizes.values()):
             continue
-        assert sum(allocate_counts(shares, sizes, budget).values()) == budget
+        counts = allocate_counts(shares, sizes, budget)
+        assert sum(counts.values()) == budget
+        assert counts == fraction_allocate_counts(shares, sizes, budget)
         checked += 1
     assert checked > 200
     sizes = {"a": 60, "b": 40}
     counts = allocate_counts({"a": 0.29, "b": 0.29}, sizes,
                              keep_budget(0.29, 100))
     assert sum(counts.values()) == 29 == fraction_budget("0.29", 100)
+
+
+def tie_prone_draw(rng):
+    """Shares, layer sizes and a feasible budget drawn from the
+    ``random.Random`` ``rng`` to hit exact ties and bounds: sizes below the
+    floor or repeated, shares that repeat, lie on a coarse dyadic grid,
+    reach 0 or exceed 1, or are noisy floats."""
+    def size():
+        return rng.randint(1, rng.choice((12, 300, 3000)))
+
+    mode = rng.randrange(4)
+    common = size()
+    # equal shares over equal sizes: every remainder ties
+    sizes = {f"{i}.weight": common if mode == 0 or rng.random() < 0.6
+             else size() for i in range(rng.randint(1, 4))}
+    if mode == 0:
+        shares = dict.fromkeys(sizes, rng.randint(1, 64) / 64)
+    elif mode == 1:
+        shares = {k: rng.randint(0, 96) / 32 for k in sizes}
+    elif mode == 2:
+        d = rng.random()
+        shares = {k: d + rng.uniform(-0.5 * d, 0.5 * d) for k in sizes}
+    else:
+        shares = {k: rng.choice((0.0, 1e-9, 1.0, 3.0, rng.random()))
+                  for k in sizes}
+    low = sum(min(MIN_KEPT_PER_LAYER, n) for n in sizes.values())
+    high = sum(sizes.values())
+    return shares, sizes, rng.choice((low, high, rng.randint(low, high)))
+
+
+def test_allocate_counts_matches_the_fraction_oracle_on_seeded_draws():
+    # 100,000 draws; the oracle's tie rule and its pins each decide
+    # thousands of them
+    rng = random.Random(14)
+    seen_in = {"pinned": 0, "tie": 0}
+    for _ in range(100_000):
+        shares, sizes, budget = tie_prone_draw(rng)
+        seen = set()
+        want = fraction_allocate_counts(shares, sizes, budget, seen)
+        assert allocate_counts(shares, sizes, budget) == want, \
+            (shares, sizes, budget)
+        for flag in seen:
+            seen_in[flag] += 1
+    assert seen_in["pinned"] > 20_000 and seen_in["tie"] > 3_000, seen_in
 
 
 def test_allocate_counts_respects_layer_bounds():

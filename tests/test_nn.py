@@ -847,6 +847,75 @@ def _check_stacked(net, stacked, singles, x, y):
                              eval_pass(layers, x, bn_stats(net)))
 
 
+@pytest.mark.parametrize("case", range(7))
+def test_column_variants_gathered_by_a_pick_match_each_candidate(
+        case, monkeypatch):
+    # selection may stack V column variants of the first linear layer in
+    # place of C candidates; the next linear layer's pick gathers each
+    # candidate's columns, stacked or shared, and every candidate must
+    # compute what its layers compute alone. Each stacked product must read
+    # a C-contiguous stack: a strided gather sends it off BLAS
+    _, net, _, batches = list(_oracle_cases())[case]
+    rng = np.random.default_rng(case)
+    first, second = [i for i, layer in enumerate(net.layers)
+                     if layer.kind == "linear"][:2]
+    fan_in, width = net.layers[first].weight.shape
+    variants = np.stack([np.where(rng.random((fan_in, width)) < 0.6,
+                                  net.layers[first].weight, 0.0)
+                         for _ in range(2)])
+    variant = rng.integers(0, 2, size=(3, width))
+    variant[:2] = [[0], [1]]  # each variant is a candidate's in every column
+    stacks = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, *rest, **kw:
+                        stacks.append(a) or real(a, *rest, **kw))
+    for stack_second in (True, False):
+        singles = [[copy.copy(layer) for layer in net.layers]
+                   for _ in range(3)]
+        for layers, v in zip(singles, variant):
+            layers[first].weight = variants[v, np.arange(fan_in)[:, None],
+                                            np.arange(width)]
+            if stack_second:
+                keep = rng.random(layers[second].weight.shape) < 0.6
+                layers[second].weight = np.where(keep, layers[second].weight,
+                                                 0.0)
+        stacked = [copy.copy(layer) for layer in net.layers]
+        stacked[first].weight = variants
+        stacked[second].pick = variant * width + np.arange(width)
+        if stack_second:
+            stacked[second].weight = np.stack([layers[second].weight
+                                               for layers in singles])
+        n_block = sum(layer.kind == "batchnorm"
+                      for layer in net.layers[:second])
+        n_head = sum(layer.kind == "batchnorm"
+                     for layer in net.layers[:first])
+        for size in (batches[-1], 1, 31):
+            x = rng.normal(size=(size, net.input_dim))
+            stats = bn_stats(net)
+            out = refresh_pass(stacked, x, stats)
+            logits = eval_pass(stacked, x, stats)
+            pretrained = eval_pass(stacked, x, bn_stats(net))
+            assert out.shape[1] == logits.shape[1] == 3
+            for c, (layers, v) in enumerate(zip(singles, variant)):
+                want = bn_stats(net)
+                assert_bitwise_equal(out[:, c], refresh_pass(layers, x, want))
+                for j, (got, pair) in enumerate(zip(stats, want)):
+                    for a, w in zip(got, pair):
+                        if j < n_head:
+                            row = a
+                        elif j < n_block:
+                            row = a[v, np.arange(width)]
+                        else:
+                            row = a[c]
+                        assert_bitwise_equal(row, w)
+                assert_bitwise_equal(logits[:, c], eval_pass(layers, x, want))
+                assert_bitwise_equal(pretrained[:, c],
+                                     eval_pass(layers, x, bn_stats(net)))
+    assert any(a.ndim == 3 for a in stacks)
+    for a in stacks:
+        assert a.ndim == 2 or a.swapaxes(0, 1).flags.c_contiguous
+
+
 # -- the prior order, frozen ---------------------------------------------------
 # The kernels as they were before the BN fold: normalize to xhat, then scale
 # and shift; the backward recomputes both sums on dxhat = delta * scale.

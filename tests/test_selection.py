@@ -11,6 +11,7 @@ from fedprune.nn import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, Network, \
 from fedprune.selection import (
     CHUNK,
     BNReport,
+    _distinct,
     _split,
     _winner,
     adaptive_select,
@@ -435,6 +436,21 @@ def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9)):
     return net, candidates, devs
 
 
+def chunk_slices(net, pool):
+    """Each chunk's ``(slices stacked by its first masked layer, distinct
+    candidates)``."""
+    firsts, _ = _distinct(pool)
+    _, chunks = _split(net, pool, firsts)
+    return [(tail[0].weight.shape[0], len(firsts[start:start + CHUNK]))
+            for start, tail in zip(range(0, len(firsts), CHUNK), chunks)]
+
+
+def assert_stacks_column_variants(net, pool):
+    """Some chunk stacks fewer column variants than it has candidates, so
+    the oracle comparison covers the gather by ``pick``."""
+    assert any(v < c for v, c in chunk_slices(net, pool))
+
+
 def check_both(net, pool, devs, batch_size=8):
     assert_same_selection(
         adaptive_select(net, pool, devs, batch_size),
@@ -449,6 +465,7 @@ def test_selectors_match_oracles_exactly(seed):
     net, pool, devs = oracle_fixture(seed)
     # Linear, BN and ReLU before the first prunable tensor
     assert len(_split(net, pool, [0])[0]) == 3
+    assert_stacks_column_variants(net, pool)
     check_both(net, pool, devs)
 
 
@@ -456,6 +473,7 @@ def test_selectors_match_oracles_with_singleton_tail_batches():
     # 17 = 2 * 8 + 1 and 9 = 8 + 1: every client's last batch has 1 sample
     net, pool, devs = oracle_fixture(4, dev_sizes=(17, 9, 1))
     assert [len(d) for d in devs] == [17, 9, 1]
+    assert_stacks_column_variants(net, pool)
     check_both(net, pool, devs, batch_size=8)
 
 
@@ -473,11 +491,14 @@ def test_selectors_match_oracles_with_no_shared_prefix():
     zeros = [pool.mask(i).slices["0.weight"][0, :4] for i in range(len(pool))]
     assert any(m[1] == 0 or m[3] == 0 for m in zeros)  # a -0.0 dropped
     assert any(m[0] == 1 or m[2] == 1 for m in zeros)  # a +0.0 kept
+    assert_stacks_column_variants(net, pool)
     check_both(net, pool, devs)
 
 
 def test_selectors_match_oracles_without_batch_norm():
-    check_both(*oracle_fixture(7, batch_norm=False))
+    net, pool, devs = oracle_fixture(7, batch_norm=False)
+    assert_stacks_column_variants(net, pool)
+    check_both(net, pool, devs)
 
 
 def test_selectors_match_oracles_with_a_single_candidate():
@@ -510,6 +531,7 @@ def test_selectors_match_oracles_across_chunk_edges(size):
     # one
     net, pool, devs = distinct_fixture(11, size)
     assert len(set(mask_bytes(pool))) == size
+    assert_stacks_column_variants(net, pool)
     for candidates in (pool, reversed_pool(pool)):
         check_both(net, candidates, devs)
 
@@ -581,6 +603,7 @@ def test_selectors_match_oracles_with_a_head_ending_in_batch_norm():
     head = _split(net, pool, [0])[0]
     assert [layer.kind for layer in head] == ["linear", "relu", "batchnorm"]
     assert net.layers[-2].kind == "batchnorm"
+    assert_stacks_column_variants(net, pool)
     check_both(net, pool, devs)
 
 
@@ -594,6 +617,74 @@ def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
     calls.clear()
     vanilla_select(net, pool, devs, batch_size=8)
     assert calls == ["client_score"] * 9
+
+
+def column_variants(pool, rows, key):
+    """The most distinct kept columns of ``key`` that any one column has
+    among the candidates at ``rows``."""
+    masks = [pool.mask(i).slices[key] for i in rows]
+    return max(len({m[:, f].tobytes() for m in masks})
+               for f in range(masks[0].shape[1]))
+
+
+def test_chunks_stack_one_slice_per_column_variant():
+    # 2 * CHUNK + 1 distinct prefix masks of the candidate pool: the first
+    # masked layer stacks each chunk's column variants, and each candidate's
+    # pick takes every column from a slice that keeps what it keeps there
+    net, pool, _ = distinct_fixture(13, 2 * CHUNK + 1)
+    firsts, _ = _distinct(pool)
+    _, chunks = _split(net, pool, firsts)
+    key = next(iter(pool.order))
+    slices = []
+    for start, tail in zip(range(0, len(firsts), CHUNK), chunks):
+        rows = firsts[start:start + CHUNK]
+        stacked = tail[0].weight
+        slices.append((len(stacked), len(rows)))
+        assert len(stacked) == column_variants(pool, rows, key)
+        [gather] = [layer for layer in tail if layer.kind == "linear"
+                    and layer.pick is not None] or [None]
+        width = stacked.shape[-1]
+        if len(stacked) == len(rows):
+            assert gather is None
+            variant = np.arange(len(rows))[:, None] + np.zeros(width, int)
+        else:
+            assert gather is tail[3] and gather.pick.shape == (len(rows), width)
+            variant, column = np.divmod(gather.pick, width)
+            assert (column == np.arange(width)).all()
+        for c, i in enumerate(rows):
+            want = apply_mask(net, pool.mask(i)).params()[key]
+            got = stacked[variant[c], :, np.arange(width)].T
+            assert bits(got) == bits(want)
+    assert slices == [(4, CHUNK), (3, CHUNK), (1, 1)]
+
+
+def test_a_chunk_of_as_many_variants_as_candidates_stacks_candidates():
+    # two candidates with different first-tensor counts differ in some
+    # column: V == C, so each slice is a candidate's masked weight, and no
+    # layer gathers
+    net, pool, _ = oracle_fixture(0)
+    pool = subpool(pool, [0, 2])
+    assert pool.counts[0, 0] != pool.counts[1, 0]
+    firsts, _ = _distinct(pool)
+    _, [tail] = _split(net, pool, firsts)
+    assert all(layer.kind != "linear" or layer.pick is None for layer in tail)
+    for key in pool.order:
+        stacked = tail[net.layer_of_key(key) - 3].weight
+        assert len(stacked) == 2
+        for c, i in enumerate(firsts):
+            assert bits(stacked[c]) == bits(
+                apply_mask(net, pool.mask(i)).params()[key])
+
+
+def test_distinct_lists_ascending_rows_at_their_first_positions():
+    net, masks, _ = distinct_fixture(14, 5)
+    which = [3, 1, 3, 0, 4, 1, 2, 0, 4]
+    pool = subpool(masks, which)
+    rows = [tuple(row) for row in pool.counts.tolist()]
+    firsts, index = _distinct(pool)
+    assert [rows[i] for i in firsts] == sorted(set(rows))
+    assert firsts == [rows.index(rows[i]) for i in firsts]
+    assert [firsts[d] for d in index] == [rows.index(row) for row in rows]
 
 
 def test_identical_candidates_tie_to_the_lowest_id():
