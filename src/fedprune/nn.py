@@ -261,7 +261,7 @@ def forward(net: Network, batch, mode: str = "train", moments=None):
         else:  # batchnorm
             end = at + 2 * x.shape[1]
             _, centred, var = batch_stats(
-                x, None if moments is None else moments[at:end])
+                x, None if moments is None else moments[at:end], in_place=own)
             at = end
             inv = (var + BN_EPS) ** -0.5
             g = inv * layer.scale
@@ -304,7 +304,7 @@ def bn_stats(net: Network) -> list[tuple[Array, Array]]:
     return [(bn.mean, bn.var) for _, bn in net.bn_layers()]
 
 
-def batch_stats(x: Array, out: Array | None = None
+def batch_stats(x: Array, out: Array | None = None, *, in_place: bool = False
                 ) -> tuple[Array, Array, Array]:
     """Per-feature batch mean, the centred batch, and the biased batch
     variance over the batch axis 0, of a ``(B, width)`` batch or a
@@ -313,11 +313,13 @@ def batch_stats(x: Array, out: Array | None = None
     variance reuses the centred batch; they are bit-identical to
     ``x.mean(axis=0)`` and ``x.var(axis=0)``. With ``out``, a vector of
     twice the feature count, the mean is written into its first half and
-    the variance into its second."""
+    the variance into its second. With ``in_place``, for a batch the
+    caller owns, the centred batch is ``x`` itself, centred with the same
+    bits; otherwise ``x`` is not written."""
     n, width = x.shape[0], x.shape[-1]
     mu = np.divide(np.add.reduce(x, axis=0), n,
                    out=None if out is None else out[:width])
-    centred = x - mu
+    centred = np.subtract(x, mu, out=x if in_place else None)
     return mu, centred, np.divide(np.add.reduce(centred * centred, axis=0), n,
                                   out=None if out is None else out[width:])
 
@@ -351,7 +353,8 @@ def refresh_pass(layers, x: Array, stats: list, *,
     normalizes with batch statistics and advances its moving statistics.
     ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
     order; each pair is replaced by the advanced one, and neither a layer
-    nor ``x`` is written. Behind a stacked ``(C, fan_in, fan_out)`` weight
+    nor ``x`` is written: a BN layer centres its input in place unless it
+    is ``x``. Behind a stacked ``(C, fan_in, fan_out)`` weight
     the activations are ``(B, C, width)`` and the pairs ``(C, width)``, or
     ``(B, V, width)`` and ``(V, width)`` for V column variants up to the
     linear layer whose ``pick`` gathers each candidate's columns from them.
@@ -367,7 +370,7 @@ def refresh_pass(layers, x: Array, stats: list, *,
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
-            mu, x, var = batch_stats(x)
+            mu, x, var = batch_stats(x, in_place=x is not batch)
             mean, old_var = stats[j]
             m = BN_MOMENTUM
             stats[j] = (m * mean + (1.0 - m) * mu, m * old_var + (1.0 - m) * var)

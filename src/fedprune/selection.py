@@ -125,7 +125,11 @@ def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
     """Full selection protocol over the candidate masks of ``net``. Returns
     the winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
-    aggregated scores."""
+    aggregated scores. Every chunk is refreshed on every client and
+    aggregated before any is scored, so the head's refresh-mode outputs are
+    freed before its eval-mode outputs are made: one set of head outputs
+    per dev sample is alive at a time. The scoring pass builds the chunks
+    again rather than holding every chunk's stacks."""
     firsts, index = _distinct(pool)
     head, chunks = _split(net, pool, firsts)
     # cloned before the per-client head outputs, which are freed before the
@@ -140,17 +144,18 @@ def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
         refreshed.append([(refresh_pass(head, x, head_stats), y)
                           for x, y in batches])
         head_reports.append(BNReport(head_stats, _samples(batches)))
+    chunk_global = [aggregate_bn([client_bn_pass(tail, a, stats[n_head:])
+                                  for a in refreshed]) for tail in chunks]
+    del refreshed
     # aggregation is per layer, so the head's global statistics are shared
     head_global = aggregate_bn(head_reports)
     acts = [[(eval_pass(head, x, head_global), y) for x, y in batches]
             for batches in clients]
     losses, tail_global = [], []
-    for tail in chunks:
-        chunk_global = aggregate_bn(
-            [client_bn_pass(tail, a, stats[n_head:]) for a in refreshed])
-        losses += _score(tail, chunk_global, acts)
-        tail_global.append(_by_candidate(tail, chunk_global))
-    del refreshed, acts
+    for tail, tail_stats in zip(_split(net, pool, firsts)[1], chunk_global):
+        losses += _score(tail, tail_stats, acts)
+        tail_global.append(_by_candidate(tail, tail_stats))
+    del acts
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
     chunk, row = divmod(index[winner], CHUNK)

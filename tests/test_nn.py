@@ -15,6 +15,7 @@ from fedprune.nn import (
     _check_batch,
     advance_bn_stats,
     backward,
+    batch_stats,
     bn_stats,
     cross_entropy,
     eval_pass,
@@ -767,6 +768,28 @@ def test_kernels_match_reference_bit_for_bit(case):
         assert_bitwise_equal(forward(net, x, "eval")[0],
                              _ref_forward(ref, x, "eval")[0])
         assert_bitwise_equal(x, x_before)
+
+
+@pytest.mark.parametrize("shape, moments", [
+    ((1, 5), False), ((31, 9), False), ((31, 9), True), ((12, 3, 7), False)])
+def test_batch_stats_centres_only_an_owned_batch_in_place(shape, moments):
+    # a singleton batch, a batch with and without a moments vector, and a
+    # (B, C, width) stack: the caller's batch is never written, and an
+    # owned one comes back as the centred batch, with the allocating bits
+    x = np.random.default_rng(len(shape)).normal(1.0, 3.0, size=shape)
+    before = x.copy()
+    outs = [np.zeros(2 * shape[-1]) if moments else None for _ in range(2)]
+    fresh = batch_stats(x, outs[0])
+    assert_bitwise_equal(x, before)
+    owned = x.copy()
+    got = batch_stats(owned, outs[1], in_place=True)
+    assert got[1] is owned
+    for a, b, ref in zip(got, fresh, _ref_batch_stats(before)):
+        assert_bitwise_equal(a, b)
+        assert_bitwise_equal(a, ref)
+    if moments:
+        for out in outs:
+            assert_bitwise_equal(out, np.concatenate([fresh[0], fresh[2]]))
 
 
 @pytest.mark.parametrize("case", range(7))

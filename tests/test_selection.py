@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -617,6 +618,35 @@ def test_selection_passes_run_once_per_client_per_chunk(monkeypatch):
     calls.clear()
     vanilla_select(net, pool, devs, batch_size=8)
     assert calls == ["client_score"] * 9
+
+
+def test_head_refresh_outputs_are_freed_before_any_chunk_is_scored(
+        monkeypatch):
+    # three chunks on three clients: every chunk is refreshed on every
+    # client before any is scored, and by then the head's refresh-mode
+    # outputs are gone, so one set of head outputs is alive at a time
+    net, pool, devs = distinct_fixture(13, 2 * CHUNK + 1)
+    outputs, alive = [], []
+    refresh, score = selection.refresh_pass, selection.client_score
+
+    def head_refresh(layers, x, stats, **kwargs):
+        out = refresh(layers, x, stats, **kwargs)
+        if not kwargs:  # the head's pass; a chunk's pass is stats_only
+            outputs.append(weakref.ref(out))
+        return out
+
+    def first_score(*args):
+        if not alive:
+            alive.append(sum(ref() is not None for ref in outputs))
+        return score(*args)
+
+    monkeypatch.setattr(selection, "refresh_pass", head_refresh)
+    monkeypatch.setattr(selection, "client_score", first_score)
+    calls = count_passes(monkeypatch)
+    adaptive_select(net, pool, devs, batch_size=8)
+    assert len(outputs) == sum(math.ceil(len(dev) / 8) for dev in devs)
+    assert alive == [0]
+    assert calls == ["client_bn_pass"] * 9 + ["client_score"] * 9
 
 
 def column_variants(pool, rows, key):
