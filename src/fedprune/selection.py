@@ -6,6 +6,8 @@ their local development data (weights frozen throughout), the server
 aggregates the statistics and redistributes them, clients score each
 candidate by eval-mode loss, and the candidate with the lowest weighted loss
 wins. ``vanilla_select`` is the ablation that skips the statistics refresh.
+A client's dev set is a list of its own rows, and each pass gathers a dev
+batch from the client's arrays only when it reads it.
 
 The layers before the first masked tensor are the same in every candidate,
 so both selectors run them once per client batch, and the rest once per
@@ -120,12 +122,15 @@ def install_bn(net: Network, stats: list[tuple[Array, Array]]) -> None:
         layer.mean[...], layer.var[...] = mu, var
 
 
-def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
-                    batch_size: int = 64):
-    """Full selection protocol over the candidate masks of ``net``. Returns
-    the winner's position in ``pool``, the winner's masked network with the
+def adaptive_select(net: Network, pool: Pool,
+                    devs: list[tuple[Dataset, Array]], batch_size: int = 64):
+    """Full selection protocol over the candidate masks of ``net``, on the
+    dev rows of each ``(client, rows)`` pair of ``devs``. Returns the
+    winner's position in ``pool``, the winner's masked network with the
     aggregated global statistics installed, and the per-candidate
-    aggregated scores. Every chunk is refreshed on every client and
+    aggregated scores. The head refresh and the head's eval pass each
+    gather a dev batch from its client's arrays as they read it, so no dev
+    set is ever copied whole. Every chunk is refreshed on every client and
     aggregated before any is scored, so the head's refresh-mode outputs are
     freed before its eval-mode outputs are made: one set of head outputs
     per dev sample is alive at a time. The scoring pass builds the chunks
@@ -137,20 +142,19 @@ def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
     winner_net = net.clone()
     stats = bn_stats(net)
     n_head = sum(layer.kind == "batchnorm" for layer in head)
-    clients = _client_batches(dev_sets, batch_size)
     head_reports, refreshed = [], []
-    for batches in clients:
+    for batches in _client_batches(devs, batch_size):
         head_stats = stats[:n_head]
         refreshed.append([(refresh_pass(head, x, head_stats), y)
                           for x, y in batches])
-        head_reports.append(BNReport(head_stats, _samples(batches)))
+        head_reports.append(BNReport(head_stats, _samples(refreshed[-1])))
     chunk_global = [aggregate_bn([client_bn_pass(tail, a, stats[n_head:])
                                   for a in refreshed]) for tail in chunks]
     del refreshed
     # aggregation is per layer, so the head's global statistics are shared
     head_global = aggregate_bn(head_reports)
     acts = [[(eval_pass(head, x, head_global), y) for x, y in batches]
-            for batches in clients]
+            for batches in _client_batches(devs, batch_size)]
     losses, tail_global = [], []
     for tail, tail_stats in zip(_split(net, pool, firsts)[1], chunk_global):
         losses += _score(tail, tail_stats, acts)
@@ -165,17 +169,18 @@ def adaptive_select(net: Network, pool: Pool, dev_sets: list[Dataset],
     return winner, winner_net, scores
 
 
-def vanilla_select(net: Network, pool: Pool, dev_sets: list[Dataset],
-                   batch_size: int = 64):
+def vanilla_select(net: Network, pool: Pool,
+                   devs: list[tuple[Dataset, Array]], batch_size: int = 64):
     """Ablation variant: score candidates with the pretrained BN statistics
-    (no refresh, no aggregation)."""
+    (no refresh, no aggregation). ``devs`` is as in ``adaptive_select``, and
+    the head's eval pass gathers each dev batch as it reads it."""
     firsts, index = _distinct(pool)
     head, chunks = _split(net, pool, firsts)
     winner_net = net.clone()  # before the head outputs, as adaptive_select
     stats = bn_stats(net)
     n_head = sum(layer.kind == "batchnorm" for layer in head)
     acts = [[(eval_pass(head, x, stats[:n_head]), y) for x, y in batches]
-            for batches in _client_batches(dev_sets, batch_size)]
+            for batches in _client_batches(devs, batch_size)]
     losses = [s for tail in chunks for s in _score(tail, stats[n_head:], acts)]
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
@@ -285,11 +290,20 @@ def _by_candidate(tail, stats):
     return out
 
 
-def _client_batches(dev_sets: list[Dataset], batch_size: int):
-    """Each client's dev batches, as ``(x, y)`` pairs."""
-    if any(len(dev) < 1 for dev in dev_sets):
+def _client_batches(devs: list[tuple[Dataset, Array]], batch_size: int):
+    """Each client's dev batches, one generator of ``(x, y)`` pairs per
+    ``(client, rows)`` pair: the batches of ``iter_batches`` over
+    ``client.subset(rows)``, each gathered from the client's arrays only
+    when it is read."""
+    if any(len(rows) < 1 for _, rows in devs):
         raise ValueError("development dataset is empty")
-    return [list(iter_batches(dev, batch_size)) for dev in dev_sets]
+    return [_gather(client, rows, batch_size) for client, rows in devs]
+
+
+def _gather(client: Dataset, rows: Array, batch_size: int):
+    for start in range(0, len(rows), batch_size):
+        batch = rows[start:start + batch_size]
+        yield client.features[batch], client.labels[batch]
 
 
 def _samples(batches) -> int:

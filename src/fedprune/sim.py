@@ -285,7 +285,8 @@ def _train_one_epoch(net, ds, mask, rate, batch_size, lr, rng) -> None:
 def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     # every row is held once: the full dataset goes once it is split, the
     # training pool once it is partitioned and the server split once
-    # pretraining has read it
+    # pretraining has read it; a dev set is its client's row indices, and
+    # selection gathers each dev batch from the client's rows as it reads it
     ds = build_dataset(cfg)
     dim, classes = ds.dim, ds.classes
 
@@ -301,10 +302,10 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
     clients = dirichlet_partition(train_pool, cfg.clients, cfg.alpha,
                                   seed=_subseed(cfg.seed, _T_PART))
     del train_pool
-    # only the selectors read dev sets; each draw has its own subseed
-    dev_sets = [client.subset(dev_indices(len(client), cfg.dev_ratio,
-                                          seed=_subseed(cfg.seed, _T_DEV, k)))
-                for k, client in enumerate(clients)] \
+    # only the selectors read dev rows; each draw has its own subseed
+    devs = [(client, dev_indices(len(client), cfg.dev_ratio,
+                                 seed=_subseed(cfg.seed, _T_DEV, k)))
+            for k, client in enumerate(clients)] \
         if cfg.algorithm in POOL_ALGS else []
 
     net = make_mlp(dim, list(cfg.hidden), classes,
@@ -322,11 +323,11 @@ def setup_experiment(cfg: ExperimentConfig) -> ExperimentState:
         if cfg.algorithm == "ProgressiveOnly":
             method = "vanilla"
             selected, net, scores = vanilla_select(
-                net, pool, dev_sets, cfg.batch_size)
+                net, pool, devs, cfg.batch_size)
         else:
             method = "adaptive"
             selected, net, scores = adaptive_select(
-                net, pool, dev_sets, cfg.batch_size)
+                net, pool, devs, cfg.batch_size)
         mask = pool.mask(selected)
         record = selection_record(method, pool, scores, selected)
     elif cfg.algorithm == "StaticRandom":

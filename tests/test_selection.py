@@ -134,6 +134,12 @@ def masked(net, pool):
     return [(i, apply_mask(net, pool.mask(i))) for i in range(len(pool))]
 
 
+def dev_sets(devs):
+    """The dev sets as the oracles take them: each ``(client, rows)`` pair's
+    rows, copied out of the client's data."""
+    return [client.subset(rows) for client, rows in devs]
+
+
 def subpool(pool, rows):
     """The candidates at positions ``rows`` of ``pool``, in that order."""
     rows = list(rows)
@@ -232,10 +238,11 @@ def test_bn_pass_rejects_empty_dev():
         bn_pass(net, empty)
     net = make_mlp(2, [8, 8, 8], 2, seed=0)
     pool = generate_candidate_pool(net, 0.5, 2)
-    with pytest.raises(ValueError):
-        adaptive_select(net, pool, [ds, empty])
-    with pytest.raises(ValueError):
-        vanilla_select(net, pool, [ds, empty])
+    devs = [(ds, np.arange(len(ds))), (ds, np.arange(0))]
+    with pytest.raises(ValueError, match="development dataset is empty"):
+        adaptive_select(net, pool, devs)
+    with pytest.raises(ValueError, match="development dataset is empty"):
+        vanilla_select(net, pool, devs)
 
 
 # -- aggregate_bn ----------------------------------------------------------------
@@ -329,10 +336,11 @@ def test_select_lowest_weighted_loss():
     # the selectors' scores are the dev-size-weighted client losses
     net, pool, devs = oracle_fixture(0)
     winner, _, scores = vanilla_select(net, pool, devs, batch_size=8)
-    total = sum(len(d) for d in devs)
+    sets = dev_sets(devs)
+    total = sum(len(d) for d in sets)
     for cid, cand in masked(net, pool):
         assert scores[cid] == sum(len(d) / total * oracle_client_score(cand, d, 8)
-                                  for d in devs)
+                                  for d in sets)
     assert scores[winner] == min(scores.values())
 
 
@@ -348,8 +356,8 @@ def test_select_shift_invariance_and_ties():
 def selection_fixture(seed=0):
     net = make_mlp(6, [32, 32, 32], 4, seed=seed)
     pool = generate_candidate_pool(net, 0.1, 3, seed=seed)
-    devs = [make_blobs(4, 12, 6, 1.5, seed=100 + i) for i in range(3)]
-    return net, pool, devs
+    clients = [make_blobs(4, 12, 6, 1.5, seed=100 + i) for i in range(3)]
+    return net, pool, [(ds, np.arange(len(ds))) for ds in clients]
 
 
 def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
@@ -427,13 +435,15 @@ def assert_same_selection(got, want):
 
 
 def oracle_fixture(seed, pool=6, batch_norm=True, dev_sizes=(17, 33, 9)):
+    """A network, its candidate pool and one ``(client, rows)`` pair per dev
+    size: a 40-row client and ``n`` of its rows in a random order."""
     net = make_mlp(5, [24, 16, 12], 4, batch_norm=batch_norm, seed=seed)
     candidates = generate_candidate_pool(net, 0.2, pool, seed=seed)
     devs = []
     for i, n in enumerate(dev_sizes):
         ds = make_blobs(4, 10, 5, 1.5, seed=10 * seed + i)
         order = np.random.default_rng(10 * seed + i).permutation(len(ds))
-        devs.append(ds.subset(order[:n]))
+        devs.append((ds, order[:n]))
     return net, candidates, devs
 
 
@@ -455,10 +465,10 @@ def assert_stacks_column_variants(net, pool):
 def check_both(net, pool, devs, batch_size=8):
     assert_same_selection(
         adaptive_select(net, pool, devs, batch_size),
-        oracle_adaptive_select(masked(net, pool), devs, batch_size))
+        oracle_adaptive_select(masked(net, pool), dev_sets(devs), batch_size))
     assert_same_selection(
         vanilla_select(net, pool, devs, batch_size),
-        oracle_vanilla_select(masked(net, pool), devs, batch_size))
+        oracle_vanilla_select(masked(net, pool), dev_sets(devs), batch_size))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -473,7 +483,7 @@ def test_selectors_match_oracles_exactly(seed):
 def test_selectors_match_oracles_with_singleton_tail_batches():
     # 17 = 2 * 8 + 1 and 9 = 8 + 1: every client's last batch has 1 sample
     net, pool, devs = oracle_fixture(4, dev_sizes=(17, 9, 1))
-    assert [len(d) for d in devs] == [17, 9, 1]
+    assert [len(rows) for _, rows in devs] == [17, 9, 1]
     assert_stacks_column_variants(net, pool)
     check_both(net, pool, devs, batch_size=8)
 
@@ -644,7 +654,7 @@ def test_head_refresh_outputs_are_freed_before_any_chunk_is_scored(
     monkeypatch.setattr(selection, "client_score", first_score)
     calls = count_passes(monkeypatch)
     adaptive_select(net, pool, devs, batch_size=8)
-    assert len(outputs) == sum(math.ceil(len(dev) / 8) for dev in devs)
+    assert len(outputs) == sum(math.ceil(len(rows) / 8) for _, rows in devs)
     assert alive == [0]
     assert calls == ["client_bn_pass"] * 9 + ["client_score"] * 9
 
@@ -744,5 +754,5 @@ def test_selection_clones_only_the_winner(monkeypatch):
                         lambda net: clones.append(1) or original(net))
     adaptive_select(net, pool, devs, batch_size=8)
     vanilla_select(net, pool, devs, batch_size=8)
-    bn_pass(net, devs[0], batch_size=8)
+    bn_pass(net, dev_sets(devs)[0], batch_size=8)
     assert len(clones) == 2

@@ -663,30 +663,51 @@ def test_metrics_record_kept_counts(tmp_path, algorithm):
             assert counts["kept"] == mask.slices[key].sum()
 
 
-@pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly"])
+# the dev sizes of the 38-, 34-, 58- and 38-row clients at seed 0: 17 rows
+# end in a one-row batch of 16, 1.0 takes each client's whole data, and 0.01
+# one row
+@pytest.mark.parametrize("algorithm, dev_ratio, dev_sizes", [
+    pytest.param("FedTiny", 0.3, [11, 10, 17, 11], id="FedTiny"),
+    pytest.param("ProgressiveOnly", 0.3, [11, 10, 17, 11],
+                 id="ProgressiveOnly"),
+    pytest.param("FedTiny", 1.0, [38, 34, 58, 38], id="FedTiny-whole"),
+    pytest.param("ProgressiveOnly", 1.0, [38, 34, 58, 38],
+                 id="ProgressiveOnly-whole"),
+    pytest.param("FedTiny", 0.01, [1, 1, 1, 1], id="FedTiny-one-row"),
+    pytest.param("ProgressiveOnly", 0.01, [1, 1, 1, 1],
+                 id="ProgressiveOnly-one-row")])
 def test_selection_path_matches_clone_oracles_byte_for_byte(
-        tmp_path, monkeypatch, algorithm):
-    from test_selection import masked, oracle_adaptive_select, \
+        tmp_path, monkeypatch, algorithm, dev_ratio, dev_sizes):
+    from test_selection import dev_sets, masked, oracle_adaptive_select, \
         oracle_vanilla_select
 
     from fedprune import sim
 
     def run(out):
-        cfg = tiny_config(algorithm=algorithm, pool_size=8, dev_ratio=0.3,
-                          rounds=4)
+        cfg = tiny_config(algorithm=algorithm, pool_size=8,
+                          dev_ratio=dev_ratio, rounds=4)
         run_experiment(cfg, out_dir=out)
         return [(out / name).read_bytes()
                 for name in ("metrics.csv", "final.ckpt", "selection.json")]
 
+    drawn, draw = [], sim.dev_indices
+
+    def counted(n, *args, **kwargs):
+        rows = draw(n, *args, **kwargs)
+        drawn.append((n, len(rows)))
+        return rows
+
+    monkeypatch.setattr(sim, "dev_indices", counted)
     shared = run(tmp_path / "shared")
+    assert drawn == list(zip([38, 34, 58, 38], dev_sizes))
     monkeypatch.setattr(
         sim, "adaptive_select",
-        lambda net, pool, devs, batch_size:
-        oracle_adaptive_select(masked(net, pool), devs, batch_size))
+        lambda net, pool, devs, batch_size: oracle_adaptive_select(
+            masked(net, pool), dev_sets(devs), batch_size))
     monkeypatch.setattr(
         sim, "vanilla_select",
-        lambda net, pool, devs, batch_size:
-        oracle_vanilla_select(masked(net, pool), devs, batch_size))
+        lambda net, pool, devs, batch_size: oracle_vanilla_select(
+            masked(net, pool), dev_sets(devs), batch_size))
     assert run(tmp_path / "oracle") == shared
 
 
@@ -743,6 +764,36 @@ def test_setup_holds_no_split_past_its_last_read(monkeypatch, test_ratio):
     assert seen["pool"] == {"dataset": False, "pool": fallback,
                             "server": False}
     assert (refs["pool"]() is state.test_set) == fallback
+
+
+@pytest.mark.parametrize("algorithm", ["FedTiny", "ProgressiveOnly",
+                                       "AdaptiveBNOnly"])
+def test_setup_copies_no_rows_after_the_partition(monkeypatch, algorithm):
+    # a dev set is its client's row indices, and selection gathers each dev
+    # batch as it reads it: once the clients hold their rows, setup copies
+    # no dataset
+    from fedprune import sim
+    from fedprune.data import Dataset
+
+    partition, subset = sim.dirichlet_partition, Dataset.subset
+    partitioned, copies = [], []
+
+    def partition_once(*args, **kwargs):
+        clients = partition(*args, **kwargs)
+        partitioned.append(len(clients))
+        return clients
+
+    def copied(ds, indices):
+        if partitioned:
+            copies.append(len(indices))
+        return subset(ds, indices)
+
+    monkeypatch.setattr(sim, "dirichlet_partition", partition_once)
+    monkeypatch.setattr(Dataset, "subset", copied)
+    state = setup_experiment(tiny_config(algorithm=algorithm, pool_size=8))
+    assert partitioned == [state.cfg.clients]
+    assert state.selection is not None
+    assert copies == []
 
 
 def test_collection_pass_never_reaches_the_upload():
