@@ -96,35 +96,37 @@ def keep_prefix(order: Array, n: int, shape) -> Array:
     return kept
 
 
-@dataclass
 class Mask:
-    """Binary indicators over the prune-eligible parameter tensors."""
+    """Binary indicators over the prune-eligible tensors: one uint8 vector
+    ``bits`` of each key's indicators in key order (a checkpoint's mask
+    section), which ``slices`` view at the tensors' shapes and code writes
+    in place, never rebinding them. The input is copied once, to ``bits``."""
 
-    slices: dict[str, Array]
-
-    def __post_init__(self):
-        for key, m in self.slices.items():
+    def __init__(self, slices: dict[str, Array]):
+        given = {key: np.asarray(m) for key, m in slices.items()}
+        self.bits = np.empty(sum(m.size for m in given.values()), np.uint8)
+        self.slices, at = {}, 0
+        for key, m in given.items():
             # check before the cast, which would turn 0.5 into 0 and 256 into
             # 0; a boolean array holds nothing else
-            m = np.asarray(m)
             if m.dtype != bool and not np.all((m == 0) | (m == 1)):
                 raise ValueError(f"mask entries for {key} must be 0 or 1")
-            self.slices[key] = m.astype(np.uint8, copy=False)
+            self.slices[key] = self.bits[at:at + m.size].reshape(m.shape)
+            np.copyto(self.slices[key], m, casting="unsafe")
+            at += m.size
 
     def nonzeros(self) -> dict[str, int]:
         return {k: int(m.sum()) for k, m in self.slices.items()}
 
     def counts(self) -> tuple[int, int]:
-        kept = sum(int(m.sum()) for m in self.slices.values())
-        total = sum(m.size for m in self.slices.values())
-        return kept, total
+        return int(self.bits.sum()), self.bits.size
 
     def density(self) -> float:
         kept, total = self.counts()
         return kept / total if total else 1.0
 
     def copy(self) -> "Mask":
-        return Mask({k: m.copy() for k, m in self.slices.items()})
+        return Mask(self.slices)
 
 
 @dataclass

@@ -543,8 +543,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundMetrics:
                            for key in state.net.prunable_keys())
     return RoundMetrics(
         round=round_index, accuracy=accuracy, loss=loss,
-        density=state.mask.density() if state.mask is not None else 1.0,
-        kept=kept, total=total,
+        density=kept / total if total else 1.0, kept=kept, total=total,
         targeted=list(collect),
         grow_count=sum(c["grow"] for c in layers.values()),
         drop_count=sum(c["drop"] for c in layers.values()),
@@ -632,11 +631,12 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
     """Versioned binary snapshot: one JSON header line (the version, the
     layer specs, ``extra`` and each section's dtype and length), then the
     sections: ``flat`` and ``stats`` (every BN layer's moving mean and
-    variance in layer order), both as little-endian float64, and the mask
-    as uint8 over ``prunable_keys()`` in flat order. The bytes are a function of the
-    arguments alone."""
-    if mask is not None and set(mask.slices) != set(net.prunable_keys()):
-        raise ValueError("a checkpoint mask covers every prunable tensor")
+    variance in layer order), both as little-endian float64, and the mask's
+    ``bits``, which must cover ``prunable_keys()`` at their shapes in flat
+    order. The bytes are a function of the arguments alone."""
+    if mask is not None and [(k, m.shape) for k, m in mask.slices.items()] != [
+            (k, net.params()[k].shape) for k in net.prunable_keys()]:
+        raise ValueError("the mask is not the prunable tensors in flat order")
     header = {"version": CKPT_VERSION,
               "layers": [_spec(layer) for layer in net.layers],
               "extra": extra or {},
@@ -645,8 +645,8 @@ def save_checkpoint(path, net: Network, mask: Mask | None,
         fh.write(json.dumps(header).encode() + b"\n")
         for vec in (net.flat, net.stats):
             fh.write(vec.astype("<f8", copy=False))
-        for key in net.prunable_keys() if mask is not None else ():
-            fh.write(np.ascontiguousarray(mask.slices[key], dtype=np.uint8))
+        if mask is not None:
+            fh.write(mask.bits)
 
 
 def load_checkpoint(path):
@@ -715,14 +715,10 @@ def _rebuild(header: dict, body: bytes) -> tuple[Network, Mask | None]:
         raise ValueError("a BN variance is negative")
     if len(sections) == 2:
         return net, None
-    params = {key: net.params()[key] for key in net.prunable_keys()}
-    parts = _split(np.frombuffer(body, np.uint8, offset=8 * (n_flat + n_bn)),
-                   [p.size for p in params.values()])
-    # Mask checks that every entry is 0 or 1
-    return net, Mask({key: part.reshape(p.shape).copy()
-                      for (key, p), part in zip(params.items(), parts)})
-
-
-def _split(vec: Array, sizes: list[int]) -> list[Array]:
-    """``vec`` cut into consecutive pieces of ``sizes``."""
-    return np.split(vec, np.cumsum(sizes, dtype=int)[:-1])
+    # Mask copies these views of the section and checks each entry is 0 or 1
+    parts, at = {}, 8 * (n_flat + n_bn)
+    for key in net.prunable_keys():
+        p = net.params()[key]
+        parts[key] = np.frombuffer(body, np.uint8, p.size, at).reshape(p.shape)
+        at += p.size
+    return net, Mask(parts)

@@ -243,6 +243,30 @@ def test_a_boolean_mask_is_stored_as_its_uint8_indicators():
     np.testing.assert_array_equal(stored, keep)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64, np.int64])
+def test_a_mask_owns_its_indicators(dtype):
+    # the mask copies its input, whatever the dtype, into one uint8 vector
+    # ``bits`` that every slice views, each key's indicators in key order
+    a = np.array([[1, 0, 1], [0, 0, 1]], dtype=dtype)
+    b = np.array([0, 1], dtype=dtype)
+    mask = Mask({"a": a, "b": b})
+    a[...], b[...] = 0, 0
+    assert mask.slices["a"].tolist() == [[1, 0, 1], [0, 0, 1]]
+    assert mask.slices["b"].tolist() == [0, 1]
+    assert mask.bits.dtype == np.uint8
+    assert mask.bits.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert mask.counts() == (4, 8)
+    for key, shape in (("a", (2, 3)), ("b", (2,))):
+        assert mask.slices[key].shape == shape
+        assert np.shares_memory(mask.slices[key], mask.bits)
+    # writes into a slice are writes into bits, and a copy owns its own
+    twin = mask.copy()
+    mask.slices["a"][0, 1] = 1
+    assert mask.bits[1] == 1 and mask.counts() == (5, 8)
+    assert twin.bits.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+    assert not np.shares_memory(twin.bits, mask.bits)
+
+
 # -- _smallest ------------------------------------------------------------------
 
 def tied_keys(rng, n):

@@ -7,7 +7,7 @@ import pytest
 
 from fedprune import costs
 from fedprune.data import make_blobs
-from fedprune.masking import Pool, keep_budget
+from fedprune.masking import Mask, Pool, keep_budget
 from fedprune.nn import forward, make_mlp
 from fedprune.progressive import target_layers
 from fedprune.sim import (
@@ -583,6 +583,23 @@ def test_checkpoint_rejects_garbage(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValueError, match="unreadable checkpoint"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_save_refuses_a_mask_it_could_not_load(tmp_path):
+    # the mask section is the mask's bits: its keys must be the prunable
+    # tensors at their shapes and in flat order, or the file would not load
+    net = make_mlp(4, [6, 6, 6], 3)
+    keys = net.prunable_keys()
+    assert len(keys) == 2
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, net, Mask({k: np.ones((6, 6), bool) for k in keys}))
+    assert load_checkpoint(path)[1].counts() == (72, 72)
+    for bad in ({k: np.ones(6, bool) for k in keys},
+                {k: np.ones((6, 6), bool) for k in reversed(keys)},
+                {keys[0]: np.ones((6, 6), bool)}):
+        with pytest.raises(ValueError, match="prunable tensors"):
+            save_checkpoint(tmp_path / "bad.ckpt", net, Mask(bad))
+        assert not (tmp_path / "bad.ckpt").exists()
 
 
 # -- metrics files ------------------------------------------------------------------------
