@@ -1,6 +1,6 @@
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -576,6 +576,45 @@ def test_bn_statistics_stay_views_of_stats(tmp_path):
     assert (name, n_bn) == ("bn_stats", net.stats.size)
     assert (body[8 * n_flat:8 * (n_flat + n_bn)]
             == net.stats.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("algorithm, cuts", [
+    ("FedTiny", (2, 3)), ("DenseFedAvg", (3,)), ("StaticRandom", (3,))])
+def test_a_run_resumed_from_its_checkpoint_is_the_uninterrupted_run(
+        tmp_path, algorithm, cuts):
+    """The checkpoint is the whole round state: a run cut after round c,
+    saved, loaded into a fresh ``setup_experiment`` state and run from
+    round c + 1 writes the records and the final checkpoint of the run that
+    was not cut. FedTiny prunes on every second round, so it is cut after a
+    pruning round and just before one. The resumed state is set up afresh
+    in the same process, so module-level state that lives through the
+    whole process is outside what this test sees."""
+    cfg = tiny_config(algorithm=algorithm)
+    whole = tmp_path / "whole"
+    run_experiment(cfg, out_dir=whole)
+    want = [json.loads(line)
+            for line in (whole / "metrics.jsonl").read_text().splitlines()]
+    extra = load_checkpoint(whole / "final.ckpt")[2]
+
+    def record(rm):
+        out = json.loads(json.dumps(asdict(rm), sort_keys=True))
+        del out["wall_time"]
+        return out
+
+    for rec in want:
+        del rec["wall_time"]
+    for cut in cuts:
+        state = setup_experiment(cfg)
+        got = [record(run_round(state, r)) for r in range(1, cut + 1)]
+        path = tmp_path / f"cut-{cut}.ckpt"
+        save_checkpoint(path, state.net, state.mask)
+        state = setup_experiment(cfg)
+        state.net, state.mask, _ = load_checkpoint(path)
+        got += [record(run_round(state, r))
+                for r in range(cut + 1, cfg.rounds + 1)]
+        assert got == want
+        save_checkpoint(path, state.net, state.mask, extra)
+        assert path.read_bytes() == (whole / "final.ckpt").read_bytes()
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
