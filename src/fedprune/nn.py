@@ -12,15 +12,16 @@ which make one new array per operation. A BN layer folds its normalization
 into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
 Selection passes also take C stacked candidates behind the batch axis: a
 ``(C, fan_in, fan_out)`` weight gives ``(B, C, fan_out)``, one matrix product
-per candidate, and per-candidate BN statistics are ``(C, width)``. A
-stack may hold V column variants in place of C candidates up to the linear
-layer whose ``pick`` gathers each candidate's columns from them.
+per candidate. A stack may hold V column variants in place of C candidates
+up to the linear layer whose ``pick`` gathers each candidate's columns from
+them.
 
 A linear layer that feeds a BN layer has no bias, which BN would cancel. A
 network keeps its parameters in one vector, ``flat``, and its BN moving
 statistics in another, ``stats``: each BN layer's mean, then its variance,
-in layer order. A train-mode forward writes each BN layer's batch mean and
-variance into a row of moments laid out like ``stats``, and
+in layer order. Every array of BN statistics has that layout on its last
+axis, and each pass reads a BN layer's entries at a running offset; a stack
+of S slices reads the first S rows of ``(rows, size)`` statistics.
 ``advance_bn_stats`` advances ``stats`` over a run of steps in closed form;
 ``backward`` makes one ``exp`` of the logits.
 """
@@ -100,7 +101,8 @@ class Network:
     layer without a bias has no ``bias`` tensor. Every BN layer's ``mean``
     and ``var`` are views into a second float64 vector ``stats``, each
     layer's mean then its variance, in layer order. Code writes into these
-    views in place and never rebinds them.
+    views in place and never rebinds them. ``variances`` is the boolean
+    vector laid out like ``stats`` that is True at the variance entries.
     """
 
     _PARAMS = {"linear": ("weight", "bias"), "batchnorm": ("scale", "shift")}
@@ -135,6 +137,9 @@ class Network:
         self.flat = np.concatenate([p.reshape(-1) for p in tensors.values()])
         self.stats = np.concatenate([np.zeros(0)] + [
             v for _, bn in self.bn_layers() for v in (bn.mean, bn.var)])
+        self.variances = np.concatenate([np.zeros(0, bool)] + [
+            np.arange(2 * bn.mean.size) >= bn.mean.size
+            for _, bn in self.bn_layers()])
         self._bind()
 
     def _bind(self) -> None:
@@ -239,7 +244,7 @@ def forward(net: Network, batch, mode: str = "train", moments=None):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     x = _check_batch(net, batch)
     if mode == "eval":
-        return eval_pass(net.layers, x, bn_stats(net)), None
+        return eval_pass(net.layers, x, net.stats), None
     if x.shape[0] < 2:
         raise ValueError("train-mode batches need at least 2 samples")
     cache: list = []
@@ -292,16 +297,7 @@ def update_bn_stats(net: Network, batch) -> None:
     x = _check_batch(net, batch)
     if x.shape[0] < 1:
         raise ValueError("statistics pass needs at least 1 sample")
-    stats = bn_stats(net)
-    refresh_pass(net.layers, x, stats)
-    for (_, bn), (mean, var) in zip(net.bn_layers(), stats):
-        bn.mean[...], bn.var[...] = mean, var
-
-
-def bn_stats(net: Network) -> list[tuple[Array, Array]]:
-    """The ``(mean, var)`` moving statistics of every BN layer, in order
-    (views of ``net.stats``, not copies)."""
-    return [(bn.mean, bn.var) for _, bn in net.bn_layers()]
+    refresh_pass(net.layers, x, net.stats)
 
 
 def batch_stats(x: Array, out: Array | None = None, *, in_place: bool = False
@@ -347,21 +343,20 @@ def _stacked_linear(x: Array, weight: Array, pick: Array | None = None
     return out
 
 
-def refresh_pass(layers, x: Array, stats: list, *,
+def refresh_pass(layers, x: Array, stats: Array, *,
                  stats_only: bool = False) -> Array | None:
     """Statistics-refresh pass of ``x`` through ``layers``: every BN layer
-    normalizes with batch statistics and advances its moving statistics.
-    ``stats`` holds one ``(mean, var)`` pair per BN layer of ``layers``, in
-    order; each pair is replaced by the advanced one, and neither a layer
-    nor ``x`` is written: a BN layer centres its input in place unless it
-    is ``x``. Behind a stacked ``(C, fan_in, fan_out)`` weight
-    the activations are ``(B, C, width)`` and the pairs ``(C, width)``, or
-    ``(B, V, width)`` and ``(V, width)`` for V column variants up to the
-    linear layer whose ``pick`` gathers each candidate's columns from them.
-    Returns the last layer's output, or with ``stats_only`` None as soon as
-    the last pair advances."""
+    normalizes with batch statistics and advances, in place, its entries of
+    ``stats``, laid out like ``Network.stats`` for the BN layers of
+    ``layers``. Neither a layer nor ``x`` is written: a BN layer centres its
+    input in place unless it is ``x``. Behind a stacked weight the
+    activations are ``(B, C, width)`` and a BN layer advances the first C
+    rows of ``(rows, size)`` statistics, or V for V column variants up to
+    the linear layer whose ``pick`` gathers each candidate's columns from
+    them. Returns the last layer's output, or with ``stats_only`` None as
+    soon as the last BN layer advances."""
     batch = x
-    j = 0
+    at = 0
     for layer in layers:
         if layer.kind == "linear":
             x = _stacked_linear(x, layer.weight, layer.pick)
@@ -370,27 +365,25 @@ def refresh_pass(layers, x: Array, stats: list, *,
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
+            mean, old_var, at = _bn_rows(stats, at, x)
             mu, x, var = batch_stats(x, in_place=x is not batch)
-            mean, old_var = stats[j]
-            m = BN_MOMENTUM
-            stats[j] = (m * mean + (1.0 - m) * mu, m * old_var + (1.0 - m) * var)
-            j += 1
-            if stats_only and j == len(stats):
+            mean[...] = BN_MOMENTUM * mean + (1.0 - BN_MOMENTUM) * mu
+            old_var[...] = BN_MOMENTUM * old_var + (1.0 - BN_MOMENTUM) * var
+            if stats_only and at == stats.shape[-1]:
                 return None
             x *= layer.scale * (var + BN_EPS) ** -0.5
             x += layer.shift
     return x
 
 
-def eval_pass(layers, x: Array, stats) -> Array:
+def eval_pass(layers, x: Array, stats: Array) -> Array:
     """Eval-mode pass of ``x`` through ``layers``, normalizing every BN layer
-    with the matching ``(mean, var)`` pair of ``stats`` in place of the
-    layer's own statistics: ``(width,)``, or ``(C, width)`` per candidate
-    for the ``(B, C, width)`` activations behind a stacked weight, or
-    ``(V, width)`` per column variant before a ``pick``, as in
-    ``refresh_pass``. Mutates nothing, ``x`` included."""
+    with its entries of ``stats`` in place of the layer's own statistics:
+    ``stats`` is laid out like ``Network.stats`` for the BN layers of
+    ``layers``, and stacked as in ``refresh_pass``, or a vector that every
+    slice of a stack shares. Mutates nothing, ``x`` included."""
     batch = x
-    j = 0
+    at = 0
     for layer in layers:
         if layer.kind == "linear":
             x = _stacked_linear(x, layer.weight, layer.pick)
@@ -399,13 +392,23 @@ def eval_pass(layers, x: Array, stats) -> Array:
         elif layer.kind == "relu":
             x = np.maximum(x, 0.0, out=None if x is batch else x)
         else:
-            mean, var = stats[j]
-            j += 1
+            mean, var, at = _bn_rows(stats, at, x)
             # (x - mean) * g + shift, as one product and one sum
             g = layer.scale * (var + BN_EPS) ** -0.5
             x = np.multiply(x, g, out=None if x is batch else x)
             x += layer.shift - mean * g
     return x
+
+
+def _bn_rows(stats: Array, at: int, x: Array) -> tuple[Array, Array, int]:
+    """Views of the mean and variance at offset ``at`` of ``stats`` for BN
+    input ``x`` (of stacked statistics, the rows of ``x``'s stack), and the
+    next BN layer's offset."""
+    width = x.shape[-1]
+    entries = stats[..., at:at + 2 * width]
+    if entries.ndim > 1:
+        entries = entries[:x.shape[1]]
+    return entries[..., :width], entries[..., width:], at + 2 * width
 
 
 def _check_batch(net: Network, batch) -> Array:

@@ -3,9 +3,10 @@
 A candidate is one keep-count row of a ``Pool`` over a pretrained network.
 Clients refresh the BN moving statistics of every masked sub-network on
 their local development data (weights frozen throughout), the server
-aggregates the statistics and redistributes them, clients score each
-candidate by eval-mode loss, and the candidate with the lowest weighted loss
-wins. ``vanilla_select`` is the ablation that skips the statistics refresh.
+aggregates and redistributes them, clients score each candidate by
+eval-mode loss, and the lowest weighted loss wins. Statistics move as
+arrays laid out like ``Network.stats``, a chunk's with a row per candidate
+slot. ``vanilla_select`` is the ablation that skips the statistics refresh.
 A client's dev set is a list of its own rows, and each pass gathers a dev
 batch from the client's arrays only when it reads it.
 
@@ -35,26 +36,23 @@ from .data import Dataset
 from .masking import Pool, zero_masked
 # ``forward`` and ``update_bn_stats`` are not called here; bench/tracer.py
 # patches them as attributes of this module
-from .nn import Array, Network, bn_stats, cross_entropy, eval_pass, \
-    forward, refresh_pass, update_bn_stats  # noqa: F401
+from .nn import Array, Network, cross_entropy, eval_pass, forward, \
+    refresh_pass, update_bn_stats  # noqa: F401
 
 CHUNK = 8  # candidates scored together, each as one slice of stacked arrays
 
 
 @dataclass
 class BNReport:
-    """One client's BN moving statistics, one ``(mean, var)`` pair per BN
-    layer, weighted by its sample count."""
+    """One client's BN moving statistics, laid out like ``Network.stats``
+    on the last axis, weighted by its sample count."""
 
-    stats: list[tuple[Array, Array]]
+    stats: Array
     samples: int
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("a BN report needs at least one sample")
-        for _, var in self.stats:
-            if np.any(var < 0.0):
-                raise ValueError("reported variances must be nonnegative")
 
 
 def iter_batches(ds: Dataset, batch_size: int):
@@ -65,12 +63,12 @@ def iter_batches(ds: Dataset, batch_size: int):
 
 
 def client_bn_pass(layers, batches, stats) -> BNReport:
-    """Refresh the BN moving statistics ``stats`` (one ``(mean, var)`` pair
-    per BN layer of ``layers``) over the ``(x, y)`` batches with frozen
-    weights. Neither the layers nor ``stats`` change. The pass stops once
-    the last pair advances: no statistic depends on what follows."""
-    stats = list(stats)
-    for x, _ in batches if stats else ():
+    """Refresh a copy of the BN moving statistics ``stats`` of ``layers``
+    over the ``(x, y)`` batches with frozen weights; ``stats`` is left as it
+    is. The pass stops once the last BN layer advances: no statistic
+    depends on what follows."""
+    stats = stats.copy()
+    for x, _ in batches if stats.size else ():
         refresh_pass(layers, x, stats, stats_only=True)
     return BNReport(stats, _samples(batches))
 
@@ -84,42 +82,35 @@ def client_score(layers, batches, stats) -> float | Array:
     return total / _samples(batches)
 
 
-def aggregate_bn(reports: list[BNReport]) -> list[tuple[Array, Array]]:
-    """Dev-size-weighted aggregation of client BN statistics into one
-    ``(mean, var)`` pair per layer. Means are averaged; spreads are
-    averaged as standard deviations, and sigma-bar squared becomes the
-    global variance."""
+def aggregate_bn(reports: list[BNReport], variances: Array) -> Array:
+    """Dev-size-weighted aggregation of client BN statistics, laid out as
+    the reports are, whose variance entries ``variances`` marks on the last
+    axis. Means are averaged; spreads are averaged as standard deviations,
+    and sigma-bar squared becomes the global variance. Reports of another
+    layout, or with a negative variance, raise ``ValueError``."""
     if not reports:
         raise ValueError("need at least one BN report")
-    first = reports[0].stats
-    for rep in reports:
-        if len(rep.stats) != len(first):
-            raise ValueError("BN reports disagree on layer count")
-        for (a, v), (b, _) in zip(rep.stats, first):
-            if not a.shape == v.shape == b.shape:
-                raise ValueError("BN reports disagree on layer shapes")
+    shape = reports[0].stats.shape
+    if any(rep.stats.shape != shape for rep in reports) or \
+            variances.shape != shape[-1:]:
+        raise ValueError("BN reports disagree on their layout")
+    if any(np.any((rep.stats < 0.0) & variances) for rep in reports):
+        raise ValueError("reported variances must be nonnegative")
     total = sum(rep.samples for rep in reports)
-    weights = [rep.samples / total for rep in reports]
-    out = []
-    for layer in range(len(first)):
-        mu = sum(w * rep.stats[layer][0] for w, rep in zip(weights, reports))
-        sigma = sum(w * np.sqrt(rep.stats[layer][1])
-                    for w, rep in zip(weights, reports))
-        out.append((mu, sigma ** 2))
-    return out
+    # each mean entry as it is, each variance entry as its square root
+    out = sum(rep.samples / total * np.sqrt(rep.stats, out=rep.stats.copy(),
+                                            where=variances)
+              for rep in reports)
+    return np.square(out, out=out, where=variances)
 
 
-def install_bn(net: Network, stats: list[tuple[Array, Array]]) -> None:
-    """Write the matching ``(mean, var)`` pair into the running statistics
-    of every BN layer, in place (statistics only; the affine parameters stay
-    as they are). Statistics that do not fit change nothing."""
-    bn = net.bn_layers()
-    if len(bn) != len(stats) or any(
-            not layer.mean.shape == np.shape(mu) == np.shape(var)
-            for (_, layer), (mu, var) in zip(bn, stats)):
+def install_bn(net: Network, stats: Array) -> None:
+    """Write ``stats``, laid out like ``net.stats``, into every BN layer's
+    running statistics in place (not its affine parameters). Statistics
+    that do not fit change nothing."""
+    if np.shape(stats) != net.stats.shape:
         raise ValueError("statistics do not match the network's BN layers")
-    for (_, layer), (mu, var) in zip(bn, stats):
-        layer.mean[...], layer.var[...] = mu, var
+    net.stats[...] = stats
 
 
 def adaptive_select(net: Network, pool: Pool,
@@ -140,32 +131,35 @@ def adaptive_select(net: Network, pool: Pool,
     # cloned before the per-client head outputs, which are freed before the
     # winner's statistics: no long-lived array then pins their heap memory
     winner_net = net.clone()
-    stats = bn_stats(net)
-    n_head = sum(layer.kind == "batchnorm" for layer in head)
+    h = sum(2 * layer.mean.size for layer in head
+            if layer.kind == "batchnorm")  # where the tail's statistics start
+    # a row per candidate of the largest chunk
+    tail_stats = np.tile(net.stats[h:], (min(CHUNK, len(firsts)), 1))
     head_reports, refreshed = [], []
     for batches in _client_batches(devs, batch_size):
-        head_stats = stats[:n_head]
+        head_stats = net.stats[:h].copy()
         refreshed.append([(refresh_pass(head, x, head_stats), y)
                           for x, y in batches])
         head_reports.append(BNReport(head_stats, _samples(refreshed[-1])))
-    chunk_global = [aggregate_bn([client_bn_pass(tail, a, stats[n_head:])
-                                  for a in refreshed]) for tail in chunks]
+    chunk_global = [aggregate_bn([client_bn_pass(tail, a, tail_stats)
+                                  for a in refreshed], net.variances[h:])
+                    for tail in chunks]
     del refreshed
-    # aggregation is per layer, so the head's global statistics are shared
-    head_global = aggregate_bn(head_reports)
+    # aggregation is entry by entry, so the head's statistics are shared
+    head_global = aggregate_bn(head_reports, net.variances[:h])
     acts = [[(eval_pass(head, x, head_global), y) for x, y in batches]
             for batches in _client_batches(devs, batch_size)]
-    losses, tail_global = [], []
-    for tail, tail_stats in zip(_split(net, pool, firsts)[1], chunk_global):
-        losses += _score(tail, tail_stats, acts)
-        tail_global.append(_by_candidate(tail, tail_stats))
+    losses = []
+    for tail, chunk_stats in zip(_split(net, pool, firsts)[1], chunk_global):
+        losses += _score(tail, chunk_stats, acts)
+        _by_candidate(tail, chunk_stats)
     del acts
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
     chunk, row = divmod(index[winner], CHUNK)
     zero_masked(winner_net, pool.mask(winner))
-    install_bn(winner_net, head_global + [(mean[row], var[row]) for mean, var
-                                          in tail_global[chunk]])
+    install_bn(winner_net, np.concatenate([head_global,
+                                           chunk_global[chunk][row]]))
     return winner, winner_net, scores
 
 
@@ -177,11 +171,11 @@ def vanilla_select(net: Network, pool: Pool,
     firsts, index = _distinct(pool)
     head, chunks = _split(net, pool, firsts)
     winner_net = net.clone()  # before the head outputs, as adaptive_select
-    stats = bn_stats(net)
-    n_head = sum(layer.kind == "batchnorm" for layer in head)
-    acts = [[(eval_pass(head, x, stats[:n_head]), y) for x, y in batches]
+    h = sum(2 * layer.mean.size for layer in head
+            if layer.kind == "batchnorm")
+    acts = [[(eval_pass(head, x, net.stats[:h]), y) for x, y in batches]
             for batches in _client_batches(devs, batch_size)]
-    losses = [s for tail in chunks for s in _score(tail, stats[n_head:], acts)]
+    losses = [s for tail in chunks for s in _score(tail, net.stats[h:], acts)]
     scores = {i: losses[d] for i, d in enumerate(index)}
     winner = _winner(scores)
     zero_masked(winner_net, pool.mask(winner))
@@ -276,18 +270,20 @@ def _variants(order: Array, width: int, counts: Array):
             variant[np.searchsorted(ns, counts)] * width + np.arange(width))
 
 
-def _by_candidate(tail, stats):
-    """A chunk's ``stats`` with one ``(C, width)`` row per candidate: the
-    BN layers before a linear layer's ``pick`` hold one row per column
-    variant, and that pick gathers each candidate's columns from them."""
-    out, j = list(stats), 0
+def _by_candidate(tail, stats: Array) -> None:
+    """Gather a chunk's stacked ``stats`` in place so that row ``c`` holds
+    candidate ``c``'s statistics: the BN layers before a linear layer's
+    ``pick`` hold one row per column variant, and that pick gathers each
+    candidate's columns from them, entry block by entry block."""
+    at = 0
     for layer in tail:
         if layer.kind == "batchnorm":
-            j += 1
+            at += 2 * layer.mean.size
         elif layer.kind == "linear" and layer.pick is not None:
-            out[:j] = [(np.take(mean, layer.pick), np.take(var, layer.pick))
-                       for mean, var in out[:j]]
-    return out
+            c, width = layer.pick.shape
+            for start in range(0, at, width):
+                block = stats[:, start:start + width]
+                block[:c] = np.take(block, layer.pick)
 
 
 def _client_batches(devs: list[tuple[Dataset, Array]], batch_size: int):

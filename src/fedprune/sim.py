@@ -25,7 +25,7 @@ from .masking import MIN_KEPT_PER_LAYER, Mask, apply_mask, \
     generate_candidate_pool, keep_budget, magnitude_mask, random_mask, \
     zero_masked
 from .nn import BN_MOMENTUM, Array, BatchNorm, Linear, Network, \
-    ReLU, advance_bn_stats, backward, bn_stats, cross_entropy, forward, \
+    ReLU, advance_bn_stats, backward, cross_entropy, forward, \
     make_mlp, sgd_step
 from .progressive import PruneSchedule, TopKBuffer, aggregate_topk, \
     apply_plan, plan_grow_prune, pruning_number, target_layers, topk_collect
@@ -401,8 +401,7 @@ def _client_update(state: ExperimentState, k: int, round_index: int,
     # writes none of them, and fedavg folds them before the next client.
     # The BN statistics are aggregated after the last client, so copied
     flat = worker.flat
-    bn = BNReport([(mean.copy(), var.copy())
-                   for mean, var in bn_stats(worker)], len(client))
+    bn = BNReport(worker.stats.copy(), len(client))
     buffers = {}
     violations = 0
     if collect:
@@ -489,7 +488,8 @@ def fedavg(state: ExperimentState, results: Iterable[ClientResult],
     state.net.flat[...] = flat
     if state.mask is not None:
         zero_masked(state.net, state.mask)
-    install_bn(state.net, aggregate_bn([res.bn for res in folded]))
+    install_bn(state.net, aggregate_bn([res.bn for res in folded],
+                                       state.net.variances))
     return folded
 
 
@@ -711,7 +711,7 @@ def _rebuild(header: dict, body: bytes) -> tuple[Network, Mask | None]:
         raise ValueError(f"{len(body)} bytes after the header, not {size}")
     values = np.frombuffer(body, "<f8", n_flat + n_bn)
     net.flat[...], net.stats[...] = values[:n_flat], values[n_flat:]
-    if any(np.any(bn.var < 0.0) for _, bn in net.bn_layers()):
+    if np.any(net.stats[net.variances] < 0.0):
         raise ValueError("a BN variance is negative")
     if len(sections) == 2:
         return net, None

@@ -16,7 +16,6 @@ from fedprune.nn import (
     advance_bn_stats,
     backward,
     batch_stats,
-    bn_stats,
     cross_entropy,
     eval_pass,
     forward,
@@ -25,6 +24,24 @@ from fedprune.nn import (
     sgd_step,
     update_bn_stats,
 )
+
+
+def as_pairs(layers, stats):
+    """The ``(mean, var)`` views of ``stats``, laid out like
+    ``Network.stats`` on its last axis, of each BN layer of ``layers``."""
+    out, at = [], 0
+    for layer in layers:
+        if layer.kind == "batchnorm":
+            n = layer.mean.size
+            out.append((stats[..., at:at + n], stats[..., at + n:at + 2 * n]))
+            at += 2 * n
+    return out
+
+
+def bn_stats(net):
+    """Each BN layer's ``(mean, var)`` views of ``net.stats``, in order: the
+    form the frozen reference kernels below take."""
+    return as_pairs(net.layers, net.stats)
 
 
 def snapshot(net):
@@ -125,7 +142,7 @@ def test_closed_form_matches_the_per_step_rule(steps, parts):
     for _, bn in net.bn_layers():
         bn.mean[...] = rng.normal(size=bn.mean.size)
         bn.var[...] = rng.random(bn.var.size)
-    start = np.concatenate([np.concatenate(pair) for pair in bn_stats(net)])
+    start = net.stats.copy()
     rows = np.zeros((steps, net.stats.size))
     rows[...] = rng.normal(size=rows.shape)
     rows[:, 5:10] = rows[:, 14:18] = 0.0  # the variance entries, nonnegative
@@ -136,7 +153,7 @@ def test_closed_form_matches_the_per_step_rule(steps, parts):
     for part in parts:
         advance_bn_stats(net, _discounted(rows[at:at + part]), part)
         at += part
-    got = np.concatenate([np.concatenate(pair) for pair in bn_stats(net)])
+    got = net.stats
     assert (BN_MOMENTUM ** steps == 0.0) == (steps == 8000)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -802,17 +819,20 @@ def test_refresh_and_eval_passes_match_reference_and_keep_the_input(case):
     for cut in range(len(net.layers)):
         head, tail = net.layers[:cut], net.layers[cut:]
         n_head = sum(layer.kind == "batchnorm" for layer in head)
+        h = sum(2 * layer.mean.size for layer in head
+                if layer.kind == "batchnorm")
         x = _ref_eval_pass(head, batch_x, bn_stats(net)[:n_head])
         x_before = x.copy()
-        stats = bn_stats(net)[n_head:]
-        ref_stats = list(stats)
+        stats = net.stats[h:].copy()
+        ref_stats = bn_stats(net)[n_head:]
         out = refresh_pass(tail, x, stats)
         assert_bitwise_equal(out, _ref_refresh_pass(tail, x, ref_stats))
-        for (m, v), (ref_m, ref_v) in zip(stats, ref_stats):
+        assert len(as_pairs(tail, stats)) == len(ref_stats)
+        for (m, v), (ref_m, ref_v) in zip(as_pairs(tail, stats), ref_stats):
             assert_bitwise_equal(m, ref_m)
             assert_bitwise_equal(v, ref_v)
         assert_bitwise_equal(eval_pass(tail, x, stats),
-                             _ref_eval_pass(tail, x, stats))
+                             _ref_eval_pass(tail, x, ref_stats))
         assert_bitwise_equal(x, x_before)
 
 
@@ -843,23 +863,43 @@ def test_stacked_candidates_match_each_candidate_bit_for_bit(case):
             _check_stacked(net, stacked, singles, x, y)
 
 
+def split_stacked(net, stacked):
+    """The layers before the first linear one, which run unstacked like
+    selection's shared head, the layers from there on, and the offset of
+    the latter's statistics in ``net.stats``."""
+    cut = next(i for i, layer in enumerate(stacked) if layer.kind == "linear")
+    h = sum(2 * layer.mean.size for layer in stacked[:cut]
+            if layer.kind == "batchnorm")
+    return stacked[:cut], stacked[cut:], h
+
+
 def _check_stacked(net, stacked, singles, x, y):
     def row(a, c):  # statistics of a BN layer before any stacked weight
         return a[c] if a.ndim == 2 else a
 
-    stats, only = bn_stats(net), bn_stats(net)
-    out = refresh_pass(stacked, x, stats)
+    # the head's statistics are a vector, the tail's one row per candidate
+    head, tail, h = split_stacked(net, stacked)
+    head_stats, head_only = net.stats[:h].copy(), net.stats[:h].copy()
+    stats = np.tile(net.stats[h:], (len(singles), 1))
+    only = stats.copy()
+    out = refresh_pass(tail, refresh_pass(head, x, head_stats), stats)
     assert out.shape == (len(x), len(singles), out.shape[-1])
-    last = refresh_pass(stacked, x, only, stats_only=True)
-    assert (last is None) == bool(only)  # None once the last pair advanced
-    logits = eval_pass(stacked, x, stats)
+    last = refresh_pass(tail, refresh_pass(head, x, head_only), only,
+                        stats_only=True)
+    # None once the last BN layer advanced
+    assert (last is None) == bool(only.size)
+    logits = eval_pass(tail, eval_pass(head, x, head_stats), stats)
     losses = cross_entropy(logits, y)
     assert losses.shape == (len(singles),)
-    pretrained = eval_pass(stacked, x, bn_stats(net))
+    pretrained = eval_pass(tail, eval_pass(head, x, net.stats[:h]),
+                           net.stats[h:])
+    got_pairs = as_pairs(head, head_stats) + as_pairs(tail, stats)
+    only_pairs = as_pairs(head, head_only) + as_pairs(tail, only)
     for c, layers in enumerate(singles):
-        want = bn_stats(net)
+        want = net.stats.copy()
         assert_bitwise_equal(out[:, c], refresh_pass(layers, x, want))
-        for got, got_only, pair in zip(stats, only, want):
+        for got, got_only, pair in zip(got_pairs, only_pairs,
+                                       as_pairs(layers, want), strict=True):
             for a, b, w in zip(got, got_only, pair):
                 assert_bitwise_equal(row(a, c), w)
                 assert_bitwise_equal(row(b, c), w)
@@ -867,7 +907,7 @@ def _check_stacked(net, stacked, singles, x, y):
         assert_bitwise_equal(logits[:, c], alone)
         assert losses[c] == cross_entropy(alone, y)
         assert_bitwise_equal(pretrained[:, c],
-                             eval_pass(layers, x, bn_stats(net)))
+                             eval_pass(layers, x, net.stats))
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -912,17 +952,22 @@ def test_column_variants_gathered_by_a_pick_match_each_candidate(
                       for layer in net.layers[:second])
         n_head = sum(layer.kind == "batchnorm"
                      for layer in net.layers[:first])
+        head, tail, h = split_stacked(net, stacked)
         for size in (batches[-1], 1, 31):
             x = rng.normal(size=(size, net.input_dim))
-            stats = bn_stats(net)
-            out = refresh_pass(stacked, x, stats)
-            logits = eval_pass(stacked, x, stats)
-            pretrained = eval_pass(stacked, x, bn_stats(net))
+            head_stats = net.stats[:h].copy()
+            stats = np.tile(net.stats[h:], (3, 1))
+            out = refresh_pass(tail, refresh_pass(head, x, head_stats), stats)
+            logits = eval_pass(tail, eval_pass(head, x, head_stats), stats)
+            pretrained = eval_pass(tail, eval_pass(head, x, net.stats[:h]),
+                                   net.stats[h:])
             assert out.shape[1] == logits.shape[1] == 3
+            got_pairs = as_pairs(head, head_stats) + as_pairs(tail, stats)
             for c, (layers, v) in enumerate(zip(singles, variant)):
-                want = bn_stats(net)
+                want = net.stats.copy()
                 assert_bitwise_equal(out[:, c], refresh_pass(layers, x, want))
-                for j, (got, pair) in enumerate(zip(stats, want)):
+                for j, (got, pair) in enumerate(zip(
+                        got_pairs, as_pairs(layers, want), strict=True)):
                     for a, w in zip(got, pair):
                         if j < n_head:
                             row = a
@@ -933,7 +978,7 @@ def test_column_variants_gathered_by_a_pick_match_each_candidate(
                         assert_bitwise_equal(row, w)
                 assert_bitwise_equal(logits[:, c], eval_pass(layers, x, want))
                 assert_bitwise_equal(pretrained[:, c],
-                                     eval_pass(layers, x, bn_stats(net)))
+                                     eval_pass(layers, x, net.stats))
     assert any(a.ndim == 3 for a in stacks)
     for a in stacks:
         assert a.ndim == 2 or a.swapaxes(0, 1).flags.c_contiguous
@@ -1093,14 +1138,14 @@ def test_kernels_stay_within_1e_12_of_the_prior_order(case):
         assert_within(net.flat, prior.flat)
         # the passes on the same statistics
         prior_stats = bn_stats(prior)
-        assert_within(eval_pass(net.layers, x, prior_stats),
+        assert_within(eval_pass(net.layers, x, prior.stats),
                       _prior_eval_pass(prior.layers, x, prior_stats))
-        assert_within(refresh_pass(net.layers, x, list(prior_stats)),
+        assert_within(refresh_pass(net.layers, x, prior.stats.copy()),
                       _prior_refresh_pass(prior.layers, x, list(prior_stats)))
     advance_bn_stats(net, _discounted(moments), len(moments))
     stats, prior_stats = bn_stats(net), bn_stats(prior)
     for pair, prior_pair in zip(stats, prior_stats):
         for a, b in zip(pair, prior_pair):
             assert_within(a, b)
-    assert_within(eval_pass(net.layers, x, stats),
+    assert_within(eval_pass(net.layers, x, net.stats),
                   _prior_eval_pass(prior.layers, x, prior_stats))

@@ -1,5 +1,7 @@
 import math
+import warnings
 import weakref
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from fedprune.data import Dataset, make_blobs
 from fedprune.masking import Pool, apply_mask, generate_candidate_pool
 from fedprune import selection
 from fedprune.nn import BN_EPS, BN_MOMENTUM, BatchNorm, Linear, Network, \
-    ReLU, bn_stats, cross_entropy, make_mlp, refresh_pass
+    ReLU, cross_entropy, eval_pass, make_mlp, refresh_pass
 from fedprune.selection import (
     CHUNK,
     BNReport,
@@ -69,8 +71,8 @@ def oracle_client_bn_pass(candidate, dev, batch_size=64):
     probe = candidate.clone()
     for x, _ in iter_batches(dev, batch_size):
         oracle_update_bn_stats(probe, x)
-    return BNReport([(bn.mean.copy(), bn.var.copy())
-                     for _, bn in probe.bn_layers()], len(dev))
+    return PriorReport([(bn.mean.copy(), bn.var.copy())
+                        for _, bn in probe.bn_layers()], len(dev))
 
 
 def oracle_client_score(candidate, dev, batch_size=64):
@@ -108,7 +110,10 @@ def oracle_adaptive_select(candidates, dev_sets, batch_size=64):
         reports = [oracle_client_bn_pass(net, dev, batch_size)
                    for dev in dev_sets]
         updated = net.clone()
-        install_bn(updated, aggregate_bn(reports))
+        for (_, bn), (mean, var) in zip(updated.bn_layers(),
+                                        _prior_aggregate_bn(reports),
+                                        strict=True):
+            bn.mean[...], bn.var[...] = mean, var
         refreshed[cid] = updated
     scores = {cid: [oracle_client_score(refreshed[cid], dev, batch_size)
                     for dev in dev_sets]
@@ -127,6 +132,51 @@ def oracle_vanilla_select(candidates, dev_sets, batch_size=64):
     winner_net = next(net for cid, net in candidates if cid == winner)
     return (winner, winner_net.clone(),
             oracle_aggregate_scores(scores, dev_sizes))
+
+
+# -- the per-layer aggregation, frozen -------------------------------------
+# ``aggregate_bn`` as it was while a report held one ``(mean, var)`` pair per
+# BN layer. The aggregation over whole arrays must give its bits.
+
+PriorReport = namedtuple("PriorReport", "stats samples")
+
+
+def _prior_aggregate_bn(reports):
+    if not reports:
+        raise ValueError("need at least one BN report")
+    first = reports[0].stats
+    for rep in reports:
+        if len(rep.stats) != len(first):
+            raise ValueError("BN reports disagree on layer count")
+        for (a, v), (b, _) in zip(rep.stats, first):
+            if not a.shape == v.shape == b.shape:
+                raise ValueError("BN reports disagree on layer shapes")
+    total = sum(rep.samples for rep in reports)
+    weights = [rep.samples / total for rep in reports]
+    out = []
+    for layer in range(len(first)):
+        mu = sum(w * rep.stats[layer][0] for w, rep in zip(weights, reports))
+        sigma = sum(w * np.sqrt(rep.stats[layer][1])
+                    for w, rep in zip(weights, reports))
+        out.append((mu, sigma ** 2))
+    return out
+
+
+def variances(widths):
+    """The variance marker of BN layers of these widths, as
+    ``Network.variances``."""
+    return np.concatenate([np.zeros(0, bool)] + [np.arange(2 * w) >= w
+                                                 for w in widths])
+
+
+def as_pairs(stats, widths):
+    """The ``(mean, var)`` of each BN layer of these widths in ``stats``,
+    laid out like ``Network.stats`` on its last axis."""
+    out, at = [], 0
+    for w in widths:
+        out.append((stats[..., at:at + w], stats[..., at + w:at + 2 * w]))
+        at += 2 * w
+    return out
 
 
 def masked(net, pool):
@@ -153,12 +203,12 @@ def reversed_pool(pool):
 
 def bn_pass(net, dev, batch_size=64):
     return client_bn_pass(net.layers, list(iter_batches(dev, batch_size)),
-                          bn_stats(net))
+                          net.stats)
 
 
 def score(net, dev, batch_size=64):
     return client_score(net.layers, list(iter_batches(dev, batch_size)),
-                        bn_stats(net))
+                        net.stats)
 
 
 def identity_bn_net():
@@ -178,7 +228,7 @@ def test_bn_pass_single_batch_moving_update():
     net = identity_bn_net()
     dev = constant_dataset(5.0, n=8)
     rep = bn_pass(net, dev, batch_size=8)
-    np.testing.assert_allclose(rep.stats[0][0], [0.5, 0.5])
+    np.testing.assert_allclose(rep.stats[:2], [0.5, 0.5])
     assert rep.samples == 8
 
 
@@ -187,22 +237,19 @@ def test_bn_pass_converges_to_constant_input():
     net = identity_bn_net()
     dev = constant_dataset(3.0, n=1024)
     rep = bn_pass(net, dev, batch_size=4)
-    np.testing.assert_allclose(rep.stats[0][0], 3.0, atol=1e-9)
-    np.testing.assert_allclose(rep.stats[0][1], 0.0, atol=1e-9)
+    np.testing.assert_allclose(rep.stats[:2], 3.0, atol=1e-9)
+    np.testing.assert_allclose(rep.stats[2:], 0.0, atol=1e-9)
 
 
 def test_bn_pass_leaves_candidate_untouched():
     net = make_mlp(4, [6], 3, seed=0)
     before = {k: v.copy() for k, v in net.params().items()}
     bn_before = [(l.mean.copy(), l.var.copy()) for _, l in net.bn_layers()]
-    stats = bn_stats(net)
-    given = list(stats)
+    stats = net.stats
     dev = make_blobs(3, 10, 4, 1.0, seed=1)
     rep = client_bn_pass(net.layers, list(iter_batches(dev, 8)), stats)
-    assert all(a is b for a, b in zip(stats, given))
-    assert rep.stats[0][0] is not given[0][0]
-    assert all(a is b for a, b in zip(sum(stats, ()),
-                                      sum(bn_stats(net), ())))
+    assert stats is net.stats and not np.shares_memory(rep.stats, stats)
+    assert rep.stats.tobytes() != stats.tobytes()
     for k, v in net.params().items():
         np.testing.assert_array_equal(v, before[k])
     for (m0, v0), (_, l) in zip(bn_before, net.bn_layers()):
@@ -216,15 +263,13 @@ def test_bn_pass_stopping_at_last_bn_matches_full_tail_pass():
     net = make_mlp(4, [6, 5], 3, seed=2)
     assert net.layers[-1].kind == "linear"
     batches = list(iter_batches(make_blobs(3, 10, 4, 1.0, seed=3), 8))
-    full = bn_stats(net)
+    full = net.stats.copy()
     for x, _ in batches:
         refresh_pass(net.layers, x, full)
-    rep = client_bn_pass(net.layers, batches, bn_stats(net))
+    rep = client_bn_pass(net.layers, batches, net.stats)
     assert rep.samples == 30
-    assert len(rep.stats) == len(full) == 2
-    for (mean, var), (m, v) in zip(rep.stats, full):
-        np.testing.assert_array_equal(mean, m)
-        np.testing.assert_array_equal(var, v)
+    assert rep.stats.shape == full.shape == (2 * (6 + 5),)
+    np.testing.assert_array_equal(rep.stats, full)
 
 
 def test_bn_pass_rejects_empty_dev():
@@ -247,50 +292,51 @@ def test_bn_pass_rejects_empty_dev():
 
 # -- aggregate_bn ----------------------------------------------------------------
 
+ONE = variances([1])  # a mean, then a variance
+
+
 def test_aggregate_weighted_mean():
-    r1 = BNReport([(np.array([1.0]), np.array([1.0]))], 10)
-    r2 = BNReport([(np.array([3.0]), np.array([1.0]))], 30)
-    [(mean, var)] = aggregate_bn([r1, r2])
-    np.testing.assert_allclose(mean, [2.5])
-    np.testing.assert_allclose(var, [1.0])
+    r1 = BNReport(np.array([1.0, 1.0]), 10)
+    r2 = BNReport(np.array([3.0, 1.0]), 30)
+    mean, var = aggregate_bn([r1, r2], ONE)
+    np.testing.assert_allclose(mean, 2.5)
+    np.testing.assert_allclose(var, 1.0)
 
 
 def test_aggregate_single_client_identity():
-    r = BNReport([(np.array([2.0, -1.0]), np.array([0.5, 4.0]))], 7)
-    [(mean, var)] = aggregate_bn([r])
-    np.testing.assert_allclose(mean, [2.0, -1.0])
-    np.testing.assert_allclose(var, [0.5, 4.0])
+    r = BNReport(np.array([2.0, -1.0, 0.5, 4.0]), 7)
+    got = aggregate_bn([r], variances([2]))
+    np.testing.assert_allclose(got, [2.0, -1.0, 0.5, 4.0])
 
 
 def test_aggregate_equal_weights():
-    reps = [BNReport([(np.array([v]), np.array([1.0]))], 5)
-            for v in (0.0, 2.0, 4.0)]
-    [(mean, _)] = aggregate_bn(reps)
-    np.testing.assert_allclose(mean, [2.0])
+    reps = [BNReport(np.array([v, 1.0]), 5) for v in (0.0, 2.0, 4.0)]
+    mean, _ = aggregate_bn(reps, ONE)
+    np.testing.assert_allclose(mean, 2.0)
 
 
 def test_aggregate_averages_standard_deviations():
     # sigma averaging: ((1+3)/2)^2 = 4, where variance averaging gives 5
-    reps = [BNReport([(np.zeros(1), np.array([1.0]))], 5),
-            BNReport([(np.zeros(1), np.array([9.0]))], 5)]
-    [(_, var)] = aggregate_bn(reps)
-    np.testing.assert_allclose(var, [4.0])
+    reps = [BNReport(np.array([0.0, 1.0]), 5),
+            BNReport(np.array([0.0, 9.0]), 5)]
+    _, var = aggregate_bn(reps, ONE)
+    np.testing.assert_allclose(var, 4.0)
 
 
 def test_aggregate_matches_bruteforce_within_1e12():
     rng = np.random.default_rng(8)
     reps = []
     for _ in range(6):
-        reps.append(BNReport([(rng.normal(size=4), rng.random(4)),
-                              (rng.normal(size=3), rng.random(3))],
-                             int(rng.integers(1, 50))))
-    got = aggregate_bn(reps)
+        reps.append(BNReport(np.concatenate([
+            rng.normal(size=4), rng.random(4), rng.normal(size=3),
+            rng.random(3)]), int(rng.integers(1, 50))))
+    got = as_pairs(aggregate_bn(reps, variances([4, 3])), [4, 3])
     total = sum(r.samples for r in reps)
     for layer in range(2):
-        mu = np.zeros_like(reps[0].stats[layer][0])
-        sigma = np.zeros_like(reps[0].stats[layer][1])
+        mu = np.zeros_like(got[layer][0])
+        sigma = np.zeros_like(got[layer][1])
         for r in reps:
-            mean, var = r.stats[layer]
+            mean, var = as_pairs(r.stats, [4, 3])[layer]
             mu = mu + (r.samples / total) * mean
             sigma = sigma + (r.samples / total) * np.sqrt(var)
         assert np.max(np.abs(got[layer][0] - mu)) < 1e-12
@@ -298,19 +344,68 @@ def test_aggregate_matches_bruteforce_within_1e12():
 
 
 def test_aggregate_shape_mismatch():
-    r1 = BNReport([(np.zeros(2), np.ones(2))], 5)
-    r2 = BNReport([(np.zeros(3), np.ones(3))], 5)
+    r1 = BNReport(np.concatenate([np.zeros(2), np.ones(2)]), 5)
+    r2 = BNReport(np.concatenate([np.zeros(3), np.ones(3)]), 5)
     with pytest.raises(ValueError):
-        aggregate_bn([r1, r2])
+        aggregate_bn([r1, r2], variances([2]))
 
 
 def test_aggregate_rejects_a_variance_shaped_unlike_its_mean():
     # a (1,) variance would broadcast over every feature of the mean
-    full = BNReport([(np.zeros(5), np.ones(5))], 5)
-    short = BNReport([(np.zeros(5), np.ones(1))], 5)
+    full = BNReport(np.concatenate([np.zeros(5), np.ones(5)]), 5)
+    short = BNReport(np.concatenate([np.zeros(5), np.ones(1)]), 5)
     for reports in ([short], [full, short], [short, full]):
         with pytest.raises(ValueError):
-            aggregate_bn(reports)
+            aggregate_bn(reports, variances([5]))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, CHUNK])
+def test_aggregate_matches_the_per_layer_prior_bit_for_bit(rows):
+    # network-shaped vectors and stacked (rows, size) reports: zero
+    # variances, negative and signed-zero means, a single report and
+    # unequal sample counts
+    rng = np.random.default_rng(0 if rows is None else rows)
+    widths = [5, 1, 3]
+    shape = () if rows is None else (rows,)
+    for n_reports in (1, 2, 7):
+        reps = []
+        for _ in range(n_reports):
+            stats = rng.normal(size=(*shape, 2 * sum(widths)))
+            stats[..., variances(widths)] **= 2
+            stats[..., [5, 7]] = 0.0  # the first layer's variances
+            stats[..., 0] = -0.0
+            reps.append(BNReport(stats, int(rng.integers(1, 100))))
+        got = aggregate_bn(reps, variances(widths))
+        want = _prior_aggregate_bn([PriorReport(as_pairs(r.stats, widths),
+                                                r.samples) for r in reps])
+        assert got.shape == reps[0].stats.shape
+        for pair, want_pair in zip(as_pairs(got, widths), want, strict=True):
+            for a, b in zip(pair, want_pair):
+                assert bits(np.ascontiguousarray(a)) == bits(b)
+
+
+def test_aggregate_rejects_negative_variances_other_layouts_and_nothing():
+    marker = variances([2, 3])
+    good = BNReport(np.abs(np.random.default_rng(1).normal(size=10)), 4)
+    # a negative mean is a mean; a negative variance at any entry raises
+    signed = good.stats.copy()
+    signed[~marker] *= -1.0
+    aggregate_bn([good, BNReport(signed, 3)], marker)
+    for at in np.flatnonzero(marker):
+        bad = good.stats.copy()
+        bad[at] = -1e-300
+        for reports in ([BNReport(bad, 3)], [good, BNReport(bad, 3)]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                aggregate_bn(reports, marker)
+    # reports stacked unlike each other, or laid out unlike the marker
+    stacked = BNReport(np.tile(good.stats, (2, 1)), 4)
+    for reports, layout in (([good, stacked], marker),
+                            ([stacked, good], marker), ([good], marker[:8]),
+                            ([stacked], np.tile(marker, (2, 1)))):
+        with pytest.raises(ValueError, match="layout"):
+            aggregate_bn(reports, layout)
+    with pytest.raises(ValueError, match="at least one"):
+        aggregate_bn([], marker)
 
 
 # -- scoring and selection ---------------------------------------------------------
@@ -363,7 +458,7 @@ def selection_fixture(seed=0):
 def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
     net, pool, devs = selection_fixture()
     before = {k: v.copy() for k, v in net.params().items()}
-    stats = [(m.copy(), v.copy()) for m, v in bn_stats(net)]
+    stats = net.stats.copy()
     winner, winner_net, scores = adaptive_select(net, pool, devs,
                                                  batch_size=8)
     assert winner in range(len(pool))
@@ -371,8 +466,7 @@ def test_adaptive_select_returns_valid_candidate_and_trains_nothing():
     assert all(np.isfinite(s) for s in scores.values())
     for k, v in net.params().items():
         assert bits(v) == bits(before[k])
-    for (m0, v0), (m, v) in zip(stats, bn_stats(net)):
-        assert bits(m) == bits(m0) and bits(v) == bits(v0)
+    assert bits(net.stats) == bits(stats)
     # the winner keeps its masked parameter values, only statistics moved
     orig = apply_mask(net, pool.mask(winner))
     for k, v in winner_net.params().items():
@@ -400,19 +494,23 @@ def test_vanilla_and_adaptive_agree_when_stats_already_global():
 def test_install_bn_shape_check():
     net = make_mlp(4, [8], 3, seed=0)
     with pytest.raises(ValueError):
-        install_bn(net, [(np.zeros(3), np.ones(3))])
+        install_bn(net, np.concatenate([np.zeros(3), np.ones(3)]))
 
 
 def test_install_bn_rejects_a_variance_shaped_unlike_its_layer():
     net = make_mlp(4, [5, 3], 2, seed=0)
-    before = [x.copy() for pair in bn_stats(net) for x in pair]
-    for stats in ([(np.zeros(5), np.ones(1)), (np.zeros(3), np.ones(7))],
-                  [(np.zeros(5), np.ones(5)), (np.zeros(3), np.ones(1))]):
+    before = net.stats.copy()
+    for stats in (np.ones(15), np.ones(17), np.ones((1, 16)), np.ones(()),
+                  np.ones((2, 16))):
         with pytest.raises(ValueError):
             install_bn(net, stats)
     # the check comes before any write
-    assert [x.tobytes() for pair in bn_stats(net) for x in pair] == [
-        x.tobytes() for x in before]
+    assert net.stats.tobytes() == before.tobytes()
+    install_bn(net, np.arange(16.0))
+    assert [x.tolist() for _, bn in net.bn_layers()
+            for x in (bn.mean, bn.var)] == [
+        [0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0, 9.0],
+        [10.0, 11.0, 12.0], [13.0, 14.0, 15.0]]
 
 
 # -- mask selectors against the clone-per-client oracles ------------------------
@@ -696,6 +794,51 @@ def test_chunks_stack_one_slice_per_column_variant():
             got = stacked[variant[c], :, np.arange(width)].T
             assert bits(got) == bits(want)
     assert slices == [(4, CHUNK), (3, CHUNK), (1, 1)]
+
+
+def test_no_pass_reads_a_row_past_its_stack(monkeypatch):
+    # the smoke sweep's pool at seed 0: its first chunk stacks 8 candidates
+    # in 4 column variants, so the BN layers before the gather read 4 rows
+    # of the chunk's statistics. Rows past each layer's stack are NaN in one
+    # run and the pretrained values in the other; the refresh and eval
+    # passes must give the same bits and leave those rows unwritten
+    from fedprune import sim
+
+    seen = []
+    monkeypatch.setattr(sim, "adaptive_select", lambda *args: seen.append(
+        args) or adaptive_select(*args))
+    sim.setup_experiment(sim.ExperimentConfig(
+        algorithm="AdaptiveBNOnly", rounds=2, pool_size=11, interval=1,
+        granularity="entire"))
+    [(net, pool, devs, batch_size)] = seen
+    firsts, _ = _distinct(pool)
+    head, chunks = _split(net, pool, firsts)
+    tail = next(chunks)
+    [at_gather] = [i for i, layer in enumerate(tail)
+                   if layer.kind == "linear" and layer.pick is not None]
+    assert (len(tail[0].weight), len(tail[at_gather].pick)) == (4, CHUNK)
+    h = sum(2 * layer.mean.size for layer in head
+            if layer.kind == "batchnorm")
+    stack = []  # each entry's rows read: one per variant, then per candidate
+    for i, layer in enumerate(tail):
+        if layer.kind == "batchnorm":
+            stack += [4 if i < at_gather else CHUNK] * 2 * layer.mean.size
+    read = np.arange(CHUNK)[:, None] < np.array(stack)
+    assert read.shape == (CHUNK, net.stats.size - h) and not read.all()
+    client, rows = devs[0]
+    x = refresh_pass(head, client.features[rows[:batch_size]],
+                     net.stats[:h].copy())
+    pretrained = np.tile(net.stats[h:], (CHUNK, 1))
+    unread = pretrained.copy()
+    unread[~read] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [(refresh_pass(tail, x, stats), eval_pass(tail, x, stats))
+               for stats in (pretrained, unread)]
+    for a, b in zip(*got):
+        assert bits(a) == bits(b)
+    assert bits(pretrained[read]) == bits(unread[read])
+    assert np.isnan(unread[~read]).all()
 
 
 def test_a_chunk_of_as_many_variants_as_candidates_stacks_candidates():

@@ -249,9 +249,9 @@ def test_single_client_aggregation_is_identity():
     flat = upload.flat.copy()
     fedavg(state, [upload], upload.bn.samples)
     np.testing.assert_allclose(state.net.flat, flat, rtol=0, atol=1e-12)
-    for (_, bn), (mean, var) in zip(state.net.bn_layers(), upload.bn.stats):
-        np.testing.assert_allclose(bn.mean, mean, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bn.var, var, rtol=1e-12, atol=0)
+    got, want, var = state.net.stats, upload.bn.stats, state.net.variances
+    np.testing.assert_allclose(got[~var], want[~var], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got[var], want[var], rtol=1e-12, atol=0)
 
 
 def test_masked_algorithms_stay_feasible_every_round():
@@ -527,14 +527,17 @@ def test_checkpoint_save_then_load_returns_every_bit(tmp_path, width):
 
 def assert_stats_are_views(net):
     """Every BN layer's mean and variance are the views of ``net.stats``
-    that tile it, each layer's mean then its variance, in layer order."""
+    that tile it, each layer's mean then its variance, in layer order, and
+    ``net.variances`` marks the variances."""
     at = 0
     base = net.stats.__array_interface__["data"][0]
+    assert net.variances.shape == net.stats.shape
     for _, bn in net.bn_layers():
-        for vec in (bn.mean, bn.var):
+        for vec, is_var in ((bn.mean, False), (bn.var, True)):
             assert np.shares_memory(vec, net.stats)
             assert vec.__array_interface__["data"][0] == base + 8 * at
             assert vec.tobytes() == net.stats[at:at + vec.size].tobytes()
+            assert (net.variances[at:at + vec.size] == is_var).all()
             at += vec.size
     assert at == net.stats.size
 
@@ -865,10 +868,8 @@ def test_collection_pass_never_reaches_the_upload():
     assert with_pass.flat.shape == without.flat.shape
     assert with_pass.flat.tobytes() == without.flat.tobytes()
     got, want = with_pass.bn.stats, without.bn.stats
-    assert len(got) == len(want) > 0
-    for (mean, var), (want_mean, want_var) in zip(got, want):
-        assert mean.tobytes() == want_mean.tobytes()
-        assert var.tobytes() == want_var.tobytes()
+    assert got.shape == want.shape == state.net.stats.shape
+    assert got.size > 0 and got.tobytes() == want.tobytes()
     # and what the fold makes of either upload is the same global model
     folded = [replace(state, net=state.net.clone()) for _ in range(2)]
     for each, res in zip(folded, (with_pass, without)):
