@@ -5,16 +5,16 @@ float64 numpy arrays. Networks are plain values: ``clone()`` yields a fully
 independent copy, every operation is a deterministic function of its inputs,
 and eval-mode passes never mutate state.
 
-The passes compute in place only on arrays they allocated themselves: never
-on the caller's batch, an array cached for ``backward`` or a BN layer's
-array. They are bit-identical to the reference kernels in ``tests/test_nn``,
-which make one new array per operation. A BN layer folds its normalization
-into one per-feature product ``g = scale / sqrt(var + BN_EPS)`` and one sum.
+The passes compute in place only on arrays they allocated and on the
+statistics a refresh advances: never on the caller's batch, an array cached
+for ``backward`` or a layer's parameters. They are bit-identical to the
+reference kernels in ``tests/test_nn``, which make one new array per
+operation. A BN layer folds its normalization into one per-feature product
+``g = scale / sqrt(var + BN_EPS)`` and one sum.
 Selection passes also take C stacked candidates behind the batch axis: a
 ``(C, fan_in, fan_out)`` weight gives ``(B, C, fan_out)``, one matrix product
-per candidate. A stack may hold V column variants in place of C candidates
-up to the linear layer whose ``pick`` gathers each candidate's columns from
-them.
+per candidate, or one per column variant up to the linear layer whose
+``pick`` gathers each candidate's columns from V variants.
 
 A linear layer that feeds a BN layer has no bias, which BN would cancel. A
 network keeps its parameters in one vector, ``flat``, and its BN moving
